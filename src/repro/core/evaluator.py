@@ -82,9 +82,13 @@ class EvaluatorOptions:
             weight shards from host memory — sharding then also divides
             the load traffic, which is where multi-accelerator sets
             amortize the host bandwidth.
-        layer_cache: Memoize per-layer cost computations in an
-            evaluator-owned bounded LRU, keyed on (layer, strategy,
-            upstream sharding, accelerator set, design, cost model);
+        layer_cache: Memoize per-layer cost computations: compute
+            (conv/FC) layers in an evaluator-owned bounded LRU, keyed
+            on (layer, strategy, upstream sharding, accelerator set,
+            design, cost model), and non-compute layers, whose price
+            depends on neither strategy nor upstream sharding, in a
+            plain memo keyed on (layer, accelerator set, design, cost
+            model);
             the options are part of the key by construction, being
             fixed for the evaluator that owns the cache, while the
             cost model — also fixed at construction — is part of the
@@ -94,8 +98,8 @@ class EvaluatorOptions:
             replays the exact floats of the original computation — so
             this is purely a wall-clock knob. Program emission
             (``compile_program``) always bypasses the cache.
-        layer_cache_capacity: Maximum number of cached layer-cost
-            entries before LRU eviction.
+        layer_cache_capacity: Maximum number of cached compute-layer
+            costs before LRU eviction.
     """
 
     dtype_bytes: int = 2
@@ -285,13 +289,13 @@ class MappingEvaluator:
     historical inline pricing bit-identically).
 
     Layer costs are computed by a pure per-layer function and memoized
-    in an evaluator-owned bounded LRU (see
-    :attr:`EvaluatorOptions.layer_cache`): ``evaluate_set`` is a walk
-    that threads sharding state through cached :class:`LayerCost`
-    entries and only recomputes layers whose key — (layer, strategy,
-    upstream sharding, accelerator set, design, cost-model token) —
-    changed; the options are fixed at construction, so they are part
-    of the key by construction.
+    (see :attr:`EvaluatorOptions.layer_cache`): ``evaluate_set`` is a
+    walk that threads sharding state through cached :class:`LayerCost`
+    entries and only recomputes compute layers whose key — (layer,
+    strategy, upstream sharding, accelerator set, design, cost-model
+    token) — changed; the options are fixed at construction, so they
+    are part of the key by construction. Non-compute layers are priced
+    once per (layer, set) and only propagate the sharding state.
     This is what makes GA mutations cheap: a genome that differs from
     an already-priced one in a single layer's strategy re-prices that
     layer (and any downstream layers whose upstream sharding shifted),
@@ -329,6 +333,14 @@ class MappingEvaluator:
             if self.options.layer_cache
             else None
         )
+        # Non-compute layer prices, per set key then per layer name. A
+        # pool or ReLU costs the same whatever sharding reaches it, so
+        # one entry per (layer, set) serves every genome; the entries
+        # are few and tiny, so no LRU bound. On and off with the layer
+        # cache.
+        self._lightweight_memo: dict[tuple, dict] | None = (
+            {} if self.options.layer_cache else None
+        )
         # Designs interned to small ints so per-layer key hashing never
         # re-hashes a whole AcceleratorDesign. Keyed by object equality:
         # same-named design variants (sweeps) get distinct tokens.
@@ -347,6 +359,7 @@ class MappingEvaluator:
         # memo). Workers rebuild an empty cache and warm it locally.
         state = dict(self.__dict__)
         state["_layer_cache"] = None
+        state["_lightweight_memo"] = None
         state["_design_tokens"] = {}  # tokens only index the live cache
         state["_greedy_memo"] = {}  # keyed by the dropped tokens
         return state
@@ -355,6 +368,7 @@ class MappingEvaluator:
         self.__dict__.update(state)
         if self.options.layer_cache:
             self._layer_cache = LruCache(self.options.layer_cache_capacity)
+            self._lightweight_memo = {}
 
     def _design_token(self, design: AcceleratorDesign | None) -> int:
         """Stable small-int identity of a design within this evaluator."""
@@ -391,6 +405,7 @@ class MappingEvaluator:
         """Drop all cached layer costs (counters survive)."""
         if self._layer_cache is not None:
             self._layer_cache.clear()
+            self._lightweight_memo.clear()
 
     # ------------------------------------------------------------------
     # Greedy-shortlist memo (level-2 seeding)
@@ -483,6 +498,11 @@ class MappingEvaluator:
         # identity must hold even across a shared or migrated cache.
         cache = self._layer_cache if program is None else None
         set_key = (accs, self._design_token(design), self._cost_token)
+        lightweight = (
+            self._lightweight_memo.setdefault(set_key, {})
+            if cache is not None
+            else None
+        )
         # Per-node output sharding; ``None`` marks "aligned with whatever
         # the consumer needs" (set entries and freshly loaded inputs,
         # whose distribution cost is charged elsewhere).
@@ -510,12 +530,25 @@ class MappingEvaluator:
                     sharding_state[node.name] = plan.output_sharding
                 costs.append(cost)
             else:
-                cost, state, shard_bytes = self._priced_lightweight_cost(
-                    node, upstream, accs, designs, set_key, p, program, cache
+                priced = (
+                    lightweight.get(node.name)
+                    if lightweight is not None
+                    else None
                 )
-                costs.append(cost)
-                sharding_state[node.name] = state
+                if priced is None:
+                    priced = self._lightweight_layer_cost(
+                        node, accs, designs, program
+                    )
+                    if lightweight is not None:
+                        lightweight[node.name] = priced
+                seconds, shard_bytes = priced
+                costs.append(LayerCost(name=node.name, compute_seconds=seconds))
                 lightweight_bytes.append(shard_bytes)
+                sharding_state[node.name] = (
+                    None  # host load is aligned
+                    if node.kind == "inputlayer"
+                    else self._propagate_state(node, upstream)
+                )
 
         memory = set_memory_report(
             plans,
@@ -696,68 +729,6 @@ class MappingEvaluator:
             plan,
         )
 
-    def _priced_lightweight_cost(
-        self,
-        node: LayerNode,
-        upstream: dict[LoopDim, int] | None,
-        accs: tuple[int, ...],
-        designs: list[AcceleratorDesign],
-        set_key: tuple,
-        p: int,
-        program: ExecutionProgram | None,
-        cache: LruCache | None,
-    ) -> tuple[LayerCost, dict[LoopDim, int] | None, int]:
-        """Non-compute layer cost + propagated state, cache-aware.
-
-        Returns ``(cost, downstream sharding state, sharded activation
-        bytes)``. The state is stored in the cache as its canonical
-        signature and rebuilt per hit, so cached entries stay immutable.
-        """
-        if cache is None:
-            return self._lightweight_layer_walk(
-                node, upstream, accs, designs, p, program
-            )
-        key = (
-            node.name,
-            None,  # non-compute layers carry no strategy
-            sharding_signature(upstream),
-            set_key,
-        )
-        record = cache.get(key)
-        if record is None:
-            cost, state, shard_bytes = self._lightweight_layer_walk(
-                node, upstream, accs, designs, p, None
-            )
-            cache.put(
-                key,
-                (
-                    cost.compute_seconds,
-                    sharding_signature(state),
-                    shard_bytes,
-                ),
-            )
-            return cost, state, shard_bytes
-        seconds, state_sig, shard_bytes = record
-        state = None if state_sig is None else dict(state_sig)
-        return LayerCost(name=node.name, compute_seconds=seconds), state, shard_bytes
-
-    def _lightweight_layer_walk(
-        self,
-        node: LayerNode,
-        upstream: dict[LoopDim, int] | None,
-        accs: tuple[int, ...],
-        designs: list[AcceleratorDesign],
-        p: int,
-        program: ExecutionProgram | None,
-    ) -> tuple[LayerCost, dict[LoopDim, int] | None, int]:
-        cost = self._lightweight_layer_cost(node, accs, designs, program)
-        if node.kind == "inputlayer":
-            state = None  # host load is aligned
-        else:
-            state = self._propagate_state(node, upstream)
-        shard_numel = math.ceil(node.output_shape.numel / max(1, p))
-        return cost, state, shard_numel * self.options.dtype_bytes
-
     def _compute_layer_cost(
         self,
         node: LayerNode,
@@ -880,8 +851,11 @@ class MappingEvaluator:
         accs: tuple[int, ...],
         designs: list[AcceleratorDesign],
         program: ExecutionProgram | None,
-    ) -> LayerCost:
-        numel = node.output_shape.numel if node.kind != "inputlayer" else 0
+    ) -> tuple[float, int]:
+        """Compute seconds and sharded activation bytes of a non-compute
+        layer: functions of the layer and the set only."""
+        output_numel = node.output_shape.numel
+        numel = output_numel if node.kind != "inputlayer" else 0
         shard_numel = math.ceil(numel / len(accs))
         seconds = self.cost_model.elementwise_compute_seconds(
             designs, shard_numel
@@ -890,7 +864,8 @@ class MappingEvaluator:
             program.append(
                 ComputeStep(group=accs, seconds=seconds, label=node.name)
             )
-        return LayerCost(name=node.name, compute_seconds=seconds)
+        shard_bytes = math.ceil(output_numel / max(1, len(accs)))
+        return seconds, shard_bytes * self.options.dtype_bytes
 
     def _propagate_state(
         self, node: LayerNode, upstream: dict[LoopDim, int] | None

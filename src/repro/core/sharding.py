@@ -50,16 +50,14 @@ class ParallelismStrategy:
     ss: LoopDim | None = None
 
     def __post_init__(self) -> None:
-        require(len(self.es) <= 2, f"at most 2 ES dims, got {self.es}")
-        require(
-            len(set(self.es)) == len(self.es),
-            f"duplicate ES dims in {self.es}",
-        )
-        if self.ss is not None:
-            require(
-                self.ss not in self.es,
-                f"SS dim {self.ss} already in ES {self.es}",
-            )
+        # Messages are built only on failure: strategies are constructed
+        # hundreds of thousands of times per search.
+        if len(self.es) > 2:
+            raise ValueError(f"at most 2 ES dims, got {self.es}")
+        if len(set(self.es)) != len(self.es):
+            raise ValueError(f"duplicate ES dims in {self.es}")
+        if self.ss is not None and self.ss in self.es:
+            raise ValueError(f"SS dim {self.ss} already in ES {self.es}")
 
     @property
     def is_replicated(self) -> bool:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.dnn.layers import (
-    COMPUTE_KINDS,
     BatchNorm,
     Conv2d,
     ConvSpec,
@@ -43,7 +42,7 @@ class LayerNode:
     @property
     def is_compute(self) -> bool:
         """True for layers carrying a convolution loop nest (conv / FC)."""
-        return self.kind in COMPUTE_KINDS
+        return self.layer.is_compute
 
     @cached_property
     def _conv_spec(self) -> ConvSpec:

@@ -17,6 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 from repro.utils.validation import require, require_positive
 
@@ -140,7 +141,8 @@ class TensorSpec:
         numel = 1
         for dim, extent in zip(self.dims, self.extents):
             degree = degrees.get(dim, 1)
-            require(degree >= 1, f"partition degree for {dim} must be >= 1")
+            if degree < 1:  # message built only on failure: a hot path
+                raise ValueError(f"partition degree for {dim} must be >= 1")
             numel *= math.ceil(extent / degree)
         return numel
 
@@ -318,6 +320,10 @@ def _spec_loop_extents(spec: ConvSpec) -> dict[LoopDim, int]:
     return spec._build_loop_extents()
 
 
+#: Layer kinds that carry a convolution loop nest and dominate latency.
+COMPUTE_KINDS: frozenset[str] = frozenset({"conv2d", "fullyconnected"})
+
+
 @dataclass(frozen=True)
 class Layer:
     """Base class for graph layers.
@@ -327,6 +333,17 @@ class Layer:
     immutable; a layer can therefore be shared between graphs.
     """
 
+    #: The lower-cased class name, e.g. ``"conv2d"``. Set once per class
+    #: (the search asks millions of times), not stored per instance.
+    kind: ClassVar[str] = "layer"
+    #: Whether :attr:`kind` is one of :data:`COMPUTE_KINDS`.
+    is_compute: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__.lower()
+        cls.is_compute = cls.kind in COMPUTE_KINDS
+
     def infer_output(self, inputs: tuple[FeatureMap, ...]) -> FeatureMap:
         raise NotImplementedError
 
@@ -335,10 +352,6 @@ class Layer:
 
     def mac_count(self, inputs: tuple[FeatureMap, ...]) -> int:
         return 0
-
-    @property
-    def kind(self) -> str:
-        return type(self).__name__.lower()
 
     @property
     def arity(self) -> int:
@@ -595,6 +608,3 @@ class FullyConnected(Layer):
     def mac_count(self, inputs: tuple[FeatureMap, ...]) -> int:
         return self.spec(self._single(inputs)).macs
 
-
-#: Layer kinds that carry a convolution loop nest and dominate latency.
-COMPUTE_KINDS: frozenset[str] = frozenset({"conv2d", "fullyconnected"})

@@ -38,8 +38,7 @@ class AnalyticalCommModel:
         p = len(group)
         if p <= 1 or nbytes == 0:
             return 0.0
-        bandwidth = self.topology.min_bandwidth_within(group)
-        latency = self.topology.max_latency_within(group)
+        bandwidth, latency = self.topology.bottleneck_within(group)
         wire = 2 * (p - 1) / p * transfer_seconds(nbytes, bandwidth)
         return wire + 2 * (p - 1) * latency
 
@@ -48,8 +47,7 @@ class AnalyticalCommModel:
         p = len(group)
         if p <= 1 or nbytes == 0:
             return 0.0
-        bandwidth = self.topology.min_bandwidth_within(group)
-        latency = self.topology.max_latency_within(group)
+        bandwidth, latency = self.topology.bottleneck_within(group)
         wire = (p - 1) / p * transfer_seconds(nbytes, bandwidth)
         return wire + (p - 1) * latency
 
@@ -62,8 +60,7 @@ class AnalyticalCommModel:
         neighbour concurrently (Fig. 2(c) phase boundary)."""
         if len(group) <= 1 or shard_bytes == 0:
             return 0.0
-        bandwidth = self.topology.min_bandwidth_within(group)
-        latency = self.topology.max_latency_within(group)
+        bandwidth, latency = self.topology.bottleneck_within(group)
         return transfer_seconds(shard_bytes, bandwidth) + latency
 
     # ------------------------------------------------------------------
@@ -95,16 +92,13 @@ class AnalyticalCommModel:
         require(bool(src_accs) and bool(dst_accs), "empty accelerator set")
         if total_bytes == 0:
             return 0.0
-        pairs = [(a, b) for a in src_accs for b in dst_accs if a != b]
-        if not pairs:
+        bottleneck = self.topology.bottleneck_between(src_accs, dst_accs)
+        if bottleneck is None:
             return 0.0  # single accelerator on both sides: data is local
         if bytes_per_dst is None:
             bytes_per_dst = total_bytes / len(dst_accs)
         total_moved = bytes_per_dst * len(dst_accs)
-        bandwidth = min(
-            self.topology.effective_bandwidth(a, b) for a, b in pairs
-        )
-        latency = max(self.topology.path_latency(a, b) for a, b in pairs)
+        bandwidth, latency = bottleneck
         egress = transfer_seconds(total_moved / len(src_accs), bandwidth)
         ingress = transfer_seconds(bytes_per_dst, bandwidth)
         return max(egress, ingress) + latency

@@ -16,12 +16,19 @@ Systems come in two flavours:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import networkx as nx
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.utils.rng import stable_digest
 from repro.utils.validation import require, require_positive
+
+#: Memo marker for a set pair not priced yet (``None`` is a real answer).
+_UNSEEN = object()
+
+#: A per-pair quantity keyed by ordered accelerator pair.
+_PairTable = dict[tuple[int, int], float]
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,28 @@ class SystemTopology:
                     acc.acc_id in self.fixed_designs,
                     f"fixed system lacks a design for accelerator {acc.acc_id}",
                 )
+        self._init_derived()
+
+    def _init_derived(self) -> None:
+        """Empty the set memos; the pair tables are built on first use."""
+        self._within_memo: dict[tuple[int, ...], tuple[float, float]] = {}
+        self._between_memo: dict[tuple, tuple[float, float] | None] = {}
+
+    #: Derived query state: pure functions of the fields, never pickled.
+    _DERIVED = ("_pair_tables", "_within_memo", "_between_memo")
+
+    def __getstate__(self) -> dict:
+        # Leaving derived state behind keeps a topology's pickle the same
+        # before and after a search (every search reply and pool payload
+        # carries one); the receiving process rebuilds it on first query.
+        state = dict(self.__dict__)
+        for name in self._DERIVED:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._init_derived()
 
     # ------------------------------------------------------------------
     # Content identity
@@ -187,6 +216,13 @@ class SystemTopology:
     # ------------------------------------------------------------------
     # Connectivity and bandwidth
     # ------------------------------------------------------------------
+    #
+    # Every answer below is a pure function of the (immutable) fields.
+    # The pair queries read all-pairs tables built on first use, and the
+    # set queries memoize one bottleneck summary per set or set pair:
+    # the evaluator's ring and transfer formulas ask about a few dozen
+    # sets millions of times per search. None of it is pickled (see
+    # ``__getstate__``).
 
     def direct_bandwidth(self, a: int, b: int) -> float | None:
         """Bandwidth of the direct link between ``a`` and ``b``, if any."""
@@ -206,16 +242,12 @@ class SystemTopology:
         serializations — an effective rate of half the slower host link.
         """
         require(a != b, f"no transfer between an accelerator and itself ({a})")
-        direct = self.direct_bandwidth(a, b)
-        if direct is not None:
-            return direct
-        return min(self.host_bandwidth(a), self.host_bandwidth(b)) / 2
+        return self._tables()[0][a, b]
 
     def path_latency(self, a: int, b: int) -> float:
         """Per-message latency between two accelerators."""
-        if self.direct_bandwidth(a, b) is not None:
-            return self.link_latency_s
-        return 2 * self.host_latency_s  # up to host, back down
+        # Pairs outside the table (a == b) have no direct link either.
+        return self._tables()[1].get((a, b), 2 * self.host_latency_s)
 
     def is_direct(self, a: int, b: int) -> bool:
         return self.direct_bandwidth(a, b) is not None
@@ -227,24 +259,77 @@ class SystemTopology:
         path; singleton sets communicate only with themselves, reported
         as the host bandwidth for memory-spill estimates.
         """
-        require(bool(acc_ids), "empty accelerator set")
-        if len(acc_ids) == 1:
-            return self.host_bandwidth(acc_ids[0])
-        return min(
-            self.effective_bandwidth(a, b)
-            for i, a in enumerate(acc_ids)
-            for b in acc_ids[i + 1 :]
-        )
+        return self.bottleneck_within(acc_ids)[0]
 
     def max_latency_within(self, acc_ids: tuple[int, ...]) -> float:
         """Worst per-hop latency inside a set (ring hops use neighbours)."""
         if len(acc_ids) <= 1:
             return 0.0
-        return max(
-            self.path_latency(a, b)
-            for i, a in enumerate(acc_ids)
-            for b in acc_ids[i + 1 :]
+        return self.bottleneck_within(acc_ids)[1]
+
+    def bottleneck_within(self, acc_ids: tuple[int, ...]) -> tuple[float, float]:
+        """``(min_bandwidth_within, max_latency_within)`` of a set."""
+        summary = self._within_memo.get(acc_ids)
+        if summary is None:
+            require(bool(acc_ids), "empty accelerator set")
+            if len(acc_ids) == 1:
+                summary = (self.host_bandwidth(acc_ids[0]), 0.0)
+            else:
+                pairs = [
+                    (a, b) for i, a in enumerate(acc_ids) for b in acc_ids[i + 1 :]
+                ]
+                for a, b in pairs:
+                    require(
+                        a != b,
+                        f"no transfer between an accelerator and itself ({a})",
+                    )
+                summary = self._bottleneck(pairs)
+            self._within_memo[acc_ids] = summary
+        return summary
+
+    def bottleneck_between(
+        self, src_accs: tuple[int, ...], dst_accs: tuple[int, ...]
+    ) -> tuple[float, float] | None:
+        """Minimum bandwidth and maximum latency over the pairs that move
+        data from ``src_accs`` to ``dst_accs`` (every ``a != b``), or
+        ``None`` when there is no such pair: the same single accelerator
+        on both sides, where the data is already local."""
+        key = (src_accs, dst_accs)
+        summary = self._between_memo.get(key, _UNSEEN)
+        if summary is _UNSEEN:
+            require(bool(src_accs) and bool(dst_accs), "empty accelerator set")
+            pairs = [(a, b) for a in src_accs for b in dst_accs if a != b]
+            summary = self._bottleneck(pairs) if pairs else None
+            self._between_memo[key] = summary
+        return summary
+
+    def _bottleneck(self, pairs: list[tuple[int, int]]) -> tuple[float, float]:
+        """Slowest bandwidth and latency over ``pairs`` (all ``a != b``)."""
+        bandwidth, latency = self._tables()
+        return (
+            min(bandwidth[pair] for pair in pairs),
+            max(latency[pair] for pair in pairs),
         )
+
+    def _tables(self) -> tuple[_PairTable, _PairTable]:
+        """Effective bandwidth and path latency of every ordered pair of
+        distinct accelerators, built on first use."""
+        tables = self.__dict__.get("_pair_tables")
+        if tables is None:
+            bandwidth: _PairTable = {}
+            latency: _PairTable = {}
+            for a, b in permutations(range(self.num_accelerators), 2):
+                link = self._link_by_key.get((min(a, b), max(a, b)))
+                if link is not None:
+                    bandwidth[a, b] = link.bandwidth_bps
+                    latency[a, b] = self.link_latency_s
+                else:
+                    bandwidth[a, b] = (
+                        min(self.host_bandwidth(a), self.host_bandwidth(b)) / 2
+                    )
+                    latency[a, b] = 2 * self.host_latency_s  # up and down
+            tables = self.__dict__["_pair_tables"] = (bandwidth, latency)
+        return tables
 
     # ------------------------------------------------------------------
     # Graph views

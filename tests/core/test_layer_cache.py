@@ -26,6 +26,7 @@ from repro.core.formulation import (
     Mapping,
     SetAssignment,
 )
+from repro.core.session import MarsSession
 from repro.core.sharding import ParallelismStrategy
 from repro.dnn import build_model
 from repro.dnn.layers import LOOP_DIMS, LoopDim
@@ -274,13 +275,17 @@ class TestCacheMechanics:
         )
 
     def test_second_evaluation_hits(self):
+        """The LRU holds compute layers only: non-compute layers are
+        priced from a per-set memo that the counters do not see."""
         evaluator = self._evaluator()
         strategies = _random_strategies(GRAPHS[0], 0)
+        compute = len(GRAPHS[0].compute_nodes())
+        assert compute < len(GRAPHS[0].nodes())
         evaluator.evaluate_set(
             GRAPHS[0].nodes(), (0, 1), design2_systolic(), strategies
         )
         after_cold = evaluator.layer_cache_stats
-        assert after_cold.misses == len(GRAPHS[0].nodes())
+        assert after_cold.misses == compute
         assert after_cold.hits == 0
         assert after_cold.entries == after_cold.misses
         evaluator.evaluate_set(
@@ -288,7 +293,7 @@ class TestCacheMechanics:
         )
         after_warm = evaluator.layer_cache_stats
         assert after_warm.misses == after_cold.misses
-        assert after_warm.hits == len(GRAPHS[0].nodes())
+        assert after_warm.hits == compute
         assert after_warm.hit_rate == pytest.approx(0.5)
 
     def test_disabled_cache_reports_zeros(self):
@@ -357,8 +362,39 @@ class TestCacheMechanics:
             GRAPHS[0].nodes(), (0, 1), design2_systolic(), strategies
         )
         assert evaluator.layer_cache_stats.entries > 0
+        assert evaluator._lightweight_memo
         evaluator.clear_layer_cache()
         assert evaluator.layer_cache_stats.entries == 0
+        assert evaluator._lightweight_memo == {}
+
+    def test_session_clear_empties_lightweight_memo(self):
+        with MarsSession(GRAPHS[0], f1_16xlarge()) as session:
+            session.search(seed=0)
+            assert session.evaluator._lightweight_memo
+            session.clear()
+            assert session.evaluator._lightweight_memo == {}
+            assert session.evaluator.layer_cache_stats.entries == 0
+
+    def test_lightweight_price_ignores_upstream_sharding(self):
+        """One memo entry per (layer, set) serves every upstream state."""
+        graph = GRAPHS[0]
+        evaluator = self._evaluator()
+        uncached = self._evaluator(layer_cache=False)
+        strategies = _random_strategies(graph, 0)
+        for entry in (None, {LoopDim.H: 2}, {LoopDim.COUT: 2}):
+            got = evaluator.evaluate_set(
+                graph.nodes(), (0, 1), design2_systolic(), strategies,
+                entry_sharding=entry,
+            )
+            expected = uncached.evaluate_set(
+                graph.nodes(), (0, 1), design2_systolic(), strategies,
+                entry_sharding=entry,
+            )
+            _assert_set_evaluations_identical(got, expected)
+        (memo,) = evaluator._lightweight_memo.values()
+        assert sorted(memo) == sorted(
+            node.name for node in graph.nodes() if not node.is_compute
+        )
 
     def test_pickling_drops_cache_but_not_behaviour(self):
         evaluator = self._evaluator()
@@ -366,9 +402,11 @@ class TestCacheMechanics:
         original = evaluator.evaluate_set(
             GRAPHS[0].nodes(), (0, 1), design2_systolic(), strategies
         )
+        assert evaluator.__getstate__()["_lightweight_memo"] is None
         clone = pickle.loads(pickle.dumps(evaluator))
         assert clone.layer_cache_enabled
         assert clone.layer_cache_stats == LayerCacheStats()
+        assert clone._lightweight_memo == {}
         replay = clone.evaluate_set(
             GRAPHS[0].nodes(), (0, 1), design2_systolic(), strategies
         )

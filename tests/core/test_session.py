@@ -7,6 +7,11 @@ session is bit-identical to a fresh :class:`Mars` per search — with the
 layer cache on or off — and a session run twice replays itself exactly.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import Mars, MarsSession
@@ -157,6 +162,33 @@ class TestSessionState:
     def test_invalid_subproblem_capacity_rejected(self):
         with pytest.raises(ValueError):
             MarsSession(GRAPH, TOPOLOGY, subproblem_capacity=0)
+
+    def test_result_pickle_carries_no_derived_state(self):
+        """Every search reply pickles its mapping's topology; the pair
+        tables and set memos the search built on it stay behind, so the
+        squeezenet seed-0 reply is exactly the size it was before the
+        topology had any (22,903 B). The size is taken in a fresh
+        interpreter: process-global plan memos shared with earlier
+        searches change how much of a reply pickle can deduplicate."""
+        script = (
+            "import pickle\n"
+            "from repro.core import MarsSession\n"
+            "from repro.dnn import build_model\n"
+            "from repro.system import f1_16xlarge\n"
+            "session = MarsSession(build_model('squeezenet'), f1_16xlarge())\n"
+            "print(len(pickle.dumps(session.search(seed=0), protocol=4)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) == 22_903
 
 
 class TestMarsFacadeSession:
