@@ -9,20 +9,25 @@ Runs are parameterized by environment (no pytest flags needed, so the
 same knobs work in CI):
 
 * ``REPRO_BENCH_BUDGET`` — ``fast`` (default) or ``paper``;
-* ``REPRO_BENCH_WORKERS`` — GA evaluation workers threaded into every
-  :func:`search_budget`/:func:`quick_budget` consumer (process-pool
-  fan-out; results stay bit-identical, so the speedup contracts are
-  unaffected). Recorded in every JSON payload so multi-core runs are
-  reproducible from the report alone.
+* ``REPRO_BENCH_WORKERS`` — the level-1 sub-problem pool size
+  (``budget.level1.workers``) of every :func:`search_budget`/
+  :func:`quick_budget` consumer: sessions build the pool themselves,
+  benches that build ``Level1Search`` directly take one from
+  :func:`subproblem_pool`. Level-2 GAs always run serial; results stay
+  bit-identical, so the speedup contracts are unaffected. Recorded in
+  every JSON payload so multi-core runs are reproducible from the
+  report alone.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
-from repro.core.ga import GAConfig, SearchBudget
+from repro.core.ga import GAConfig, ProcessPoolBackend, SearchBudget
 
 REPORT_DIR = Path(__file__).parent / "reports"
 
@@ -54,8 +59,22 @@ COSTMODEL_TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_costmodel.json
 
 
 def bench_workers() -> int:
-    """GA evaluation workers for this run (``REPRO_BENCH_WORKERS``)."""
+    """Sub-problem pool size for this run (``REPRO_BENCH_WORKERS``)."""
     return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
+
+
+@contextmanager
+def subproblem_pool(
+    budget: SearchBudget,
+) -> Iterator[ProcessPoolBackend | None]:
+    """The pool ``budget.level1.workers`` asks for, for benches that
+    build ``Level1Search`` directly (``None`` when serial); closed on
+    exit, as a session closes its own."""
+    if budget.level1.workers == 1:
+        yield None
+        return
+    with ProcessPoolBackend(budget.level1.workers) as pool:
+        yield pool
 
 
 def bench_shards() -> int:
@@ -137,9 +156,8 @@ def search_budget() -> SearchBudget:
 
     Defaults to the fast budget so the full harness completes in
     minutes; set ``REPRO_BENCH_BUDGET=paper`` for the larger budget used
-    to produce EXPERIMENTS.md. ``REPRO_BENCH_WORKERS`` threads a
-    process-pool worker count into both GA levels (bit-identical
-    results; wall-clock only).
+    to produce EXPERIMENTS.md. ``REPRO_BENCH_WORKERS`` sizes the level-1
+    sub-problem pool (bit-identical results; wall-clock only).
     """
     budget = (
         SearchBudget.paper() if budget_name() == "paper" else SearchBudget.fast()

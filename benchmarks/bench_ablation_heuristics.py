@@ -16,21 +16,24 @@ from repro.system import f1_16xlarge
 from repro.utils import make_rng
 from repro.utils.tables import format_table
 
-from _report import emit, quick_budget
+from _report import emit, quick_budget, subproblem_pool
 
 
 def _search(graph, topology, seeded: bool, seed: int):
-    search = Level1Search(
-        graph=graph,
-        topology=topology,
-        designs=table2_designs(),
-        evaluator=MappingEvaluator(graph, topology),
-        budget=quick_budget(),
-        rng=make_rng(seed),
-    )
-    if not seeded:
-        search.seed_genomes = lambda: []  # ablate the heuristic seeds
-    return search.run()
+    budget = quick_budget()
+    with subproblem_pool(budget) as pool:
+        search = Level1Search(
+            graph=graph,
+            topology=topology,
+            designs=table2_designs(),
+            evaluator=MappingEvaluator(graph, topology),
+            budget=budget,
+            rng=make_rng(seed),
+            level1_backend=pool,
+        )
+        if not seeded:
+            search.seed_genomes = lambda: []  # ablate the heuristic seeds
+        return search.run()
 
 
 def bench_seeded_search(benchmark):

@@ -1,4 +1,4 @@
-"""E7: GA evaluation backends — serial vs memoized vs process pool.
+"""E7: GA evaluation backends — serial vs memoized.
 
 The engine evaluates whole populations through an
 :class:`~repro.core.ga.backends.EvaluationBackend`; this bench verifies
@@ -8,32 +8,24 @@ measures their wall-clock on ResNet-class workloads.
 The headline number is the *warm re-search*: MARS keeps a sub-problem
 solution cache across level-1 restarts (seed sweeps, objective changes),
 so a re-search prices full mappings only — exactly the duplicate-heavy
-regime the phenotype-keyed :class:`CachedBackend` collapses. The
-process-pool comparison is reported but not asserted: this harness often
-runs on a single core, where fan-out cannot win.
+regime the phenotype-keyed :class:`CachedBackend` collapses.
 """
 
-import os
 import time
 
-from repro.accelerators import design2_systolic, table2_designs
+from repro.accelerators import table2_designs
 from repro.core.evaluator import MappingEvaluator
-from repro.core.ga import (
-    GAConfig,
-    Level1Search,
-    ProcessPoolBackend,
-    SearchBudget,
-    SerialBackend,
-    optimize_set,
-)
+from repro.core.ga import Level1Search, SerialBackend
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
 from repro.utils import make_rng
 
-from _report import emit, search_budget
+from _report import emit, search_budget, subproblem_pool
 
 
-def _restart(graph, topology, evaluator, solution_cache, backend, seed):
+def _restart(
+    graph, topology, evaluator, solution_cache, backend, seed, pool
+):
     search = Level1Search(
         graph=graph,
         topology=topology,
@@ -43,6 +35,7 @@ def _restart(graph, topology, evaluator, solution_cache, backend, seed):
         rng=make_rng(seed),
         solution_cache=dict(solution_cache),
         backend=backend,
+        level1_backend=pool,
     )
     start = time.perf_counter()
     _, _, result = search.run()
@@ -66,26 +59,34 @@ def bench_cached_backend_warm_restart_resnet34(benchmark):
     topology = f1_16xlarge()
     evaluator = MappingEvaluator(graph, topology)
 
-    warm = Level1Search(
-        graph=graph,
-        topology=topology,
-        designs=table2_designs(),
-        evaluator=evaluator,
-        budget=search_budget(),
-        rng=make_rng(0),
-    )
-    warm.run()  # un-timed: populates the sub-problem solution cache
+    with subproblem_pool(search_budget()) as pool:
+        warm = Level1Search(
+            graph=graph,
+            topology=topology,
+            designs=table2_designs(),
+            evaluator=evaluator,
+            budget=search_budget(),
+            rng=make_rng(0),
+            level1_backend=pool,
+        )
+        warm.run()  # un-timed: populates the sub-problem solution cache
 
-    serial_result, serial_s = _restart(
-        graph, topology, evaluator, warm.solution_cache, SerialBackend(), 0
-    )
-    cached_result, cached_s = benchmark.pedantic(
-        lambda: _restart(
-            graph, topology, evaluator, warm.solution_cache, None, 0
-        ),
-        rounds=1,
-        iterations=1,
-    )
+        serial_result, serial_s = _restart(
+            graph,
+            topology,
+            evaluator,
+            warm.solution_cache,
+            SerialBackend(),
+            0,
+            pool,
+        )
+        cached_result, cached_s = benchmark.pedantic(
+            lambda: _restart(
+                graph, topology, evaluator, warm.solution_cache, None, 0, pool
+            ),
+            rounds=1,
+            iterations=1,
+        )
 
     assert cached_result.history == serial_result.history
     assert cached_result.best_fitness == serial_result.best_fitness
@@ -108,51 +109,3 @@ def bench_cached_backend_warm_restart_resnet34(benchmark):
         f"speedup        : {speedup:9.2f}x\n",
     )
     assert speedup >= 1.5, f"cached backend speedup {speedup:.2f}x < 1.5x"
-
-
-def bench_process_pool_level2_resnet18(benchmark):
-    """Process-pool vs serial level-2 GA on ResNet-18 (report only).
-
-    Equivalence is asserted; the speedup is informational because the
-    harness may be pinned to a single core (``cpus`` in the report).
-    """
-    graph = build_model("resnet18")
-    evaluator = MappingEvaluator(graph, f1_16xlarge())
-    config = GAConfig(
-        population_size=16, generations=8, elite_count=2, patience=8
-    )
-
-    def solve(backend):
-        start = time.perf_counter()
-        solution = optimize_set(
-            evaluator,
-            graph.nodes(),
-            (0, 1, 2, 3),
-            design2_systolic(),
-            config,
-            make_rng(0),
-            backend=backend,
-        )
-        return solution, time.perf_counter() - start
-
-    serial_solution, serial_s = solve(SerialBackend())
-    with ProcessPoolBackend(workers=4) as pool:
-        pooled_solution, pooled_s = benchmark.pedantic(
-            lambda: solve(pool), rounds=1, iterations=1
-        )
-
-    assert pooled_solution.ga.history == serial_solution.ga.history
-    assert pooled_solution.latency_seconds == serial_solution.latency_seconds
-    cpus = len(os.sched_getaffinity(0))
-    benchmark.extra_info["cpus"] = cpus
-    benchmark.extra_info["serial_s"] = round(serial_s, 3)
-    benchmark.extra_info["pool_s"] = round(pooled_s, 3)
-    emit(
-        "backend_process_pool",
-        "GA backends: level-2 GA on ResNet-18, serial vs 4-worker pool\n"
-        f"cpus available : {cpus}\n"
-        f"serial backend : {serial_s * 1e3:9.1f} ms\n"
-        f"pool backend   : {pooled_s * 1e3:9.1f} ms "
-        f"({serial_s / pooled_s:.2f}x)\n"
-        "results identical across backends (asserted)\n",
-    )

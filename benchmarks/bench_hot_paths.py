@@ -7,7 +7,7 @@ layer-cache benches double as the cache's speedup contract (>= 2x,
 asserted), the session bench as the warm-search contract (>= 1.5x for
 repeated searches through one ``MarsSession``, asserted, bit-identical
 to fresh searches), the pool-reuse bench as the executor-lifecycle
-contract (a ``workers=2`` warm sweep spawns exactly one
+contract (a ``workers=2`` warm session sweep spawns exactly one
 ``ProcessPoolExecutor``, asserted), the batch-decode bench as the
 vectorized decode contract (bit-identical, measurably faster), the
 level-1 fan-out bench as the parallel-search contract (a ``workers=2``
@@ -367,87 +367,80 @@ def bench_session_reuse_repeated_search(benchmark):
 
 
 def bench_session_pool_reuse_workers(benchmark):
-    """Pool-hoist contract: a warm multi-worker sweep spawns ONE executor.
+    """Session-pool contract: a warm multi-worker sweep spawns ONE executor.
 
-    Before the hoist, every ``workers > 1`` search spawned (and tore
-    down) a ``ProcessPoolExecutor`` inside ``Level1Search.run()``; now a
-    session-owned pool serves the whole sweep. Both arms share one warm
-    evaluator and sub-problem cache, so they differ *only* in executor
-    lifecycle: the hoisted arm hands one ``level2_backend`` down to
-    every search, the respawn arm recreates the pre-hoist
-    pool-per-search behaviour. The noise-free contract is the spawn
-    counter (1 vs one per search, asserted) plus per-seed bit-identity
-    with a serial session sweep; wall-clock is reported, with a
-    no-regression bound (``REPRO_POOL_REUSE_MAX_SLOWDOWN``) rather than
-    a speedup gate — on fork-based Linux an executor spawn is cheap, so
-    the win is lifecycle hygiene (no per-search worker churn), not a
-    headline ratio.
+    A ``workers=2`` session owns the only pool its searches use: every
+    search of a warm sweep solves its level-1 sub-problems on it
+    instead of spawning (and tearing down) an executor of its own. The
+    respawn arm hands a fresh pool to each search of an otherwise
+    identically warm sweep — the per-search executor churn the session
+    removes — so the two arms differ only in executor lifecycle. The
+    noise-free contract is the session's spawn counter
+    (``SessionStats.pool_spawns == 1``, asserted) plus per-seed
+    bit-identity with a serial session sweep; wall-clock is reported,
+    with a no-regression bound (``REPRO_POOL_REUSE_MAX_SLOWDOWN``)
+    rather than a speedup gate — on fork-based Linux an executor spawn
+    is cheap, so the win is lifecycle hygiene (no per-search worker
+    churn), not a headline ratio.
     """
     from repro.accelerators import table2_designs
-    from repro.core.ga import Level1Search, ProcessPoolBackend, SearchBudget
+    from repro.core.ga import Level1Search, ProcessPoolBackend
 
     graph = build_model("tiny_cnn")
     topology = f1_16xlarge()
-    # Level-2-only parallelism: the subject here is the *level-2*
-    # pool's executor lifecycle, so the level-1 fan-out stays off —
-    # with it on, the fan-out pre-solves every sub-problem and the
-    # level-2 pool (whose executor spawns lazily on first use) would
-    # never spawn at all. The fan-out has its own bench
-    # (bench_level1_fanout).
-    budget = SearchBudget.fast()
-    budget.level2 = replace(budget.level2, workers=2)
     seeds = (0, 1, 2, 3)
 
-    def sweep(hoisted):
+    def session_sweep():
+        with MarsSession(graph, topology, workers=2) as session:
+            results = [session.search(seed=s) for s in seeds]
+            return session.stats.pool_spawns, results
+
+    def respawn_sweep():
+        # The session's warm state, shared by hand; only the pool is
+        # rebuilt per search.
         evaluator = MappingEvaluator(graph, topology)
+        budget = SearchBudget.fast().with_backend(workers=2)
         cache = {}
-        pool = ProcessPoolBackend(2) if hoisted else None
         partitions = profile = None
         spawns = 0
-        results = []
         for s in seeds:
-            search = Level1Search(
-                graph=graph,
-                topology=topology,
-                designs=table2_designs(),
-                evaluator=evaluator,
-                budget=budget,
-                rng=make_rng(s),
-                solution_cache=cache,
-                level2_backend=pool,
-                partitions=partitions,
-                design_profile=profile,
-            )
-            results.append(search.run())
-            if not hoisted:
-                spawns += search.level2_backend.pool_spawns
+            with ProcessPoolBackend(2) as pool:
+                search = Level1Search(
+                    graph=graph,
+                    topology=topology,
+                    designs=table2_designs(),
+                    evaluator=evaluator,
+                    budget=budget,
+                    rng=make_rng(s),
+                    solution_cache=cache,
+                    level1_backend=pool,
+                    partitions=partitions,
+                    design_profile=profile,
+                )
+                search.run()
+                spawns += pool.pool_spawns
             partitions, profile = search.partitions, search.design_profile
-        if pool is not None:
-            spawns = pool.pool_spawns
-            pool.close()
-        return spawns, results
+        return spawns
 
     def serial_sweep():
         session = MarsSession(graph, topology)
         return [session.search(seed=s) for s in seeds]
 
-    sweep(True)  # warm process-wide memos
+    session_sweep()  # warm process-wide memos
     hoisted_s, (hoisted_spawns, hoisted_results) = _best_of(
-        lambda: sweep(True), rounds=3
+        session_sweep, rounds=3
     )
-    respawn_s, (respawn_spawns, _) = _best_of(
-        lambda: sweep(False), rounds=3
-    )
-    benchmark.pedantic(lambda: sweep(True), rounds=1, iterations=1)
+    respawn_s, respawn_spawns = _best_of(respawn_sweep, rounds=3)
+    benchmark.pedantic(session_sweep, rounds=1, iterations=1)
 
-    # The hoist's contract: one executor for the whole sweep, against
-    # one per search before, with bit-identical results either way.
+    # The session's contract: one executor for the whole sweep, with
+    # bit-identical results to a serial sweep.
     assert hoisted_spawns == 1, f"expected 1 executor, got {hoisted_spawns}"
     assert respawn_spawns == len(seeds)
-    serial_results = serial_sweep()
-    for (_, evaluation, ga), fresh in zip(hoisted_results, serial_results):
-        assert evaluation.latency_ms == fresh.evaluation.latency_ms
-        assert ga.history == fresh.ga.history
+    for pooled, fresh in zip(hoisted_results, serial_sweep()):
+        assert pooled.latency_ms == fresh.latency_ms
+        assert pooled.describe() == fresh.describe()
+        assert pooled.ga.history == fresh.ga.history
 
     ratio = hoisted_s / respawn_s
     benchmark.extra_info["hoisted_ms"] = round(hoisted_s * 1e3, 1)
@@ -455,11 +448,11 @@ def bench_session_pool_reuse_workers(benchmark):
     benchmark.extra_info["executor_spawns"] = hoisted_spawns
     emit(
         "hot_path_session_pool_reuse",
-        "Session-owned level-2 pool: tiny_cnn warm sweep, workers=2 "
+        "Session-owned sub-problem pool: tiny_cnn warm sweep, workers=2 "
         f"(seeds {list(seeds)}, identical results, asserted)\n"
-        f"pool per search (pre-hoist) : {respawn_s * 1e3:9.1f} ms "
+        f"pool per search   : {respawn_s * 1e3:9.1f} ms "
         f"({respawn_spawns} executors)\n"
-        f"one session pool            : {hoisted_s * 1e3:9.1f} ms "
+        f"one session pool  : {hoisted_s * 1e3:9.1f} ms "
         f"({hoisted_spawns} executor)\n",
     )
     payload = {
@@ -477,7 +470,7 @@ def bench_session_pool_reuse_workers(benchmark):
         os.environ.get("REPRO_POOL_REUSE_MAX_SLOWDOWN", "1.25")
     )
     assert ratio <= max_slowdown, (
-        f"hoisted sweep {ratio:.2f}x slower than respawn-per-search "
+        f"session-pool sweep {ratio:.2f}x slower than a pool per search "
         f"(> {max_slowdown:.2f}x)"
     )
 

@@ -12,14 +12,9 @@ Table II benchmark report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING
 
 from repro.accelerators.base import AcceleratorDesign, cached_conv_cycles
 from repro.dnn.graph import ComputationGraph, LayerNode
-
-if TYPE_CHECKING:  # deferred: repro.core.ga depends on this module
-    from repro.core.ga.backends import EvaluationBackend
 
 
 @dataclass(frozen=True)
@@ -73,25 +68,12 @@ def profile_layer(
 
 
 def profile_designs(
-    graph: ComputationGraph,
-    designs: list[AcceleratorDesign],
-    backend: "EvaluationBackend | None" = None,
+    graph: ComputationGraph, designs: list[AcceleratorDesign]
 ) -> WorkloadProfile:
-    """Profile every compute layer of ``graph`` on every design.
-
-    With an evaluation ``backend`` (see :mod:`repro.core.ga.backends`),
-    layers are profiled through ``backend.map`` — parallel backends
-    profile large workloads concurrently.
-    """
+    """Profile every compute layer of ``graph`` on every design."""
     if not designs:
         raise ValueError("design catalog is empty")
-    compute_nodes = graph.compute_nodes()
-    if backend is None:
-        layers = [profile_layer(node, designs) for node in compute_nodes]
-    else:
-        layers = backend.map(
-            partial(profile_layer, designs=designs), compute_nodes
-        )
+    layers = [profile_layer(node, designs) for node in graph.compute_nodes()]
     if not layers:
         raise ValueError(f"workload {graph.name!r} has no compute layers")
     totals = {design.name: 0 for design in designs}

@@ -19,10 +19,8 @@ algorithms under an identical cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.accelerators.base import AcceleratorDesign, cached_conv_cycles
-from repro.core.ga.backends import EvaluationBackend, SerialBackend
 from repro.core.evaluator import (
     EvaluatorOptions,
     MappingEvaluation,
@@ -101,13 +99,10 @@ def computation_prioritized_mapping(
     topology: SystemTopology,
     designs: list[AcceleratorDesign],
     options: EvaluatorOptions | None = None,
-    backend: EvaluationBackend | None = None,
     evaluator: MappingEvaluator | None = None,
 ) -> BaselineResult:
     """Run the Section VI-A baseline and evaluate it.
 
-    Per-layer strategy selection goes through ``backend.map`` (serial by
-    default), so the baseline shares the search's evaluation backends.
     Pass ``evaluator`` (bound to the same graph/topology) to share a
     warm layer-cost cache with a MARS search on the same workload —
     Table III prices both through one evaluator.
@@ -143,23 +138,16 @@ def computation_prioritized_mapping(
     opts = evaluator.options if evaluator is not None else (
         options or EvaluatorOptions()
     )
-    resolved_backend = backend or SerialBackend()
     assignments = []
     for layer_range, acc_set in zip(ranges, acc_sets):
         members = [nodes[i] for i in layer_range.indices()]
         design = _best_design_for(members, designs)
-        compute_members = [node for node in members if node.is_compute]
-        chosen = resolved_backend.map(
-            partial(
-                _feasible_longest_dims,
-                parallelism=acc_set.size,
-                dtype_bytes=opts.dtype_bytes,
-            ),
-            compute_members,
-        )
         strategies = {
-            node.name: strategy
-            for node, strategy in zip(compute_members, chosen)
+            node.name: _feasible_longest_dims(
+                node, acc_set.size, opts.dtype_bytes
+            )
+            for node in members
+            if node.is_compute
         }
         assignments.append(
             SetAssignment(

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from repro.accelerators.base import AcceleratorDesign, cached_conv_cycles
-from repro.core.ga.backends import EvaluationBackend, SerialBackend
 from repro.core.evaluator import (
     EvaluatorOptions,
     MappingEvaluation,
@@ -67,16 +66,12 @@ def _segment_candidates(graph: ComputationGraph, max_segments: int) -> list[int]
 
 
 def _accelerator_prefix(
-    acc_design_bw: tuple[AcceleratorDesign, float],
+    design: AcceleratorDesign,
+    host_bw: float,
     nodes: list,
     opts: EvaluatorOptions,
 ) -> list[float]:
-    """Prefix compute/weight-load seconds of one accelerator.
-
-    Module-level (and driven by ``backend.map``) so a parallel backend
-    can price all accelerators' prefixes concurrently.
-    """
-    design, host_bw = acc_design_bw
+    """Prefix compute/weight-load seconds of one accelerator."""
     acc_prefix = [0.0]
     for node in nodes:
         if node.is_compute:
@@ -105,7 +100,6 @@ def h2h_mapping(
     topology: SystemTopology,
     options: EvaluatorOptions | None = None,
     max_segments: int | None = None,
-    backend: EvaluationBackend | None = None,
     evaluator: MappingEvaluator | None = None,
 ) -> H2HResult:
     """Exact DP over contiguous segmentations onto distinct accelerators.
@@ -146,14 +140,12 @@ def h2h_mapping(
 
     # Prefix compute (and, in the streaming scenario, weight-load)
     # seconds per accelerator for O(1) segment cost.
-    designs = [topology.design_of(a) for a in range(n_accs)]
-    prefix: list[list[float]] = (backend or SerialBackend()).map(
-        partial(_accelerator_prefix, nodes=nodes, opts=opts),
-        [
-            (design, topology.host_bandwidth(acc))
-            for acc, design in enumerate(designs)
-        ],
-    )
+    prefix = [
+        _accelerator_prefix(
+            topology.design_of(acc), topology.host_bandwidth(acc), nodes, opts
+        )
+        for acc in range(n_accs)
+    ]
 
     def segment_seconds(acc: int, start: int, stop: int) -> float:
         return prefix[acc][stop] - prefix[acc][start]

@@ -83,13 +83,12 @@ class SearchConfig:
             sessions, tenant keys and persistent store artifacts
             priced by different models never alias.
         objective: ``"latency"`` (paper) or ``"throughput"``.
-        workers: Override both levels' parallelism (``None`` keeps
-            the budget's values): level 2 fans *population batches*
-            out over a process pool, level 1 fans its distinct
-            uncached *sub-problems* out per generation (the batched
-            fan-out — ``budget.level1.workers`` used to be accepted
-            and silently ignored). Results never change — only
-            wall-clock.
+        workers: Size of the session's sub-problem pool (``None``
+            keeps the budget's value): each level-1 generation's
+            distinct uncached sub-problems are solved on that many
+            worker processes. It lands on ``budget.level1.workers``
+            only; level-2 GAs always run serial. Results never change
+            — only wall-clock.
         cache: Override both levels' fitness memoization.
         layer_cache: Override :attr:`EvaluatorOptions.layer_cache`.
         capacity: Maximum live tenant sessions per serving registry.
@@ -181,10 +180,10 @@ class SearchConfig:
     def canonical(self) -> "SearchConfig":
         """This config with every late-override knob folded in.
 
-        ``workers``/``cache`` land in both GA levels of the budget and
-        ``layer_cache`` in the evaluator options, after which the three
-        override fields are ``None``. Idempotent; two configs with equal
-        canonical forms configure bit-identical searches.
+        ``workers`` lands in the budget's level 1, ``cache`` in both GA
+        levels and ``layer_cache`` in the evaluator options, after which
+        the three override fields are ``None``. Idempotent; two configs
+        with equal canonical forms configure bit-identical searches.
         """
         return replace(
             self,

@@ -1,13 +1,11 @@
 """Two-level genetic algorithm (Fig. 3 of the paper)."""
 
 from repro.core.ga.backends import (
-    BACKEND_CHOICES,
     BackendStats,
     CachedBackend,
     EvaluationBackend,
     ProcessPoolBackend,
     SerialBackend,
-    backend_from_spec,
     genome_key,
     make_backend,
 )
@@ -33,7 +31,6 @@ from repro.core.ga.level2 import (
 )
 
 __all__ = [
-    "BACKEND_CHOICES",
     "BackendStats",
     "CachedBackend",
     "EvaluationBackend",
@@ -49,7 +46,6 @@ __all__ = [
     "SetSolution",
     "SubproblemSolver",
     "subproblem_rng",
-    "backend_from_spec",
     "candidate_partitions",
     "decode_layer_strategy",
     "design_gene_seed",

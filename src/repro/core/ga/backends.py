@@ -11,9 +11,12 @@ evaluates *populations*, not individuals, and delegates the batch to an
 * :class:`CachedBackend` — memoize fitness by genome (or, with a
   ``key_fn``, by decoded *phenotype*) so elites and converged duplicates
   are never re-priced; exposes hit/miss counters;
-* :class:`ProcessPoolBackend` — fan batches out over a process pool
-  with deterministic result ordering, falling back to serial evaluation
-  when ``workers == 1`` or the fitness callable cannot be pickled.
+* :class:`ProcessPoolBackend` — a serial backend that also solves
+  independent level-1 sub-problems on a process pool
+  (:meth:`~ProcessPoolBackend.map_subproblems`), with deterministic
+  result ordering and a serial fallback when the work cannot be pickled
+  or the pool breaks. A :class:`~repro.core.session.MarsSession` owns
+  the one instance a search uses.
 
 All backends return results in input order and never touch the GA's
 RNG, so for a fixed seed every backend produces bit-identical
@@ -86,7 +89,7 @@ class BackendStats:
 
 
 class EvaluationBackend(ABC):
-    """Evaluates whole GA populations (and generic batches of work)."""
+    """Evaluates whole GA populations."""
 
     @abstractmethod
     def evaluate(
@@ -104,36 +107,10 @@ class EvaluationBackend(ABC):
         (e.g. the level-2 NumPy genome decode). The hook is purely a
         wall-clock lever: it pre-fills memos that the per-genome calls
         would fill anyway, so results never depend on it running.
-        In-process backends invoke it; the process-pool backend skips
-        it when the batch will fan out (workers decode locally, so a
-        parent-side pass would be wasted work).
         """
         hook = getattr(fitness, "prepare_population", None)
         if hook is not None:
             hook(genomes)
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        """Apply ``fn`` to every item, in input order.
-
-        A generic escape hatch for evaluation-shaped loops outside the
-        GA proper (greedy seeding, baseline mappers, profiling).
-        """
-        return [fn(item) for item in items]
-
-    def map_subproblems(
-        self, solver: Callable[[Any], Any], items: Sequence[Any]
-    ) -> list[Any]:
-        """Solve heavyweight independent sub-problems, in input order.
-
-        Like :meth:`map`, but tuned for *few, coarse* work items — the
-        level-1 fan-out hands a generation's distinct uncached
-        sub-problems here, each a whole level-2 GA. The process-pool
-        backend dispatches one item per task (instead of splitting the
-        batch into per-worker chunks) so a straggler sub-problem never
-        holds a chunk's worth of finished work hostage, and it engages
-        the pool from two items up. In-process backends just loop.
-        """
-        return self.map(solver, items)
 
     @property
     @abstractmethod
@@ -242,18 +219,10 @@ class CachedBackend(EvaluationBackend):
         self._hits += len(genomes) - len(pending_genomes)
         return [batch[key] for key in keys]
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        return self.inner.map(fn, items)
-
-    def map_subproblems(
-        self, solver: Callable[[Any], Any], items: Sequence[Any]
-    ) -> list[Any]:
-        return self.inner.map_subproblems(solver, items)
-
     def __getstate__(self) -> None:
-        # A fitness closing over its cache must not ship stale clones to
-        # pool workers (their hits/misses would silently diverge); the
-        # pool backend falls back to serial evaluation instead.
+        # Work closing over a cache must not ship stale clones to pool
+        # workers (their hits/misses would silently diverge); the pool
+        # falls back to solving it in-process instead.
         raise TypeError("CachedBackend cannot be pickled")
 
     @property
@@ -287,32 +256,34 @@ class CachedBackend(EvaluationBackend):
 # ----------------------------------------------------------------------
 
 #: Worker-side memo of unpickled callables, keyed by payload bytes, so
-#: repeat batches (every GA generation) skip the unpickle.
+#: repeat batches (every level-1 generation) skip the unpickle.
 _WORKER_PAYLOADS: dict[bytes, Callable[..., Any]] = {}
 _WORKER_PAYLOAD_LIMIT = 8
 
 
-def _run_chunk(payload: bytes, chunk_blob: bytes) -> list[Any]:
+def _run_item(payload: bytes, item_blob: bytes) -> Any:
     target = _WORKER_PAYLOADS.get(payload)
     if target is None:
         if len(_WORKER_PAYLOADS) >= _WORKER_PAYLOAD_LIMIT:
             _WORKER_PAYLOADS.clear()
         target = pickle.loads(payload)
         _WORKER_PAYLOADS[payload] = target
-    return [target(item) for item in pickle.loads(chunk_blob)]
+    return target(pickle.loads(item_blob))
 
 
-class ProcessPoolBackend(EvaluationBackend):
-    """Evaluate batches on a pool of worker processes.
+class ProcessPoolBackend(SerialBackend):
+    """Solve independent sub-problems on a pool of worker processes.
 
-    One executor serves across batches: each batch ships its callable
-    once (workers memoize the unpickled object), so the same pool can
-    serve many sub-problems — and, when owned by a
-    :class:`~repro.core.session.MarsSession`, many *searches* — without
-    respawning. Results come back in input order, making a parallel run
-    bit-identical to a serial one. When the callable cannot be pickled
-    (closures, bound methods of stateful objects), or the pool breaks
-    mid-batch, evaluation silently degrades to the serial path —
+    GA populations evaluate serially (inherited from
+    :class:`SerialBackend`); the pool serves
+    :meth:`map_subproblems` only. One executor serves across batches:
+    each batch ships its callable once (workers memoize the unpickled
+    object), so the same pool can serve many generations — and, when
+    owned by a :class:`~repro.core.session.MarsSession`, many
+    *searches* — without respawning. Results come back in input order,
+    making a parallel run bit-identical to a serial one. When the
+    callable or an item cannot be pickled, or the pool breaks
+    mid-batch, the batch silently degrades to the serial path —
     correctness never depends on the pool.
 
     Failure policy: a broken batch retires the *executor*, not the
@@ -325,31 +296,21 @@ class ProcessPoolBackend(EvaluationBackend):
     ``pool_spawns`` count both in :attr:`stats`.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        chunksize: int | None = None,
-        failure_limit: int = 3,
-    ) -> None:
+    def __init__(self, workers: int, failure_limit: int = 3) -> None:
         require_positive(workers, "workers")
-        if chunksize is not None:
-            require_positive(chunksize, "chunksize")
         require_positive(failure_limit, "failure_limit")
+        super().__init__()
         self.workers = workers
-        self.chunksize = chunksize
         self.failure_limit = failure_limit
-        self._evaluations = 0
         self._executor = None
         self._spawns = 0
         self._failures = 0
         self._consecutive_failures = 0
 
-    # -- pool plumbing -------------------------------------------------
-
     @property
     def retired(self) -> bool:
         """True once ``failure_limit`` consecutive batches broke the
-        pool; evaluation stays serial for the backend's lifetime."""
+        pool; batches stay serial for the backend's lifetime."""
         return self._consecutive_failures >= self.failure_limit
 
     @property
@@ -402,33 +363,25 @@ class ProcessPoolBackend(EvaluationBackend):
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
-    def _map(
-        self,
-        target: Callable[[Any], Any],
-        items: Sequence[Any],
-        min_items: int | None = None,
-        chunksize: int | None = None,
+    def map_subproblems(
+        self, solver: Callable[[Any], Any], items: Sequence[Any]
     ) -> list[Any]:
-        # Tiny batches are not worth the dispatch overhead. ``min_items``
-        # lowers the bar for coarse work (one sub-problem per task can
-        # pay off with fewer items than workers); the default keeps the
-        # historical population-batch threshold.
-        if min_items is None:
-            min_items = max(2, self.workers)
-        if self.workers == 1 or len(items) < min_items:
-            return [target(item) for item in items]
-        payload = self._payload_for(target)
+        """Solve heavyweight independent sub-problems, in input order.
+
+        The level-1 fan-out hands a generation's distinct uncached
+        sub-problems here, each a whole level-2 GA. Every item is its
+        own task, so a straggler sub-problem never holds finished work
+        hostage, and the pool engages from two items up. A broken
+        batch re-runs serially (bit-identically) and retires the
+        executor, not the backend.
+        """
+        if self.workers == 1 or len(items) < 2:
+            return [solver(item) for item in items]
+        payload = self._payload_for(solver)
         if payload is None or not self._ensure_pool():
-            return [target(item) for item in items]
-        chunksize = chunksize or self.chunksize or max(
-            1, -(-len(items) // (self.workers * 2))
-        )
-        chunks = [
-            list(items[i : i + chunksize])
-            for i in range(0, len(items), chunksize)
-        ]
+            return [solver(item) for item in items]
         try:
-            # Chunks are pre-pickled here rather than handed to the
+            # Items are pre-pickled here rather than handed to the
             # executor's feeder thread: an item that fails to pickle
             # mid-batch inside the feeder strands the pending work items
             # and deadlocks ``shutdown`` (CPython's process-pool feeder
@@ -436,74 +389,32 @@ class ProcessPoolBackend(EvaluationBackend):
             # that into an ordinary exception — and, like an unpicklable
             # callable, it is not a *pool* failure, so it falls back to
             # serial without burning an executor.
-            blobs = [pickle.dumps(chunk) for chunk in chunks]
+            blobs = [pickle.dumps(item) for item in items]
         except Exception:
-            return [target(item) for item in items]
+            return [solver(item) for item in items]
         try:
             futures = [
-                self._executor.submit(_run_chunk, payload, blob)
+                self._executor.submit(_run_item, payload, blob)
                 for blob in blobs
             ]
-            results: list[Any] = []
-            for future in futures:  # submission order == input order
-                results.extend(future.result())
+            # submission order == input order
+            results = [future.result() for future in futures]
         except Exception:
-            # BrokenProcessPool, pickling of items, worker crashes — the
-            # batch reruns serially and this executor is retired; the
-            # next pooled batch respawns unless the failure streak has
-            # hit ``failure_limit``.
+            # BrokenProcessPool, worker crashes — the batch reruns
+            # serially and this executor is retired; the next pooled
+            # batch respawns unless the failure streak has hit
+            # ``failure_limit``.
             self._record_failure()
             self._shutdown_pool()
-            return [target(item) for item in items]
+            return [solver(item) for item in items]
         self._consecutive_failures = 0
         return results
 
     def __getstate__(self) -> None:
-        # Backends must never ride along when a fitness closing over one
-        # is shipped to a worker; refusing to pickle forces the safe
+        # Backends must never ride along when work closing over one is
+        # shipped to a worker; refusing to pickle forces the safe
         # serial fallback instead of silently cloning pool state.
         raise TypeError("ProcessPoolBackend cannot be pickled")
-
-    # -- EvaluationBackend ---------------------------------------------
-
-    def prepare(
-        self, fitness: Fitness, genomes: Sequence[np.ndarray]
-    ) -> None:
-        """Batch-prepare only when the batch will stay in-process.
-
-        When the batch is big enough to fan out, workers decode their
-        chunks locally (the fitness's memos never pickle), so a
-        parent-side vectorized pass would be pure overhead. If pickling
-        later fails and the batch degrades to the serial path, genomes
-        are simply decoded one by one — results are identical either
-        way.
-        """
-        if (
-            self.workers > 1
-            and not self.retired
-            and len(genomes) >= max(2, self.workers)
-        ):
-            return
-        super().prepare(fitness, genomes)
-
-    def evaluate(
-        self, fitness: Fitness, genomes: Sequence[np.ndarray]
-    ) -> list[float]:
-        self._evaluations += len(genomes)
-        return [float(v) for v in self._map(fitness, genomes)]
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        return self._map(fn, items)
-
-    def map_subproblems(
-        self, solver: Callable[[Any], Any], items: Sequence[Any]
-    ) -> list[Any]:
-        """One task per sub-problem: coarse items load-balance across
-        workers instead of riding per-worker chunks, and the pool
-        engages from two items up. Failure policy is :meth:`map`'s —
-        a broken batch re-runs serially (bit-identically) and retires
-        the executor, not the backend."""
-        return self._map(solver, items, min_items=2, chunksize=1)
 
     @property
     def using_pool(self) -> bool:
@@ -512,8 +423,8 @@ class ProcessPoolBackend(EvaluationBackend):
 
     @property
     def stats(self) -> BackendStats:
-        return BackendStats(
-            evaluations=self._evaluations,
+        return replace(
+            super().stats,
             pool_spawns=self._spawns,
             pool_failures=self._failures,
         )
@@ -535,46 +446,23 @@ class ProcessPoolBackend(EvaluationBackend):
             executor.shutdown(wait=False, cancel_futures=True)
 
 
-# ----------------------------------------------------------------------
-# Factories
-# ----------------------------------------------------------------------
-
-#: CLI-facing backend names.
-BACKEND_CHOICES = ("serial", "cached", "process")
-
-
 def make_backend(
     config: "GAConfig", key_fn: KeyFn | None = None
 ) -> EvaluationBackend:
-    """Backend implied by a :class:`GAConfig`'s ``workers``/``cache``."""
-    base: EvaluationBackend = (
-        SerialBackend()
-        if config.workers == 1
-        else ProcessPoolBackend(config.workers)
+    """Backend implied by a :class:`GAConfig`: serial, memoized when
+    ``config.cache`` is set.
+
+    GA populations never fan out. ``workers > 1`` sizes the level-1
+    sub-problem pool a :class:`~repro.core.session.MarsSession` owns,
+    so a config asking for it here — with no pool to run on — is
+    refused rather than silently run serial.
+    """
+    require(
+        config.workers == 1,
+        f"GA populations evaluate serially; workers={config.workers} "
+        "needs a session-owned sub-problem pool (MarsSession(workers=N))",
     )
+    base = SerialBackend()
     if config.cache:
         return CachedBackend(base, key_fn=key_fn)
     return base
-
-
-def backend_from_spec(
-    spec: str, workers: int = 1, key_fn: KeyFn | None = None
-) -> EvaluationBackend:
-    """Build a backend from a CLI-style name.
-
-    ``serial`` | ``cached`` | ``process`` — ``cached`` wraps the serial
-    or process base (depending on ``workers``) in a memoizer.
-    """
-    require(
-        spec in BACKEND_CHOICES,
-        f"unknown backend {spec!r}, expected one of {BACKEND_CHOICES}",
-    )
-    require_positive(workers, "workers")
-    if spec == "serial":
-        return SerialBackend()
-    if spec == "process":
-        return ProcessPoolBackend(max(workers, 2))
-    base: EvaluationBackend = (
-        SerialBackend() if workers == 1 else ProcessPoolBackend(workers)
-    )
-    return CachedBackend(base, key_fn=key_fn)

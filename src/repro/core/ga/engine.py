@@ -8,8 +8,8 @@ are reproducible.
 
 Fitness is evaluated **per population**, not per individual: each
 generation's genomes go to an :class:`~repro.core.ga.backends.EvaluationBackend`
-(serial, memoized or process-parallel — see :mod:`repro.core.ga.backends`)
-or to a user-supplied ``batch_fitness`` callable. Backends return values
+(serial or memoized — see :mod:`repro.core.ga.backends`) or to a
+user-supplied ``batch_fitness`` callable. Backends return values
 in input order and never consume engine RNG, so the search trajectory is
 bit-identical across backends for a fixed seed.
 """
@@ -41,11 +41,14 @@ BatchFitness = Callable[[list[np.ndarray]], list[float]]
 class GAConfig:
     """Hyper-parameters of one GA level.
 
-    ``workers`` and ``cache`` select the default evaluation backend:
-    ``workers > 1`` fans population evaluation out over a process pool;
     ``cache=True`` memoizes fitness so duplicate genomes (elites,
-    converged populations) are priced once. Defaults reproduce the
-    historical serial engine exactly.
+    converged populations) are priced once. ``workers`` on the level-1
+    config sizes the sub-problem pool a
+    :class:`~repro.core.session.MarsSession` owns; populations always
+    evaluate serially, so a GA that would have to build a backend from
+    ``workers > 1`` refuses to run (see
+    :func:`~repro.core.ga.backends.make_backend`). Defaults reproduce
+    the historical serial engine exactly.
     """
 
     population_size: int = 24
@@ -128,9 +131,9 @@ class GeneticAlgorithm:
 
     1. ``batch_fitness`` — a caller-supplied population evaluator;
     2. ``backend`` — an explicit :class:`EvaluationBackend`;
-    3. the backend implied by ``config.workers``/``config.cache``
-       (serial by default), built with ``key_fn`` as the memoization
-       key when caching is on.
+    3. the backend implied by ``config.cache`` (serial by default),
+       built with ``key_fn`` as the memoization key when caching is on;
+       ``config.workers > 1`` raises :class:`ValueError` here.
     """
 
     def __init__(

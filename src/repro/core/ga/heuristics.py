@@ -21,7 +21,6 @@ from itertools import product
 import networkx as nx
 
 from repro.accelerators.profiler import WorkloadProfile
-from repro.core.ga.backends import EvaluationBackend, SerialBackend
 from repro.system.topology import SystemTopology
 
 #: A partition: disjoint accelerator tuples covering all accelerators.
@@ -93,24 +92,19 @@ def _group_subdivisions(members: list[int]) -> list[tuple[tuple[int, ...], ...]]
     return options
 
 
-def subdivision_partitions(
-    topology: SystemTopology,
-    backend: EvaluationBackend | None = None,
-) -> list[Partition]:
+def subdivision_partitions(topology: SystemTopology) -> list[Partition]:
     """Mid-granularity candidates beyond the edge-removal walk.
 
     Uniform intra-group bandwidth makes the edge-removal walk jump from
     whole groups straight to singletons; the paper's found mappings use
     intermediate shapes (e.g. VGG16 on 4 + 2 + 2 accelerators). These
     candidates combine per-group subdivisions (whole / halves / pairs)
-    across groups — asymmetric combinations included. The per-group
-    enumeration goes through ``backend.map`` so large topologies can
-    share the search's worker pool.
+    across groups — asymmetric combinations included.
     """
-    per_group = (backend or SerialBackend()).map(
-        _group_subdivisions,
-        [list(members) for members in topology.groups().values()],
-    )
+    per_group = [
+        _group_subdivisions(list(members))
+        for members in topology.groups().values()
+    ]
     # Set-based dedup: the product over per-group subdivisions grows
     # combinatorially on many-group topologies, where the old list
     # membership scan made catalog construction quadratic.
@@ -127,14 +121,11 @@ def subdivision_partitions(
     return partitions
 
 
-def candidate_partitions(
-    topology: SystemTopology,
-    backend: EvaluationBackend | None = None,
-) -> list[Partition]:
+def candidate_partitions(topology: SystemTopology) -> list[Partition]:
     """The level-1 GA's partition catalog (deduplicated, deterministic)."""
     result = edge_removal_partitions(topology)
     seen = set(result)
-    for partition in subdivision_partitions(topology, backend):
+    for partition in subdivision_partitions(topology):
         if partition not in seen:
             seen.add(partition)
             result.append(partition)

@@ -91,18 +91,21 @@ class SearchBudget:
     def with_backend(
         self, workers: int | None = None, cache: bool | None = None
     ) -> "SearchBudget":
-        """This budget with backend knobs applied to both GA levels."""
-        changes: dict = {}
-        if workers is not None:
-            changes["workers"] = workers
-        if cache is not None:
-            changes["cache"] = cache
-        if not changes:
+        """This budget with backend knobs applied.
+
+        ``workers`` sizes the level-1 sub-problem pool and lands on
+        ``level1`` only (level-2 GAs always run serial); ``cache`` lands
+        on both levels.
+        """
+        if workers is None and cache is None:
             return self
-        return SearchBudget(
-            level1=replace(self.level1, **changes),
-            level2=replace(self.level2, **changes),
-        )
+        level1, level2 = self.level1, self.level2
+        if workers is not None:
+            level1 = replace(level1, workers=workers)
+        if cache is not None:
+            level1 = replace(level1, cache=cache)
+            level2 = replace(level2, cache=cache)
+        return SearchBudget(level1=level1, level2=level2)
 
     @staticmethod
     def paper() -> "SearchBudget":
@@ -169,10 +172,7 @@ class SubproblemSolver:
 
     def __init__(self, evaluator: MappingEvaluator, config: GAConfig) -> None:
         self.evaluator = evaluator
-        # Worker-side level-2 GAs run strictly serial: the fan-out owns
-        # the pool's parallelism, and a nested executor per worker
-        # would fork-bomb the host without changing any result.
-        self.config = replace(config, workers=1)
+        self.config = config
         self._remote = False
 
     def __getstate__(self) -> dict:
@@ -243,25 +243,24 @@ class Level1Search:
     supplied by a long-lived owner (see
     :class:`~repro.core.session.MarsSession`) to warm-start repeated
     searches; all three hold seed-independent state, so sharing them
-    never changes results — only wall-clock. ``level2_backend``
-    likewise lets an owner hand down one process pool for the level-2
-    sub-GAs instead of this search spawning (and tearing down) its own;
-    ``run()`` only closes a pool it built itself.
+    never changes results — only wall-clock.
 
-    ``level1_backend`` is the **batched sub-problem fan-out** pool:
-    when present (an owner hands one down, or ``budget.level1.workers
-    > 1`` builds one here), every generation's population is decoded up
-    front, the distinct *uncached* ``(layer_range, acc_set, design)``
-    sub-problems across all individuals are deduplicated, and that
-    batch is solved in parallel — one level-2 GA per pool task. Each
-    sub-problem carries its own content-keyed RNG
-    (:func:`subproblem_rng`), so solutions are position- and
-    worker-independent and merge back into the shared
-    ``solution_cache`` without forking state; genome scoring then runs
-    over a fully warm cache in-process, keeping the phenotype memo and
-    layer-LRU semantics intact. Results are bit-identical to the serial
-    path for a fixed seed — the fan-out, like every backend, only
-    changes wall-clock.
+    ``level1_backend`` is the **batched sub-problem fan-out** pool, the
+    only parallelism a search has. Its owner (a session) hands it down
+    and closes it; a search never builds or closes one, and a budget
+    asking for ``level1.workers > 1`` without a pool — or for level-2
+    ``workers`` other than 1 — is refused. With a pool, every
+    generation's population is decoded up front, the distinct
+    *uncached* ``(layer_range, acc_set, design)`` sub-problems across
+    all individuals are deduplicated, and that batch is solved in
+    parallel — one level-2 GA per pool task. Each sub-problem carries
+    its own content-keyed RNG (:func:`subproblem_rng`), so solutions
+    are position- and worker-independent and merge back into the
+    shared ``solution_cache`` without forking state; genome scoring
+    then runs over a fully warm cache in-process, keeping the
+    phenotype memo and layer-LRU semantics intact. Results are
+    bit-identical to the serial path for a fixed seed — the fan-out,
+    like every backend, only changes wall-clock.
 
     ``progress`` is a pure observation callback ``(phase, count)``
     invoked after each level-1 generation and once per *distinct*
@@ -286,8 +285,7 @@ class Level1Search:
         default_factory=dict
     )
     backend: EvaluationBackend | None = None
-    level2_backend: EvaluationBackend | None = None
-    level1_backend: EvaluationBackend | None = None
+    level1_backend: ProcessPoolBackend | None = None
     partitions: list[Partition] | None = None
     design_profile: WorkloadProfile | None = None
     progress: Callable[[str, int], None] | None = None
@@ -301,6 +299,17 @@ class Level1Search:
             self.objective in ("latency", "throughput"),
             f"objective must be 'latency' or 'throughput', got {self.objective!r}",
         )
+        require(
+            self.budget.level2.workers == 1,
+            "level-2 GAs evaluate serially; budget.level2.workers must be "
+            f"1, got {self.budget.level2.workers}",
+        )
+        require(
+            self.budget.level1.workers == 1 or self.level1_backend is not None,
+            f"budget.level1.workers={self.budget.level1.workers} needs a "
+            "sub-problem pool handed in as level1_backend (MarsSession "
+            "owns one)",
+        )
         self._owns_backend = self.backend is None
         if self.backend is None:
             # Level 1 has always memoized fitness at the phenotype level
@@ -309,37 +318,14 @@ class Level1Search:
             # fitness is stateful — it fills the sub-problem solution
             # cache — so shipping *fitness* to pool workers would fork
             # that state. Parallelism comes from the batched sub-problem
-            # fan-out instead (``level1_backend`` below): sub-problem
+            # fan-out instead (``level1_backend``): sub-problem
             # solves are stateless given their content-keyed RNGs, so
             # they fan out and merge back without forking anything.
             self.backend = CachedBackend(
                 SerialBackend(), key_fn=self.phenotype_key
             )
-        # The level-2 pool may be owned by a long-lived caller (a
-        # MarsSession hands one down so repeated searches stop
-        # respawning executors); only a pool built here is closed by
-        # ``run()``.
-        self._owns_level2_pool = (
-            self.level2_backend is None and self.budget.level2.workers > 1
-        )
-        if self._owns_level2_pool:
-            self.level2_backend = ProcessPoolBackend(
-                self.budget.level2.workers
-            )
-        self._level2_pool = self.level2_backend
-        # The level-1 fan-out pool: handed down by a session, or built
-        # here when ``budget.level1.workers`` asks for parallelism (the
-        # knob used to be silently ignored at this level).
-        self._owns_level1_pool = (
-            self.level1_backend is None and self.budget.level1.workers > 1
-        )
-        if self._owns_level1_pool:
-            self.level1_backend = ProcessPoolBackend(
-                self.budget.level1.workers
-            )
-        self._level1_pool = self.level1_backend
         if self.partitions is None:
-            self.partitions = candidate_partitions(self.topology, self.backend)
+            self.partitions = candidate_partitions(self.topology)
         self.max_sets = max(len(p) for p in self.partitions)
         self._compute_positions = [
             i
@@ -500,7 +486,6 @@ class Level1Search:
             design,
             self.budget.level2,
             subproblem_rng(key),
-            backend=self._level2_pool,
         )
         self.solution_cache[key] = solution
         self._record_solved(key)
@@ -521,7 +506,7 @@ class Level1Search:
         this running (the serial path would solve the same sub-problems
         one by one). No-op without a fan-out pool.
         """
-        pool = self._level1_pool
+        pool = self.level1_backend
         if pool is None or not genomes:
             return
         jobs: dict[tuple, tuple[LayerRange, AcceleratorDesign | None]] = {}
@@ -550,11 +535,6 @@ class Level1Search:
                     entries=max(merged.entries, stats.entries),
                     evictions=merged.evictions + stats.evictions,
                 )
-
-    @staticmethod
-    def _subproblem_rng(key: tuple) -> np.random.Generator:
-        """See :func:`subproblem_rng` (kept as a method for callers)."""
-        return subproblem_rng(key)
 
     def build_mapping(self, decoded: DecodedIndividual) -> Mapping:
         assignments = []
@@ -615,7 +595,7 @@ class Level1Search:
         if self.topology.kind == "adaptive":
             if self.design_profile is None:
                 self.design_profile = profile_designs(
-                    self.graph, self.designs, self.backend
+                    self.graph, self.designs
                 )
             design_seed = design_gene_seed(
                 self.design_profile, [d.name for d in self.designs]
@@ -664,16 +644,13 @@ class Level1Search:
             mapping = self.build_mapping(decoded)
             evaluation = self.evaluator.evaluate_mapping(mapping)
             if self.evaluator.layer_cache_enabled:
-                # Whole-search in-process delta. With serial budgets
-                # this covers the level-2 sub-GAs too (they price
-                # through this evaluator). Fanned-out sub-problem
-                # solves ship their workers' private cache counters
-                # back with the pool results; that aggregate lands on
+                # Whole-search in-process delta, covering the level-2
+                # sub-GAs solved here (they price through this
+                # evaluator). Fanned-out sub-problem solves ship their
+                # workers' private cache counters back with the pool
+                # results; that aggregate lands on
                 # ``worker_layer_cache`` so the two views partition the
                 # run instead of silently losing the workers' share.
-                # (Level-2 *population* batches shipped by a level-2
-                # pool still price on worker evaluators without
-                # reporting — their protocol returns bare floats.)
                 result.layer_cache = self.evaluator.layer_cache_stats.since(
                     layer_cache_before
                 )
@@ -681,9 +658,5 @@ class Level1Search:
                     result.worker_layer_cache = self.worker_layer_cache
             return mapping, evaluation, result
         finally:
-            if self._owns_level2_pool and self._level2_pool is not None:
-                self._level2_pool.close()
-            if self._owns_level1_pool and self._level1_pool is not None:
-                self._level1_pool.close()
             if self._owns_backend:
                 self.backend.close()

@@ -25,11 +25,6 @@ import numpy as np
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.core.evaluator import MappingEvaluator, SetEvaluation
-from repro.core.ga.backends import (
-    CachedBackend,
-    EvaluationBackend,
-    SerialBackend,
-)
 from repro.core.ga.engine import GAConfig, GAResult, GeneticAlgorithm
 from repro.core.sharding import (
     NO_PARALLELISM,
@@ -123,38 +118,27 @@ SHORTLIST: tuple[ParallelismStrategy, ...] = (
 )
 
 
-class GreedyLayerScorer:
-    """Picklable per-layer argmin over the strategy shortlist.
-
-    Module-level (rather than a closure) so a
-    :class:`~repro.core.ga.backends.ProcessPoolBackend` can ship it to
-    workers and score layers concurrently.
-    """
-
-    def __init__(
-        self,
-        evaluator: MappingEvaluator,
-        accs: tuple[int, ...],
-        design: AcceleratorDesign | None,
-    ) -> None:
-        self.evaluator = evaluator
-        self.accs = accs
-        self.design = design
-
-    def __call__(self, node: LayerNode) -> ParallelismStrategy:
-        best: tuple[float, int] | None = None
-        best_strategy = NO_PARALLELISM
-        for index, strategy in enumerate(SHORTLIST):
-            evaluation = self.evaluator.evaluate_set(
-                [node], self.accs, self.design, {node.name: strategy}
-            )
-            if not evaluation.feasible:
-                continue
-            key = (evaluation.latency_seconds, index)
-            if best is None or key < best:
-                best = key
-                best_strategy = strategy
-        return best_strategy
+def _shortlist_argmin(
+    evaluator: MappingEvaluator,
+    node: LayerNode,
+    accs: tuple[int, ...],
+    design: AcceleratorDesign | None,
+) -> ParallelismStrategy:
+    """The cheapest feasible shortlist strategy for one layer (ties go
+    to the earlier shortlist entry)."""
+    best: tuple[float, int] | None = None
+    best_strategy = NO_PARALLELISM
+    for index, strategy in enumerate(SHORTLIST):
+        evaluation = evaluator.evaluate_set(
+            [node], accs, design, {node.name: strategy}
+        )
+        if not evaluation.feasible:
+            continue
+        key = (evaluation.latency_seconds, index)
+        if best is None or key < best:
+            best = key
+            best_strategy = strategy
+    return best_strategy
 
 
 def greedy_strategies(
@@ -162,14 +146,12 @@ def greedy_strategies(
     compute_nodes: list[LayerNode],
     accs: tuple[int, ...],
     design: AcceleratorDesign | None,
-    backend: EvaluationBackend | None = None,
 ) -> dict[str, ParallelismStrategy]:
     """Per-layer argmin over the strategy shortlist, priced standalone.
 
     Ignores inter-layer resharding (the GA refines that), but includes
     compute, collectives, rotations and — in the streaming scenario —
-    weight loads, so it lands close to the per-layer optimum. With a
-    parallel ``backend``, layers are scored concurrently.
+    weight loads, so it lands close to the per-layer optimum.
 
     Choices are memoized on the evaluator per (layer, acc set, design):
     the argmin is deterministic, so overlapping sub-problems within one
@@ -177,20 +159,12 @@ def greedy_strategies(
     shortlist for layers already seen.
     """
     chosen: dict[str, ParallelismStrategy] = {}
-    missing: list[LayerNode] = []
     for node in compute_nodes:
-        cached = evaluator.cached_greedy_strategy(node.name, accs, design)
-        if cached is None:
-            missing.append(node)
-        else:
-            chosen[node.name] = cached
-    if missing:
-        scorer = GreedyLayerScorer(evaluator, accs, design)
-        for node, strategy in zip(
-            missing, (backend or SerialBackend()).map(scorer, missing)
-        ):
+        strategy = evaluator.cached_greedy_strategy(node.name, accs, design)
+        if strategy is None:
+            strategy = _shortlist_argmin(evaluator, node, accs, design)
             evaluator.store_greedy_strategy(node.name, accs, design, strategy)
-            chosen[node.name] = strategy
+        chosen[node.name] = strategy
     return chosen
 
 
@@ -200,7 +174,6 @@ def _seed_genomes(
     evaluator: MappingEvaluator | None = None,
     accs: tuple[int, ...] | None = None,
     design: AcceleratorDesign | None = None,
-    backend: EvaluationBackend | None = None,
 ) -> list[np.ndarray]:
     """Heuristic first-generation individuals.
 
@@ -234,7 +207,7 @@ def _seed_genomes(
         ),
     ]
     if evaluator is not None and accs is not None:
-        greedy = greedy_strategies(evaluator, compute, accs, design, backend)
+        greedy = greedy_strategies(evaluator, compute, accs, design)
         seeds.insert(0, genome_for(lambda n: greedy[n.name]))
     return seeds
 
@@ -244,8 +217,7 @@ class Level2Fitness:
 
     Decodes a genome into per-layer strategies and prices the whole set
     through the shared evaluator. Being a module-level class (not a
-    closure) it pickles cleanly, so the same object drives the serial,
-    cached and process-pool backends.
+    closure) it pickles cleanly.
 
     Each genome is decoded **once**: a small per-instance memo (keyed by
     the genome's raw bytes) is shared by ``phenotype_key`` and
@@ -291,9 +263,8 @@ class Level2Fitness:
         self._layer_dims: list[tuple] | None = None  # built on first batch
 
     def __getstate__(self) -> dict:
-        # The memos stay home when the fitness ships to pool workers:
-        # per-batch-changing state would change the pickled payload
-        # bytes every generation and defeat the workers' payload memo.
+        # The memos are derived state and stay home when the fitness is
+        # pickled.
         state = dict(self.__dict__)
         state["_decode_memo"] = None
         state["_rank_memo"] = {}
@@ -347,7 +318,7 @@ class Level2Fitness:
     ) -> None:
         """Batch-decode a whole population into the decode memo.
 
-        Called by in-process backends before per-genome evaluation (see
+        Called by the backends before per-genome evaluation (see
         :meth:`EvaluationBackend.prepare`): all strategy genes are
         decoded in one vectorized NumPy pass — the gene→count
         truncation, both priority argsorts and the SS gate run on a
@@ -501,17 +472,12 @@ def optimize_set(
     design: AcceleratorDesign | None,
     config: GAConfig,
     rng: np.random.Generator,
-    backend: EvaluationBackend | None = None,
 ) -> SetSolution:
     """Run the second-level GA on one sub-problem.
 
-    ``backend`` overrides the evaluation backend; by default the engine
-    builds one from ``config.workers``/``config.cache``, memoizing on
-    the decoded phenotype when caching is enabled. An explicit backend
-    may be shared across sub-problems (e.g. one process pool for the
-    whole level-1 search); when ``config.cache`` is set it is wrapped in
-    a *fresh* per-sub-problem memoizer, since phenotype keys are only
-    unique within one sub-problem.
+    The engine evaluates serially, memoizing on the decoded phenotype
+    when ``config.cache`` is set (a fresh memoizer per sub-problem,
+    since phenotype keys are only unique within one sub-problem).
     """
     compute_nodes = [n for n in nodes if n.is_compute]
     parallelism = len(accs)
@@ -522,21 +488,13 @@ def optimize_set(
         return SetSolution(strategies, evaluation.latency_seconds, evaluation)
 
     fitness = Level2Fitness(evaluator, nodes, accs, design)
-    engine_backend = backend
-    if (
-        backend is not None
-        and config.cache
-        and not isinstance(backend, CachedBackend)
-    ):
-        engine_backend = CachedBackend(backend, key_fn=fitness.phenotype_key)
     layer_cache_before = evaluator.layer_cache_stats
     ga = GeneticAlgorithm(
         genome_length=fitness.genome_length,
         fitness=fitness,
         config=config,
         rng=rng,
-        seeds=_seed_genomes(nodes, parallelism, evaluator, accs, design, backend),
-        backend=engine_backend,
+        seeds=_seed_genomes(nodes, parallelism, evaluator, accs, design),
         key_fn=fitness.phenotype_key,
     )
     result = ga.run()

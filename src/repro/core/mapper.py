@@ -45,10 +45,10 @@ class Mars:
         designs: Design catalog for adaptive systems (Table II default).
         budget: GA budgets for the two levels.
         options: Cost-model knobs.
-        workers: Override both levels' parallelism when > 1 (level-2
-            population batches and the batched level-1 sub-problem
-            fan-out ride one session-owned process pool); ``None``
-            keeps the budget's values.
+        workers: Size of the internal session's sub-problem pool when
+            > 1 (each level-1 generation's distinct sub-problems are
+            solved on that many worker processes); ``None`` keeps the
+            budget's ``level1.workers``.
         cache: Override both levels' fitness memoization; ``None`` keeps
             the budget's values. Backends never change results — only
             wall-clock.

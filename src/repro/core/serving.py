@@ -237,8 +237,9 @@ class MultiModelSession:
         budget: GA budgets for the two levels.
         options: Cost-model knobs.
         objective: Default objective; per-request override allowed.
-        workers: Override both levels' evaluation parallelism. Each
-            tenant session owns its pool for its lifetime.
+        workers: Size of each tenant session's sub-problem pool
+            (``budget.level1.workers``). Each tenant session owns its
+            pool for its lifetime.
         cache: Override both levels' fitness memoization.
         layer_cache: Override :attr:`EvaluatorOptions.layer_cache`.
         capacity: Maximum number of live tenant sessions.
@@ -890,7 +891,7 @@ class _ShardPool:
         parent_conn, child_conn = self._ctx.Pipe()
         # NOT daemonic: a daemonic worker could never start children of
         # its own, which is exactly what a tenant session configured
-        # with ``workers > 1`` does (its level-2 GA process pool).
+        # with ``workers > 1`` does (its sub-problem process pool).
         # Orphan safety comes from the module atexit hook instead: any
         # frontend still open at interpreter exit is closed (workers
         # ack and exit) before multiprocessing's own child join runs.

@@ -16,10 +16,9 @@ all of that state alive across searches:
   independent of which search, seed or session first posed it;
 * the partition catalog and profiled design table, which depend only
   on the topology/workload;
-* with ``workers > 1``, session-lifetime worker pools — one for the
-  level-2 sub-GAs and one for the level-1 batched sub-problem fan-out
-  (a single shared pool when both levels ask for the same worker
-  count) — instead of an executor respawn per search.
+* with ``workers > 1``, one session-lifetime worker pool for the
+  level-1 batched sub-problem fan-out, instead of an executor respawn
+  per search.
 
 One mapper process serving *many* models is
 :class:`repro.core.serving.MultiModelSession`, a registry of these
@@ -122,12 +121,11 @@ class SessionStats:
     greedy_entries: int
     #: The shared evaluator's layer-cost cache counters (session-cumulative).
     layer_cache: LayerCacheStats
-    #: Worker-pool executors spawned over the session's lifetime —
-    #: level-2 and level-1 fan-out pools both counted (0 when
-    #: ``workers`` <= 1; 1 per pool for an unbroken pooled lifetime).
+    #: Worker-pool executors spawned over the session's lifetime (0
+    #: when ``workers`` <= 1; 1 for an unbroken pooled lifetime).
     pool_spawns: int = 0
-    #: Pooled batches the pools broke mid-flight (each re-ran
-    #: serially; unpicklable-work fallbacks are not counted).
+    #: Pooled batches the pool broke mid-flight (each re-ran serially;
+    #: unpicklable-work fallbacks are not counted).
     pool_failures: int = 0
     #: Retired pool *backends* the session replaced (bounded by
     #: :attr:`MarsSession.POOL_RESPAWN_LIMIT`).
@@ -239,14 +237,15 @@ class MarsSession:
     in-place mid-session is not supported.
 
     Resource lifetime: with ``workers > 1`` the session owns **one**
-    level-2 process pool for its whole lifetime — every search reuses
-    it instead of respawning an executor per search. Call
-    :meth:`close` (or use the session as a context manager) when done;
-    a session with no pool closes to a no-op. If the pool retires
-    itself after repeated failures (see
+    process pool for its whole lifetime, the only pool a search uses:
+    each level-1 generation solves its distinct sub-problems on it, and
+    every search reuses it instead of respawning an executor per
+    search. Call :meth:`close` (or use the session as a context
+    manager) when done; a session with no pool closes to a no-op. If
+    the pool retires itself after repeated failures (see
     :class:`~repro.core.ga.backends.ProcessPoolBackend`), the session
     replaces it up to :attr:`POOL_RESPAWN_LIMIT` times before settling
-    on serial evaluation — results are identical either way.
+    on serial solves — results are identical either way.
 
     Args:
         graph: The DNN workload.
@@ -255,7 +254,9 @@ class MarsSession:
         budget: GA budgets for the two levels.
         options: Cost-model knobs.
         objective: ``"latency"`` (paper) or ``"throughput"``.
-        workers: Override both levels' evaluation parallelism.
+        workers: Size of the sub-problem pool (overrides
+            ``budget.level1.workers``; level 2 always runs serial, and
+            a budget with level-2 ``workers`` other than 1 is refused).
         cache: Override both levels' fitness memoization.
         layer_cache: Override :attr:`EvaluatorOptions.layer_cache`.
         subproblem_capacity: LRU bound on the cross-search sub-problem
@@ -267,8 +268,8 @@ class MarsSession:
             :meth:`from_config` for that spelling).
     """
 
-    #: Times a session will replace a retired level-2 pool backend
-    #: before giving up on parallelism for its remaining lifetime.
+    #: Times a session will replace a retired pool backend before
+    #: giving up on parallelism for its remaining lifetime.
     POOL_RESPAWN_LIMIT = 2
 
     #: Default LRU bound of the cross-search sub-problem cache —
@@ -306,6 +307,12 @@ class MarsSession:
         #: The canonical :class:`~repro.core.config.SearchConfig` this
         #: session was built from (overrides folded in).
         self.config = config.canonical()
+        require(
+            self.config.budget.level2.workers == 1,
+            "level-2 GAs evaluate serially; budget.level2.workers must be "
+            f"1, got {self.config.budget.level2.workers} (workers=N sizes "
+            "the level-1 sub-problem pool)",
+        )
         self.graph = graph
         self.topology = topology
         self.designs = list(self.config.designs)
@@ -327,25 +334,9 @@ class MarsSession:
         self._searches = 0
         self._store_skipped_infeasible = 0
         self._closed = False
-        #: The session-lifetime level-2 process pool (None when serial).
-        self._level2_pool: ProcessPoolBackend | None = (
-            ProcessPoolBackend(self.budget.level2.workers)
-            if self.budget.level2.workers > 1
-            else None
-        )
-        #: The session-lifetime level-1 fan-out pool. When both levels
-        #: ask for the same worker count (the common ``workers=N``
-        #: spelling sets both), the level-2 pool is shared — batches at
-        #: the two levels never overlap in time, so one executor serves
-        #: both without doubling the process footprint.
-        self._share_level1_pool = (
-            self.budget.level1.workers > 1
-            and self._level2_pool is not None
-            and self.budget.level1.workers == self.budget.level2.workers
-        )
-        self._level1_pool: ProcessPoolBackend | None = (
+        self._pool: ProcessPoolBackend | None = (
             ProcessPoolBackend(self.budget.level1.workers)
-            if self.budget.level1.workers > 1 and not self._share_level1_pool
+            if self.budget.level1.workers > 1
             else None
         )
         self._worker_layer_cache = LayerCacheStats()
@@ -395,71 +386,37 @@ class MarsSession:
         return self._closed
 
     @property
-    def level2_pool(self) -> ProcessPoolBackend | None:
-        """The session-owned level-2 worker pool (None when serial)."""
-        return self._level2_pool
+    def pool(self) -> ProcessPoolBackend | None:
+        """The session-owned sub-problem pool (None when serial)."""
+        return self._pool
 
-    @property
-    def level1_pool(self) -> ProcessPoolBackend | None:
-        """The session-owned level-1 fan-out pool (None when serial).
-
-        When both levels request the same worker count this *is* the
-        level-2 pool object — the session runs one shared executor.
-        """
-        if self._share_level1_pool:
-            return self._level2_pool
-        return self._level1_pool
-
-    def _apply_respawn_policy(
-        self, pool: ProcessPoolBackend, workers: int
-    ) -> ProcessPoolBackend:
-        """Replacement for a retired pool, within the respawn budget.
+    def _search_pool(self) -> ProcessPoolBackend | None:
+        """The pool to hand the next search, replacing a retired one.
 
         A pool backend retires itself after ``failure_limit``
         consecutive broken batches; rather than running serial forever,
         the session replaces it with a fresh backend — at most
-        :attr:`POOL_RESPAWN_LIMIT` times *across both session pools*,
-        so a persistently broken environment converges to the serial
-        path instead of thrashing. A healthy (or budget-exhausted)
-        pool is returned unchanged; a replaced pool's counters are
-        folded into the retired totals first.
+        :attr:`POOL_RESPAWN_LIMIT` times, so a persistently broken
+        environment converges to the serial path instead of thrashing.
+        A healthy (or budget-exhausted) pool is returned unchanged; a
+        replaced pool's counters are folded into the retired totals
+        first.
         """
-        if not pool.retired:
+        pool = self._pool
+        if (
+            pool is None
+            or not pool.retired
+            or self._pool_respawns >= self.POOL_RESPAWN_LIMIT
+        ):
             return pool
-        if self._pool_respawns >= self.POOL_RESPAWN_LIMIT:
-            return pool  # retired: every batch takes the serial path
         self._retired_pool_spawns += pool.pool_spawns
         self._retired_pool_failures += pool.pool_failures
         pool.close()
         self._pool_respawns += 1
-        return ProcessPoolBackend(workers, failure_limit=pool.failure_limit)
-
-    def _level2_backend(self) -> ProcessPoolBackend | None:
-        """The pool to hand the next search, applying the respawn policy."""
-        pool = self._level2_pool
-        if pool is None:
-            return None
-        self._level2_pool = self._apply_respawn_policy(
-            pool, self.budget.level2.workers
+        self._pool = ProcessPoolBackend(
+            pool.workers, failure_limit=pool.failure_limit
         )
-        return self._level2_pool
-
-    def _level1_backend(self) -> ProcessPoolBackend | None:
-        """The fan-out pool for the next search's level-1 prefetch.
-
-        Shares the level-2 pool when worker counts match (the two
-        levels' batches never overlap in time), otherwise applies the
-        respawn policy to the session's own level-1 pool.
-        """
-        if self._share_level1_pool:
-            return self._level2_backend()
-        pool = self._level1_pool
-        if pool is None:
-            return None
-        self._level1_pool = self._apply_respawn_policy(
-            pool, self.budget.level1.workers
-        )
-        return self._level1_pool
+        return self._pool
 
     def search(self, seed: int = 0, progress=None) -> MarsResult:
         """Run the two-level GA, reusing every warm cache of the session.
@@ -502,8 +459,7 @@ class MarsSession:
             rng=make_rng(seed),
             objective=self.objective,
             solution_cache=self.solution_cache,
-            level2_backend=self._level2_backend(),
-            level1_backend=self._level1_backend(),
+            level1_backend=self._search_pool(),
             partitions=self._partitions,
             design_profile=self._design_profile,
             progress=progress,
@@ -621,10 +577,9 @@ class MarsSession:
         """Current warm-state counters of the session."""
         pool_spawns = self._retired_pool_spawns
         pool_failures = self._retired_pool_failures
-        for pool in (self._level2_pool, self._level1_pool):
-            if pool is not None:
-                pool_spawns += pool.pool_spawns
-                pool_failures += pool.pool_failures
+        if self._pool is not None:
+            pool_spawns += self._pool.pool_spawns
+            pool_failures += self._pool.pool_failures
         store_hits = store_misses = store_publishes = 0
         store_errors = store_quarantined = 0
         if self._store is not None:
@@ -673,7 +628,7 @@ class MarsSession:
         self._design_profile = None
 
     def close(self) -> None:
-        """Shut down the session's worker pools and mark it closed.
+        """Shut down the session's worker pool and mark it closed.
 
         Idempotent. Warm caches survive (they hold no OS resources) but
         :meth:`search` refuses to run on a closed session — a serving
@@ -682,10 +637,8 @@ class MarsSession:
         if self._closed:
             return
         self._closed = True
-        if self._level2_pool is not None:
-            self._level2_pool.close()
-        if self._level1_pool is not None:
-            self._level1_pool.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def __enter__(self) -> "MarsSession":
         return self

@@ -18,10 +18,11 @@ gates the contention-free patterns (compute and host traffic must
 reconcile exactly up to float noise) and ``--out`` writes the full
 JSON report.
 
-``--workers``/``--cache`` select the GA evaluation backend (process-pool
-fan-out and fitness memoization) and ``--no-layer-cache`` disables the
-evaluator's per-layer cost cache; all three change wall-clock only — for
-a fixed seed every configuration reproduces the same tables.
+``--workers N`` solves each level-1 generation's distinct sub-problems
+(each a whole level-2 GA) on a pool of N worker processes, ``--cache``
+memoizes GA fitness and ``--no-layer-cache`` disables the evaluator's
+per-layer cost cache; all three change wall-clock only — for a fixed
+seed every configuration reproduces the same tables.
 ``--seeds N`` sweeps N GA seeds per Table III model through that
 model's warm session and keeps the best mapping (per-seed results stay
 bit-identical to fresh single-seed runs). Table III routes every model
@@ -204,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="GA evaluation workers (> 1 fans fitness out over a process pool)",
+        help="worker processes that solve each level-1 generation's "
+        "sub-problems (> 1 runs a process pool; not for table2)",
     )
     parser.add_argument(
         "--cache",
@@ -261,10 +263,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--deadline must be > 0")
     if args.store is not None and args.experiment != "table3":
         parser.error("--store applies to table3 only")
-    if args.no_layer_cache and args.experiment == "table2":
+    if args.experiment == "table2":
         # table2 profiles designs without any mapping search; there is
-        # no evaluator whose cache the flag could disable.
-        parser.error("--no-layer-cache does not apply to table2")
+        # no evaluator whose cache --no-layer-cache could disable and no
+        # sub-problem for --workers to fan out.
+        if args.no_layer_cache:
+            parser.error("--no-layer-cache does not apply to table2")
+        if args.workers > 1:
+            parser.error("--workers does not apply to table2")
     layer_cache = not args.no_layer_cache
 
     budget = _budget(args.budget, workers=args.workers, cache=args.cache)
@@ -294,17 +300,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
     if args.experiment == "table2":
-        from repro.core.ga import ProcessPoolBackend
-
         models = tuple(args.models) if args.models else TABLE3_MODELS
-        backend = (
-            ProcessPoolBackend(args.workers) if args.workers > 1 else None
-        )
-        try:
-            print(run_table2(models=models, backend=backend).to_text())
-        finally:
-            if backend is not None:
-                backend.close()
+        print(run_table2(models=models).to_text())
     elif args.experiment == "table3":
         models = tuple(args.models) if args.models else TABLE3_MODELS
         if args.combined and len(models) < 2:

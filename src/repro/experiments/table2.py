@@ -70,14 +70,8 @@ class Table2Result:
         return "\n\n".join(sections)
 
 
-def run_table2(
-    models: tuple[str, ...] = TABLE3_MODELS, backend=None
-) -> Table2Result:
-    """Build the Table II report over ``models``.
-
-    ``backend`` (an :class:`~repro.core.ga.backends.EvaluationBackend`)
-    parallelizes the per-layer profiling.
-    """
+def run_table2(models: tuple[str, ...] = TABLE3_MODELS) -> Table2Result:
+    """Build the Table II report over ``models``."""
     designs = table2_designs()
     design_rows = [
         [
@@ -89,7 +83,7 @@ def run_table2(
         for design in designs
     ]
     profiles = {
-        name: profile_designs(build_model(name), designs, backend)
+        name: profile_designs(build_model(name), designs)
         for name in models
     }
     return Table2Result(design_rows=design_rows, profiles=profiles)

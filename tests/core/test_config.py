@@ -14,8 +14,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core import Mars, MarsSession, MultiModelSession, SearchConfig
-from repro.core.evaluator import EvaluatorOptions
-from repro.core.ga import SearchBudget
+from repro.core.evaluator import EvaluatorOptions, MappingEvaluator
+from repro.core.ga import Level1Search, ProcessPoolBackend, SearchBudget
+from repro.utils import make_rng
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
 
@@ -35,7 +36,7 @@ class TestCanonicalization:
         ).canonical()
         assert via_override == via_budget
         assert via_override.workers is None
-        assert via_override.budget.level2.workers == 2
+        assert via_override.budget.level1.workers == 2
 
     def test_layer_cache_override_folds_into_the_options(self):
         via_override = SearchConfig(layer_cache=False).canonical()
@@ -75,28 +76,29 @@ class TestCanonicalization:
 
 
 class TestLevel1WorkerAliasing:
-    """``workers`` must reach the level-1 fan-out, not just level 2.
+    """``workers`` sizes the level-1 fan-out and nothing else.
 
     Regression: ``budget.level1.workers`` used to be accepted by every
     spelling (kwarg, ``with_backend``, explicit ``GAConfig``) and then
     silently ignored — level 1 always ran serial. The knob now drives
-    the batched sub-problem fan-out, and all spellings must stay
-    aliases of each other.
+    the batched sub-problem fan-out, level-2 GAs always run serial, and
+    all spellings must stay aliases of each other.
     """
 
-    def test_worker_override_folds_into_both_levels(self):
+    def test_worker_override_folds_into_level1_only(self):
         config = SearchConfig(workers=2).canonical()
         assert config.budget.level1.workers == 2
-        assert config.budget.level2.workers == 2
+        assert config.budget.level2.workers == 1
 
     def test_explicit_level1_spelling_fingerprints_identically(self):
         via_kwarg = SearchConfig(workers=2)
         via_budget = SearchConfig(
             budget=SearchBudget(
                 level1=replace(SearchBudget.fast().level1, workers=2),
-                level2=replace(SearchBudget.fast().level2, workers=2),
+                level2=SearchBudget.fast().level2,
             )
         )
+        assert via_kwarg.canonical() == via_budget.canonical()
         assert via_kwarg.fingerprint() == via_budget.fingerprint()
 
     def test_workers_are_invisible_to_result_fingerprint(self):
@@ -107,17 +109,76 @@ class TestLevel1WorkerAliasing:
 
     def test_workers_actually_spawn_a_fanout_pool(self):
         with MarsSession(CNN, TOPOLOGY, workers=2) as session:
-            assert session.level1_pool is not None
+            assert session.pool is not None
+            assert session.pool.workers == 2
 
-    def test_distinct_level_counts_spawn_distinct_pools(self):
-        budget = SearchBudget(
-            level1=replace(SearchBudget.fast().level1, workers=3),
-            level2=replace(SearchBudget.fast().level2, workers=2),
-        )
-        with MarsSession(CNN, TOPOLOGY, budget=budget) as session:
-            assert session.level1_pool is not None
-            assert session.level2_pool is not None
-            assert session.level1_pool is not session.level2_pool
+
+#: Pinned ``result_fingerprint()`` digests. Store keys embed them, so
+#: a change that moves one orphans every artifact stored under it —
+#: and worker counts must never move them at all.
+PINNED_RESULT_FINGERPRINTS = [
+    (dict(), "e687d01643f3bfc5030416bb5f44963f"),
+    (dict(workers=2), "e687d01643f3bfc5030416bb5f44963f"),
+    (dict(workers=2, cache=True), "e687d01643f3bfc5030416bb5f44963f"),
+    (dict(layer_cache=False), "e687d01643f3bfc5030416bb5f44963f"),
+    (
+        dict(budget=SearchBudget.paper(), workers=4),
+        "a13d09be07e767b380c3d07353466f4c",
+    ),
+    (dict(objective="throughput"), "52e585fb62a71bc842c3e06f10d6db73"),
+]
+
+
+class TestStoreKeysDoNotMove:
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        PINNED_RESULT_FINGERPRINTS,
+        ids=["default", "workers", "workers-cache", "no-layer-cache",
+             "paper-workers", "throughput"],
+    )
+    def test_result_fingerprint_is_pinned(self, kwargs, digest):
+        assert SearchConfig(**kwargs).result_fingerprint() == digest
+
+
+def _level2_workers_budget():
+    budget = SearchBudget.fast()
+    return SearchBudget(
+        level1=budget.level1, level2=replace(budget.level2, workers=2)
+    )
+
+
+def _level1_search(budget, pool=None):
+    from repro.accelerators import table2_designs
+
+    return Level1Search(
+        graph=CNN,
+        topology=TOPOLOGY,
+        designs=table2_designs(),
+        evaluator=MappingEvaluator(CNN, TOPOLOGY),
+        budget=budget,
+        rng=make_rng(0),
+        level1_backend=pool,
+    )
+
+
+class TestPopulationParallelismRejected:
+    """Every way of asking for level-2 population parallelism raises
+    instead of being silently ignored (the GA-level spelling is pinned
+    in ``tests/core_ga/test_backends.py``)."""
+
+    def test_level2_workers_rejected_by_session(self):
+        with pytest.raises(ValueError, match="level2.workers"):
+            MarsSession(CNN, TOPOLOGY, budget=_level2_workers_budget())
+
+    def test_level2_workers_rejected_by_level1_search(self):
+        with ProcessPoolBackend(workers=2) as pool:
+            with pytest.raises(ValueError, match="level2.workers"):
+                _level1_search(_level2_workers_budget(), pool)
+
+    def test_level1_workers_without_a_pool_rejected_by_level1_search(self):
+        budget = SearchBudget.fast().with_backend(workers=2)
+        with pytest.raises(ValueError, match="level1_backend"):
+            _level1_search(budget)
 
 
 class TestValidation:

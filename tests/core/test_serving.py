@@ -226,8 +226,8 @@ class TestLifecycle:
     def test_workers_thread_through_to_tenant_sessions(self):
         with MultiModelSession(TOPOLOGY, workers=2) as registry:
             session = registry.session_for(CNN)
-            assert session.level2_pool is not None
-            assert session.budget.level2.workers == 2
+            assert session.pool is not None
+            assert session.budget.level1.workers == 2
         assert session.closed
 
     def test_merge_never_stacks_label_suffixes(self):

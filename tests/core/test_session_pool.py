@@ -1,12 +1,11 @@
-"""Session-owned level-2 pools: one executor per session lifetime.
+"""The session-owned pool: one executor per session lifetime.
 
-The hoist's contract: a ``workers > 1`` session spawns exactly one
-``ProcessPoolExecutor`` no matter how many searches run through it
-(before, ``Level1Search.run()`` spawned and tore one down per search),
+The contract: a ``workers > 1`` session spawns exactly one
+``ProcessPoolExecutor`` no matter how many searches run through it,
 results stay bit-identical to the serial path, and ``close()`` /
-context-manager exit shuts the pool down exactly once. A retired pool
-backend is replaced by the session at most ``POOL_RESPAWN_LIMIT``
-times.
+context-manager exit shuts the pool down exactly once. A search never
+builds or closes a pool of its own. A retired pool backend is replaced
+by the session at most ``POOL_RESPAWN_LIMIT`` times.
 """
 
 import pytest
@@ -43,7 +42,7 @@ class TestSessionOwnedPool:
 
     def test_serial_session_has_no_pool(self):
         session = MarsSession(GRAPH, TOPOLOGY)
-        assert session.level2_pool is None
+        assert session.pool is None
         session.search(seed=0)
         assert session.stats.pool_spawns == 0
         session.close()  # no-op, still idempotent
@@ -51,7 +50,7 @@ class TestSessionOwnedPool:
     def test_close_shuts_the_pool_down_exactly_once(self):
         session = MarsSession(GRAPH, TOPOLOGY, workers=2)
         session.search(seed=0)
-        pool = session.level2_pool
+        pool = session.pool
         assert pool._executor is not None
         session.close()
         assert session.closed
@@ -70,7 +69,7 @@ class TestSessionOwnedPool:
             session.search(seed=0)
             assert not session.closed
         assert session.closed
-        assert session.level2_pool._executor is None
+        assert session.pool._executor is None
 
     def test_facade_close_shuts_internal_session(self):
         with Mars(GRAPH, TOPOLOGY, workers=2) as mars:
@@ -89,7 +88,7 @@ class TestSessionOwnedPool:
 
 
 class TestLevel1PoolOwnership:
-    def _search(self, level2_backend=None, level1_backend=None):
+    def _search(self, level1_backend=None):
         from repro.accelerators import table2_designs
 
         return Level1Search(
@@ -99,41 +98,17 @@ class TestLevel1PoolOwnership:
             evaluator=MappingEvaluator(GRAPH, TOPOLOGY),
             budget=SearchBudget.fast().with_backend(workers=2),
             rng=make_rng(0),
-            level2_backend=level2_backend,
             level1_backend=level1_backend,
         )
-
-    def test_run_closes_pools_it_built(self):
-        search = self._search()
-        assert search._owns_level2_pool
-        assert search._owns_level1_pool
-        search.run()
-        assert search.level2_backend._executor is None  # closed
-        assert search.level1_backend._executor is None  # closed
-
-    def test_run_leaves_a_caller_supplied_pool_open(self):
-        # With the level-1 fan-out pre-solving every sub-problem, the
-        # level-2 pool may never lazily spawn its executor during
-        # run(); the contract under test is that run() never *closes* a
-        # pool it was handed — it must stay usable afterwards.
-        pool = ProcessPoolBackend(2)
-        try:
-            search = self._search(level2_backend=pool)
-            assert not search._owns_level2_pool
-            search.run()
-            assert not pool.retired  # survived run()
-            assert pool.map(abs, [-1, -2]) == [1, 2]  # still usable
-        finally:
-            pool.close()
 
     def test_run_leaves_a_caller_supplied_level1_pool_open(self):
         pool = ProcessPoolBackend(2)
         try:
             search = self._search(level1_backend=pool)
-            assert not search._owns_level1_pool
             search.run()
             assert pool._executor is not None  # engaged and survived
-            assert pool.map(abs, [-1, -2]) == [1, 2]  # still usable
+            # still usable
+            assert pool.map_subproblems(abs, [-1, -2]) == [1, 2]
         finally:
             pool.close()
 
@@ -148,18 +123,18 @@ class TestSessionRespawnPolicy:
         try:
             replaced = []
             for expected in range(1, MarsSession.POOL_RESPAWN_LIMIT + 1):
-                old = session.level2_pool
+                old = session.pool
                 self._retire(old)
-                fresh = session._level2_backend()
+                fresh = session._search_pool()
                 replaced.append(old)
                 assert fresh is not old
                 assert not fresh.retired
-                assert session.level2_pool is fresh
+                assert session.pool is fresh
                 assert session.stats.pool_respawns == expected
             # Budget exhausted: a retired pool now stays.
-            self._retire(session.level2_pool)
-            final = session._level2_backend()
-            assert final is session.level2_pool
+            self._retire(session.pool)
+            final = session._search_pool()
+            assert final is session.pool
             assert final.retired
             assert (
                 session.stats.pool_respawns == MarsSession.POOL_RESPAWN_LIMIT
@@ -171,7 +146,7 @@ class TestSessionRespawnPolicy:
     def test_search_with_retired_pool_is_still_bit_identical(self):
         pooled = MarsSession(GRAPH, TOPOLOGY, workers=2)
         try:
-            self._retire(pooled.level2_pool)
+            self._retire(pooled.pool)
             pooled._pool_respawns = MarsSession.POOL_RESPAWN_LIMIT
             retired_results = [pooled.search(seed=s) for s in SEEDS[:2]]
         finally:
@@ -185,11 +160,11 @@ class TestSessionRespawnPolicy:
     def test_respawn_preserves_cumulative_pool_counters(self):
         session = MarsSession(GRAPH, TOPOLOGY, workers=2)
         try:
-            pool = session.level2_pool
+            pool = session.pool
             pool._spawns = 1
             pool._failures = pool.failure_limit
             self._retire(pool)
-            session._level2_backend()
+            session._search_pool()
             stats = session.stats
             assert stats.pool_spawns == 1  # retired backend's spawn kept
             assert stats.pool_failures == pool.failure_limit

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.ga import (
-    BACKEND_CHOICES,
     CachedBackend,
     GAConfig,
     GeneticAlgorithm,
     ProcessPoolBackend,
     SerialBackend,
-    backend_from_spec,
     genome_key,
     make_backend,
 )
@@ -124,12 +122,13 @@ class TestProcessPoolBackend:
     def test_matches_serial_and_preserves_order(self):
         genomes = _genomes(make_rng(0), 16)
         with ProcessPoolBackend(workers=2) as backend:
-            values = backend.evaluate(sphere, genomes)
+            values = backend.map_subproblems(sphere, genomes)
+            assert backend.using_pool
         assert values == [sphere(g) for g in genomes]
 
     def test_workers_one_stays_serial(self):
         backend = ProcessPoolBackend(workers=1)
-        values = backend.evaluate(sphere, _genomes(make_rng(0), 4))
+        values = backend.map_subproblems(sphere, _genomes(make_rng(0), 4))
         assert not backend.using_pool
         assert len(values) == 4
 
@@ -138,7 +137,7 @@ class TestProcessPoolBackend:
         closure = lambda g: float(np.sum(g)) + offset  # noqa: E731
         genomes = _genomes(make_rng(0), 6)
         with ProcessPoolBackend(workers=2) as backend:
-            values = backend.evaluate(closure, genomes)
+            values = backend.map_subproblems(closure, genomes)
             assert not backend.using_pool
         assert values == [closure(g) for g in genomes]
 
@@ -148,16 +147,57 @@ class TestProcessPoolBackend:
 
     def test_generic_map(self):
         with ProcessPoolBackend(workers=2) as backend:
-            assert backend.map(abs, [-3, -1, 2, -7]) == [3, 1, 2, 7]
+            values = backend.map_subproblems(abs, [-3, -1, 2, -7])
+            assert backend.using_pool
+        assert values == [3, 1, 2, 7]
+
+    def test_one_item_batch_solves_in_parent(self):
+        """The pool engages from two items up: a lone sub-problem never
+        pays for an executor spawn."""
+        genome = _genomes(make_rng(0), 1)
+        with ProcessPoolBackend(workers=2) as backend:
+            assert backend.map_subproblems(sphere, genome) == [
+                sphere(genome[0])
+            ]
+            assert backend._executor is None
+            assert backend.pool_spawns == 0
+
+    def test_populations_evaluate_serially(self):
+        """GA populations never fan out: the pool's ``evaluate`` and
+        ``prepare`` are the serial ones and spawn no executor."""
+
+        class Recorder:
+            def __init__(self):
+                self.prepared = 0
+
+            def prepare_population(self, genomes):
+                self.prepared += len(genomes)
+
+            def __call__(self, genome):
+                return sphere(genome)
+
+        genomes = _genomes(make_rng(0), 8)
+        recorder = Recorder()
+        with ProcessPoolBackend(workers=2) as backend:
+            backend.prepare(recorder, genomes)
+            assert recorder.prepared == len(genomes)
+            # ``sphere`` pickles, so only the serial path keeps it home.
+            values = backend.evaluate(sphere, genomes)
+            assert backend._executor is None
+            assert backend.stats.evaluations == len(genomes)
+            assert backend.stats.pool_spawns == 0
+        assert values == [sphere(g) for g in genomes]
 
     def test_pool_is_reused_across_different_callables(self):
         """Regression: switching callables must not respawn the pool."""
         genomes = _genomes(make_rng(0), 8)
         with ProcessPoolBackend(workers=2) as backend:
-            backend.evaluate(sphere, genomes)
+            backend.map_subproblems(sphere, genomes)
             executor = backend._executor
             assert executor is not None
-            assert backend.map(abs, list(range(8))) == list(range(8))
+            assert backend.map_subproblems(abs, list(range(8))) == list(
+                range(8)
+            )
             assert backend._executor is executor
 
     def test_backends_refuse_to_be_pickled(self):
@@ -178,30 +218,18 @@ class TestProcessPoolBackend:
 class TestBackendEquivalence:
     """For a fixed seed, every backend returns bit-identical GAResults."""
 
-    def test_serial_cached_and_pool_agree(self):
+    def test_serial_and_cached_agree(self):
         serial = _run_ga(SerialBackend(), seed=3)
         cached = _run_ga(CachedBackend(), seed=3)
-        with ProcessPoolBackend(workers=2) as pool_backend:
-            pooled = _run_ga(pool_backend, seed=3)
-        for other in (cached, pooled):
-            assert other.best_fitness == serial.best_fitness
-            assert other.history == serial.history
-            assert np.array_equal(other.best_genome, serial.best_genome)
-            assert other.generations_run == serial.generations_run
-
-    def test_cached_pool_base_agrees_too(self):
-        serial = _run_ga(SerialBackend(), seed=11)
-        with CachedBackend(ProcessPoolBackend(workers=2)) as backend:
-            combo = _run_ga(backend, seed=11)
-        assert combo.best_fitness == serial.best_fitness
-        assert combo.history == serial.history
+        assert cached.best_fitness == serial.best_fitness
+        assert cached.history == serial.history
+        assert np.array_equal(cached.best_genome, serial.best_genome)
+        assert cached.generations_run == serial.generations_run
 
     def test_config_selected_backends_agree(self):
         baseline = _run_ga(seed=5)
         cached = _run_ga(seed=5, cache=True)
-        parallel = _run_ga(seed=5, workers=2)
         assert cached.history == baseline.history
-        assert parallel.history == baseline.history
 
     def test_batch_fitness_path_agrees(self):
         def batch(genomes):
@@ -269,28 +297,18 @@ class TestConfigValidation:
             GAConfig(cache=cache)
 
     def test_make_backend_combinations(self):
-        assert isinstance(
-            make_backend(GAConfig(workers=3)), ProcessPoolBackend
-        )
         cached = make_backend(GAConfig(cache=True))
         assert isinstance(cached, CachedBackend)
         assert isinstance(cached.inner, SerialBackend)
-        combo = make_backend(GAConfig(workers=2, cache=True))
-        assert isinstance(combo, CachedBackend)
-        assert isinstance(combo.inner, ProcessPoolBackend)
 
-
-class TestBackendFromSpec:
-    def test_choices_cover_all_specs(self):
-        assert set(BACKEND_CHOICES) == {"serial", "cached", "process"}
-
-    def test_specs_construct_expected_types(self):
-        assert isinstance(backend_from_spec("serial"), SerialBackend)
-        assert isinstance(backend_from_spec("cached"), CachedBackend)
-        pool = backend_from_spec("process", workers=3)
-        assert isinstance(pool, ProcessPoolBackend)
-        assert pool.workers == 3
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError):
-            backend_from_spec("gpu")
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_population_workers_without_a_backend_rejected(self, cache):
+        """Populations never fan out: a GA asked for ``workers > 1``
+        with no explicit backend refuses instead of running serial."""
+        with pytest.raises(ValueError, match="workers"):
+            _run_ga(seed=0, workers=2, cache=cache)
+        # An explicit backend carries the evaluation; workers then only
+        # describe the level-1 fan-out a session runs around the GA.
+        assert _run_ga(SerialBackend(), seed=0, workers=2).history == (
+            _run_ga(seed=0).history
+        )

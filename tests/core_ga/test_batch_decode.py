@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 from repro.accelerators import design1_superlip, design2_systolic
 from repro.core.evaluator import MappingEvaluator
 from repro.core.ga import GAConfig, GENES_PER_LAYER, Level2Fitness, optimize_set
-from repro.core.ga.backends import (
-    CachedBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.core.ga.backends import CachedBackend, SerialBackend
 from repro.core.ga.level2 import decode_layer_strategy
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
@@ -163,25 +159,6 @@ class TestPreparePopulationPlumbing:
             backend.prepare(recorder, genomes)
             backend.evaluate(recorder, genomes)
             assert recorder.prepared == len(genomes)
-
-    def test_process_pool_skips_prepare_when_fanning_out(self):
-        class Recorder:
-            def __init__(self):
-                self.prepared = 0
-
-            def prepare_population(self, genomes):
-                self.prepared += len(genomes)
-
-            def __call__(self, genome):
-                return float(np.sum(genome))
-
-        genomes = [make_rng(i).random(4) for i in range(8)]
-        recorder = Recorder()
-        with ProcessPoolBackend(workers=2) as pool:
-            pool.prepare(recorder, genomes)
-            assert recorder.prepared == 0  # workers decode locally
-            pool.prepare(recorder, genomes[:1])  # too small to fan out
-            assert recorder.prepared == 1
 
     def test_pickled_fitness_rebuilds_memos_and_decodes_identically(self):
         import pickle

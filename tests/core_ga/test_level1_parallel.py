@@ -89,8 +89,7 @@ class TestBitIdentity:
         budget.level1 = replace(budget.level1, workers=2)
         serial_budget = SearchBudget.fast()
         with MarsSession(graph, TOPOLOGY, budget=budget) as session:
-            assert session.level1_pool is not None
-            assert session.level2_pool is None
+            assert session.pool is not None
             parallel = session.search(seed=0)
             stats = session.stats
         with MarsSession(graph, TOPOLOGY, budget=serial_budget) as session:
@@ -98,10 +97,10 @@ class TestBitIdentity:
         _same_result(serial, parallel)
         assert stats.subproblems_fanned_out > 0
 
-    def test_equal_worker_counts_share_one_pool(self):
+    def test_workers_run_one_pool(self):
         graph = build_model("tiny_cnn")
         with MarsSession(graph, TOPOLOGY, workers=2) as session:
-            assert session.level1_pool is session.level2_pool
+            assert session.pool is not None
             session.search(seed=0)
             assert session.stats.pool_spawns == 1
 

@@ -1,6 +1,7 @@
 """ProcessPoolBackend failure policy: bounded retire-and-respawn.
 
-The pre-existing contract stands: a broken pooled batch re-runs
+The pool solves level-1 sub-problems through ``map_subproblems``, and
+the pre-existing contract stands: a broken pooled batch re-runs
 serially with bit-identical values. What this module pins down is the
 *lifecycle* after a failure — one transient broken batch must not
 disable parallelism forever (the pool respawns on the next batch), but
@@ -19,7 +20,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.ga import BackendStats, CachedBackend, ProcessPoolBackend
+from repro.core import MarsSession
+from repro.core.ga import BackendStats, ProcessPoolBackend
+from repro.dnn import build_model
+from repro.system import f1_16xlarge
 from repro.utils import make_rng
 
 
@@ -62,11 +66,11 @@ ITEMS = [float(i) for i in range(8)]
 
 def _bad_batch(backend):
     """A pooled batch whose workers die; falls back to serial identity."""
-    return backend.map(KillWorker(), ITEMS)
+    return backend.map_subproblems(KillWorker(), ITEMS)
 
 
 def _good_batch(backend):
-    return backend.map(double, ITEMS)
+    return backend.map_subproblems(double, ITEMS)
 
 
 class TestTransientFailureRespawns:
@@ -99,9 +103,9 @@ class TestTransientFailureRespawns:
         """Bit-identity guarantee: fallback batches price correctly."""
         genomes = [make_rng(i).random(6) for i in range(12)]
         with ProcessPoolBackend(workers=2) as backend:
-            before = backend.evaluate(sphere, genomes)
+            before = backend.map_subproblems(sphere, genomes)
             _bad_batch(backend)
-            after = backend.evaluate(sphere, genomes)
+            after = backend.map_subproblems(sphere, genomes)
         expected = [sphere(g) for g in genomes]
         assert before == expected
         assert after == expected
@@ -130,7 +134,9 @@ class TestRetirement:
         offset = 0.5
         closure = lambda x: x + offset  # noqa: E731
         with ProcessPoolBackend(workers=2, failure_limit=1) as backend:
-            backend.map(closure, ITEMS)
+            assert backend.map_subproblems(closure, ITEMS) == [
+                closure(x) for x in ITEMS
+            ]
             assert backend.pool_failures == 0
             assert not backend.retired
 
@@ -141,7 +147,9 @@ class TestRetirement:
         a failure."""
         with ProcessPoolBackend(workers=2, failure_limit=1) as backend:
             _good_batch(backend)  # executor up
-            values = backend.map(float, [Unpicklable() for _ in range(8)])
+            values = backend.map_subproblems(
+                float, [Unpicklable() for _ in range(8)]
+            )
             assert values == [1.0] * 8
             assert backend.pool_failures == 0
             assert not backend.retired
@@ -163,11 +171,15 @@ class TestCounters:
         assert stats.pool_spawns == 1
         assert stats.pool_failures == 1
 
-    def test_cached_wrapper_surfaces_inner_pool_counters(self):
-        with CachedBackend(ProcessPoolBackend(workers=2)) as backend:
-            genomes = [make_rng(i).random(6) for i in range(8)]
-            backend.evaluate(sphere, genomes)
-            assert backend.stats.pool_spawns == 1
+    def test_session_stats_carry_pool_counters(self):
+        with MarsSession(
+            build_model("tiny_cnn"), f1_16xlarge(), workers=2
+        ) as session:
+            _good_batch(session.pool)
+            _bad_batch(session.pool)
+            stats = session.stats
+        assert stats.pool_spawns == 1
+        assert stats.pool_failures == 1
 
     def test_since_deltas_include_pool_counters(self):
         a = BackendStats(pool_spawns=1, pool_failures=2)

@@ -36,6 +36,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["table2", "--models", "alexnet", "--no-layer-cache"])
 
+    def test_workers_rejected_for_table2(self, capsys):
+        # table2 has no sub-problems to fan out; a pool would sit idle.
+        with pytest.raises(SystemExit):
+            main(["table2", "--models", "alexnet", "--workers", "2"])
+        assert "--workers does not apply to table2" in capsys.readouterr().err
+
     def test_no_layer_cache_flag(self, capsys):
         assert (
             main(["table3", "--models", "tiny_cnn", "--no-layer-cache"]) == 0
