@@ -45,7 +45,7 @@ TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_hot_paths.json"
 SERVING_TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_serving.json"
 
 #: The durability trajectory: cold-start vs store-warm-start wall clock
-#: of a fresh ``ShardedServing`` deployment (``bench_store.py``). Its
+#: of a fresh ``SloServing`` deployment (``bench_store.py``). Its
 #: own file for the same reason as the serving trajectory — it tracks
 #: artifact reuse across process trees, not kernel speed.
 STORE_TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_store.json"

@@ -14,7 +14,7 @@ level-1 fan-out bench as the parallel-search contract (a ``workers=2``
 cold search solves its sub-problems on pool workers, bit-identical to
 serial, >= 1.5x on multi-core hosts) and the
 sharded-serving bench as the multi-process serving contract (a
-multi-tenant sweep through a 2-shard ``ShardedServing`` frontend is
+multi-tenant sweep through a 2-shard ``SloServing`` frontend is
 bit-identical to the serial registry, and outpaces it on multi-core
 hosts); all run as a single-round smoke in CI so regressions fail the
 build, and their headline numbers land in the repo-root
@@ -634,8 +634,8 @@ def bench_sharded_tenant_sweep(benchmark):
     each, behind one endpoint. The serial arm routes everything through
     one in-process ``MultiModelSession`` (PR 4's registry — one search
     at a time, one core); the sharded arm routes the same sweep through
-    a ``ShardedServing`` frontend whose worker processes search
-    different tenants concurrently. Placement is sticky by content
+    a ``SloServing`` frontend whose worker processes search different
+    tenants concurrently. Placement is sticky by content
     fingerprint, so each tenant's warm caches live on exactly one
     shard and the two arms are equally warm per tenant.
 
@@ -646,7 +646,7 @@ def bench_sharded_tenant_sweep(benchmark):
     overlap and merely pays IPC, which the report then shows honestly
     (``meta.cpus`` rides along in the JSON).
     """
-    from repro.core import MultiModelSession, ShardedServing
+    from repro.core import MultiModelSession, SearchConfig, SloServing
 
     shards = _shard_count()
     topology = f1_16xlarge()
@@ -663,12 +663,10 @@ def bench_sharded_tenant_sweep(benchmark):
     )
     graphs = [build_model(name) for name in names]
     seeds = (0, 1, 2)
-    capacity = len(graphs)
+    config = SearchConfig(budget=budget, capacity=len(graphs))
 
-    serial = MultiModelSession(topology, budget=budget, capacity=capacity)
-    sharded = ShardedServing(
-        topology, shards=shards, budget=budget, capacity=capacity
-    )
+    serial = MultiModelSession.from_config(topology, config)
+    sharded = SloServing(topology, shards=shards, config=config)
     placement = {g.name: sharded.shard_of(g) for g in graphs}
 
     def serial_sweep():

@@ -190,8 +190,7 @@ def bench_serving_traffic_mixes(benchmark):
         return SloServing(
             topology,
             shards=shards,
-            budget=budget,
-            capacity=len(TENANTS),
+            config=SearchConfig(budget=budget, capacity=len(TENANTS)),
             policy=TrafficPolicy(
                 scheduling=scheduling,
                 queue_depth=queue_depth,

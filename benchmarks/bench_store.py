@@ -4,7 +4,7 @@ The deployment scenario the store exists for: a serving frontend goes
 down — crash, upgrade, scale-out to a new machine — and a *brand-new
 process tree* comes up on the same artifact directory. The cold arm
 pays full price: spawn shard workers, run every GA search, publish the
-artifacts. The warm arm builds an equally fresh ``ShardedServing`` on
+artifacts. The warm arm builds an equally fresh ``SloServing`` on
 the now-populated store and serves the same sweep from disk — every
 request a verified store hit, zero GA activity (asserted via the
 layer-cache counters: no evaluator lookups at all).
@@ -23,7 +23,7 @@ import os
 import tempfile
 import time
 
-from repro.core import ShardedServing
+from repro.core import SloServing
 from repro.core.config import SearchConfig
 from repro.core.store import StoreSpec
 from repro.dnn import build_model
@@ -41,14 +41,6 @@ from _report import (
 
 TENANTS = ("tiny_cnn", "tiny_resnet", "squeezenet")
 SEEDS = (0, 1, 2)
-
-
-def _lifetime(per_shard):
-    totals = [s.lifetime for s in per_shard if s is not None]
-    merged = totals[0]
-    for stats in totals[1:]:
-        merged = merged.merge(stats)
-    return merged
 
 
 def bench_store_warm_start(benchmark):
@@ -70,14 +62,15 @@ def bench_store_warm_start(benchmark):
             Both arms pay the identical spawn/close overhead, so the
             difference between them is purely search-vs-store-read.
             """
-            with ShardedServing(
+            with SloServing(
                 topology, shards=shards, config=config
             ) as serving:
                 results = [
                     serving.search(graph, seed=seed)
                     for graph, seed in requests
                 ]
-                return results, _lifetime(serving.stats().per_shard)
+                stats = serving.stats(worker_stats=True)
+                return results, stats.merged.lifetime
 
         start = time.perf_counter()
         cold_results, cold_counters = deploy_and_sweep()

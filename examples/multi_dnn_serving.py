@@ -5,10 +5,9 @@ Combines two networks into one workload (Herald's multi-DNN setting),
 routes both objectives through a multi-tenant ``MultiModelSession``
 registry (the serving deployment shape: one warm session per tenant,
 LRU eviction beyond capacity), re-serves them through a 2-shard
-``ShardedServing`` frontend (worker processes, sticky fingerprint
-placement, bit-identical results), then through the SLO-aware
-``SloServing`` traffic layer (admission control, deadlines, EDF
-scheduling — still bit-identical), searches with the throughput
+``SloServing`` frontend (worker processes, sticky fingerprint
+placement, admission control, deadlines, EDF scheduling — still
+bit-identical), searches with the throughput
 objective (steady-state pipeline interval instead of single-input
 latency), reads the Section VI-B pattern evidence per source network,
 and renders the winning schedule as an ASCII Gantt chart plus a
@@ -26,7 +25,7 @@ import argparse
 from repro.core import (
     MappingEvaluator,
     MultiModelSession,
-    ShardedServing,
+    SearchConfig,
     SloServing,
     TrafficPolicy,
 )
@@ -63,12 +62,13 @@ def main() -> None:
     print(f"Per-network node ranges: {ranges}\n")
 
     topology = f1_16xlarge()
+    config = SearchConfig(budget=BUDGET, capacity=4)
     results = {}
     # One serving registry holds a warm session per (tenant, objective):
     # both objective searches below are separate tenants of the merged
     # graph, and a real deployment would route every model through the
     # same registry (LRU-evicting cold tenants beyond `capacity`).
-    with MultiModelSession(topology, budget=BUDGET, capacity=4) as registry:
+    with MultiModelSession.from_config(topology, config) as registry:
         for objective in ("latency", "throughput"):
             result = registry.search(
                 combined, seed=args.seed, objective=objective
@@ -95,36 +95,14 @@ def main() -> None:
 
     # The same deployment, sharded: worker processes host the tenants,
     # placed stickily by content fingerprint, and requests on different
-    # shards run concurrently. Results are bit-identical to the
-    # in-process registry above — sharding only changes wall-clock.
-    with ShardedServing(
-        topology, shards=2, budget=BUDGET, capacity=4
-    ) as sharded:
-        futures = {
-            objective: sharded.submit(
-                combined, seed=args.seed, objective=objective
-            )
-            for objective in ("latency", "throughput")
-        }
-        for objective, future in futures.items():
-            assert (
-                future.result().latency_ms == results[objective].latency_ms
-            ), "sharded serving must be bit-identical to the registry"
-        stats = sharded.stats()
-        print(
-            f"sharded serving: {stats.shards} shards "
-            f"(tenant on shard {sharded.shard_of(combined)}), "
-            f"{stats.searches} searches, results identical\n"
-        )
-
-    # Under load, the SLO-aware traffic layer fronts the same shards:
-    # per-tenant bounded queues shed overload with typed errors,
-    # deadlines expire stale requests before they waste a worker, and
-    # EDF runs the tightest deadline first. None of that changes what a
-    # search finds — only when it runs.
+    # shards run concurrently. Under load, per-tenant bounded queues
+    # shed overload with typed errors, deadlines expire stale requests
+    # before they waste a worker, and EDF runs the tightest deadline
+    # first. None of that changes what a search finds — results are
+    # bit-identical to the in-process registry above.
     policy = TrafficPolicy(scheduling="edf", queue_depth=8)
     with SloServing(
-        topology, shards=2, budget=BUDGET, capacity=4, policy=policy
+        topology, shards=2, config=config, policy=policy
     ) as frontend:
         futures = {
             objective: frontend.submit(
@@ -141,7 +119,8 @@ def main() -> None:
             ), "the SLO frontend must be bit-identical to the registry"
         stats = frontend.stats()
         print(
-            f"slo serving: {stats.active_shards} shards, "
+            f"slo serving: {stats.active_shards} shards "
+            f"(tenant on shard {frontend.shard_of(combined)}), "
             f"{stats.scheduling} scheduling, {stats.completed} completed, "
             f"{stats.shed} shed, {stats.expired} expired, "
             f"results identical\n"

@@ -9,8 +9,9 @@ the entry point; the submodules expose each piece for direct use:
 * :mod:`repro.core.evaluator` — the latency oracle.
 * :mod:`repro.core.ga` — the two-level genetic algorithm (Fig. 3).
 * :mod:`repro.core.session` — warm-search sessions for server workloads.
-* :mod:`repro.core.serving` — the multi-tenant session registry.
-* :mod:`repro.core.frontend` — the SLO-aware async traffic layer.
+* :mod:`repro.core.serving` — the multi-tenant session registry and
+  the shard worker protocol.
+* :mod:`repro.core.frontend` — the multi-process, SLO-aware frontend.
 * :mod:`repro.core.health` — liveness: watchdog, beacons, escalation.
 * :mod:`repro.core.faults` — deterministic fault injection for tests.
 * :mod:`repro.core.store` — the crash-safe persistent artifact store.
@@ -42,12 +43,7 @@ from repro.core.frontend import (
 )
 from repro.core.health import LivenessPolicy, WorkerHung
 from repro.core.mapper import Mars, MarsResult
-from repro.core.serving import (
-    MultiModelSession,
-    ServingStats,
-    ShardedServing,
-    ShardedServingStats,
-)
+from repro.core.serving import MultiModelSession, ServingStats
 from repro.core.session import MarsSession, SessionStats
 from repro.core.store import (
     MappingStore,
@@ -91,8 +87,6 @@ __all__ = [
     "SearchConfig",
     "ServerSaturated",
     "ServingStats",
-    "ShardedServing",
-    "ShardedServingStats",
     "SloServing",
     "SloServingStats",
     "ParallelismStrategy",

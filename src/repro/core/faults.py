@@ -58,8 +58,8 @@ class FaultSpec:
             only; stats and shutdown probes don't advance it).
         shard: Shard index the fault applies to; ``None`` matches any
             shard.
-        incarnation: Worker incarnation (respawns + restarts at spawn
-            time) the fault applies to. Defaults to 0 — the original
+        incarnation: Worker incarnation (the shard's crash respawns at
+            spawn time) the fault applies to. Defaults to 0 — the original
             worker — so a respawned replacement does not re-trigger
             the same fault and wedge the shard into its fallback.
             ``None`` matches every incarnation.

@@ -1,17 +1,18 @@
-"""Async, SLO-aware serving frontend: admission control + deadlines.
+"""The multi-process serving frontend: shards, admission, deadlines.
 
-:class:`~repro.core.serving.ShardedServing` (PR 5) made searches
-concurrent across shard processes, but its traffic discipline is the
-simplest possible: one unbounded FIFO queue per shard, every request
-accepted, none ever given up on. That is the right shape for
-reproducing the paper's tables and the wrong shape for the multi-DNN
-serving setting the roadmap targets — heterogeneous workloads with
-per-model SLOs contending for shared accelerators (the multi-DNN
-survey's framing), where a frontend must *refuse* work it cannot
-finish in time and *order* the work it accepts by urgency.
+:class:`SloServing` spawns N shard worker processes, each hosting one
+:class:`~repro.core.serving.MultiModelSession` rebuilt from the same
+shipped :class:`~repro.core.config.SearchConfig`. Tenants are placed by
+content-fingerprint hash (sticky, so a tenant's warm caches live on
+exactly one shard) and searches on different shards run truly
+concurrently — which the in-process registry, serializing every search
+on one core, cannot do.
 
-:class:`SloServing` is that traffic layer, built on the same shard
-worker pool:
+On top of that shard pool it runs the traffic discipline of the
+multi-DNN serving setting — heterogeneous workloads with per-model SLOs
+contending for shared accelerators (the multi-DNN survey's framing),
+where a frontend must *refuse* work it cannot finish in time and
+*order* the work it accepts by urgency:
 
 * **Admission control** — per-tenant queues are bounded
   (``queue_depth``) and the whole frontend carries a global in-flight
@@ -26,8 +27,8 @@ worker pool:
   sequence; no-deadline requests sort last, FIFO among themselves),
   and a request whose deadline passes before dispatch resolves
   immediately with :class:`DeadlineExceeded` — the search is never
-  run. ``TrafficPolicy(scheduling="fifo")`` keeps the PR-5-compatible
-  per-shard arrival order instead.
+  run. ``TrafficPolicy(scheduling="fifo")`` keeps per-shard arrival
+  order instead.
 * **Awaitable submission** — :meth:`~SloServing.submit` returns a
   :class:`concurrent.futures.Future`;
   :meth:`~SloServing.search_async` is the asyncio spelling
@@ -42,13 +43,14 @@ worker pool:
   scaling is results-invisible and only moves warm caches.
 
 Whatever the discipline decides, every *dispatched* search is served
-by the same worker protocol as ``ShardedServing`` — including the
-interned-graph handshake (a workload's graph is pickled to a shard at
-most once per worker incarnation) and the bounded crash-respawn /
-inline-fallback policy — and is **bit-identical** to a fresh
+by the shard pool's worker protocol — including the interned-graph
+handshake (a workload's graph is pickled to a shard at most once per
+worker incarnation) and the bounded crash-respawn / inline-fallback
+policy — and is **bit-identical** to a fresh
 :class:`~repro.core.mapper.Mars` run with the same configuration and
-seed (property-tested in ``tests/core/test_frontend.py`` under
-concurrency, shard kills and autoscale events).
+seed (property-tested in ``tests/core/test_frontend.py`` and
+``tests/core/test_shard_pool.py`` under concurrency, shard kills and
+autoscale events).
 
 >>> from repro.core.frontend import SloServing
 >>> from repro.dnn import build_model
@@ -69,19 +71,14 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
-from repro.accelerators.base import AcceleratorDesign
 from repro.core.config import (
-    DEFAULT_CAPACITY,
     DEFAULT_MAX_INFLIGHT,
     DEFAULT_QUEUE_DEPTH,
-    DEFAULT_SUBPROBLEM_CAPACITY,
     SearchConfig,
 )
-from repro.core.costmodel import CostModelSpec
-from repro.core.evaluator import EvaluatorOptions
-from repro.core.ga.level1 import SearchBudget
 from repro.core.health import LivenessPolicy
 from repro.core.serving import (
     _LIVE_FRONTENDS,
@@ -89,7 +86,7 @@ from repro.core.serving import (
     _ShardHandle,
     _ShardPool,
 )
-from repro.core.session import MarsResult
+from repro.core.session import MarsResult, SessionStats
 from repro.dnn.graph import ComputationGraph
 from repro.system.topology import SystemTopology
 from repro.utils.rng import stable_seed
@@ -155,10 +152,8 @@ class TrafficPolicy:
     Attributes:
         scheduling: ``"edf"`` (earliest-deadline-first across tenant
             queues, the default) or ``"fifo"`` (per-shard arrival
-            order — the :class:`~repro.core.serving.ShardedServing`-
-            compatible discipline). Deadline *expiry* and admission
-            bounds apply in both modes; only the dispatch order
-            differs.
+            order). Deadline *expiry* and admission bounds apply in
+            both modes; only the dispatch order differs.
         queue_depth: Per-tenant bound on queued (not yet dispatched)
             requests; the next submit for that tenant sheds with
             :class:`TenantQueueFull`.
@@ -294,11 +289,13 @@ class SloServingStats:
     graph_ships: tuple[int, ...]
     fp_sends: tuple[int, ...]
     #: Shard registries' own counters (None for a shard that is
-    #: drained, never spawned, or crash-retired).
+    #: drained, never spawned, or crash-retired). Empty unless the
+    #: snapshot was taken with ``stats(worker_stats=True)``; a crashed
+    #: shard's counters restart from zero with its replacement process.
     per_shard: tuple[ServingStats | None, ...] = ()
     #: The inline fallback registry's counters, if it ever engaged.
     fallback: ServingStats | None = None
-    #: Exceptions absorbed per shard on teardown/respawn/restart paths
+    #: Exceptions absorbed per shard on teardown/respawn paths
     #: (formerly invisible ``pass`` sites in the shard pool).
     swallowed_errors: tuple[int, ...] = ()
     #: Most recent crash-respawn backoff delay per shard (seconds; 0.0
@@ -324,6 +321,34 @@ class SloServingStats:
     def in_flight(self) -> int:
         return self.queued + self.running
 
+    @cached_property
+    def merged(self) -> ServingStats:
+        """Every reporting registry folded into one ``ServingStats``.
+
+        The shard registries of :attr:`per_shard` plus the inline
+        :attr:`fallback`, tenant labels ``@n``-deduplicated across
+        them; all zeros when none reported. Computed once per
+        (immutable) snapshot.
+        """
+        parts = [s for s in self.per_shard if s is not None]
+        if self.fallback is not None:
+            parts.append(self.fallback)
+        if not parts:
+            return ServingStats(
+                capacity=0,
+                tenants=0,
+                hits=0,
+                misses=0,
+                evictions=0,
+                searches=0,
+                per_tenant={},
+                retired=SessionStats.zero(),
+            )
+        total = parts[0]
+        for part in parts[1:]:
+            total = total.merge(part)
+        return total
+
     @property
     def resolved(self) -> int:
         """Requests whose future has been resolved, any way at all."""
@@ -340,20 +365,39 @@ class SloServingStats:
 class SloServing(_ShardPool):
     """An async, SLO-aware sharded serving frontend.
 
-    The traffic layer over the shard worker pool: bounded per-tenant
-    queues, a global in-flight budget, deadline-aware (EDF) or FIFO
-    dispatch, pre-dispatch deadline expiry, and demand-driven shard
-    autoscaling between ``shards`` and ``max_shards``. See the module
-    docstring for the discipline; construction mirrors
-    :class:`~repro.core.serving.ShardedServing` plus:
+    Spawns shard worker processes, each hosting one
+    :class:`~repro.core.serving.MultiModelSession` rebuilt from
+    ``config``, and runs the traffic layer over them: bounded
+    per-tenant queues, a global in-flight budget, deadline-aware (EDF)
+    or FIFO dispatch, pre-dispatch deadline expiry, and demand-driven
+    shard autoscaling between ``shards`` and ``max_shards``. See the
+    module docstring for the discipline.
+
+    Crash policy: a worker that dies, hangs or desyncs mid-request is
+    replaced by a cold respawn and the request is re-sent — at most
+    :attr:`SHARD_RESPAWN_LIMIT` times per shard, after which that
+    shard's traffic is served *inline* by a frontend-local fallback
+    registry. Either path returns identical results.
 
     Args:
+        topology: Default system for every tenant.
         shards: The shard floor — workers spawned immediately.
         max_shards: The ceiling autoscaling may grow to (default: equal
             to ``shards``, i.e. autoscaling off). Extra shards spawn on
             demand and drain back when idle.
+        config: The :class:`~repro.core.config.SearchConfig` every
+            shard worker rebuilds its registry from (default:
+            ``SearchConfig()``). ``config.capacity`` bounds live
+            tenants *per shard*.
         policy: The :class:`TrafficPolicy` (admission bounds,
             scheduling discipline, autoscale thresholds).
+        mp_context: :mod:`multiprocessing` start method. Keep the
+            default ``"spawn"`` (identical on every platform, safe next
+            to the frontend's dispatcher threads) or use
+            ``"forkserver"`` on POSIX for faster worker start. Avoid
+            ``"fork"``: crash respawns fork from a dispatcher *thread*
+            while other threads run, and a child inheriting a lock held
+            at fork time can hang the replacement worker.
         clock: Monotonic time source for deadlines — and for the hang
             watchdog's stall deadlines (injectable for deterministic
             tests). Deadlines passed to :meth:`submit` are *relative
@@ -381,16 +425,6 @@ class SloServing(_ShardPool):
         policy: TrafficPolicy | None = None,
         mp_context: str = "spawn",
         clock: Callable[[], float] = time.monotonic,
-        designs: list[AcceleratorDesign] | None = None,
-        budget: SearchBudget | None = None,
-        options: EvaluatorOptions | None = None,
-        objective: str = "latency",
-        workers: int | None = None,
-        cache: bool | None = None,
-        layer_cache: bool | None = None,
-        capacity: int = DEFAULT_CAPACITY,
-        subproblem_capacity: int = DEFAULT_SUBPROBLEM_CAPACITY,
-        cost_model: CostModelSpec | None = None,
         liveness: LivenessPolicy | None = None,
     ) -> None:
         require_positive(shards, "shards")
@@ -400,19 +434,6 @@ class SloServing(_ShardPool):
             max_shards >= shards,
             f"max_shards ({max_shards}) must be >= shards ({shards})",
         )
-        if config is None:
-            config = SearchConfig.from_kwargs(
-                designs=designs,
-                budget=budget,
-                options=options,
-                cost_model=cost_model,
-                objective=objective,
-                workers=workers,
-                cache=cache,
-                layer_cache=layer_cache,
-                capacity=capacity,
-                subproblem_capacity=subproblem_capacity,
-            )
         # The deadline clock doubles as the watchdog's health clock:
         # one injected fake clock drives both deadline expiry and hang
         # detection in tests, and in production both are monotonic
@@ -420,7 +441,7 @@ class SloServing(_ShardPool):
         super().__init__(
             topology,
             max_shards,
-            config,
+            config if config is not None else SearchConfig(),
             mp_context,
             liveness=liveness,
             clock=clock,
@@ -473,8 +494,9 @@ class SloServing(_ShardPool):
                 )
                 self._monitor.start()
         except BaseException:
-            # Same contract as ShardedServing: a partial spawn must not
-            # orphan non-daemonic workers already started.
+            # A partial spawn must not orphan the non-daemonic workers
+            # already started — they would block interpreter exit in
+            # multiprocessing's child join.
             with self._work:
                 self._closed = True
                 self._closing = True
@@ -487,26 +509,6 @@ class SloServing(_ShardPool):
                     self._shutdown_worker(handle)
             raise
         _LIVE_FRONTENDS.add(self)
-
-    @classmethod
-    def from_config(
-        cls,
-        topology: SystemTopology,
-        config: SearchConfig,
-        shards: int = DEFAULT_SHARDS,
-        max_shards: int | None = None,
-        policy: TrafficPolicy | None = None,
-        mp_context: str = "spawn",
-    ) -> "SloServing":
-        """Build a frontend from a canonical config bundle."""
-        return cls(
-            topology,
-            shards=shards,
-            max_shards=max_shards,
-            config=config,
-            policy=policy,
-            mp_context=mp_context,
-        )
 
     # ------------------------------------------------------------------
     # Placement
@@ -533,13 +535,15 @@ class SloServing(_ShardPool):
         topology: SystemTopology | None = None,
         objective: str | None = None,
     ) -> int:
-        """The shard currently serving this tenant.
+        """The shard currently serving this tenant — sticky by construction.
 
-        Derived like :meth:`ShardedServing.shard_of` (same
-        ``"shard-placement"`` content hash — at equal shard counts the
-        two frontends place identically), but modulo the *active*
-        shard count, so the answer can move when autoscaling changes
-        it. Results never depend on placement; only cache warmth does.
+        A ``"shard-placement"`` hash of the tenant key's content
+        fingerprints (and the cost-model token) through
+        :func:`~repro.utils.rng.stable_seed`, so placement is identical
+        across frontends, processes and interpreter runs — taken modulo
+        the *active* shard count, so the answer can move when
+        autoscaling changes it. Results never depend on placement; only
+        cache warmth does.
         """
         topology = topology if topology is not None else self.topology
         objective = (

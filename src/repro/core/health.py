@@ -7,9 +7,8 @@ GA, stuck fsync) used to stall its dispatcher thread forever: the
 frontend's request round-trip blocked in ``conn.recv()`` with no
 deadline, so one hung shard cost every request queued behind it.
 
-This module is the shared liveness layer both
-:class:`~repro.core.serving.ShardedServing` and
-:class:`~repro.core.frontend.SloServing` now run on:
+This module is the liveness layer the shard pool under
+:class:`~repro.core.frontend.SloServing` runs on:
 
 * :class:`LivenessPolicy` — the knobs: a per-request **stall budget**
   (how long a worker may go silent before it is classified *hung*),

@@ -8,7 +8,7 @@ multi-DNN graphs from :func:`repro.dnn.multi.combine_graphs` — and
 rebuilding a session per request would throw the warm caches away
 exactly when they pay off.
 
-Two frontends close that gap:
+This module closes that gap in two layers:
 
 * :class:`MultiModelSession` — the in-process registry: it routes each
   request to its tenant's warm session, building sessions lazily and
@@ -20,18 +20,18 @@ Two frontends close that gap:
   used previously, the key survives a pickle round-trip across a
   process boundary. Workloads priced by different cost models never
   share a tenant.
-* :class:`ShardedServing` — the multi-process frontend: N shard worker
+* ``_ShardPool`` — the worker protocol under the multi-process
+  frontend, :class:`~repro.core.frontend.SloServing`: N shard worker
   processes, each hosting one ``MultiModelSession`` rebuilt from the
-  same shipped :class:`~repro.core.config.SearchConfig`. Tenants are
-  placed by fingerprint hash (sticky, so a tenant's warm caches live on
-  exactly one shard) and searches on different shards run truly
-  concurrently.
+  same shipped :class:`~repro.core.config.SearchConfig`, plus the crash
+  policy, the interned-graph handshake and the liveness watchdog that
+  keep them serving.
 
 Routing never changes results: every tenant search — in-process,
 sharded, or re-run after a shard crash — is bit-identical to a fresh
 :class:`~repro.core.mapper.Mars` run with the same configuration and
 seed (property-tested in ``tests/core/test_serving.py`` and
-``tests/core/test_sharded.py``).
+``tests/core/test_shard_pool.py``).
 
 >>> from repro.core.serving import MultiModelSession
 >>> from repro.dnn import build_model
@@ -52,13 +52,10 @@ import multiprocessing
 # BEFORE this module's own atexit hook (atexit is LIFO), or abandoned
 # shard workers would be joined before anything asks them to exit.
 import multiprocessing.util  # noqa: F401
-import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.core.config import (
@@ -86,8 +83,6 @@ from repro.utils.validation import require, require_positive
 __all__ = [
     "MultiModelSession",
     "ServingStats",
-    "ShardedServing",
-    "ShardedServingStats",
 ]
 
 
@@ -469,7 +464,7 @@ class MultiModelSession:
 
 
 # ----------------------------------------------------------------------
-# Sharded multi-process serving
+# Shard workers and the pool that drives them
 # ----------------------------------------------------------------------
 
 
@@ -600,17 +595,14 @@ def _well_formed(response) -> bool:
 
 
 class _ShardHandle:
-    """Frontend-side state of one shard: process, pipe, request queue."""
+    """Frontend-side state of one shard: process, pipe, dispatcher."""
 
     __slots__ = (
         "index",
         "process",
         "conn",
-        "queue",
         "thread",
         "respawns",
-        "restarts",
-        "submitted",
         "interned",
         "graph_ships",
         "fp_sends",
@@ -630,15 +622,10 @@ class _ShardHandle:
         self.index = index
         self.process = None
         self.conn = None
-        self.queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self.thread: threading.Thread | None = None
         #: Crash-triggered cold respawns (bounded by the frontend's
         #: respawn limit; beyond it the shard serves inline).
         self.respawns = 0
-        #: Operator-requested restarts (not counted against the limit).
-        self.restarts = 0
-        #: Requests accepted for this shard by the frontend.
-        self.submitted = 0
         #: Graph fingerprints the *current* worker process has interned
         #: — emptied whenever the worker is reaped, because a cold
         #: replacement knows none of them.
@@ -691,116 +678,17 @@ class _ShardHandle:
         return self.process is not None
 
 
-@dataclass(frozen=True)
-class ShardedServingStats:
-    """Aggregated counters of a :class:`ShardedServing` frontend.
-
-    Per-shard entries are the shard registries' own
-    :class:`ServingStats`; a ``None`` entry marks a shard whose worker
-    exhausted its respawn limit (its traffic is served by the inline
-    fallback registry, reported under :attr:`fallback`). A crashed
-    shard's counters restart from zero with its replacement process —
-    only frontend-side counters (:attr:`respawns`, :attr:`restarts`,
-    :attr:`submitted`) are guaranteed lifetime-cumulative.
-    """
-
-    shards: int
-    per_shard: tuple[ServingStats | None, ...]
-    #: Crash-triggered worker respawns across all shards.
-    respawns: int
-    #: Operator-requested shard restarts across all shards.
-    restarts: int
-    #: Requests accepted by the frontend, per shard.
-    submitted: tuple[int, ...]
-    #: The inline fallback registry's counters, if it ever engaged.
-    fallback: ServingStats | None
-    #: Full-graph payloads shipped per shard — at most one per
-    #: (workload, worker incarnation) thanks to the interned-graph
-    #: handshake.
-    graph_ships: tuple[int, ...] = ()
-    #: Fingerprint-only requests shipped per shard (graph pickles the
-    #: handshake saved).
-    fp_sends: tuple[int, ...] = ()
-    #: Exceptions absorbed per shard on teardown/respawn/restart paths
-    #: (each kept a caller's request alive, but counts as evidence of a
-    #: degrading environment — formerly invisible ``pass`` sites).
-    swallowed_errors: tuple[int, ...] = ()
-    #: Most recent crash-respawn backoff delay per shard (seconds; 0.0
-    #: for a shard that never crash-respawned).
-    respawn_backoff: tuple[float, ...] = ()
-    #: Workers classified hung (silent past the stall budget) and
-    #: killed by the watchdog, per shard. Each hang also counts one
-    #: respawn (or engages the inline fallback past the limit).
-    hangs: tuple[int, ...] = ()
-    #: Worker reaps that needed the SIGKILL escalation rung, per shard.
-    kill_escalations: tuple[int, ...] = ()
-    #: Malformed worker replies (protocol desync), per shard; each
-    #: cost the worker its life and the request a respawn + resend.
-    corrupt_replies: tuple[int, ...] = ()
-    #: Heartbeat beacons consumed per shard — evidence the liveness
-    #: channel is actually flowing.
-    beacons: tuple[int, ...] = ()
-    #: Graceful shutdowns the worker never acked with ``"bye"``,
-    #: per shard.
-    unacked_shutdowns: tuple[int, ...] = ()
-
-    @cached_property
-    def merged(self) -> ServingStats:
-        """Every reporting registry folded into one ``ServingStats``.
-
-        Computed once per (immutable) snapshot — the aggregate
-        properties below all read it.
-        """
-        parts = [s for s in self.per_shard if s is not None]
-        if self.fallback is not None:
-            parts.append(self.fallback)
-        if not parts:
-            return ServingStats(
-                capacity=0,
-                tenants=0,
-                hits=0,
-                misses=0,
-                evictions=0,
-                searches=0,
-                per_tenant={},
-                retired=SessionStats.zero(),
-            )
-        total = parts[0]
-        for part in parts[1:]:
-            total = total.merge(part)
-        return total
-
-    @property
-    def tenants(self) -> int:
-        return self.merged.tenants
-
-    @property
-    def searches(self) -> int:
-        return self.merged.searches
-
-    @property
-    def hits(self) -> int:
-        return self.merged.hits
-
-    @property
-    def misses(self) -> int:
-        return self.merged.misses
-
-    @property
-    def evictions(self) -> int:
-        return self.merged.evictions
-
-
 #: Frontends not yet closed — *strong* references, deliberately: shard
-#: workers are non-daemonic (they must be able to parent tenant-level
-#: GA pools), and a non-daemonic child that never hears shutdown would
-#: make multiprocessing's atexit join hang the interpreter. A frontend
-#: therefore stays pinned here until :meth:`ShardedServing.close`
-#: (a weak reference would let an abandoned frontend be collected
-#: silently, leaving its workers running and the exit hanging). The
-#: hook below closes whatever is left at exit; it is registered after
-#: the ``multiprocessing`` import above, and atexit is LIFO, so it
-#: runs before multiprocessing joins its children.
+#: workers are non-daemonic (they must be able to parent the tenant
+#: sessions' sub-problem pools), and a non-daemonic child that never
+#: hears shutdown would make multiprocessing's atexit join hang the
+#: interpreter. A :class:`~repro.core.frontend.SloServing` therefore
+#: stays pinned here until its ``close()`` (a weak reference would let
+#: an abandoned frontend be collected silently, leaving its workers
+#: running and the exit hanging). The hook below closes whatever is
+#: left at exit; it is registered after the ``multiprocessing`` import
+#: above, and atexit is LIFO, so it runs before multiprocessing joins
+#: its children.
 _LIVE_FRONTENDS: "set[_ShardPool]" = set()
 
 
@@ -813,19 +701,18 @@ atexit.register(_close_live_frontends)
 
 
 class _ShardPool:
-    """Shared machinery of multi-process serving frontends.
+    """The worker-protocol layer of the multi-process frontend.
 
     Owns the shard worker handles and everything about talking to
     them: spawning and reaping worker processes, the crash policy
     (bounded cold respawn + resend, then inline fallback), the
     interned-graph handshake that ships each workload's full graph at
     most once per worker incarnation, and the lazily-built inline
-    fallback registry. Subclasses add a *dispatch discipline* on top:
-    :class:`ShardedServing` runs one FIFO queue per shard;
-    :class:`repro.core.frontend.SloServing` runs per-tenant queues with
-    admission control and deadline-aware (EDF) scheduling.
+    fallback registry. The dispatch discipline on top lives in
+    :class:`repro.core.frontend.SloServing`.
 
-    Not a public API — construct one of the subclasses.
+    Not a public API — construct a
+    :class:`~repro.core.frontend.SloServing`.
     """
 
     #: Crash-triggered cold respawns per shard before its traffic
@@ -853,7 +740,6 @@ class _ShardPool:
         #: registry from.
         self.config = config.canonical()
         self.topology = topology
-        self.shards = shards
         #: The liveness policy of this frontend — stall budget, beacon
         #: protocol and kill-escalation graces (see
         #: :class:`repro.core.health.LivenessPolicy`). Disable the
@@ -903,10 +789,10 @@ class _ShardPool:
                 self.config,
                 handle.index,
                 # The incarnation coordinate fault plans key on: 0 for
-                # the original worker, advancing with every replacement
-                # (crash respawn or operator restart), so an injected
-                # fault does not re-fire in the respawned worker.
-                handle.respawns + handle.restarts,
+                # the original worker, advancing with every crash
+                # respawn, so an injected fault does not re-fire in the
+                # respawned worker.
+                handle.respawns,
                 self.liveness,
             ),
             name=f"repro-shard-{handle.index}",
@@ -979,12 +865,6 @@ class _ShardPool:
         if not acked:
             handle.unacked += 1
         self._reap_worker(handle, graceful=acked)
-
-    def _restart_worker(self, handle: _ShardHandle) -> None:
-        """Operator-requested cold restart (doesn't count as a crash)."""
-        self._shutdown_worker(handle)
-        handle.restarts += 1
-        self._spawn_worker(handle)
 
     def _respawn_backoff(self, handle: _ShardHandle) -> float:
         """The delay before this shard's next crash respawn (seconds).
@@ -1178,322 +1058,3 @@ class _ShardPool:
         with self._fallback_lock:
             if self._fallback is not None:
                 self._fallback.close()
-
-
-class ShardedServing(_ShardPool):
-    """A sharded, multi-process mapping-service frontend.
-
-    Spawns ``shards`` worker processes, each hosting one
-    :class:`MultiModelSession` rebuilt from this frontend's
-    :class:`~repro.core.config.SearchConfig`. Requests are placed by
-    **fingerprint hash** — a given (workload, topology, objective)
-    tenant always lands on the same shard, so its warm caches live in
-    exactly one process — and requests for *different* shards run
-    concurrently, which is what the single-process registry (which
-    serializes every search on one core) cannot do.
-
-    Determinism: sharded routing never changes results. Each worker's
-    registry is content-addressed and every search inside it is
-    bit-identical to a fresh :class:`~repro.core.mapper.Mars` run with
-    the same configuration and seed — across shard counts, and across
-    crash-triggered cold respawns (property-tested in
-    ``tests/core/test_sharded.py``).
-
-    Crash policy (PR 4's pool policy, one level up): a worker that dies
-    mid-request is replaced by a cold respawn and the in-flight request
-    is re-sent — at most :attr:`SHARD_RESPAWN_LIMIT` times per shard,
-    after which that shard's traffic is served *inline* by a
-    frontend-local fallback registry instead of thrashing on a broken
-    environment. Either path returns identical results.
-
-    Lifecycle: :meth:`close` (or context-manager exit) drains — every
-    request submitted before the close completes, then workers shut
-    down cleanly. :meth:`submit` after close raises a clean
-    :class:`RuntimeError` (it never touches the stopped dispatchers).
-
-    Args:
-        topology: Default system for every tenant.
-        shards: Worker process count.
-        config: A prebuilt :class:`~repro.core.config.SearchConfig`;
-            when given it supersedes the loose keywords below.
-        mp_context: :mod:`multiprocessing` start method. Keep the
-            default ``"spawn"`` (identical on every platform, safe next
-            to the frontend's dispatcher threads) or use
-            ``"forkserver"`` on POSIX for faster worker start. Avoid
-            ``"fork"``: crash respawns fork from a dispatcher *thread*
-            while other threads run, and a child inheriting a lock held
-            at fork time can hang the replacement worker.
-        designs / budget / options / objective / workers / cache /
-            layer_cache / capacity / subproblem_capacity: The same
-            loose kwargs :class:`MultiModelSession` takes, bundled into
-            a config when ``config`` is not given. ``capacity`` bounds
-            live tenants *per shard*.
-        liveness: The :class:`~repro.core.health.LivenessPolicy`
-            governing the hang watchdog, heartbeat beacons and the
-            SIGTERM→SIGKILL escalation ladder (defaults apply one; pass
-            ``LivenessPolicy(stall_budget=None)`` for the old blocking
-            behaviour).
-        clock: The watchdog's deadline clock (monotonic seconds) —
-            injectable so hang paths are testable without real waits.
-    """
-
-    DEFAULT_SHARDS = 2
-
-    def __init__(
-        self,
-        topology: SystemTopology,
-        shards: int = DEFAULT_SHARDS,
-        config: SearchConfig | None = None,
-        mp_context: str = "spawn",
-        designs: list[AcceleratorDesign] | None = None,
-        budget: SearchBudget | None = None,
-        options: EvaluatorOptions | None = None,
-        objective: str = "latency",
-        workers: int | None = None,
-        cache: bool | None = None,
-        layer_cache: bool | None = None,
-        capacity: int = DEFAULT_CAPACITY,
-        subproblem_capacity: int = DEFAULT_SUBPROBLEM_CAPACITY,
-        cost_model: CostModelSpec | None = None,
-        liveness: LivenessPolicy | None = None,
-        clock=time.monotonic,
-    ) -> None:
-        if config is None:
-            config = SearchConfig.from_kwargs(
-                designs=designs,
-                budget=budget,
-                options=options,
-                cost_model=cost_model,
-                objective=objective,
-                workers=workers,
-                cache=cache,
-                layer_cache=layer_cache,
-                capacity=capacity,
-                subproblem_capacity=subproblem_capacity,
-            )
-        super().__init__(
-            topology, shards, config, mp_context, liveness=liveness, clock=clock
-        )
-        self._submit_lock = threading.Lock()
-        try:
-            for handle in self._handles:
-                self._spawn_worker(handle)
-                handle.thread = threading.Thread(
-                    target=self._dispatch_loop,
-                    args=(handle,),
-                    name=f"shard-{handle.index}-dispatch",
-                    daemon=True,
-                )
-                handle.thread.start()
-        except BaseException:
-            # A spawn failure partway through must not orphan the
-            # non-daemonic workers already started — they would block
-            # interpreter exit in multiprocessing's child join.
-            self._closed = True
-            for handle in self._handles:
-                if handle.thread is not None:
-                    handle.queue.put(("stop",))
-                elif handle.process is not None:
-                    self._shutdown_worker(handle)
-            for handle in self._handles:
-                if handle.thread is not None:
-                    handle.thread.join()
-            raise
-        _LIVE_FRONTENDS.add(self)
-
-    @classmethod
-    def from_config(
-        cls,
-        topology: SystemTopology,
-        config: SearchConfig,
-        shards: int = DEFAULT_SHARDS,
-        mp_context: str = "spawn",
-    ) -> "ShardedServing":
-        """Build a frontend from a canonical config bundle."""
-        return cls(topology, shards=shards, config=config, mp_context=mp_context)
-
-    # ------------------------------------------------------------------
-    # Placement
-    # ------------------------------------------------------------------
-
-    def shard_of(
-        self,
-        graph: ComputationGraph,
-        topology: SystemTopology | None = None,
-        objective: str | None = None,
-    ) -> int:
-        """The shard a tenant is placed on — sticky by construction.
-
-        Derived from the tenant key's content fingerprints through
-        :func:`~repro.utils.rng.stable_seed`, so placement is identical
-        across frontends, processes and interpreter runs: a tenant's
-        warm caches accumulate on exactly one shard.
-        """
-        topology = topology if topology is not None else self.topology
-        objective = (
-            objective if objective is not None else self.config.objective
-        )
-        return stable_seed(
-            "shard-placement",
-            graph.fingerprint(),
-            topology.fingerprint(),
-            objective,
-        ) % self.shards
-
-    # ------------------------------------------------------------------
-    # Serving API
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        graph: ComputationGraph,
-        seed: int = 0,
-        topology: SystemTopology | None = None,
-        objective: str | None = None,
-    ) -> "Future[MarsResult]":
-        """Queue one search on its tenant's shard; returns a future.
-
-        Requests for different shards run concurrently; requests for
-        one shard run in submission order (each shard is one process,
-        which is exactly what keeps a tenant's caches warm in one
-        place).
-        """
-        with self._submit_lock:
-            self._require_open()
-            handle = self._handles[self.shard_of(graph, topology, objective)]
-            future: "Future[MarsResult]" = Future()
-            handle.queue.put(
-                ("request", future, ("search", graph, seed, topology, objective))
-            )
-            handle.submitted += 1
-        return future
-
-    def search(
-        self,
-        graph: ComputationGraph,
-        seed: int = 0,
-        topology: SystemTopology | None = None,
-        objective: str | None = None,
-    ) -> MarsResult:
-        """Blocking :meth:`submit` — route one search and wait for it."""
-        return self.submit(
-            graph, seed=seed, topology=topology, objective=objective
-        ).result()
-
-    # ------------------------------------------------------------------
-    # Worker lifecycle
-    # ------------------------------------------------------------------
-
-    def restart_shard(self, index: int) -> None:
-        """Cold-restart one shard worker, in order with its queue.
-
-        The restart is enqueued like a request: every search submitted
-        before this call completes first, then the worker is replaced
-        by a fresh process (warm caches gone, results unchanged — the
-        rebuilt registry is configured bit-identically). Blocks until
-        the replacement is up.
-        """
-        require(0 <= index < self.shards, f"no shard {index}")
-        with self._submit_lock:
-            self._require_open()
-            done = threading.Event()
-            self._handles[index].queue.put(("restart", done))
-        done.wait()
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch_loop(self, handle: _ShardHandle) -> None:
-        while True:
-            item = handle.queue.get()
-            kind = item[0]
-            if kind == "stop":
-                self._shutdown_worker(handle)
-                return
-            if kind == "restart":
-                try:
-                    self._restart_worker(handle)
-                except Exception:
-                    # A failed respawn leaves the handle dead; its
-                    # traffic degrades to the inline fallback. The
-                    # dispatcher must survive either way — but the
-                    # failure surfaces in ``stats().swallowed_errors``.
-                    handle.swallowed += 1
-                finally:
-                    item[1].set()
-                continue
-            future, request = item[1], item[2]
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                status, payload = self._roundtrip(handle, request)
-            except BaseException as exc:  # frontend-side failure
-                future.set_exception(exc)
-                continue
-            if status == "error":
-                future.set_exception(payload)
-            else:
-                future.set_result(payload)
-
-    # ------------------------------------------------------------------
-    # Observability and lifecycle
-    # ------------------------------------------------------------------
-
-    def stats(self) -> ShardedServingStats:
-        """Aggregate registry counters across every shard.
-
-        Queued like requests, so the numbers reflect a consistent
-        drain point: every search submitted before this call is counted
-        by its shard before the shard reports.
-        """
-        with self._submit_lock:
-            self._require_open()
-            futures = []
-            for handle in self._handles:
-                future: Future = Future()
-                handle.queue.put(("request", future, ("stats",)))
-                futures.append(future)
-        per_shard = tuple(future.result() for future in futures)
-        return ShardedServingStats(
-            shards=self.shards,
-            per_shard=per_shard,
-            respawns=sum(h.respawns for h in self._handles),
-            restarts=sum(h.restarts for h in self._handles),
-            submitted=tuple(h.submitted for h in self._handles),
-            fallback=self._fallback_stats(),
-            graph_ships=tuple(h.graph_ships for h in self._handles),
-            fp_sends=tuple(h.fp_sends for h in self._handles),
-            swallowed_errors=tuple(h.swallowed for h in self._handles),
-            respawn_backoff=tuple(h.last_backoff for h in self._handles),
-            hangs=tuple(h.hangs for h in self._handles),
-            kill_escalations=tuple(h.escalations for h in self._handles),
-            corrupt_replies=tuple(h.corrupt for h in self._handles),
-            beacons=tuple(h.beacons for h in self._handles),
-            unacked_shutdowns=tuple(h.unacked for h in self._handles),
-        )
-
-    def close(self) -> None:
-        """Drain every shard queue, shut workers down, join threads.
-
-        Every request submitted before the close completes (their
-        futures resolve normally); submission afterwards raises.
-        Idempotent.
-        """
-        with self._submit_lock:
-            if self._closed:
-                return
-            self._closed = True
-            for handle in self._handles:
-                handle.queue.put(("stop",))
-        for handle in self._handles:
-            if handle.thread is not None:
-                handle.thread.join()
-        self._close_fallback()
-        _LIVE_FRONTENDS.discard(self)
-
-    def __enter__(self) -> "ShardedServing":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -31,13 +31,12 @@ through one multi-tenant
 bounds how many tenant sessions stay warm at once (smaller capacities
 evict and rebuild without changing the table), ``--combined`` adds
 the Herald-style merged multi-DNN row, and ``--shards N`` serves the
-table through N shard worker processes
-(:class:`~repro.core.serving.ShardedServing`) — concurrent on
-multi-core machines, bit-identical everywhere. ``--slo`` (with
-``--shards``) upgrades the frontend to the SLO-aware traffic layer
-(:class:`~repro.core.frontend.SloServing`); ``--deadline SECONDS``
-attaches a deadline to every search — a miss raises instead of
-silently dropping a row, and admitted searches stay bit-identical.
+table through N shard worker processes behind the SLO-aware frontend
+(:class:`~repro.core.frontend.SloServing`) — concurrent on multi-core
+machines, bit-identical everywhere. ``--deadline SECONDS`` (with
+``--shards``) attaches a deadline to every search — a miss raises
+instead of silently dropping a row, and admitted searches stay
+bit-identical.
 ``--store PATH`` persists finished mappings to a crash-safe artifact
 store at PATH: re-running the same table answers repeat (model, seed)
 searches from disk, verified and bit-identical, without re-running
@@ -50,6 +49,7 @@ import argparse
 import sys
 
 from repro.core.evaluator import EvaluatorOptions, LayerCacheStats
+from repro.core.frontend import SloServingStats
 from repro.core.ga import SearchBudget
 from repro.dnn.models import TABLE3_MODELS, TABLE4_MODELS
 from repro.experiments import run_table2, run_table3, run_table4
@@ -80,24 +80,15 @@ def _layer_cache_summary(stats: list[LayerCacheStats]) -> str | None:
 def _store_summary(serving) -> str | None:
     """One line of persistent-store counters from the serving stats.
 
-    Works across the three stats shapes: the in-process registry
-    carries its lifetime counters directly; the sharded/SLO frontends
-    carry per-shard registries (plus the inline fallback's) that fold
-    into one lifetime here.
+    The in-process registry carries its lifetime counters directly;
+    the sharded frontend's shard registries (plus the inline
+    fallback's) fold into one through its ``merged`` view.
     """
     if serving is None:
         return None
-    if hasattr(serving, "per_shard"):
-        parts = [s for s in serving.per_shard if s is not None]
-        if serving.fallback is not None:
-            parts.append(serving.fallback)
-        if not parts:
-            return None
-        lifetime = parts[0].lifetime
-        for part in parts[1:]:
-            lifetime = lifetime.merge(part.lifetime)
-    else:
-        lifetime = serving.lifetime
+    if isinstance(serving, SloServingStats):
+        serving = serving.merged
+    lifetime = serving.lifetime
     return (
         f"persistent store: {lifetime.store_hits} hits / "
         f"{lifetime.store_misses} misses, "
@@ -176,21 +167,15 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="table3: serve searches through this many shard worker "
-        "processes (sticky fingerprint placement; models on different "
-        "shards search concurrently, results unchanged)",
-    )
-    parser.add_argument(
-        "--slo",
-        action="store_true",
-        help="table3: route searches through the SLO-aware traffic "
-        "layer (admission control + deadline scheduling) on top of "
-        "--shards (results unchanged)",
+        "processes behind the SLO-aware frontend (sticky fingerprint "
+        "placement; models on different shards search concurrently, "
+        "results unchanged)",
     )
     parser.add_argument(
         "--deadline",
         type=float,
         default=None,
-        help="table3: per-search deadline in seconds for --slo "
+        help="table3: per-search deadline in seconds for --shards "
         "(a missed deadline raises DeadlineExceeded)",
     )
     parser.add_argument(
@@ -251,14 +236,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--shards applies to table3 only")
         if args.shards < 1:
             parser.error("--shards must be >= 1")
-    if args.slo:
-        if args.experiment != "table3":
-            parser.error("--slo applies to table3 only")
-        if args.shards is None:
-            parser.error("--slo requires --shards")
     if args.deadline is not None:
-        if not args.slo:
-            parser.error("--deadline requires --slo")
+        if args.shards is None:
+            parser.error("--deadline requires --shards")
         if args.deadline <= 0:
             parser.error("--deadline must be > 0")
     if args.store is not None and args.experiment != "table3":
@@ -320,7 +300,6 @@ def main(argv: list[str] | None = None) -> int:
             session_capacity=args.session_capacity,
             combined=args.combined,
             shards=args.shards,
-            slo=args.slo,
             deadline=args.deadline,
             store=store,
         )
@@ -335,25 +314,18 @@ def main(argv: list[str] | None = None) -> int:
             store_line = _store_summary(serving)
             if store_line:
                 print(store_line)
-        if serving is not None and args.slo:
+        if isinstance(serving, SloServingStats):
+            merged = serving.merged
             print(
-                f"slo serving: {serving.active_shards} active shards "
+                f"sharded serving: {serving.active_shards} shards "
                 f"({serving.scheduling} scheduling), "
                 f"{serving.submitted} submitted, "
                 f"{serving.completed} completed, {serving.shed} shed, "
                 f"{serving.expired} expired, "
-                f"{serving.respawns} respawns, "
+                f"{merged.tenants} live tenants, {merged.hits} hits / "
+                f"{merged.misses} misses, {serving.respawns} respawns, "
                 f"{sum(serving.graph_ships)} graph ships / "
                 f"{sum(serving.fp_sends)} fingerprint sends"
-            )
-        elif serving is not None and args.shards is not None:
-            merged = serving.merged
-            print(
-                f"sharded serving: {serving.shards} shards "
-                f"(per-shard requests {list(serving.submitted)}), "
-                f"{merged.tenants} live tenants, {merged.hits} hits / "
-                f"{merged.misses} misses, {merged.searches} searches, "
-                f"{serving.respawns} respawns"
             )
         elif serving is not None:
             print(

@@ -8,7 +8,7 @@ All models route through one multi-tenant
 :class:`~repro.core.serving.MultiModelSession` registry (one warm
 session per model; per-model results are bit-identical to fresh
 single-model runs) — or, with ``shards=N``, through a
-:class:`~repro.core.serving.ShardedServing` frontend whose N worker
+:class:`~repro.core.frontend.SloServing` frontend whose N worker
 processes search different models concurrently, still bit-identically.
 ``combined=True`` appends the Herald-style multi-DNN row: every
 requested model merged into one graph via
@@ -24,14 +24,9 @@ from repro.core.baselines import computation_prioritized_mapping
 from repro.core.config import SearchConfig
 from repro.core.evaluator import EvaluatorOptions
 from repro.core.ga import SearchBudget
-from repro.core.frontend import SloServing, SloServingStats
+from repro.core.frontend import SloServing, SloServingStats, TrafficPolicy
 from repro.core.mapper import MarsResult
-from repro.core.serving import (
-    MultiModelSession,
-    ServingStats,
-    ShardedServing,
-    ShardedServingStats,
-)
+from repro.core.serving import MultiModelSession, ServingStats
 from repro.core.store import StoreSpec
 from repro.dnn import build_model
 from repro.dnn.models import TABLE3_MODELS
@@ -63,10 +58,9 @@ class Table3Result:
     rows: list[Table3Row] = field(default_factory=list)
     mars_results: dict[str, MarsResult] = field(default_factory=dict)
     #: Counters of the serving layer the rows ran through — the
-    #: in-process registry's stats, the sharded frontend's aggregate
-    #: when ``shards`` was requested, or the SLO frontend's traffic
-    #: counters when ``slo`` was requested on top.
-    serving: ServingStats | ShardedServingStats | SloServingStats | None = None
+    #: in-process registry's stats, or the sharded frontend's traffic
+    #: and shard-registry counters when ``shards`` was requested.
+    serving: ServingStats | SloServingStats | None = None
 
     @property
     def mean_reduction_pct(self) -> float:
@@ -116,7 +110,6 @@ def run_table3(
     session_capacity: int | None = None,
     combined: bool = False,
     shards: int | None = None,
-    slo: bool = False,
     deadline: float | None = None,
     store: StoreSpec | None = None,
 ) -> Table3Result:
@@ -135,18 +128,17 @@ def run_table3(
     tenants without changing any number in the table. ``combined``
     (needs >= 2 models) appends a Herald-style row mapping all models
     merged into one graph as a single extra tenant. ``shards`` routes
-    every search through a
-    :class:`~repro.core.serving.ShardedServing` frontend instead —
-    models on different shards search concurrently on multi-core
-    machines, and every number in the table stays bit-identical to the
-    single-process run. ``slo=True`` (requires ``shards``) upgrades
-    the frontend to the SLO-aware
-    :class:`~repro.core.frontend.SloServing` traffic layer, optionally
-    attaching a per-request ``deadline`` (seconds) to every search —
-    admission and scheduling change *when* searches run, never what
-    they find, so the table is identical under any frontend (a search
-    expired by a too-tight deadline raises instead of silently
-    dropping a row). ``store`` attaches a persistent artifact store
+    every search through a :class:`~repro.core.frontend.SloServing`
+    frontend instead — models on different shards search concurrently
+    on multi-core machines, and every number in the table stays
+    bit-identical to the single-process run. The frontend's tenant
+    queues are sized to the whole sweep, which is submitted up front,
+    so admission never sheds a row. ``deadline`` (requires ``shards``)
+    attaches a per-request deadline (seconds) to every search —
+    scheduling changes *when* searches run, never what they find, so
+    the table is identical under any frontend (a search expired by a
+    too-tight deadline raises instead of silently dropping a row).
+    ``store`` attaches a persistent artifact store
     (:class:`~repro.core.store.StoreSpec`): finished mappings are
     written durably and later runs with the same spec answer repeat
     (model, seed) requests from disk — verified, bit-identical, no GA.
@@ -174,12 +166,18 @@ def run_table3(
         capacity=capacity,
         store=store,
     )
-    if slo and shards is None:
-        raise ValueError("slo routing requires shards")
-    if slo:
-        server = SloServing.from_config(topology, config, shards=shards)
-    elif shards is not None:
-        server = ShardedServing.from_config(topology, config, shards=shards)
+    if deadline is not None and shards is None:
+        raise ValueError("deadline requires shards")
+    if shards is not None:
+        # The whole sweep is submitted up front, so admission is sized
+        # to it: any one tenant queue can hold the entire sweep (a model
+        # listed twice is one tenant), and there is no in-flight budget.
+        policy = TrafficPolicy(
+            queue_depth=len(graphs) * len(seeds), max_inflight=None
+        )
+        server = SloServing(
+            topology, shards=shards, config=config, policy=policy
+        )
     else:
         server = MultiModelSession.from_config(topology, config)
     with server:
@@ -187,13 +185,10 @@ def run_table3(
             # Submit the whole sweep up front: searches placed on
             # different shards overlap while this process prices the
             # baselines.
-            submit = (
-                (lambda graph, s: server.submit(graph, seed=s, deadline=deadline))
-                if slo
-                else (lambda graph, s: server.submit(graph, seed=s))
-            )
             futures = {
-                (graph.name, s): submit(graph, s)
+                (graph.name, s): server.submit(
+                    graph, seed=s, deadline=deadline
+                )
                 for graph in graphs
                 for s in seeds
             }
@@ -223,9 +218,9 @@ def run_table3(
                     mapping_found=mars.describe(),
                 )
             )
-        if slo and store is not None:
-            # The store counters live in the shard workers' registries;
-            # the SLO frontend only ships them on request.
+        if shards is not None:
+            # Tenant and store counters live in the shard workers'
+            # registries; the frontend only ships them on request.
             result.serving = server.stats(worker_stats=True)
         else:
             result.serving = server.stats()

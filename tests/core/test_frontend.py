@@ -3,8 +3,8 @@
 The traffic layer's contract: requests beyond the per-tenant or global
 bounds are shed with typed errors at submit time; the EDF dispatch
 order is a pure function of ``(deadline, arrival seq)`` (same trace →
-same order, every run); FIFO mode preserves the PR-5 arrival-order
-discipline; autoscaling moves shard counts but never results; and
+same order, every run); FIFO mode preserves per-shard arrival order;
+autoscaling moves shard counts but never results; and
 every request the frontend *does* dispatch is bit-identical to a fresh
 ``Mars`` run — including under the concurrency stress mix, where the
 lifecycle counters must reconcile exactly

@@ -25,7 +25,6 @@ from repro.core import (
     FaultSpec,
     LivenessPolicy,
     Mars,
-    ShardedServing,
     SloServing,
     WorkerHung,
 )
@@ -518,6 +517,7 @@ class TestHangRecovery:
                 _same_result(future.result(timeout=240), fresh(CNN, seed))
             stats = frontend.stats()
         assert stats.hangs == (1,)
+        assert stats.kill_escalations == (0,)  # SIGTERM sufficed
         assert stats.respawns == 1
         assert stats.completed == 4 and stats.failed == 0
         # The replacement was re-shipped the graph (its predecessor's
@@ -528,28 +528,6 @@ class TestHangRecovery:
         # running/queued.
         assert stats.submitted == 4
         assert stats.queued == 0 and stats.running == 0
-
-    def test_sharded_hung_worker_is_killed_and_respawned(self):
-        clock = FakeClock()
-        plan = FaultPlan(faults=(FaultSpec(kind="hang", at_request=1, shard=0),))
-        with ShardedServing(
-            TOPOLOGY,
-            shards=1,
-            config=SearchConfig(faults=plan),
-            clock=clock,
-            liveness=FAKE_CLOCK_POLICY,
-        ) as serving:
-            futures = [serving.submit(CNN, seed=s) for s in range(3)]
-            handle = serving._handles[0]
-            _advance_until_hang(
-                clock, handle, ready=lambda: futures[0].done()
-            )
-            for seed, future in enumerate(futures):
-                _same_result(future.result(timeout=240), fresh(CNN, seed))
-            stats = serving.stats()
-        assert stats.hangs == (1,)
-        assert stats.kill_escalations == (0,)  # SIGTERM sufficed
-        assert stats.respawns == 1
 
     def test_sigterm_ignoring_hang_forces_the_sigkill_rung(self):
         clock = FakeClock()
@@ -573,7 +551,7 @@ class TestHangRecovery:
             beacon_interval=0.0,
             spawn_grace=None,
         )
-        with ShardedServing(
+        with SloServing(
             TOPOLOGY,
             shards=1,
             config=SearchConfig(faults=plan),
@@ -659,7 +637,7 @@ class TestHangRecovery:
             beacon_interval=0.0,
             spawn_grace=None,
         )
-        with ShardedServing(
+        with SloServing(
             TOPOLOGY, shards=1, liveness=policy, clock=clock
         ) as serving:
             handle = serving._handles[0]
@@ -685,7 +663,7 @@ class TestHangRecovery:
         policy = LivenessPolicy(
             stall_budget=300.0, beacons=False, spawn_grace=None
         )
-        with ShardedServing(TOPOLOGY, shards=1, liveness=policy) as serving:
+        with SloServing(TOPOLOGY, shards=1, liveness=policy) as serving:
             _same_result(
                 serving.submit(CNN, seed=0).result(timeout=240),
                 fresh(CNN, 0),

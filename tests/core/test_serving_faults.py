@@ -16,12 +16,7 @@ from concurrent.futures import CancelledError
 
 import pytest
 
-from repro.core import (
-    DeadlineExceeded,
-    Mars,
-    ShardedServing,
-    SloServing,
-)
+from repro.core import DeadlineExceeded, Mars, SloServing
 from repro.core.config import SearchConfig
 from repro.core.serving import _shard_worker
 from repro.dnn import build_model
@@ -73,15 +68,6 @@ class TestShardKillWithBacklog:
         assert stats.queued == 0 and stats.running == 0
         # The cold replacement knew nothing: the graph re-shipped once.
         assert stats.graph_ships == (2,)
-
-    def test_sharded_frontend_resolves_every_queued_future(self):
-        with ShardedServing(TOPOLOGY, shards=1) as serving:
-            futures = [serving.submit(CNN, seed=s) for s in (0, 1, 2)]
-            serving._handles[0].process.kill()
-            for seed, future in enumerate(futures):
-                _same_result(future.result(timeout=240), fresh(CNN, seed))
-            stats = serving.stats()
-        assert stats.respawns >= 1
 
     def test_exhausted_respawn_budget_drains_backlog_inline(
         self, monkeypatch
@@ -308,7 +294,7 @@ class TestRespawnBackoff:
         assert stats.respawn_backoff == (pytest.approx(delays[-1]),)
 
     def test_quiet_shards_report_zero_backoff(self):
-        with ShardedServing(TOPOLOGY, shards=2) as serving:
+        with SloServing(TOPOLOGY, shards=2) as serving:
             serving.search(CNN, seed=0)
             stats = serving.stats()
         assert stats.respawn_backoff == (0.0, 0.0)
@@ -317,15 +303,7 @@ class TestRespawnBackoff:
 
 class TestSwallowedErrorVisibility:
     """Exceptions absorbed on teardown/respawn paths (formerly bare
-    ``pass`` sites) are counted per shard and surfaced by ``stats()``
-    on both frontends."""
-
-    def test_sharded_stats_surface_absorbed_errors(self):
-        with ShardedServing(TOPOLOGY, shards=2) as serving:
-            assert serving.stats().swallowed_errors == (0, 0)
-            # Count exactly as the absorb sites do.
-            serving._handles[1].swallowed += 3
-            assert serving.stats().swallowed_errors == (0, 3)
+    ``pass`` sites) are counted per shard and surfaced by ``stats()``."""
 
     def test_slo_stats_surface_absorbed_errors(self):
         with SloServing(TOPOLOGY, shards=1) as frontend:
@@ -334,8 +312,10 @@ class TestSwallowedErrorVisibility:
             assert frontend.stats().swallowed_errors == (1,)
 
     def test_clean_lifecycle_absorbs_nothing(self):
-        serving = ShardedServing(TOPOLOGY, shards=1)
+        serving = SloServing(TOPOLOGY, shards=1)
         serving.search(CNN, seed=0)
-        stats = serving.stats()
         serving.close()
+        # Read after close, so the graceful shutdown is covered too.
+        stats = serving.stats()
         assert stats.swallowed_errors == (0,)
+        assert stats.unacked_shutdowns == (0,)

@@ -1,10 +1,11 @@
-"""ShardedServing: placement, concurrency, determinism, crash policy.
+"""The shard pool under SloServing: placement, determinism, crash policy.
 
-The frontend's contract: tenants are placed stickily by content
+The pool's contract: tenants are placed stickily by content
 fingerprint; every routed search — across shard counts {1, 2}, after a
-forced shard restart, after a crash-triggered cold respawn, and through
-the inline fallback once the respawn budget is spent — is bit-identical
-to a fresh ``Mars`` run with the same configuration and seed; and
+crash-triggered cold respawn, and through the inline fallback once the
+respawn budget is spent — is bit-identical to a fresh ``Mars`` run
+with the same configuration and seed; the interned-graph handshake
+ships each workload's graph once per worker incarnation; and
 ``close()`` drains every submitted request before shutting workers
 down.
 """
@@ -16,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Mars, ShardedServing
-from repro.core.serving import ShardedServingStats
+from repro.core import Mars, SloServing, SloServingStats
+from repro.core.config import SearchConfig
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
 
@@ -47,8 +48,8 @@ def _same_result(sharded, reference):
 
 class TestPlacement:
     def test_placement_is_sticky_and_deterministic(self):
-        with ShardedServing(TOPOLOGY, shards=2) as a:
-            with ShardedServing(TOPOLOGY, shards=2) as b:
+        with SloServing(TOPOLOGY, shards=2) as a:
+            with SloServing(TOPOLOGY, shards=2) as b:
                 for graph in (CNN, RESNET):
                     assert a.shard_of(graph) == b.shard_of(graph)
                     assert a.shard_of(graph) == a.shard_of(
@@ -56,23 +57,26 @@ class TestPlacement:
                     )
 
     def test_all_requests_for_one_tenant_land_on_one_shard(self):
-        with ShardedServing(TOPOLOGY, shards=2) as serving:
+        with SloServing(TOPOLOGY, shards=2) as serving:
             home = serving.shard_of(CNN)
             for seed in (0, 1, 2):
                 serving.search(CNN, seed=seed)
-            stats = serving.stats()
-            assert stats.submitted[home] == 3
-            assert sum(stats.submitted) == 3
+            stats = serving.stats(worker_stats=True)
+        assert stats.per_shard[home].searches == 3
+        assert stats.per_shard[1 - home].searches == 0
+        assert stats.graph_ships[home] == 1
+        assert stats.fp_sends[home] == 2
+        assert stats.graph_ships[1 - home] == stats.fp_sends[1 - home] == 0
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
-            ShardedServing(TOPOLOGY, shards=0)
+            SloServing(TOPOLOGY, shards=0)
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_results_match_fresh_mars_across_shard_counts(self, shards):
-        with ShardedServing(TOPOLOGY, shards=shards) as serving:
+        with SloServing(TOPOLOGY, shards=shards) as serving:
             futures = {
                 (graph.name, seed): serving.submit(graph, seed=seed)
                 for graph in (CNN, RESNET)
@@ -83,41 +87,30 @@ class TestDeterminism:
                 _same_result(future.result(), fresh(graph, seed))
 
     def test_objective_override_routes_and_matches(self):
-        with ShardedServing(TOPOLOGY, shards=2) as serving:
+        with SloServing(TOPOLOGY, shards=2) as serving:
             result = serving.search(CNN, seed=0, objective="throughput")
         _same_result(result, fresh(CNN, 0, objective="throughput"))
-
-    def test_forced_restart_is_results_identical(self):
-        with ShardedServing(TOPOLOGY, shards=2) as serving:
-            warm = serving.search(CNN, seed=0)
-            serving.restart_shard(serving.shard_of(CNN))
-            rebuilt = serving.search(CNN, seed=0)  # cold rebuilt worker
-            stats = serving.stats()
-        _same_result(warm, fresh(CNN, 0))
-        _same_result(rebuilt, fresh(CNN, 0))
-        assert stats.restarts == 1
-        assert stats.respawns == 0
 
 
 class TestCrashPolicy:
     def test_killed_worker_respawns_cold_and_results_identical(self):
-        with ShardedServing(TOPOLOGY, shards=2) as serving:
+        with SloServing(TOPOLOGY, shards=2) as serving:
             home = serving.shard_of(CNN)
             serving.search(CNN, seed=0)
             serving._handles[home].process.kill()
             result = serving.search(CNN, seed=1)  # crash detected mid-send
-            stats = serving.stats()
+            stats = serving.stats(worker_stats=True)
         _same_result(result, fresh(CNN, 1))
         assert stats.respawns == 1
         assert stats.per_shard[home] is not None
 
     def test_respawn_budget_exhausted_falls_back_inline(self, monkeypatch):
-        monkeypatch.setattr(ShardedServing, "SHARD_RESPAWN_LIMIT", 0)
-        with ShardedServing(TOPOLOGY, shards=2) as serving:
+        monkeypatch.setattr(SloServing, "SHARD_RESPAWN_LIMIT", 0)
+        with SloServing(TOPOLOGY, shards=2) as serving:
             home = serving.shard_of(CNN)
             serving._handles[home].process.kill()
             result = serving.search(CNN, seed=0)  # served inline
-            stats = serving.stats()
+            stats = serving.stats(worker_stats=True)
             _same_result(result, fresh(CNN, 0))
             assert stats.per_shard[home] is None  # worker permanently gone
             assert stats.fallback is not None
@@ -128,38 +121,37 @@ class TestCrashPolicy:
 
 class TestLifecycleAndStats:
     def test_close_drains_submitted_requests(self):
-        serving = ShardedServing(TOPOLOGY, shards=2)
+        serving = SloServing(TOPOLOGY, shards=2)
         futures = [serving.submit(CNN, seed=s) for s in (0, 1)]
         serving.close()  # must complete both before shutting down
         for seed, future in enumerate(futures):
             _same_result(future.result(timeout=0), fresh(CNN, seed))
 
     def test_submit_after_close_raises(self):
-        # Regression (PR 6): submit() after close() used to raise the
-        # argument-validation ValueError, blurring a caller lifecycle
-        # bug into a bad-input error — and anything that slipped past
-        # would have queued onto dispatchers that already stopped. It
-        # must be a clean RuntimeError that never touches the queues.
-        serving = ShardedServing(TOPOLOGY, shards=1)
+        # submit() after close() must be a clean RuntimeError that
+        # never touches the stopped dispatchers — not an argument
+        # ValueError — and so must a probe of the stopped workers.
+        # Frontend-side counters stay readable.
+        serving = SloServing(TOPOLOGY, shards=1)
         serving.close()
         with pytest.raises(RuntimeError, match="closed"):
             serving.submit(CNN)
         with pytest.raises(RuntimeError, match="closed"):
-            serving.stats()
-        with pytest.raises(RuntimeError, match="closed"):
-            serving.restart_shard(0)
+            serving.stats(worker_stats=True)
+        assert serving.stats().submitted == 0
         serving.close()  # idempotent
 
     def test_shard_workers_can_host_pooled_tenant_sessions(self):
         # Regression: daemonic shard workers could not parent the
-        # tenant sessions' level-2 GA pools — every pooled batch broke
-        # and silently degraded to serial with executor churn. A
-        # workers=2 tenant inside a shard must spawn its pool once and
-        # never break it.
-        with ShardedServing(TOPOLOGY, shards=1, workers=2) as serving:
+        # tenant sessions' worker pools — every pooled batch broke and
+        # silently degraded to serial with executor churn. A workers=2
+        # tenant inside a shard must spawn its pool once and never
+        # break it.
+        config = SearchConfig(workers=2)
+        with SloServing(TOPOLOGY, shards=1, config=config) as serving:
             result = serving.search(CNN, seed=0)
-            per_tenant = serving.stats().per_shard[0].per_tenant
-        tenant = per_tenant["tiny_cnn"]
+            stats = serving.stats(worker_stats=True)
+        tenant = stats.per_shard[0].per_tenant["tiny_cnn"]
         assert tenant.pool_spawns == 1
         assert tenant.pool_failures == 0
         assert tenant.pool_respawns == 0
@@ -169,17 +161,17 @@ class TestLifecycleAndStats:
         self, tmp_path
     ):
         # Shard workers are non-daemonic (so tenant sessions can start
-        # their own GA pools); a frontend abandoned without close()
-        # must still let the interpreter exit — the module atexit hook
+        # their own pools); a frontend abandoned without close() must
+        # still let the interpreter exit — the module atexit hook
         # closes it before multiprocessing joins its children. This
         # guards the atexit *registration order*, which is easy to
         # break silently.
         script = tmp_path / "abandon.py"
         script.write_text(
-            "from repro.core import ShardedServing\n"
+            "from repro.core import SloServing\n"
             "from repro.dnn import build_model\n"
             "from repro.system import f1_16xlarge\n"
-            "serving = ShardedServing(f1_16xlarge(), shards=1)\n"
+            "serving = SloServing(f1_16xlarge(), shards=1)\n"
             "serving.search(build_model('tiny_cnn'), seed=0)\n"
             "print('done')\n"  # exits WITHOUT serving.close()
         )
@@ -202,7 +194,7 @@ class TestLifecycleAndStats:
     def test_interned_graph_handshake_ships_each_graph_once(self):
         # The handshake's whole point: one full-graph pickle per
         # (workload, worker incarnation), fingerprints thereafter.
-        with ShardedServing(TOPOLOGY, shards=1) as serving:
+        with SloServing(TOPOLOGY, shards=1) as serving:
             for seed in (0, 1, 2):
                 serving.search(CNN, seed=seed)
             for seed in (0, 1):
@@ -215,7 +207,7 @@ class TestLifecycleAndStats:
         # A cold replacement worker has interned nothing; the frontend
         # must notice (its ledger clears on reap) and ship the full
         # graph again rather than strand the tenant on unknown_fp.
-        with ShardedServing(TOPOLOGY, shards=1) as serving:
+        with SloServing(TOPOLOGY, shards=1) as serving:
             serving.search(CNN, seed=0)
             serving._handles[0].process.kill()
             result = serving.search(CNN, seed=1)
@@ -225,17 +217,21 @@ class TestLifecycleAndStats:
         assert stats.graph_ships == (2,)
 
     def test_stats_aggregate_across_shards(self):
-        with ShardedServing(TOPOLOGY, shards=2) as serving:
+        with SloServing(TOPOLOGY, shards=2) as serving:
             for graph in (CNN, RESNET):
                 for seed in (0, 1):
                     serving.search(graph, seed=seed)
-            stats = serving.stats()
-        assert isinstance(stats, ShardedServingStats)
-        assert stats.shards == 2
-        assert stats.searches == 4
-        assert stats.tenants == 2
-        assert sum(stats.submitted) == 4
+            frontend_only = serving.stats()
+            stats = serving.stats(worker_stats=True)
+        assert isinstance(stats, SloServingStats)
+        assert len(stats.per_shard) == 2
+        assert stats.submitted == stats.completed == 4
         merged = stats.merged
+        assert merged.searches == 4
+        assert merged.tenants == 2
         assert merged.hits == 2  # second seed of each tenant was warm
         assert merged.misses == 2
         assert merged.retired.searches == 0
+        # Without the worker probe no registry reports: all zeros.
+        assert frontend_only.per_shard == ()
+        assert frontend_only.merged.searches == 0

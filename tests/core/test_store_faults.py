@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Mars, ShardedServing, SloServing
+from repro.core import Mars, SloServing
 from repro.core.config import SearchConfig
 from repro.core.store import StoreSpec
 from repro.dnn import build_model
@@ -44,13 +44,9 @@ def store_config(tmp_path, **spec_overrides):
     return SearchConfig.from_kwargs(store=spec)
 
 
-def _lifetime(per_shard):
-    """Fold per-shard registry counters, skipping retired shards."""
-    totals = [s.lifetime for s in per_shard if s is not None]
-    merged = totals[0]
-    for stats in totals[1:]:
-        merged = merged.merge(stats)
-    return merged
+def _lifetime(frontend):
+    """Every shard registry's lifetime counters, folded into one."""
+    return frontend.stats(worker_stats=True).merged.lifetime
 
 
 class TestCrashRecovery:
@@ -59,7 +55,7 @@ class TestCrashRecovery:
         respawn answers the repeat fingerprint with a store hit instead
         of re-searching."""
         config = store_config(tmp_path)
-        with ShardedServing(TOPOLOGY, shards=1, config=config) as serving:
+        with SloServing(TOPOLOGY, shards=1, config=config) as serving:
             _same_result(serving.search(CNN, seed=0), fresh(CNN, 0))
             futures = [serving.submit(CNN, seed=s) for s in (1, 2)]
             serving._handles[0].process.kill()
@@ -68,9 +64,9 @@ class TestCrashRecovery:
             # The respawned worker's in-memory state is empty — this
             # repeat can only be warm if it came from the store.
             _same_result(serving.search(CNN, seed=0), fresh(CNN, 0))
-            stats = serving.stats()
+            stats = serving.stats(worker_stats=True)
             assert stats.respawns >= 1
-            assert _lifetime(stats.per_shard).store_hits >= 1
+            assert stats.merged.lifetime.store_hits >= 1
 
     def test_slo_frontend_kill_mid_backlog_recovers_from_disk(
         self, tmp_path
@@ -92,7 +88,7 @@ class TestCrashRecovery:
             stats = frontend.stats(worker_stats=True)
             assert stats.respawns == 1
             assert stats.completed == 3
-            assert _lifetime(stats.per_shard).store_hits >= 2
+            assert stats.merged.lifetime.store_hits >= 2
 
     def test_fresh_frontend_warm_starts_from_populated_store(
         self, tmp_path
@@ -101,26 +97,23 @@ class TestCrashRecovery:
         serves every known fingerprint from disk: zero GA activity."""
         config = store_config(tmp_path)
         requests = [(CNN, 0), (CNN, 1), (RESNET, 0)]
-        with ShardedServing(TOPOLOGY, shards=2, config=config) as cold:
+        with SloServing(TOPOLOGY, shards=2, config=config) as cold:
             for graph, seed in requests:
                 cold.search(graph, seed=seed)
-            cold_stats = cold.stats()
-            assert _lifetime(cold_stats.per_shard).store_publishes == len(
-                requests
-            )
-        with ShardedServing(TOPOLOGY, shards=2, config=config) as warm:
+            assert _lifetime(cold).store_publishes == len(requests)
+        with SloServing(TOPOLOGY, shards=2, config=config) as warm:
             for graph, seed in requests:
                 _same_result(
                     warm.search(graph, seed=seed), fresh(graph, seed)
                 )
-            lifetime = _lifetime(warm.stats().per_shard)
+            lifetime = _lifetime(warm)
             assert lifetime.store_hits == len(requests)
             assert lifetime.store_misses == 0
             assert lifetime.layer_cache.lookups == 0  # no GA ran
 
     def test_artifacts_survive_on_disk_between_frontends(self, tmp_path):
         config = store_config(tmp_path)
-        with ShardedServing(TOPOLOGY, shards=1, config=config) as serving:
+        with SloServing(TOPOLOGY, shards=1, config=config) as serving:
             serving.search(CNN, seed=0)
         entries = list(
             Path(str(tmp_path / "artifacts")).glob("objects/*/*.entry")
@@ -137,9 +130,9 @@ class TestStoreDegradationInServing:
         config = SearchConfig.from_kwargs(
             store=StoreSpec(path=str(root), max_attempts=1)
         )
-        with ShardedServing(TOPOLOGY, shards=1, config=config) as serving:
+        with SloServing(TOPOLOGY, shards=1, config=config) as serving:
             _same_result(serving.search(CNN, seed=0), fresh(CNN, 0))
-            lifetime = _lifetime(serving.stats().per_shard)
+            lifetime = _lifetime(serving)
             assert lifetime.store_errors > 0
             assert lifetime.store_hits == 0
 
@@ -147,7 +140,7 @@ class TestStoreDegradationInServing:
         self, tmp_path
     ):
         config = store_config(tmp_path)
-        with ShardedServing(TOPOLOGY, shards=1, config=config) as cold:
+        with SloServing(TOPOLOGY, shards=1, config=config) as cold:
             cold.search(CNN, seed=0)
         (entry,) = Path(str(tmp_path / "artifacts")).glob(
             "objects/*/*.entry"
@@ -155,8 +148,8 @@ class TestStoreDegradationInServing:
         data = bytearray(entry.read_bytes())
         data[-1] ^= 0xFF
         entry.write_bytes(bytes(data))
-        with ShardedServing(TOPOLOGY, shards=1, config=config) as serving:
+        with SloServing(TOPOLOGY, shards=1, config=config) as serving:
             _same_result(serving.search(CNN, seed=0), fresh(CNN, 0))
-            lifetime = _lifetime(serving.stats().per_shard)
+            lifetime = _lifetime(serving)
             assert lifetime.store_quarantined == 1
             assert lifetime.store_hits == 0

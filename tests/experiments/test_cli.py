@@ -74,6 +74,21 @@ class TestCli:
         assert "tiny_cnn+tiny_resnet" in out
         assert "evictions" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--deadline", "300"]])
+    def test_table3_shards_prints_one_serving_summary(self, capsys, extra):
+        argv = ["table3", "--models", "tiny_cnn", "--shards", "1", *extra]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summaries = [line for line in lines if "serving" in line]
+        assert summaries == [lines[-1]]
+        assert lines[-1].startswith("sharded serving: 1 shards")
+        assert "1 completed, 0 shed, 0 expired" in lines[-1]
+
+    def test_deadline_requires_shards(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table3", "--models", "tiny_cnn", "--deadline", "300"])
+        assert "--deadline requires --shards" in capsys.readouterr().err
+
     def test_combined_needs_two_models(self):
         with pytest.raises(SystemExit):
             main(["table3", "--models", "tiny_cnn", "--combined"])

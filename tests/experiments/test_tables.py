@@ -57,6 +57,31 @@ class TestTable3:
         assert "Mean latency reduction" in text
 
 
+class TestTable3Sharded:
+    MODELS = ("tiny_cnn", "tiny_resnet")
+
+    def test_sharded_rows_match_in_process(self):
+        local = run_table3(models=self.MODELS)
+        sharded = run_table3(models=self.MODELS, shards=2)
+        # Row equality compares every field, mapping_found included.
+        assert sharded.rows == local.rows
+        assert sharded.serving.completed == len(self.MODELS)
+
+    def test_whole_sweep_is_admitted(self):
+        # Regression: the sweep is submitted up front, and a default
+        # TrafficPolicy (queue_depth=64) shed the 65th seed of a model
+        # with TenantQueueFull. The policy is sized to the sweep.
+        result = run_table3(
+            models=("tiny_cnn",), shards=1, seeds=tuple(range(70))
+        )
+        assert result.serving.completed == 70
+        assert result.serving.shed == 0
+
+    def test_deadline_requires_shards(self):
+        with pytest.raises(ValueError, match="deadline requires shards"):
+            run_table3(models=("tiny_cnn",), deadline=300.0)
+
+
 class TestTable4:
     @pytest.fixture(scope="class")
     def result(self):

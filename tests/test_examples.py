@@ -72,7 +72,6 @@ def test_multi_dnn_serving(tmp_path):
     trace = tmp_path / "trace.json"
     out = _run("multi_dnn_serving.py", "--trace-out", str(trace))
     assert "pipeline interval" in out
-    assert "sharded serving:" in out
     assert "slo serving:" in out
     assert "results identical" in out
     assert "timeline:" in out
