@@ -665,7 +665,7 @@ def bench_sharded_tenant_sweep(benchmark):
     seeds = (0, 1, 2)
     config = SearchConfig(budget=budget, capacity=len(graphs))
 
-    serial = MultiModelSession.from_config(topology, config)
+    serial = MultiModelSession(topology, config)
     sharded = SloServing(topology, shards=shards, config=config)
     placement = {g.name: sharded.shard_of(g) for g in graphs}
 

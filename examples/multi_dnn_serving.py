@@ -68,7 +68,7 @@ def main() -> None:
     # both objective searches below are separate tenants of the merged
     # graph, and a real deployment would route every model through the
     # same registry (LRU-evicting cold tenants beyond `capacity`).
-    with MultiModelSession.from_config(topology, config) as registry:
+    with MultiModelSession(topology, config) as registry:
         for objective in ("latency", "throughput"):
             result = registry.search(
                 combined, seed=args.seed, objective=objective

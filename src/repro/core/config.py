@@ -1,25 +1,26 @@
 """One frozen bundle for everything a MARS search is configured by.
 
-:class:`~repro.core.mapper.Mars`, :class:`~repro.core.session.MarsSession`
-and :class:`~repro.core.serving.MultiModelSession` historically took the
-same loose kwargs — designs, budget, evaluator options, objective,
-backend knobs, capacities — each normalizing defaults on its own.
-:class:`SearchConfig` is the canonical form of that bundle:
+The paper configures a search with a design catalog (Table II), a
+two-level GA budget (Section V) and an objective; :class:`SearchConfig`
+bundles exactly that, plus the cost model and the serving knobs. It is
 
-* **frozen** — a config can key caches and be compared for equality;
+* **frozen** — hashable all the way down, so a config can key caches
+  and be compared for equality, and a search can never be changed
+  after its store key was computed;
 * **picklable** — every member is a plain dataclass, so a config can be
-  shipped to another process verbatim (the sharded serving frontend
-  sends one ``SearchConfig`` to each shard worker, which rebuilds an
-  identically-configured registry from it);
-* **canonically ordered** — :meth:`canonical` folds the late-override
-  knobs (``workers``/``cache`` into the budget, ``layer_cache`` into
-  the options), so two configs that *mean* the same search compare
-  equal and fingerprint identically regardless of how they were
-  spelled.
+  shipped to another process verbatim (the multi-process serving
+  frontend sends one ``SearchConfig`` to each shard worker, which
+  rebuilds an identically-configured registry from it);
+* **spelled one way** — every knob has exactly one field: worker counts
+  live in ``budget.level1.workers``, fitness memoization in
+  ``budget.level2.cache``, the layer-cost cache in ``options``.
 
-The facades keep their kwarg constructors as thin adapters over
-:meth:`SearchConfig.from_kwargs`; ``from_config`` classmethods construct
-from a bundle directly.
+Constructors (:class:`~repro.core.session.MarsSession`,
+:class:`~repro.core.mapper.Mars`,
+:class:`~repro.core.serving.MultiModelSession`) take either a config or
+the keywords of :meth:`SearchConfig.from_kwargs`, the one keyword
+adapter, which folds ``workers=`` and ``layer_cache=`` into their
+fields.
 """
 
 from __future__ import annotations
@@ -71,26 +72,24 @@ class SearchConfig:
 
     Attributes:
         designs: Design catalog for adaptive systems (Table II default).
-        budget: GA budgets for the two levels.
-        options: Cost-model knobs.
+        budget: GA budgets for the two levels. ``budget.level1.workers``
+            sizes the session's sub-problem pool (each level-1
+            generation's distinct uncached sub-problems are solved on
+            that many worker processes; level-2 GAs always run serial)
+            and ``budget.level2.cache`` memoizes level-2 fitness. Both
+            change wall-clock only, never results.
+        options: Cost-model knobs. ``options.layer_cache`` (and its
+            capacity) toggles the evaluator's per-layer cost cache —
+            again wall-clock only.
         cost_model: The :class:`~repro.core.costmodel.CostModelSpec`
             naming the pricing model every evaluator built from this
             config uses (``"analytical"`` by default — the paper's
-            closed forms, bit-identical to the historical hard-coded
-            walk). Unlike the wall-clock knobs, the cost model
-            *changes results*, so it participates in both
-            :meth:`fingerprint` and :meth:`result_fingerprint`:
-            sessions, tenant keys and persistent store artifacts
-            priced by different models never alias.
+            closed forms). Unlike the wall-clock knobs, the cost model
+            *changes results*, so it participates in
+            :meth:`result_fingerprint`: sessions, tenant keys and
+            persistent store artifacts priced by different models never
+            alias.
         objective: ``"latency"`` (paper) or ``"throughput"``.
-        workers: Size of the session's sub-problem pool (``None``
-            keeps the budget's value): each level-1 generation's
-            distinct uncached sub-problems are solved on that many
-            worker processes. It lands on ``budget.level1.workers``
-            only; level-2 GAs always run serial. Results never change
-            — only wall-clock.
-        cache: Override both levels' fitness memoization.
-        layer_cache: Override :attr:`EvaluatorOptions.layer_cache`.
         capacity: Maximum live tenant sessions per serving registry.
         subproblem_capacity: Per-session LRU bound on the cross-search
             sub-problem cache.
@@ -100,13 +99,13 @@ class SearchConfig:
             after (``None`` — the default — runs without durable
             state). Like the capacities, the store changes wall-clock
             only, never results, and is therefore excluded from
-            :meth:`fingerprint`.
+            :meth:`result_fingerprint`.
         faults: A :class:`~repro.core.faults.FaultPlan` of deterministic
             failures shard workers inject while serving (``None`` — the
             default — serves faithfully). A test/bench knob: it rides
             the config across the spawn boundary but, like ``store``,
-            is excluded from both fingerprints, so planned faults never
-            perturb content addressing or stored-artifact keys.
+            is excluded from :meth:`result_fingerprint`, so planned
+            faults never perturb stored-artifact keys.
     """
 
     designs: tuple[AcceleratorDesign, ...] = field(
@@ -116,9 +115,6 @@ class SearchConfig:
     options: EvaluatorOptions = field(default_factory=EvaluatorOptions)
     cost_model: CostModelSpec = field(default_factory=CostModelSpec)
     objective: str = "latency"
-    workers: int | None = None
-    cache: bool | None = None
-    layer_cache: bool | None = None
     capacity: int = DEFAULT_CAPACITY
     subproblem_capacity: int = DEFAULT_SUBPROBLEM_CAPACITY
     store: StoreSpec | None = None
@@ -132,8 +128,6 @@ class SearchConfig:
             "objective must be 'latency' or 'throughput', "
             f"got {self.objective!r}",
         )
-        if self.workers is not None:
-            require_positive(self.workers, "workers")
         require_positive(self.capacity, "capacity")
         require_positive(self.subproblem_capacity, "subproblem_capacity")
 
@@ -146,111 +140,81 @@ class SearchConfig:
         cost_model: CostModelSpec | None = None,
         objective: str = "latency",
         workers: int | None = None,
-        cache: bool | None = None,
         layer_cache: bool | None = None,
         capacity: int = DEFAULT_CAPACITY,
         subproblem_capacity: int = DEFAULT_SUBPROBLEM_CAPACITY,
         store: StoreSpec | None = None,
         faults: FaultPlan | None = None,
     ) -> "SearchConfig":
-        """The bundle of the facades' historical loose kwargs.
+        """The one keyword adapter onto the config.
 
         ``None`` means "the default" for designs/budget/options/
-        cost_model, exactly as the kwarg constructors always treated it.
+        cost_model. ``workers`` lands on ``budget.level1.workers`` and
+        ``layer_cache`` on ``options.layer_cache``; ``None`` keeps the
+        budget's or options' own value.
         """
+        budget = budget if budget is not None else SearchBudget.fast()
+        if workers is not None:
+            budget = budget.with_backend(workers=workers)
+        options = options if options is not None else EvaluatorOptions()
+        if layer_cache is not None:
+            options = replace(options, layer_cache=layer_cache)
         return cls(
             designs=tuple(designs) if designs is not None else _default_designs(),
-            budget=budget if budget is not None else SearchBudget.fast(),
-            options=options if options is not None else EvaluatorOptions(),
+            budget=budget,
+            options=options,
             cost_model=cost_model if cost_model is not None else CostModelSpec(),
             objective=objective,
-            workers=workers,
-            cache=cache,
-            layer_cache=layer_cache,
             capacity=capacity,
             subproblem_capacity=subproblem_capacity,
             store=store,
             faults=faults,
         )
 
-    # ------------------------------------------------------------------
-    # Canonical form
-    # ------------------------------------------------------------------
-
-    def canonical(self) -> "SearchConfig":
-        """This config with every late-override knob folded in.
-
-        ``workers`` lands in the budget's level 1, ``cache`` in both GA
-        levels and ``layer_cache`` in the evaluator options, after which
-        the three override fields are ``None``. Idempotent; two configs
-        with equal canonical forms configure bit-identical searches.
-        """
-        return replace(
-            self,
-            budget=self.resolved_budget(),
-            options=self.resolved_options(),
-            workers=None,
-            cache=None,
-            layer_cache=None,
-        )
-
-    def resolved_budget(self) -> SearchBudget:
-        """The effective GA budget (``workers``/``cache`` applied)."""
-        return self.budget.with_backend(self.workers, self.cache)
-
-    def resolved_options(self) -> EvaluatorOptions:
-        """The effective evaluator options (``layer_cache`` applied)."""
-        if self.layer_cache is None:
-            return self.options
-        return replace(self.options, layer_cache=self.layer_cache)
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the canonical form.
-
-        Two configs fingerprint identically iff they configure the same
-        search — the config-side analogue of
-        :meth:`~repro.dnn.graph.ComputationGraph.fingerprint`, and like
-        it stable across processes and interpreter runs.
-        """
-        canonical = self.canonical()
-        return stable_digest(
-            "search-config-v2",
-            tuple(repr(design) for design in canonical.designs),
-            repr(canonical.budget),
-            repr(canonical.options),
-            canonical.cost_model.token(),
-            canonical.objective,
-            canonical.capacity,
-            canonical.subproblem_capacity,
-        )
+    @classmethod
+    def of(cls, config: "SearchConfig | None", **kwargs) -> "SearchConfig":
+        """``config`` itself, or the :meth:`from_kwargs` bundle of
+        ``kwargs`` — the config-or-keywords rule every constructor
+        applies. Passing both raises ``ValueError``."""
+        if config is None:
+            return cls.from_kwargs(**kwargs)
+        if kwargs:
+            raise ValueError(
+                "pass a SearchConfig or search keywords, not both "
+                f"(got config and {', '.join(sorted(kwargs))})"
+            )
+        return config
 
     def result_fingerprint(self) -> str:
         """Stable hash of everything that determines *search results*.
 
-        Narrower than :meth:`fingerprint`: the backend knobs the stack
-        proved results-invisible — worker counts, fitness memoization,
-        the layer-cost cache and its bound, the serving capacities, and
-        the store spec itself — are normalized away, so two configs
-        that *search identically* share one fingerprint no matter how
-        their wall-clock knobs are spelled. This is the config
-        component of a persistent store key: an artifact searched under
-        ``workers=4`` must warm-start a ``workers=1`` deployment, and a
-        store entry must never be addressed by the spec of the store
-        holding it.
+        The knobs the stack proved results-invisible — worker counts,
+        fitness memoization, the layer-cost cache and its bound, the
+        serving capacities, the store spec and the fault plan — are
+        normalized away, so two configs that *search identically* share
+        one fingerprint no matter how their wall-clock knobs are set.
+        This is the config component of a persistent store key: an
+        artifact searched under ``workers=4`` must warm-start a
+        ``workers=1`` deployment, and a store entry must never be
+        addressed by the spec of the store holding it. Stable across
+        processes and interpreter runs.
         """
-        canonical = self.canonical()
         defaults = EvaluatorOptions()
+        budget = SearchBudget(
+            level1=replace(self.budget.level1, workers=1, cache=False),
+            level2=replace(self.budget.level2, cache=False),
+        )
         return stable_digest(
             "search-config-result-v2",
-            tuple(repr(design) for design in canonical.designs),
-            repr(canonical.budget.with_backend(workers=1, cache=False)),
+            tuple(repr(design) for design in self.designs),
+            repr(budget),
             repr(
                 replace(
-                    canonical.options,
+                    self.options,
                     layer_cache=defaults.layer_cache,
                     layer_cache_capacity=defaults.layer_cache_capacity,
                 )
             ),
-            canonical.cost_model.token(),
-            canonical.objective,
+            self.cost_model.token(),
+            self.objective,
         )

@@ -30,8 +30,8 @@ Two implementations ship:
 
 Identity: models are configured by a frozen, picklable
 :class:`CostModelSpec` that lives on
-:class:`~repro.core.config.SearchConfig`, participates in both config
-fingerprints and in the evaluator's per-layer cache key, and rebuilds
+:class:`~repro.core.config.SearchConfig`, participates in the config's
+result fingerprint and in the evaluator's per-layer cache key, and rebuilds
 the right model on the far side of a process boundary (shard workers
 rebuild their registry from the shipped config). Two deployments priced
 by different models therefore never alias — not in warm caches, not in
@@ -76,8 +76,8 @@ class CostModelSpec:
     The spec, not the model object, is what travels: it rides on
     :class:`~repro.core.config.SearchConfig` across pickle boundaries
     (shard workers rebuild the model from it), keys the evaluator's
-    per-layer cache entries, and participates in both config
-    fingerprints so results priced by different models never alias.
+    per-layer cache entries, and participates in the config's result
+    fingerprint so results priced by different models never alias.
 
     Attributes:
         kind: Registry name of the model class (``"analytical"`` is the

@@ -9,8 +9,8 @@ is only as deterministic as the test's polling.
 A :class:`FaultPlan` moves the failure *inside* the worker: it ships
 to every shard worker as part of the picklable
 :class:`~repro.core.config.SearchConfig` (a test/bench knob — it is
-excluded from both config fingerprints, so planned faults never
-perturb content addressing or stored-artifact keys), and each worker
+excluded from the config's result fingerprint, so planned faults
+never perturb stored-artifact keys), and each worker
 consults it before serving a request. A fault fires on an exact
 ``(shard, worker incarnation, Nth request)`` coordinate, so "the
 replacement worker after the first respawn hangs on its second

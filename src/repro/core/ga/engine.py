@@ -8,10 +8,9 @@ are reproducible.
 
 Fitness is evaluated **per population**, not per individual: each
 generation's genomes go to an :class:`~repro.core.ga.backends.EvaluationBackend`
-(serial or memoized — see :mod:`repro.core.ga.backends`) or to a
-user-supplied ``batch_fitness`` callable. Backends return values
-in input order and never consume engine RNG, so the search trajectory is
-bit-identical across backends for a fixed seed.
+(serial or memoized — see :mod:`repro.core.ga.backends`). Backends
+return values in input order and never consume engine RNG, so the
+search trajectory is bit-identical across backends for a fixed seed.
 """
 
 from __future__ import annotations
@@ -33,20 +32,20 @@ from repro.utils.validation import require, require_positive
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids coupling
     from repro.core.evaluator import LayerCacheStats
 
-#: Evaluates a whole population; returns fitnesses in input order.
-BatchFitness = Callable[[list[np.ndarray]], list[float]]
-
 
 @dataclass(frozen=True)
 class GAConfig:
     """Hyper-parameters of one GA level.
 
     ``cache=True`` memoizes fitness so duplicate genomes (elites,
-    converged populations) are priced once. ``workers`` on the level-1
-    config sizes the sub-problem pool a
-    :class:`~repro.core.session.MarsSession` owns; populations always
-    evaluate serially, so a GA that would have to build a backend from
-    ``workers > 1`` refuses to run (see
+    converged populations) are priced once. In a MARS search it affects
+    level 2 only: :class:`~repro.core.ga.level1.Level1Search` always
+    builds its own phenotype-keyed
+    :class:`~repro.core.ga.backends.CachedBackend`, so level 1 memoizes
+    either way. ``workers`` on the level-1 config sizes the sub-problem
+    pool a :class:`~repro.core.session.MarsSession` owns; populations
+    always evaluate serially, so a GA that would have to build a
+    backend from ``workers > 1`` refuses to run (see
     :func:`~repro.core.ga.backends.make_backend`). Defaults reproduce
     the historical serial engine exactly.
     """
@@ -127,13 +126,10 @@ class GAResult:
 class GeneticAlgorithm:
     """Minimizes ``fitness(genome)`` over [0, 1]^genome_length.
 
-    Evaluation goes through, in order of precedence:
-
-    1. ``batch_fitness`` — a caller-supplied population evaluator;
-    2. ``backend`` — an explicit :class:`EvaluationBackend`;
-    3. the backend implied by ``config.cache`` (serial by default),
-       built with ``key_fn`` as the memoization key when caching is on;
-       ``config.workers > 1`` raises :class:`ValueError` here.
+    Evaluation goes through ``backend`` when one is given, else through
+    the backend implied by ``config.cache`` (serial by default), built
+    with ``key_fn`` as the memoization key when caching is on;
+    ``config.workers > 1`` raises :class:`ValueError` there.
     """
 
     def __init__(
@@ -144,7 +140,6 @@ class GeneticAlgorithm:
         rng: np.random.Generator,
         seeds: list[np.ndarray] | None = None,
         backend: EvaluationBackend | None = None,
-        batch_fitness: BatchFitness | None = None,
         key_fn: KeyFn | None = None,
         on_generation: Callable[[int], None] | None = None,
     ):
@@ -159,14 +154,10 @@ class GeneticAlgorithm:
                 len(seed) == genome_length,
                 f"seed genome has length {len(seed)}, expected {genome_length}",
             )
-        self.batch_fitness = batch_fitness
-        self._owns_backend = backend is None and batch_fitness is None
+        self._owns_backend = backend is None
         self.backend = (
-            backend
-            if backend is not None
-            else (None if batch_fitness is not None else make_backend(config, key_fn))
+            backend if backend is not None else make_backend(config, key_fn)
         )
-        self._batch_evaluations = 0
         # Pure observation hook, called after each population evaluation
         # with the number of generations evaluated so far. It must never
         # consume engine RNG — liveness beacons ride it (see
@@ -179,29 +170,18 @@ class GeneticAlgorithm:
 
     def _evaluate_population(self, population: Sequence[np.ndarray]) -> np.ndarray:
         genomes = [np.asarray(g) for g in population]
-        if self.batch_fitness is not None:
-            values = self.batch_fitness(genomes)
-            self._batch_evaluations += len(genomes)
-        else:
-            # Population-level preparation (e.g. the level-2 vectorized
-            # genome decode) runs before per-genome evaluation; see
-            # EvaluationBackend.prepare. Purely wall-clock: the memos it
-            # fills would be filled genome by genome otherwise.
-            self.backend.prepare(self.fitness, genomes)
-            values = self.backend.evaluate(self.fitness, genomes)
+        # Population-level preparation (e.g. the level-2 vectorized
+        # genome decode) runs before per-genome evaluation; see
+        # EvaluationBackend.prepare. Purely wall-clock: the memos it
+        # fills would be filled genome by genome otherwise.
+        self.backend.prepare(self.fitness, genomes)
+        values = self.backend.evaluate(self.fitness, genomes)
         require(
             len(values) == len(genomes),
             "population evaluation returned "
             f"{len(values)} values for {len(genomes)} genomes",
         )
         return np.asarray(values, dtype=float)
-
-    def _stats(self) -> BackendStats:
-        # batch_fitness takes evaluation precedence (see __init__), so
-        # it must also own the counters even when a backend was passed.
-        if self.batch_fitness is not None:
-            return BackendStats(evaluations=self._batch_evaluations)
-        return self.backend.stats
 
     # ------------------------------------------------------------------
     # Operators
@@ -237,11 +217,11 @@ class GeneticAlgorithm:
     # ------------------------------------------------------------------
 
     def run(self) -> GAResult:
-        start = self._stats()
+        start = self.backend.stats
         try:
             return self._run(start)
         finally:
-            if self._owns_backend and self.backend is not None:
+            if self._owns_backend:
                 self.backend.close()
 
     def _run(self, start: BackendStats) -> GAResult:
@@ -284,7 +264,7 @@ class GeneticAlgorithm:
             if stagnant >= self.config.patience:
                 break
 
-        spent = self._stats().since(start)
+        spent = self.backend.stats.since(start)
         return GAResult(
             best_genome=best_genome,
             best_fitness=best_fitness,

@@ -63,9 +63,9 @@ from repro.utils.rng import make_rng, stable_seed
 from repro.utils.validation import require
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
-    """GA budgets for both levels."""
+    """GA budgets for both levels (frozen, like the config holding it)."""
 
     level1: GAConfig
     level2: GAConfig
@@ -88,24 +88,10 @@ class SearchBudget:
             ),
         )
 
-    def with_backend(
-        self, workers: int | None = None, cache: bool | None = None
-    ) -> "SearchBudget":
-        """This budget with backend knobs applied.
-
-        ``workers`` sizes the level-1 sub-problem pool and lands on
-        ``level1`` only (level-2 GAs always run serial); ``cache`` lands
-        on both levels.
-        """
-        if workers is None and cache is None:
-            return self
-        level1, level2 = self.level1, self.level2
-        if workers is not None:
-            level1 = replace(level1, workers=workers)
-        if cache is not None:
-            level1 = replace(level1, cache=cache)
-            level2 = replace(level2, cache=cache)
-        return SearchBudget(level1=level1, level2=level2)
+    def with_backend(self, workers: int) -> "SearchBudget":
+        """This budget with a ``workers``-process level-1 sub-problem
+        pool (level-2 GAs always run serial)."""
+        return replace(self, level1=replace(self.level1, workers=workers))
 
     @staticmethod
     def paper() -> "SearchBudget":

@@ -57,16 +57,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from repro.accelerators.base import AcceleratorDesign
-from repro.core.config import (
-    DEFAULT_CAPACITY,
-    DEFAULT_SUBPROBLEM_CAPACITY,
-    SearchConfig,
-)
-from repro.core.costmodel import CostModelSpec
-from repro.core.evaluator import EvaluatorOptions
+from repro.core.config import SearchConfig
 from repro.core.faults import execute_fault
-from repro.core.ga.level1 import SearchBudget
 from repro.core.health import (
     BeaconEmitter,
     LivenessPolicy,
@@ -224,60 +216,26 @@ class MultiModelSession:
     read-only queries (``len``, ``in``, :meth:`stats`) honestly report
     the empty, closed registry.
 
-    Args:
-        topology: Default system for every tenant (overridable per
-            request).
-        designs: Design catalog for adaptive systems (Table II default
-            inside each session).
-        budget: GA budgets for the two levels.
-        options: Cost-model knobs.
-        objective: Default objective; per-request override allowed.
-        workers: Size of each tenant session's sub-problem pool
-            (``budget.level1.workers``). Each tenant session owns its
-            pool for its lifetime.
-        cache: Override both levels' fitness memoization.
-        layer_cache: Override :attr:`EvaluatorOptions.layer_cache`.
-        capacity: Maximum number of live tenant sessions.
-        subproblem_capacity: Per-tenant LRU bound on the cross-search
-            sub-problem cache.
-        config: A prebuilt :class:`~repro.core.config.SearchConfig`;
-            when given it supersedes every other keyword except
-            ``topology`` (prefer :meth:`from_config`).
+    Configuration: ``topology`` is every tenant's default system
+    (overridable per request), and the search settings are one
+    :class:`~repro.core.config.SearchConfig` or the keywords of
+    :meth:`SearchConfig.from_kwargs
+    <repro.core.config.SearchConfig.from_kwargs>` — not both.
+    ``config.objective`` is the default objective (overridable per
+    request), ``config.capacity`` bounds the live tenants, and each
+    tenant session owns a ``config.budget.level1.workers``-process
+    sub-problem pool for its lifetime.
     """
-
-    DEFAULT_CAPACITY = DEFAULT_CAPACITY
 
     def __init__(
         self,
         topology: SystemTopology,
-        designs: list[AcceleratorDesign] | None = None,
-        budget: SearchBudget | None = None,
-        options: EvaluatorOptions | None = None,
-        objective: str = "latency",
-        workers: int | None = None,
-        cache: bool | None = None,
-        layer_cache: bool | None = None,
-        capacity: int = DEFAULT_CAPACITY,
-        subproblem_capacity: int = DEFAULT_SUBPROBLEM_CAPACITY,
-        cost_model: CostModelSpec | None = None,
         config: SearchConfig | None = None,
+        **kwargs,
     ) -> None:
-        if config is None:
-            config = SearchConfig.from_kwargs(
-                designs=designs,
-                budget=budget,
-                options=options,
-                cost_model=cost_model,
-                objective=objective,
-                workers=workers,
-                cache=cache,
-                layer_cache=layer_cache,
-                capacity=capacity,
-                subproblem_capacity=subproblem_capacity,
-            )
-        #: The canonical :class:`~repro.core.config.SearchConfig` every
-        #: tenant session of this registry is built from.
-        self.config = config.canonical()
+        #: The :class:`~repro.core.config.SearchConfig` every tenant
+        #: session of this registry is built from.
+        self.config = SearchConfig.of(config, **kwargs)
         self.topology = topology
         self.objective = self.config.objective
         self.capacity = self.config.capacity
@@ -293,12 +251,9 @@ class MultiModelSession:
     def from_config(
         cls, topology: SystemTopology, config: SearchConfig
     ) -> "MultiModelSession":
-        """Build a registry from a canonical config bundle.
-
-        The kwarg constructor is a thin adapter over the same bundle;
-        this is the spelling the sharded frontend ships to its workers.
-        """
-        return cls(topology, config=config)
+        """Alias of ``MultiModelSession(topology, config)``, kept
+        because ``perfbench/`` replays through it."""
+        return cls(topology, config)
 
     # ------------------------------------------------------------------
     # Tenant routing
@@ -349,7 +304,7 @@ class MultiModelSession:
         config = self.config
         if objective != config.objective:
             config = replace(config, objective=objective)
-        session = MarsSession.from_config(graph, topology, config)
+        session = MarsSession(graph, topology, config)
         self._tenants[key] = _Tenant(graph=graph, session=session)
         while len(self._tenants) > self.capacity:
             _, evicted = self._tenants.popitem(last=False)
@@ -511,7 +466,7 @@ def _shard_worker(
     :class:`~repro.core.faults.FaultSpec` fires deterministically
     before the Nth search request of this incarnation is served.
     """
-    registry = MultiModelSession.from_config(topology, config)
+    registry = MultiModelSession(topology, config)
     interned: OrderedDict[str, ComputationGraph] = OrderedDict()
     beacon = (
         BeaconEmitter(conn, liveness.beacon_interval)
@@ -736,9 +691,8 @@ class _ShardPool:
         clock=time.monotonic,
     ) -> None:
         require_positive(shards, "shards")
-        #: The canonical config every shard worker rebuilds its
-        #: registry from.
-        self.config = config.canonical()
+        #: The config every shard worker rebuilds its registry from.
+        self.config = config
         self.topology = topology
         #: The liveness policy of this frontend — stall budget, beacon
         #: protocol and kill-escalation graces (see
@@ -1038,7 +992,7 @@ class _ShardPool:
         try:
             with self._fallback_lock:
                 if self._fallback is None:
-                    self._fallback = MultiModelSession.from_config(
+                    self._fallback = MultiModelSession(
                         self.topology, self.config
                     )
                 result = self._fallback.search(

@@ -1,12 +1,12 @@
 """Warm-search sessions: one evaluator, many searches.
 
-A one-shot :class:`~repro.core.mapper.Mars` search discards everything
-it learned the moment it returns: the evaluator's per-layer cost cache,
-the level-1 sub-problem solutions, the greedy seeding choices, the
-partition catalog and the profiled design table. A server workload —
-one mapper process serving many models, seeds and objectives — re-poses
-near-identical sub-problems constantly, so :class:`MarsSession` keeps
-all of that state alive across searches:
+A search learns a lot that does not depend on its seed: the
+evaluator's per-layer cost cache, the level-1 sub-problem solutions,
+the greedy seeding choices, the partition catalog and the profiled
+design table. A server workload — one mapper process serving many
+models, seeds and objectives — re-poses near-identical sub-problems
+constantly, so :class:`MarsSession` keeps all of that state alive
+across searches:
 
 * one :class:`~repro.core.evaluator.MappingEvaluator` (its layer-cost
   cache and greedy-shortlist memo stay warm);
@@ -20,7 +20,10 @@ all of that state alive across searches:
   level-1 batched sub-problem fan-out, instead of an executor respawn
   per search.
 
-One mapper process serving *many* models is
+A session is configured by one
+:class:`~repro.core.config.SearchConfig` (or that config's keywords).
+:class:`~repro.core.mapper.Mars` is the same class minus the
+persistent store; one mapper process serving *many* models is
 :class:`repro.core.serving.MultiModelSession`, a registry of these
 sessions.
 
@@ -39,13 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.profiler import WorkloadProfile
-from repro.core.config import DEFAULT_SUBPROBLEM_CAPACITY, SearchConfig
-from repro.core.costmodel import CostModelSpec
+from repro.core.config import SearchConfig
 from repro.core.evaluator import (
     INFEASIBLE_SECONDS,
-    EvaluatorOptions,
     LayerCacheStats,
     MappingEvaluation,
     MappingEvaluator,
@@ -54,7 +54,7 @@ from repro.core.formulation import Mapping
 from repro.core.ga.backends import ProcessPoolBackend
 from repro.core.ga.engine import GAResult
 from repro.core.ga.heuristics import Partition
-from repro.core.ga.level1 import Level1Search, SearchBudget
+from repro.core.ga.level1 import Level1Search
 from repro.core.ga.level2 import SetSolution
 from repro.core.store import MappingStore
 from repro.dnn.graph import ComputationGraph
@@ -220,124 +220,86 @@ class SessionStats:
 class MarsSession:
     """A long-lived MARS mapping service for one workload on one system.
 
-    Construction mirrors :class:`~repro.core.mapper.Mars` (same
-    arguments, same defaults); the difference is lifetime. ``Mars``
-    itself keeps an internal session, so repeated ``Mars.search`` calls
-    on one instance are already warm — construct a session directly
-    when you want explicit control over cache lifetime, shared-state
-    observability (:attr:`stats`) or the shared :attr:`evaluator` (e.g.
-    to price baselines against the same warm caches).
+    A session keeps every seed-independent piece of search state warm
+    across its ``search`` calls; :class:`~repro.core.mapper.Mars` is a
+    session too. Construct one directly when you want explicit control
+    over cache lifetime, shared-state observability (:attr:`stats`),
+    the persistent store, or the shared :attr:`evaluator` (e.g. to
+    price baselines against the same warm caches).
+
+    Configuration: pass a :class:`~repro.core.config.SearchConfig`, or
+    the keywords of :meth:`SearchConfig.from_kwargs
+    <repro.core.config.SearchConfig.from_kwargs>` — not both. The
+    session reads its settings from :attr:`config` and nowhere else;
+    ``config.budget.level1.workers`` sizes the sub-problem pool (a
+    budget with level-2 ``workers`` other than 1 is refused).
 
     Cache lifetime and invalidation: all warm state keys on the
-    session's fixed ``(graph, topology, designs, budget, options,
-    objective)`` configuration — none of it depends on the search seed,
-    so nothing ever needs invalidating while the configuration stands.
-    Use a new session (or :meth:`clear`) for a different workload,
-    system or cost-model configuration; mutating those objects
-    in-place mid-session is not supported.
+    session's fixed ``(graph, topology, config)`` — none of it depends
+    on the search seed, so nothing ever needs invalidating while the
+    configuration stands. Every public attribute is fixed at
+    construction (reassigning one raises ``AttributeError``): use a new
+    session, or :meth:`clear`, for a different workload, system or
+    configuration. Mutating those objects in place mid-session is not
+    supported.
 
     Resource lifetime: with ``workers > 1`` the session owns **one**
     process pool for its whole lifetime, the only pool a search uses:
     each level-1 generation solves its distinct sub-problems on it, and
     every search reuses it instead of respawning an executor per
     search. Call :meth:`close` (or use the session as a context
-    manager) when done; a session with no pool closes to a no-op. If
-    the pool retires itself after repeated failures (see
+    manager) when done; a session with no pool closes to a no-op, and
+    :meth:`search` raises after it. If the pool retires itself after
+    repeated failures (see
     :class:`~repro.core.ga.backends.ProcessPoolBackend`), the session
     replaces it up to :attr:`POOL_RESPAWN_LIMIT` times before settling
-    on serial solves — results are identical either way.
-
-    Args:
-        graph: The DNN workload.
-        topology: The multi-accelerator system.
-        designs: Design catalog for adaptive systems (Table II default).
-        budget: GA budgets for the two levels.
-        options: Cost-model knobs.
-        objective: ``"latency"`` (paper) or ``"throughput"``.
-        workers: Size of the sub-problem pool (overrides
-            ``budget.level1.workers``; level 2 always runs serial, and
-            a budget with level-2 ``workers`` other than 1 is refused).
-        cache: Override both levels' fitness memoization.
-        layer_cache: Override :attr:`EvaluatorOptions.layer_cache`.
-        subproblem_capacity: LRU bound on the cross-search sub-problem
-            solution cache. Eviction never changes results — an evicted
-            sub-problem re-solves identically from its content-keyed
-            RNG — it only re-pays that solve's wall-clock.
-        config: A prebuilt :class:`~repro.core.config.SearchConfig`;
-            when given it supersedes every other keyword (prefer
-            :meth:`from_config` for that spelling).
+    on serial solves — results are identical either way. Eviction from
+    the ``config.subproblem_capacity``-bounded sub-problem cache never
+    changes results either: an evicted sub-problem re-solves
+    identically from its content-keyed RNG.
     """
 
     #: Times a session will replace a retired pool backend before
     #: giving up on parallelism for its remaining lifetime.
     POOL_RESPAWN_LIMIT = 2
 
-    #: Default LRU bound of the cross-search sub-problem cache —
-    #: comfortably above what any single workload poses, small enough
-    #: to bound a months-lived serving process.
-    DEFAULT_SUBPROBLEM_CAPACITY = DEFAULT_SUBPROBLEM_CAPACITY
-
     def __init__(
         self,
         graph: ComputationGraph,
         topology: SystemTopology,
-        designs: list[AcceleratorDesign] | None = None,
-        budget: SearchBudget | None = None,
-        options: EvaluatorOptions | None = None,
-        objective: str = "latency",
-        workers: int | None = None,
-        cache: bool | None = None,
-        layer_cache: bool | None = None,
-        subproblem_capacity: int = DEFAULT_SUBPROBLEM_CAPACITY,
-        cost_model: CostModelSpec | None = None,
         config: SearchConfig | None = None,
+        **kwargs,
     ) -> None:
-        if config is None:
-            config = SearchConfig.from_kwargs(
-                designs=designs,
-                budget=budget,
-                options=options,
-                cost_model=cost_model,
-                objective=objective,
-                workers=workers,
-                cache=cache,
-                layer_cache=layer_cache,
-                subproblem_capacity=subproblem_capacity,
-            )
-        #: The canonical :class:`~repro.core.config.SearchConfig` this
-        #: session was built from (overrides folded in).
-        self.config = config.canonical()
+        config = SearchConfig.of(config, **kwargs)
         require(
-            self.config.budget.level2.workers == 1,
+            config.budget.level2.workers == 1,
             "level-2 GAs evaluate serially; budget.level2.workers must be "
-            f"1, got {self.config.budget.level2.workers} (workers=N sizes "
+            f"1, got {config.budget.level2.workers} (workers=N sizes "
             "the level-1 sub-problem pool)",
         )
+        #: The :class:`~repro.core.config.SearchConfig` this session was
+        #: built from — the one place its settings are read.
+        self.config = config
         self.graph = graph
         self.topology = topology
-        self.designs = list(self.config.designs)
-        self.budget = self.config.budget
-        self.options = self.config.options
-        self.objective = self.config.objective
         #: The one evaluator every search, baseline pricing and program
         #: emission of this session shares, priced by the cost model
         #: the config declares (rebuilt here from its picklable spec —
         #: the same path a shard worker takes on the far side of a
         #: config shipment).
         self.evaluator = MappingEvaluator(
-            graph, topology, self.options, cost_model=self.config.cost_model
+            graph, topology, config.options, cost_model=config.cost_model
         )
         #: Cross-search level-1 sub-problem solutions (LRU-bounded).
-        self.solution_cache = LruCache(self.config.subproblem_capacity)
+        self.solution_cache = LruCache(config.subproblem_capacity)
         self._partitions: list[Partition] | None = None
         self._design_profile: WorkloadProfile | None = None
         self._searches = 0
         self._store_skipped_infeasible = 0
         self._closed = False
+        workers = config.budget.level1.workers
         self._pool: ProcessPoolBackend | None = (
-            ProcessPoolBackend(self.budget.level1.workers)
-            if self.budget.level1.workers > 1
-            else None
+            ProcessPoolBackend(workers) if workers > 1 else None
         )
         self._worker_layer_cache = LayerCacheStats()
         self._subproblems_fanned_out = 0
@@ -351,8 +313,8 @@ class MarsSession:
         #: the same spec share the on-disk state — which is how a
         #: crash-respawned shard worker or a fresh frontend warm-starts.
         self._store: MappingStore | None = (
-            MappingStore.from_spec(self.config.store)
-            if self.config.store is not None
+            MappingStore.from_spec(config.store)
+            if config.store is not None
             else None
         )
         # The store key's fixed components; the seed varies per search.
@@ -360,25 +322,23 @@ class MarsSession:
             (
                 graph.fingerprint(),
                 topology.fingerprint(),
-                self.config.result_fingerprint(),
+                config.result_fingerprint(),
             )
             if self._store is not None
             else None
         )
+        self._sealed = True
 
-    @classmethod
-    def from_config(
-        cls,
-        graph: ComputationGraph,
-        topology: SystemTopology,
-        config: SearchConfig,
-    ) -> "MarsSession":
-        """Build a session from a canonical config bundle.
-
-        The kwarg constructor is a thin adapter over this: both paths
-        produce bit-identical sessions for equivalent inputs.
-        """
-        return cls(graph, topology, config=config)
+    def __setattr__(self, name: str, value: object) -> None:
+        # The warm caches key on everything public, so reassigning it
+        # (a new graph, a new config) would silently search with stale
+        # state; private bookkeeping stays writable.
+        if not name.startswith("_") and self.__dict__.get("_sealed"):
+            raise AttributeError(
+                f"{type(self).__name__}.{name} is fixed at construction; "
+                "build a new session instead"
+            )
+        super().__setattr__(name, value)
 
     @property
     def closed(self) -> bool:
@@ -453,11 +413,15 @@ class MarsSession:
         search = Level1Search(
             graph=self.graph,
             topology=self.topology,
-            designs=self.designs if self.topology.kind == "adaptive" else [],
+            designs=(
+                list(self.config.designs)
+                if self.topology.kind == "adaptive"
+                else []
+            ),
             evaluator=self.evaluator,
-            budget=self.budget,
+            budget=self.config.budget,
             rng=make_rng(seed),
-            objective=self.objective,
+            objective=self.config.objective,
             solution_cache=self.solution_cache,
             level1_backend=self._search_pool(),
             partitions=self._partitions,
@@ -547,7 +511,10 @@ class MarsSession:
         quarantine plus a miss (the session then searches fresh).
         """
         mapping = mapping_from_dict(
-            payload["mapping"], self.graph, self.topology, self.designs
+            payload["mapping"],
+            self.graph,
+            self.topology,
+            list(self.config.designs),
         )
         evaluation = payload["evaluation"]
         ga = payload["ga"]

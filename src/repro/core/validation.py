@@ -306,7 +306,7 @@ def validate_model(
             }
         program = mars.compile_program(result)
     comparison = compare_program(
-        program, model=mars.cost_model.build(topology), worst=worst
+        program, model=mars.config.cost_model.build(topology), worst=worst
     )
     record = {
         "model": name,

@@ -229,10 +229,10 @@ class ComputationGraph:
         perturbation (a changed channel count, kernel, edge or layer
         name) produces a different digest. The derivation goes through
         :func:`repro.utils.rng.stable_digest`, so it is identical
-        across processes and interpreter runs — unlike
-        :class:`~repro.utils.identity.IdentityRef` keys, a fingerprint
-        survives pickling, which is what lets the sharded serving
-        frontend address tenants across process boundaries.
+        across processes and interpreter runs — unlike an object-identity
+        key, a fingerprint survives pickling, which is what lets the
+        sharded serving frontend address tenants across process
+        boundaries.
 
         Computed once and cached; graphs are immutable after
         construction.

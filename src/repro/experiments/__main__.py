@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments table2
     python -m repro.experiments table3 --models alexnet vgg16 --budget fast
     python -m repro.experiments table4 --budget paper --seed 1
-    python -m repro.experiments table3 --workers 4 --cache
+    python -m repro.experiments table3 --workers 4
     python -m repro.experiments table3 --seeds 4
     python -m repro.experiments --validate --models tiny_cnn
 
@@ -19,10 +19,11 @@ reconcile exactly up to float noise) and ``--out`` writes the full
 JSON report.
 
 ``--workers N`` solves each level-1 generation's distinct sub-problems
-(each a whole level-2 GA) on a pool of N worker processes, ``--cache``
-memoizes GA fitness and ``--no-layer-cache`` disables the evaluator's
-per-layer cost cache; all three change wall-clock only — for a fixed
-seed every configuration reproduces the same tables.
+(each a whole level-2 GA) on a pool of N worker processes
+(``budget.level1.workers``) and ``--no-layer-cache`` disables the
+evaluator's per-layer cost cache (``options.layer_cache``); both change
+wall-clock only — for a fixed seed every configuration reproduces the
+same tables.
 ``--seeds N`` sweeps N GA seeds per Table III model through that
 model's warm session and keeps the best mapping (per-seed results stay
 bit-identical to fresh single-seed runs). Table III routes every model
@@ -55,9 +56,9 @@ from repro.dnn.models import TABLE3_MODELS, TABLE4_MODELS
 from repro.experiments import run_table2, run_table3, run_table4
 
 
-def _budget(name: str, workers: int = 1, cache: bool = False) -> SearchBudget:
+def _budget(name: str, workers: int = 1) -> SearchBudget:
     budget = SearchBudget.paper() if name == "paper" else SearchBudget.fast()
-    return budget.with_backend(workers=workers, cache=cache)
+    return budget.with_backend(workers=workers)
 
 
 def _layer_cache_summary(stats: list[LayerCacheStats]) -> str | None:
@@ -194,11 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         "sub-problems (> 1 runs a process pool; not for table2)",
     )
     parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="memoize GA fitness evaluations (identical results, fewer evals)",
-    )
-    parser.add_argument(
         "--no-layer-cache",
         action="store_true",
         help="disable the evaluator's per-layer cost cache "
@@ -253,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--workers does not apply to table2")
     layer_cache = not args.no_layer_cache
 
-    budget = _budget(args.budget, workers=args.workers, cache=args.cache)
+    budget = _budget(args.budget, workers=args.workers)
     if args.experiment == "validate":
         import json
 

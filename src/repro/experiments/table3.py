@@ -179,7 +179,7 @@ def run_table3(
             topology, shards=shards, config=config, policy=policy
         )
     else:
-        server = MultiModelSession.from_config(topology, config)
+        server = MultiModelSession(topology, config)
     with server:
         if shards is not None:
             # Submit the whole sweep up front: searches placed on

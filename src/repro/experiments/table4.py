@@ -87,9 +87,9 @@ def run_table4(
         result.cells[label] = {}
         for name in models:
             h2h = h2h_mapping(graphs[name], system, options=options)
-            # The context manager shuts the facade's session down (its
-            # worker pool, when the budget sets workers > 1) before the
-            # next (bandwidth, model) cell builds a fresh one.
+            # The context manager closes the session (its worker pool,
+            # when the budget sets workers > 1) before the next
+            # (bandwidth, model) cell builds a fresh one.
             with Mars(
                 graphs[name], system, budget=budget, options=options
             ) as mapper:

@@ -6,7 +6,6 @@ without import cycles.
 """
 
 from repro.utils.cache import LruCache
-from repro.utils.identity import IdentityRef
 from repro.utils.rng import make_rng, spawn_rngs, stable_digest, stable_seed
 from repro.utils.tables import format_table
 from repro.utils.units import (
@@ -26,7 +25,6 @@ from repro.utils.validation import require, require_positive
 __all__ = [
     "GBPS",
     "GIB",
-    "IdentityRef",
     "KIB",
     "LruCache",
     "MIB",

@@ -65,8 +65,8 @@ def stable_digest(*parts: object) -> str:
     ``repr``. This is the primitive behind content fingerprints
     (:meth:`repro.dnn.graph.ComputationGraph.fingerprint`,
     :meth:`repro.system.topology.SystemTopology.fingerprint`) — keys
-    that, unlike :class:`~repro.utils.identity.IdentityRef`, survive a
-    pickle round-trip across a process boundary.
+    that, unlike object identity, survive a pickle round-trip across a
+    process boundary.
     """
     blob = repr(parts).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=16).hexdigest()

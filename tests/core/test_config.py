@@ -1,21 +1,27 @@
-"""SearchConfig: canonicalization, equality, pickling, adapters.
+"""SearchConfig: one spelling per knob, equality, pickling, adapters.
 
-The config bundle's contract: two spellings of the same effective
-search configuration canonicalize (and fingerprint) identically; the
-bundle survives pickling unchanged (it is what sharded serving ships to
-worker processes); and the facades' kwarg constructors are thin
-adapters over it — ``from_config`` and kwargs build bit-identical
-searchers.
+The config bundle's contract: every knob has exactly one field, and
+the one keyword adapter (:meth:`SearchConfig.from_kwargs`) folds its
+``workers=``/``layer_cache=`` keywords into those fields, so equivalent
+spellings compare (and hash) equal; the bundle is frozen all the way
+down and survives pickling unchanged (it is what sharded serving ships
+to worker processes); every constructor takes a config or the
+adapter's keywords, never both; and ``result_fingerprint()`` moves
+exactly when a knob can change search results.
 """
 
+import functools
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.core import Mars, MarsSession, MultiModelSession, SearchConfig
+from repro.core.costmodel import CostModelSpec
 from repro.core.evaluator import EvaluatorOptions, MappingEvaluator
+from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.ga import Level1Search, ProcessPoolBackend, SearchBudget
+from repro.core.store import StoreSpec
 from repro.utils import make_rng
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
@@ -24,38 +30,42 @@ TOPOLOGY = f1_16xlarge()
 CNN = build_model("tiny_cnn")
 
 
-class TestCanonicalization:
-    def test_defaults_are_already_canonical(self):
-        config = SearchConfig()
-        assert config.canonical() == config
+def _cached_budget():
+    """The fast budget with fitness memoization on at both GA levels."""
+    budget = SearchBudget.fast()
+    return SearchBudget(
+        level1=replace(budget.level1, cache=True),
+        level2=replace(budget.level2, cache=True),
+    )
 
-    def test_worker_override_folds_into_the_budget(self):
-        via_override = SearchConfig(workers=2, cache=True).canonical()
-        via_budget = SearchConfig(
-            budget=SearchBudget.fast().with_backend(workers=2, cache=True)
-        ).canonical()
-        assert via_override == via_budget
-        assert via_override.workers is None
-        assert via_override.budget.level1.workers == 2
 
-    def test_layer_cache_override_folds_into_the_options(self):
-        via_override = SearchConfig(layer_cache=False).canonical()
-        via_options = SearchConfig(
-            options=EvaluatorOptions(layer_cache=False)
-        ).canonical()
-        assert via_override == via_options
-        assert via_override.layer_cache is None
-
-    def test_canonical_is_idempotent(self):
-        config = SearchConfig(workers=2, layer_cache=False).canonical()
-        assert config.canonical() == config
-
-    def test_fingerprint_matches_for_equivalent_spellings(self):
-        a = SearchConfig(workers=2)
-        b = SearchConfig(
-            budget=SearchBudget.fast().with_backend(workers=2)
+class TestKeywordAdapter:
+    def test_worker_keyword_folds_into_the_budget(self):
+        via_keyword = SearchConfig.from_kwargs(
+            workers=2, budget=_cached_budget()
         )
-        assert a.fingerprint() == b.fingerprint()
+        via_budget = SearchConfig(
+            budget=_cached_budget().with_backend(workers=2)
+        )
+        assert via_keyword == via_budget
+        assert via_keyword.budget.level1.workers == 2
+
+    def test_layer_cache_keyword_folds_into_the_options(self):
+        via_keyword = SearchConfig.from_kwargs(layer_cache=False)
+        via_options = SearchConfig(options=EvaluatorOptions(layer_cache=False))
+        assert via_keyword == via_options
+        assert not via_keyword.options.layer_cache
+
+    def test_equivalent_spellings_are_equal_and_hash_equal(self):
+        a = SearchConfig.from_kwargs(workers=2)
+        b = SearchConfig(budget=SearchBudget.fast().with_backend(workers=2))
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_cache_keyword_is_refused(self):
+        # GAConfig(cache=True) on level 2 is the one spelling.
+        with pytest.raises(TypeError):
+            SearchConfig.from_kwargs(cache=True)
 
     @pytest.mark.parametrize(
         "change",
@@ -68,11 +78,21 @@ class TestCanonicalization:
         ],
         ids=["objective", "capacity", "subproblem", "budget", "options"],
     )
-    def test_fingerprint_changes_with_the_configuration(self, change):
-        assert (
-            replace(SearchConfig(), **change).fingerprint()
-            != SearchConfig().fingerprint()
-        )
+    def test_configs_differ_with_the_configuration(self, change):
+        changed = replace(SearchConfig(), **change)
+        assert changed != SearchConfig()
+        assert hash(changed) != hash(SearchConfig())
+
+
+class TestFrozen:
+    def test_config_is_hashable(self):
+        assert hash(SearchConfig()) == hash(SearchConfig())
+
+    def test_budget_cannot_be_mutated_under_a_config(self):
+        config = SearchConfig()
+        with pytest.raises(AttributeError):
+            config.budget.level1 = SearchBudget.paper().level1
+        assert config == SearchConfig()
 
 
 class TestLevel1WorkerAliasing:
@@ -86,24 +106,24 @@ class TestLevel1WorkerAliasing:
     """
 
     def test_worker_override_folds_into_level1_only(self):
-        config = SearchConfig(workers=2).canonical()
+        config = SearchConfig.from_kwargs(workers=2)
         assert config.budget.level1.workers == 2
         assert config.budget.level2.workers == 1
 
     def test_explicit_level1_spelling_fingerprints_identically(self):
-        via_kwarg = SearchConfig(workers=2)
+        via_kwarg = SearchConfig.from_kwargs(workers=2)
         via_budget = SearchConfig(
             budget=SearchBudget(
                 level1=replace(SearchBudget.fast().level1, workers=2),
                 level2=SearchBudget.fast().level2,
             )
         )
-        assert via_kwarg.canonical() == via_budget.canonical()
-        assert via_kwarg.fingerprint() == via_budget.fingerprint()
+        assert via_kwarg == via_budget
+        assert via_kwarg.result_fingerprint() == via_budget.result_fingerprint()
 
     def test_workers_are_invisible_to_result_fingerprint(self):
         assert (
-            SearchConfig(workers=2).result_fingerprint()
+            SearchConfig.from_kwargs(workers=2).result_fingerprint()
             == SearchConfig().result_fingerprint()
         )
 
@@ -119,7 +139,10 @@ class TestLevel1WorkerAliasing:
 PINNED_RESULT_FINGERPRINTS = [
     (dict(), "e687d01643f3bfc5030416bb5f44963f"),
     (dict(workers=2), "e687d01643f3bfc5030416bb5f44963f"),
-    (dict(workers=2, cache=True), "e687d01643f3bfc5030416bb5f44963f"),
+    (
+        dict(workers=2, budget=_cached_budget()),
+        "e687d01643f3bfc5030416bb5f44963f",
+    ),
     (dict(layer_cache=False), "e687d01643f3bfc5030416bb5f44963f"),
     (
         dict(budget=SearchBudget.paper(), workers=4),
@@ -137,7 +160,102 @@ class TestStoreKeysDoNotMove:
              "paper-workers", "throughput"],
     )
     def test_result_fingerprint_is_pinned(self, kwargs, digest):
-        assert SearchConfig(**kwargs).result_fingerprint() == digest
+        assert SearchConfig.from_kwargs(**kwargs).result_fingerprint() == digest
+
+
+def _with_level(level, **changes):
+    """A config mutation that replaces fields of one GA level."""
+
+    def mutate(config):
+        budget = config.budget
+        ga = replace(getattr(budget, level), **changes)
+        return replace(config, budget=replace(budget, **{level: ga}))
+
+    return mutate
+
+
+def _with_options(**changes):
+    return lambda config: replace(
+        config, options=replace(config.options, **changes)
+    )
+
+
+#: Knobs that change what a search finds: mutating one must move
+#: ``result_fingerprint()``, or a store would serve stale artifacts.
+RESULTS_AFFECTING = {
+    "designs": lambda c: replace(c, designs=c.designs[:1]),
+    "budget": lambda c: replace(c, budget=SearchBudget.paper()),
+    "options": _with_options(memory_spill=False),
+    "cost_model": lambda c: replace(
+        c,
+        cost_model=CostModelSpec.with_params(
+            "contention-derated", collective_derate=1.5
+        ),
+    ),
+    "objective": lambda c: replace(c, objective="throughput"),
+}
+
+#: Knobs that change wall-clock only: mutating one must leave
+#: ``result_fingerprint()`` and a search bit-identical. ``store`` is
+#: filled in per test (it needs a temporary directory).
+WALL_CLOCK_ONLY = {
+    "capacity": lambda c: replace(c, capacity=1),
+    "subproblem_capacity": lambda c: replace(c, subproblem_capacity=2),
+    "store": None,
+    "faults": lambda c: replace(
+        c, faults=FaultPlan(faults=(FaultSpec(kind="slow", delay=0.1),))
+    ),
+    "budget.level1.workers": _with_level("level1", workers=2),
+    "budget.level1.cache": _with_level("level1", cache=True),
+    "budget.level2.cache": _with_level("level2", cache=True),
+    "options.layer_cache": _with_options(layer_cache=False),
+    "options.layer_cache_capacity": _with_options(layer_cache_capacity=8),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_search():
+    return Mars(CNN, TOPOLOGY).search(seed=0)
+
+
+class TestFingerprintSoundness:
+    """Every config knob is classified, and the classification holds."""
+
+    def test_every_config_field_is_classified(self):
+        knobs = {*RESULTS_AFFECTING, *WALL_CLOCK_ONLY}
+        assert not set(RESULTS_AFFECTING) & set(WALL_CLOCK_ONLY)
+        assert {f.name for f in fields(SearchConfig)} == {
+            name for name in knobs if "." not in name
+        }
+        # Sub-knobs name real nested fields (a rename fails here).
+        for name in knobs:
+            functools.reduce(getattr, name.split("."), SearchConfig())
+
+    @pytest.mark.parametrize("knob", sorted(RESULTS_AFFECTING))
+    def test_results_affecting_knob_moves_the_fingerprint(self, knob):
+        base = SearchConfig()
+        changed = RESULTS_AFFECTING[knob](base)
+        assert changed != base
+        assert changed.result_fingerprint() != base.result_fingerprint()
+
+    @pytest.mark.parametrize("knob", sorted(WALL_CLOCK_ONLY))
+    def test_wall_clock_knob_keeps_results_bit_identical(
+        self, knob, tmp_path, reference_search
+    ):
+        base = SearchConfig()
+        mutate = WALL_CLOCK_ONLY[knob] or (
+            lambda c: replace(c, store=StoreSpec(path=str(tmp_path / "s")))
+        )
+        changed = mutate(base)
+        assert changed != base
+        assert changed.result_fingerprint() == base.result_fingerprint()
+        with MarsSession(CNN, TOPOLOGY, changed) as session:
+            result = session.search(seed=0)
+        assert result.evaluation.latency_seconds.hex() == (
+            reference_search.evaluation.latency_seconds.hex()
+        )
+        assert result.ga.history == reference_search.ga.history
+        assert result.describe() == reference_search.describe()
 
 
 def _level2_workers_budget():
@@ -203,48 +321,67 @@ class TestValidation:
 
 class TestPickling:
     def test_round_trip_preserves_equality_and_fingerprint(self):
-        config = SearchConfig(workers=2, layer_cache=False, capacity=3)
+        config = SearchConfig.from_kwargs(
+            workers=2, layer_cache=False, capacity=3
+        )
         copy = pickle.loads(pickle.dumps(config))
         assert copy == config
-        assert copy.fingerprint() == config.fingerprint()
+        assert hash(copy) == hash(config)
+        assert copy.result_fingerprint() == config.result_fingerprint()
 
 
 class TestFacadeAdapters:
-    def test_mars_kwargs_and_from_config_agree(self):
-        config = SearchConfig(workers=None, cache=True)
-        via_config = Mars.from_config(CNN, TOPOLOGY, config)
-        via_kwargs = Mars(CNN, TOPOLOGY, cache=True)
-        assert via_config.config() == via_kwargs.config()
+    def test_mars_kwargs_and_config_agree(self):
+        config = SearchConfig.from_kwargs(layer_cache=False)
+        via_config = Mars(CNN, TOPOLOGY, config)
+        via_kwargs = Mars(CNN, TOPOLOGY, layer_cache=False)
+        assert via_config.config == via_kwargs.config == config
 
     def test_mars_honors_subproblem_capacity(self):
         # Regression: the facade used to drop the configured bound and
         # build its session with the 4096 default.
         config = SearchConfig(subproblem_capacity=16)
-        mars = Mars.from_config(CNN, TOPOLOGY, config)
-        assert mars.config().subproblem_capacity == 16
-        with mars:
-            assert mars.session().solution_cache.capacity == 16
+        with Mars(CNN, TOPOLOGY, config) as mars:
+            assert mars.config.subproblem_capacity == 16
+            assert mars.solution_cache.capacity == 16
 
-    def test_session_kwargs_and_from_config_agree(self):
-        config = SearchConfig(layer_cache=False)
-        with MarsSession.from_config(CNN, TOPOLOGY, config) as a:
+    def test_session_kwargs_and_config_agree(self):
+        config = SearchConfig.from_kwargs(layer_cache=False)
+        with MarsSession(CNN, TOPOLOGY, config) as a:
             with MarsSession(CNN, TOPOLOGY, layer_cache=False) as b:
                 assert a.config == b.config
-                assert a.options == b.options
-                assert not a.options.layer_cache
+                assert not a.config.options.layer_cache
+                assert not a.evaluator.layer_cache_enabled
 
-    def test_registry_kwargs_and_from_config_agree(self):
+    def test_registry_kwargs_and_config_agree(self):
         config = SearchConfig(capacity=3)
-        with MultiModelSession.from_config(TOPOLOGY, config) as a:
+        with MultiModelSession(TOPOLOGY, config) as a:
             with MultiModelSession(TOPOLOGY, capacity=3) as b:
                 assert a.config == b.config
                 assert a.capacity == b.capacity == 3
+        with MultiModelSession.from_config(TOPOLOGY, config) as alias:
+            assert alias.config == config
 
     def test_config_constructed_search_is_bit_identical_to_kwargs(self):
         config = SearchConfig()
         fresh = Mars(CNN, TOPOLOGY).search(seed=0)
-        with MarsSession.from_config(CNN, TOPOLOGY, config) as session:
+        with MarsSession(CNN, TOPOLOGY, config) as session:
             warm = session.search(seed=0)
         assert warm.latency_ms == fresh.latency_ms
         assert warm.describe() == fresh.describe()
         assert warm.ga.history == fresh.ga.history
+
+
+class TestConfigOrKeywords:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: Mars(CNN, TOPOLOGY, **kw),
+            lambda **kw: MarsSession(CNN, TOPOLOGY, **kw),
+            lambda **kw: MultiModelSession(TOPOLOGY, **kw),
+        ],
+        ids=["Mars", "MarsSession", "MultiModelSession"],
+    )
+    def test_config_and_keywords_together_raise(self, build):
+        with pytest.raises(ValueError, match="not both"):
+            build(config=SearchConfig(), workers=2)

@@ -253,20 +253,20 @@ class TestIdentityThreading:
     def test_config_fingerprints_differ_by_cost_model(self):
         base = SearchConfig()
         derated = SearchConfig(cost_model=DERATED)
-        assert base.fingerprint() != derated.fingerprint()
+        assert base != derated
         assert base.result_fingerprint() != derated.result_fingerprint()
 
     def test_equal_specs_share_fingerprints(self):
         a = SearchConfig(cost_model=CostModelSpec())
         b = SearchConfig()
-        assert a.fingerprint() == b.fingerprint()
+        assert a == b
         assert a.result_fingerprint() == b.result_fingerprint()
 
     def test_config_pickle_preserves_cost_model(self):
         config = SearchConfig(cost_model=DERATED)
         clone = pickle.loads(pickle.dumps(config))
         assert clone.cost_model == DERATED
-        assert clone.fingerprint() == config.fingerprint()
+        assert clone == config
         assert clone.result_fingerprint() == config.result_fingerprint()
 
     def test_store_artifacts_do_not_alias_across_models(self, tmp_path):

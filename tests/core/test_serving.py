@@ -227,7 +227,7 @@ class TestLifecycle:
         with MultiModelSession(TOPOLOGY, workers=2) as registry:
             session = registry.session_for(CNN)
             assert session.pool is not None
-            assert session.budget.level1.workers == 2
+            assert session.config.budget.level1.workers == 2
         assert session.closed
 
     def test_merge_never_stacks_label_suffixes(self):

@@ -194,22 +194,13 @@ class TestSessionState:
 class TestMarsFacadeSession:
     def test_facade_reuses_one_session_and_evaluator(self):
         mars = Mars(GRAPH, TOPOLOGY)
+        assert isinstance(mars, MarsSession)
         result = mars.search(seed=0)
-        session = mars.session()
-        evaluator = session.evaluator
+        evaluator = mars.evaluator
         mars.search(seed=1)
         mars.compile_program(result)
-        assert mars.session() is session
-        assert mars.session().evaluator is evaluator
-        assert session.stats.searches == 2
-
-    def test_facade_rebuilds_session_when_config_changes(self):
-        mars = Mars(GRAPH, TOPOLOGY)
-        mars.search(seed=0)
-        before = mars.session()
-        mars.layer_cache = False
-        assert mars.session() is not before
-        assert not mars.session().evaluator.layer_cache_enabled
+        assert mars.evaluator is evaluator
+        assert mars.stats.searches == 2
 
     def test_compile_program_matches_analytical_latency(self):
         mars = Mars(GRAPH, TOPOLOGY)
@@ -220,58 +211,29 @@ class TestMarsFacadeSession:
         )
 
 
-class TestConfigKeyAliasing:
-    """Regression: the facade's session key must never alias through a
-    recycled ``id()``.
+class TestReassignmentRefused:
+    """Regression: every public name of a session is fixed at
+    construction.
 
-    The old key held ``id(self.graph)``/``id(self.topology)`` as bare
-    ints; once the original graph was garbage-collected, CPython could
-    hand its address to a *new* graph, silently matching the stale key
-    and serving the stale session's warm caches — a mapping for the
-    wrong workload. The key now holds ``IdentityRef`` wrappers: identity
-    comparison plus a strong reference that pins the original object
-    (and hence its id) for as long as the key is retained.
+    The warm caches key on the graph, topology and config, so a
+    reassigned graph used to search against the old graph's caches (a
+    ``KeyError`` deep in pricing), and a reassigned former ``Mars``
+    field such as ``workers`` was silently accepted and ignored.
     """
 
-    def test_config_key_pins_graph_and_topology(self):
-        import weakref
+    @pytest.mark.parametrize(
+        "name",
+        ["graph", "topology", "config", "workers", "layer_cache", "budget"],
+    )
+    def test_reassigning_a_public_name_raises(self, name):
+        session = MarsSession(GRAPH, TOPOLOGY)
+        with pytest.raises(AttributeError, match="fixed at construction"):
+            setattr(session, name, getattr(session, name, 1))
 
-        mars = Mars(build_model("tiny_cnn"), TOPOLOGY)
-        mars.search(seed=0)
-        watcher = weakref.ref(mars.graph)
-        key = mars._session_config
-        assert key[0].obj is mars.graph
-        assert key[1].obj is TOPOLOGY
-        # Even with the facade's own field reassigned, the retained key
-        # keeps the old graph alive — its id cannot be recycled.
-        mars.graph = build_model("tiny_cnn")
-        import gc
-
-        gc.collect()
-        assert watcher() is not None
-        assert mars._session_config[0].obj is watcher()
-
-    def test_reassigning_graph_after_gc_rebuilds_the_session(self):
-        """Repeatedly free the old graph before reassigning: with an
-        id-based key this intermittently aliased (the fresh graph could
-        land on the dead one's address); identity refs must rebuild the
-        session every single time."""
-        import gc
-
-        mars = Mars(build_model("tiny_cnn"), TOPOLOGY)
-        mars.search(seed=0)
-        for _ in range(5):
-            previous = mars.session()
-            # Under the old int key the reassigned-away graph became
-            # unreachable here; the fixed key pins it instead.
-            mars.graph = build_model("tiny_cnn")
-            gc.collect()
-            assert mars.session() is not previous
-            assert mars.session().graph is mars.graph
-
-    def test_equal_but_distinct_topology_rebuilds_the_session(self):
+    def test_refused_reassignment_leaves_the_session_intact(self):
         mars = Mars(GRAPH, TOPOLOGY)
-        mars.search(seed=0)
-        before = mars.session()
-        mars.topology = f1_16xlarge()  # equal content, distinct object
-        assert mars.session() is not before
+        with pytest.raises(AttributeError):
+            mars.graph = build_model("tiny_resnet")
+        assert mars.graph is GRAPH
+        fresh = MarsSession(GRAPH, TOPOLOGY).search(seed=0)
+        _same_result(mars.search(seed=0), fresh)

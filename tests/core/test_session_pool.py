@@ -74,17 +74,10 @@ class TestSessionOwnedPool:
     def test_facade_close_shuts_internal_session(self):
         with Mars(GRAPH, TOPOLOGY, workers=2) as mars:
             mars.search(seed=0)
-            internal = mars.session()
-        assert internal.closed
-
-    def test_facade_rebuild_closes_the_replaced_session(self):
-        mars = Mars(GRAPH, TOPOLOGY, workers=2)
-        mars.search(seed=0)
-        before = mars.session()
-        mars.workers = 1  # config change rebuilds the session
-        assert mars.session() is not before
-        assert before.closed
-        mars.close()
+        assert mars.closed
+        assert mars.pool._executor is None
+        with pytest.raises(ValueError):
+            mars.search(seed=0)
 
 
 class TestLevel1PoolOwnership:

@@ -147,7 +147,7 @@ class TestLifecycleAndStats:
         # silently degraded to serial with executor churn. A workers=2
         # tenant inside a shard must spawn its pool once and never
         # break it.
-        config = SearchConfig(workers=2)
+        config = SearchConfig.from_kwargs(workers=2)
         with SloServing(TOPOLOGY, shards=1, config=config) as serving:
             result = serving.search(CNN, seed=0)
             stats = serving.stats(worker_stats=True)

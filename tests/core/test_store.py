@@ -15,12 +15,14 @@ store behaves exactly like a session with no store.
 
 import json
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.core import Mars, MarsSession
 from repro.core.config import SearchConfig
+from repro.core.ga import SearchBudget
 from repro.core.store import (
     STORE_MAGIC,
     STORE_VERSION,
@@ -441,12 +443,16 @@ class TestSessionIntegration:
 
     def test_wall_clock_spellings_share_artifacts(self, tmp_path):
         """Backends never change results, so artifacts published by one
-        spelling (cache on) warm-start another (cache off) — the
-        ``result_fingerprint`` normalization under test."""
+        spelling (caches off) warm-start another (level-2 fitness cache
+        on, layer cache off) — the ``result_fingerprint`` normalization
+        under test."""
         spec = self._spec(tmp_path)
         writer_config = SearchConfig.from_kwargs(store=spec)
+        budget = SearchBudget.fast()
         reader_config = SearchConfig.from_kwargs(
-            store=spec, cache=False, layer_cache=False
+            store=spec,
+            budget=replace(budget, level2=replace(budget.level2, cache=True)),
+            layer_cache=False,
         )
         with MarsSession(CNN, TOPOLOGY, config=writer_config) as writer:
             writer.search(seed=0)
@@ -500,9 +506,10 @@ class TestSessionIntegration:
     def test_store_excluded_from_search_identity(self, tmp_path):
         with_store = SearchConfig.from_kwargs(store=self._spec(tmp_path))
         without = SearchConfig.from_kwargs()
-        assert with_store.fingerprint() == without.fingerprint()
+        assert with_store.result_fingerprint() == without.result_fingerprint()
 
     def test_mars_facade_never_carries_the_store(self, tmp_path):
         config = SearchConfig.from_kwargs(store=self._spec(tmp_path))
-        mars = Mars.from_config(CNN, TOPOLOGY, config)
-        assert mars.config().store is None
+        mars = Mars(CNN, TOPOLOGY, config)
+        assert mars.config.store is None
+        assert mars.store is None

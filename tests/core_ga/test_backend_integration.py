@@ -6,7 +6,12 @@ import pytest
 
 from repro.accelerators import design1_superlip
 from repro.core.evaluator import MappingEvaluator
-from repro.core.ga import GAConfig, ProcessPoolBackend, optimize_set
+from repro.core.ga import (
+    GAConfig,
+    ProcessPoolBackend,
+    SearchBudget,
+    optimize_set,
+)
 from repro.core.mapper import Mars
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
@@ -58,7 +63,9 @@ class TestLevel2Equivalence:
 class TestMarsEquivalence:
     def test_cache_knob_matches_default(self, graph, topology):
         base = Mars(graph, topology).search(seed=0)
-        cached = Mars(graph, topology, cache=True).search(seed=0)
+        budget = SearchBudget.fast()
+        budget = replace(budget, level2=replace(budget.level2, cache=True))
+        cached = Mars(graph, topology, budget=budget).search(seed=0)
         assert cached.latency_ms == base.latency_ms
         assert cached.ga.history == base.ga.history
         assert cached.describe() == base.describe()
@@ -81,7 +88,7 @@ class TestMarsEquivalence:
         """Regression: workers > 1 must not fork level-1 state into pool
         workers (losing sub-problem solutions)."""
         from repro.accelerators import table2_designs
-        from repro.core.ga import Level1Search, SearchBudget
+        from repro.core.ga import Level1Search
 
         def run_search(workers, pool=None):
             search = Level1Search(

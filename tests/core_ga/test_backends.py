@@ -20,7 +20,7 @@ def sphere(genome: np.ndarray) -> float:
     return float(np.sum((genome - 0.5) ** 2))
 
 
-def _run_ga(backend=None, seed=0, batch_fitness=None, **config_overrides):
+def _run_ga(backend=None, seed=0, **config_overrides):
     config = GAConfig(
         population_size=config_overrides.pop("population_size", 12),
         generations=config_overrides.pop("generations", 10),
@@ -32,7 +32,6 @@ def _run_ga(backend=None, seed=0, batch_fitness=None, **config_overrides):
         config=config,
         rng=make_rng(seed),
         backend=backend,
-        batch_fitness=batch_fitness,
     )
     return ga.run()
 
@@ -230,26 +229,6 @@ class TestBackendEquivalence:
         baseline = _run_ga(seed=5)
         cached = _run_ga(seed=5, cache=True)
         assert cached.history == baseline.history
-
-    def test_batch_fitness_path_agrees(self):
-        def batch(genomes):
-            return [sphere(g) for g in genomes]
-
-        baseline = _run_ga(seed=7)
-        batched = _run_ga(seed=7, batch_fitness=batch)
-        assert batched.history == baseline.history
-        assert batched.evaluations == baseline.evaluations
-
-    def test_batch_fitness_counts_even_with_backend_present(self):
-        """Regression: batch_fitness owns the counters when both given."""
-        def batch(genomes):
-            return [sphere(g) for g in genomes]
-
-        baseline = _run_ga(seed=7)
-        both = _run_ga(SerialBackend(), seed=7, batch_fitness=batch)
-        assert both.history == baseline.history
-        assert both.evaluations == baseline.evaluations
-        assert both.evaluations > 0
 
 
 class TestResultCounters:

@@ -17,7 +17,6 @@ distinct sub-problem — prefetch/fitness/eviction races included.
 """
 
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -85,8 +84,7 @@ class TestBitIdentity:
         # level1.workers alone must drive the fan-out (the knob used to
         # be accepted and silently ignored).
         graph = build_model("tiny_cnn")
-        budget = SearchBudget.fast()
-        budget.level1 = replace(budget.level1, workers=2)
+        budget = SearchBudget.fast().with_backend(workers=2)
         serial_budget = SearchBudget.fast()
         with MarsSession(graph, TOPOLOGY, budget=budget) as session:
             assert session.pool is not None

@@ -4,6 +4,23 @@ import pytest
 
 from repro.experiments.__main__ import main
 
+#: Lines table3 prints after its table: counters, not results.
+SUMMARY_PREFIXES = (
+    "layer-cost cache:",
+    "persistent store:",
+    "serving registry:",
+    "sharded serving:",
+)
+
+
+def _table_text(out: str) -> str:
+    """table3's output above its first summary line."""
+    lines = out.splitlines()
+    end = next(
+        i for i, line in enumerate(lines) if line.startswith(SUMMARY_PREFIXES)
+    )
+    return "\n".join(lines[:end])
+
 
 class TestCli:
     def test_table2(self, capsys):
@@ -49,6 +66,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table III" in out
         assert "layer-cost cache:" not in out
+
+    def test_backend_flags_never_change_the_table(self, capsys):
+        tables = []
+        for flags in ([], ["--workers", "2"], ["--no-layer-cache"]):
+            assert main(["table3", "--models", "tiny_cnn", *flags]) == 0
+            tables.append(_table_text(capsys.readouterr().out))
+        assert "Table III" in tables[0]
+        assert tables[1] == tables[0]
+        assert tables[2] == tables[0]
+
+    def test_cache_flag_is_gone(self, capsys):
+        # Level 1 always memoizes; GAConfig(cache=True) on level 2 is the
+        # one spelling of level-2 memoization.
+        with pytest.raises(SystemExit):
+            main(["table3", "--models", "tiny_cnn", "--cache"])
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
     def test_table3_reports_serving_registry(self, capsys):
         assert main(["table3", "--models", "tiny_cnn"]) == 0
