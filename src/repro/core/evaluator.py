@@ -97,7 +97,10 @@ class EvaluatorOptions:
             Results are bit-identical with the cache on or off — a hit
             replays the exact floats of the original computation — so
             this is purely a wall-clock knob. Program emission
-            (``compile_program``) always bypasses the cache.
+            (``compile_program``) always bypasses the cache. The knob
+            also switches the memos of the level-2 pricing tables
+            (:class:`SubproblemCosts`): off, every genome re-prices
+            every layer.
         layer_cache_capacity: Maximum number of cached compute-layer
             costs before LRU eviction.
     """
@@ -296,10 +299,13 @@ class MappingEvaluator:
     token) — changed; the options are fixed at construction, so they
     are part of the key by construction. Non-compute layers are priced
     once per (layer, set) and only propagate the sharding state.
-    This is what makes GA mutations cheap: a genome that differs from
-    an already-priced one in a single layer's strategy re-prices that
-    layer (and any downstream layers whose upstream sharding shifted),
-    not the whole set.
+    Level-2 genomes are priced by a :class:`SubproblemCosts` table per
+    sub-problem, which replays this walk from per-layer records and
+    misses into the same cache; ``evaluate_set`` itself prices only
+    level-2 winners, mapping-level sets and programs. A genome that
+    differs from an already-priced one in a single layer's strategy
+    re-prices that layer (and any downstream layers whose upstream
+    sharding shifted), not the whole set.
     """
 
     def __init__(
@@ -530,18 +536,9 @@ class MappingEvaluator:
                     sharding_state[node.name] = plan.output_sharding
                 costs.append(cost)
             else:
-                priced = (
-                    lightweight.get(node.name)
-                    if lightweight is not None
-                    else None
+                seconds, shard_bytes = self._priced_lightweight_cost(
+                    node, accs, designs, program, lightweight
                 )
-                if priced is None:
-                    priced = self._lightweight_layer_cost(
-                        node, accs, designs, program
-                    )
-                    if lightweight is not None:
-                        lightweight[node.name] = priced
-                seconds, shard_bytes = priced
                 costs.append(LayerCost(name=node.name, compute_seconds=seconds))
                 lightweight_bytes.append(shard_bytes)
                 sharding_state[node.name] = (
@@ -845,6 +842,22 @@ class MappingEvaluator:
             )
         return seconds
 
+    def _priced_lightweight_cost(
+        self,
+        node: LayerNode,
+        accs: tuple[int, ...],
+        designs: list[AcceleratorDesign],
+        program: ExecutionProgram | None,
+        memo: dict | None,
+    ) -> tuple[float, int]:
+        """Non-compute layer price, through the set's memo when given."""
+        priced = memo.get(node.name) if memo is not None else None
+        if priced is None:
+            priced = self._lightweight_layer_cost(node, accs, designs, program)
+            if memo is not None:
+                memo[node.name] = priced
+        return priced
+
     def _lightweight_layer_cost(
         self,
         node: LayerNode,
@@ -977,3 +990,206 @@ class MappingEvaluator:
                 return plan.input_fraction_needed
             break
         return 1.0 / p
+
+
+#: Output state of a compute layer with no feasible plan. The walk
+#: records no sharding for such a layer, so its consumers look past it.
+_NO_PLAN = object()
+
+
+class SubproblemCosts:
+    """One level-2 sub-problem's pricing table.
+
+    Built once per (layer set, accelerator set, design), it replays the
+    walk of :meth:`MappingEvaluator.evaluate_set` (no entry sharding,
+    no program) for the GA's many genomes from memoized records:
+
+    * per layer, the in-set inputs the walk consults for its upstream
+      sharding, resolved once;
+    * per (layer, strategy, exact upstream state), a record of the
+      layer's ``LayerCost.total_seconds``, its output state and its
+      weight, activation and weight-load bytes. A miss prices through
+      the evaluator's layer cache and non-compute memo, so reuse across
+      sub-problems and warm sessions stays;
+    * per byte count, the weight-stream and spill seconds.
+
+    :meth:`latency` equals ``evaluate_set(...).latency_seconds`` bit for
+    bit: layer totals are summed left to right from 0, then the weight
+    stream and then the spill are added, and the memory report reduces
+    to integer sums and a max. The memos turn on and off with
+    :attr:`EvaluatorOptions.layer_cache`; with the cache off every call
+    re-prices every layer. The winner's full :class:`SetEvaluation`
+    still comes from ``evaluate_set``.
+    """
+
+    def __init__(
+        self,
+        evaluator: MappingEvaluator,
+        nodes: list[LayerNode],
+        accs: tuple[int, ...],
+        design: AcceleratorDesign | None,
+    ):
+        require(bool(nodes), "cannot evaluate an empty layer set")
+        self.evaluator = evaluator
+        self.nodes = nodes
+        self.accs = accs
+        self.design = design
+        self._designs = evaluator.designs_for(accs, design)
+        self._set_key = (
+            accs, evaluator._design_token(design), evaluator._cost_token
+        )
+        self._capacity = min(
+            evaluator.topology.accelerator(a).dram_bytes for a in accs
+        )
+        cached = evaluator.layer_cache_enabled
+        self._lightweight = (
+            evaluator._lightweight_memo.setdefault(self._set_key, {})
+            if cached
+            else None
+        )
+        self._memo: dict | None = {} if cached else None
+        #: Compute layers' names, ``None`` for non-compute layers.
+        self._names = [n.name if n.is_compute else None for n in nodes]
+        # The walk takes a layer's upstream from its first input already
+        # walked that has a state, and from the set entry once an input
+        # lies outside the set: so each layer keeps the earlier in-set
+        # inputs up to its first outside one.
+        position = {node.name: i for i, node in enumerate(nodes)}
+        self._sources: list[tuple[int, ...]] = []
+        for i, node in enumerate(nodes):
+            sources = []
+            for name in node.inputs:
+                j = position.get(name)
+                if j is None:
+                    break
+                if j < i:
+                    sources.append(j)
+            self._sources.append(tuple(sources))
+
+    def latency(self, strategies: dict[str, ParallelismStrategy]) -> float:
+        """``evaluate_set(nodes, accs, design, strategies).latency_seconds``."""
+        states: list = []
+        totals: list[float] = []
+        weight_bytes = load_bytes = peak = 0
+        record = self._record
+        for i, (name, sources) in enumerate(zip(self._names, self._sources)):
+            upstream = None
+            for j in sources:
+                if states[j] is not _NO_PLAN:
+                    upstream = states[j]
+                    break
+            strategy = (
+                None if name is None else strategies.get(name, NO_PARALLELISM)
+            )
+            total, state, weights, activation, load = record(
+                i, strategy, upstream
+            )
+            totals.append(total)
+            states.append(state)
+            weight_bytes += weights
+            load_bytes += load
+            if activation > peak:
+                peak = activation
+        return self._set_latency(totals, weight_bytes, peak, load_bytes)[0]
+
+    def layer_latency(
+        self, index: int, strategy: ParallelismStrategy
+    ) -> float | None:
+        """Latency of layer ``index`` alone on the set under ``strategy``.
+
+        ``evaluate_set([node], accs, design, {node.name: strategy})``'s
+        latency, or ``None`` where that evaluation is infeasible: no
+        plan, or over DRAM.
+        """
+        total, state, weights, activation, load = self._record(
+            index, strategy, None
+        )
+        if state is _NO_PLAN:
+            return None
+        latency, fits = self._set_latency([total], weights, activation, load)
+        return latency if fits else None
+
+    def _set_latency(
+        self,
+        totals: list[float],
+        weight_bytes: int,
+        peak_activation: int,
+        load_bytes: int,
+    ) -> tuple[float, bool]:
+        """Set latency from its layer totals and byte sums, and whether
+        its footprint fits DRAM."""
+        latency = sum(totals)
+        options = self.evaluator.options
+        cost_model = self.evaluator.cost_model
+        if not options.weights_resident and load_bytes > 0:
+            latency += self._slowest(cost_model.host_read_seconds, load_bytes)
+        overflow = weight_bytes + peak_activation - self._capacity
+        fits = overflow <= 0
+        if not fits and options.memory_spill:
+            latency += self._slowest(
+                cost_model.host_round_trip_seconds, overflow
+            )
+        return latency, fits
+
+    def _slowest(self, price, nbytes: int) -> float:
+        """The slowest member's host transfer, memoized per byte count."""
+        memo = self._memo
+        key = (price.__name__, nbytes)
+        seconds = memo.get(key) if memo is not None else None
+        if seconds is None:
+            seconds = max(price(a, nbytes) for a in self.accs)
+            if memo is not None:
+                memo[key] = seconds
+        return seconds
+
+    def _record(
+        self, index: int, strategy: ParallelismStrategy | None, upstream
+    ) -> tuple:
+        """(total seconds, output state, weight, activation and load
+        bytes) of one layer; ``strategy`` is ``None`` for non-compute
+        layers and ``upstream`` is a state as ``tuple(dict.items())``."""
+        memo = self._memo
+        if memo is None:
+            return self._price(index, strategy, upstream)
+        key = (index, strategy, upstream)
+        record = memo.get(key)
+        if record is None:
+            record = memo[key] = self._price(index, strategy, upstream)
+        return record
+
+    def _price(
+        self, index: int, strategy: ParallelismStrategy | None, upstream
+    ) -> tuple:
+        evaluator = self.evaluator
+        node = self.nodes[index]
+        # The very dict the walk would hand over, rebuilt in item order.
+        sharding = None if upstream is None else dict(upstream)
+        if strategy is not None:
+            cost, plan = evaluator._priced_compute_cost(
+                node, strategy, sharding, self.accs, self._designs,
+                self._set_key, len(self.accs), None, evaluator._layer_cache,
+            )
+            if plan is None:
+                return cost.total_seconds, _NO_PLAN, 0, 0, 0
+            return (
+                cost.total_seconds,
+                tuple(plan.output_sharding.items()),
+                plan.weight_bytes_per_acc,
+                plan.activation_bytes_per_acc,
+                plan.weight_load_bytes_per_acc,
+            )
+        seconds, shard_bytes = evaluator._priced_lightweight_cost(
+            node, self.accs, self._designs, None, self._lightweight
+        )
+        state = (
+            None
+            if node.kind == "inputlayer"
+            else evaluator._propagate_state(node, sharding)
+        )
+        return (
+            LayerCost(node.name, seconds).total_seconds,
+            None if state is None else tuple(state.items()),
+            0,
+            shard_bytes,
+            0,
+        )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accelerators.base import AcceleratorDesign
-from repro.core.evaluator import MappingEvaluator, SetEvaluation
+from repro.core.evaluator import MappingEvaluator, SetEvaluation, SubproblemCosts
 from repro.core.ga.engine import GAConfig, GAResult, GeneticAlgorithm
 from repro.core.sharding import (
     NO_PARALLELISM,
@@ -33,7 +33,7 @@ from repro.core.sharding import (
 )
 from repro.core.strategy_space import longest_dims_strategy
 from repro.dnn.graph import LayerNode
-from repro.dnn.layers import LOOP_DIMS, LoopDim
+from repro.dnn.layers import LOOP_DIMS, ConvSpec, LoopDim
 from repro.utils.cache import LruCache
 
 GENES_PER_LAYER = 14
@@ -60,8 +60,6 @@ def decode_layer_strategy(
     Dim priorities order the candidates; the ES count is lowered until a
     feasible plan exists (every layer admits the replicated fallback).
     """
-    if parallelism == 1:
-        return NO_PARALLELISM
     spec = node.conv_spec()
     extents = spec.loop_extents()
     # Pure-python stable sorts: ``sorted`` over six floats beats
@@ -69,25 +67,42 @@ def decode_layer_strategy(
     # decoded genome. Ordering is identical (descending value, ties by
     # canonical dim index).
     g = genes.tolist()
-    es_count = min(int(g[0] * 3), 2)
     es_pri, ss_pri = g[1:7], g[8:14]
     es_order = [
         LOOP_DIMS[i]
         for i in sorted(range(6), key=lambda i: -es_pri[i])
         if extents[LOOP_DIMS[i]] >= 2
     ]
-    ss_enabled = g[7] > 0.5
     ss_order = [
         LOOP_DIMS[i]
         for i in sorted(range(6), key=lambda i: -ss_pri[i])
         if extents[LOOP_DIMS[i]] >= parallelism
     ]
+    return _first_feasible(
+        spec,
+        parallelism,
+        dtype_bytes,
+        min(int(g[0] * 3), 2),
+        es_order,
+        ss_order if g[7] > 0.5 else [],
+    )
 
+
+def _first_feasible(
+    spec: ConvSpec,
+    parallelism: int,
+    dtype_bytes: int,
+    es_count: int,
+    es_order: list[LoopDim],
+    ss_order: list[LoopDim],
+) -> ParallelismStrategy:
+    """The decode's feasibility fallback over ES/SS dims in priority
+    order (an empty ``ss_order`` means SS is off)."""
+    if parallelism == 1:
+        return NO_PARALLELISM
     for count in range(es_count, -1, -1):
         es = tuple(sorted(es_order[:count], key=LOOP_DIMS.index))
-        ss = None
-        if ss_enabled:
-            ss = next((d for d in ss_order if d not in es), None)
+        ss = next((d for d in ss_order if d not in es), None)
         strategy = ParallelismStrategy(es=es, ss=ss)
         if cached_sharding_plan(spec, strategy, parallelism, dtype_bytes) is not None:
             return strategy
@@ -97,6 +112,27 @@ def decode_layer_strategy(
             if cached_sharding_plan(spec, strategy, parallelism, dtype_bytes) is not None:
                 return strategy
     return NO_PARALLELISM
+
+
+#: Dim index marking an empty slot of a decode code.
+_NO_DIM = len(LOOP_DIMS)
+
+#: Place values of a decode code's five dim slots (two ES, three SS),
+#: one base-7 digit each above the ES count (see Level2Fitness._codes).
+_SLOT_WEIGHTS = (_NO_DIM + 1) ** np.arange(5)
+
+
+def _top_dims(
+    priorities: np.ndarray, eligible: np.ndarray, slots: np.ndarray, width: int
+) -> np.ndarray:
+    """Per (genome, layer), the canonical indices of the ``slots``
+    highest-priority eligible dims (ties by canonical index, as the
+    scalar decode sorts), padded with :data:`_NO_DIM` to ``width``."""
+    keys = np.where(eligible, -priorities, np.inf)
+    order = np.argsort(keys, axis=2, kind="stable")[:, :, :width]
+    rank = np.arange(width)
+    keep = (rank < slots[:, :, None]) & (rank < eligible.sum(axis=1)[:, None])
+    return np.where(keep, order, _NO_DIM)
 
 
 #: Strategy motifs priced by the greedy seed: the Table III patterns
@@ -119,34 +155,24 @@ SHORTLIST: tuple[ParallelismStrategy, ...] = (
 
 
 def _shortlist_argmin(
-    evaluator: MappingEvaluator,
-    node: LayerNode,
-    accs: tuple[int, ...],
-    design: AcceleratorDesign | None,
+    costs: SubproblemCosts, index: int
 ) -> ParallelismStrategy:
-    """The cheapest feasible shortlist strategy for one layer (ties go
-    to the earlier shortlist entry)."""
+    """The cheapest feasible shortlist strategy for layer ``index``
+    priced alone (ties go to the earlier shortlist entry)."""
     best: tuple[float, int] | None = None
     best_strategy = NO_PARALLELISM
-    for index, strategy in enumerate(SHORTLIST):
-        evaluation = evaluator.evaluate_set(
-            [node], accs, design, {node.name: strategy}
-        )
-        if not evaluation.feasible:
+    for rank, strategy in enumerate(SHORTLIST):
+        latency = costs.layer_latency(index, strategy)
+        if latency is None:
             continue
-        key = (evaluation.latency_seconds, index)
+        key = (latency, rank)
         if best is None or key < best:
             best = key
             best_strategy = strategy
     return best_strategy
 
 
-def greedy_strategies(
-    evaluator: MappingEvaluator,
-    compute_nodes: list[LayerNode],
-    accs: tuple[int, ...],
-    design: AcceleratorDesign | None,
-) -> dict[str, ParallelismStrategy]:
+def greedy_strategies(costs: SubproblemCosts) -> dict[str, ParallelismStrategy]:
     """Per-layer argmin over the strategy shortlist, priced standalone.
 
     Ignores inter-layer resharding (the GA refines that), but includes
@@ -158,11 +184,14 @@ def greedy_strategies(
     search — and every search of a warm session — skip re-pricing the
     shortlist for layers already seen.
     """
+    evaluator, accs, design = costs.evaluator, costs.accs, costs.design
     chosen: dict[str, ParallelismStrategy] = {}
-    for node in compute_nodes:
+    for index, node in enumerate(costs.nodes):
+        if not node.is_compute:
+            continue
         strategy = evaluator.cached_greedy_strategy(node.name, accs, design)
         if strategy is None:
-            strategy = _shortlist_argmin(evaluator, node, accs, design)
+            strategy = _shortlist_argmin(costs, index)
             evaluator.store_greedy_strategy(node.name, accs, design, strategy)
         chosen[node.name] = strategy
     return chosen
@@ -171,9 +200,7 @@ def greedy_strategies(
 def _seed_genomes(
     nodes: list[LayerNode],
     parallelism: int,
-    evaluator: MappingEvaluator | None = None,
-    accs: tuple[int, ...] | None = None,
-    design: AcceleratorDesign | None = None,
+    costs: SubproblemCosts | None = None,
 ) -> list[np.ndarray]:
     """Heuristic first-generation individuals.
 
@@ -206,8 +233,8 @@ def _seed_genomes(
             lambda n: ParallelismStrategy(es=(LoopDim.COUT, LoopDim.CIN))
         ),
     ]
-    if evaluator is not None and accs is not None:
-        greedy = greedy_strategies(evaluator, compute, accs, design)
+    if costs is not None:
+        greedy = greedy_strategies(costs)
         seeds.insert(0, genome_for(lambda n: greedy[n.name]))
     return seeds
 
@@ -215,9 +242,10 @@ def _seed_genomes(
 class Level2Fitness:
     """Picklable fitness of one level-2 sub-problem.
 
-    Decodes a genome into per-layer strategies and prices the whole set
-    through the shared evaluator. Being a module-level class (not a
-    closure) it pickles cleanly.
+    Decodes a genome into per-layer strategies and prices them from the
+    sub-problem's :class:`~repro.core.evaluator.SubproblemCosts` table
+    (:attr:`costs`). Being a module-level class (not a closure) it
+    pickles cleanly; the table stays home and is rebuilt on unpickling.
 
     Each genome is decoded **once**: a small per-instance memo (keyed by
     the genome's raw bytes) is shared by ``phenotype_key`` and
@@ -230,20 +258,16 @@ class Level2Fitness:
     The whole tuple is the :class:`CachedBackend` key — an exact
     phenotype repeat skips evaluation entirely — while near-duplicates
     that differ in a layer or two fall through to ``__call__``, where
-    the evaluator's layer-cost cache reuses every sub-key that did not
-    change. Warm restarts therefore hit at layer granularity instead of
-    all-or-nothing.
+    the table replays the record of every layer whose strategy and
+    upstream state did not change and prices only the rest, through
+    the evaluator's layer-cost cache. Warm restarts therefore hit at
+    layer granularity instead of all-or-nothing.
     """
 
     #: Bound on the decode memo; comfortably above any population size
     #: so one batch's ``phenotype_key`` pass stays resident for the
     #: ``__call__`` pass that follows.
     DECODE_MEMO_CAPACITY = 1024
-
-    #: Bound on the per-layer rank→strategy memo. Keys are tiny (a few
-    #: ints) and repeat heavily under GA mutation — most children keep
-    #: most layers' priority *orderings* even when gene values move.
-    RANK_MEMO_CAPACITY = 8192
 
     def __init__(
         self,
@@ -258,22 +282,45 @@ class Level2Fitness:
         self.accs = accs
         self.design = design
         self.dtype_bytes = evaluator.options.dtype_bytes
+        self._init_derived()
+
+    def _init_derived(self) -> None:
         self._decode_memo = LruCache(self.DECODE_MEMO_CAPACITY)
-        self._rank_memo: dict[tuple, ParallelismStrategy] = {}
-        self._layer_dims: list[tuple] | None = None  # built on first batch
+        #: The sub-problem's pricing table.
+        self.costs = SubproblemCosts(
+            self.evaluator, self.nodes, self.accs, self.design
+        )
+        # Per compute layer: decode code -> strategy (see _codes).
+        self._code_strategies: list[dict[int, ParallelismStrategy]] = [
+            {} for _ in self.compute_nodes
+        ]
+        extents = np.array(
+            [
+                [node.conv_spec().loop_extents()[d] for d in LOOP_DIMS]
+                for node in self.compute_nodes
+            ],
+            dtype=np.int64,
+        ).reshape(len(self.compute_nodes), len(LOOP_DIMS))
+        self._es_eligible = extents >= 2
+        self._ss_eligible = extents >= len(self.accs)
 
     def __getstate__(self) -> dict:
-        # The memos are derived state and stay home when the fitness is
-        # pickled.
+        # The memos, the pricing table and the decode masks are derived
+        # state and stay home when the fitness is pickled.
         state = dict(self.__dict__)
-        state["_decode_memo"] = None
-        state["_rank_memo"] = {}
-        state["_layer_dims"] = None
+        for name in (
+            "_decode_memo",
+            "costs",
+            "_code_strategies",
+            "_es_eligible",
+            "_ss_eligible",
+        ):
+            del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._decode_memo = LruCache(self.DECODE_MEMO_CAPACITY)
+        self._init_derived()
 
     @property
     def genome_length(self) -> int:
@@ -319,14 +366,15 @@ class Level2Fitness:
         """Batch-decode a whole population into the decode memo.
 
         Called by the backends before per-genome evaluation (see
-        :meth:`EvaluationBackend.prepare`): all strategy genes are
-        decoded in one vectorized NumPy pass — the gene→count
-        truncation, both priority argsorts and the SS gate run on a
-        ``(population, layers, genes)`` tensor instead of per genome —
-        and the per-layer feasibility fallback goes through a small
-        rank-keyed memo. Bit-identical to the scalar
+        :meth:`EvaluationBackend.prepare`). One vectorized NumPy pass
+        over a ``(population, layers, genes)`` tensor reduces every
+        layer of every genome to one integer code (see :meth:`_codes`);
+        each layer resolves a code to its strategy once, in a plain
+        per-layer dict, through the scalar decode's feasibility
+        fallback. Bit-identical to the scalar
         :func:`decode_layer_strategy` path (property-tested); the
         subsequent ``phenotype_key``/``__call__`` calls are memo hits.
+        Decode only: pricing happens in ``__call__``.
         """
         fresh_raws: list[bytes] = []
         fresh_rows: list[np.ndarray] = []
@@ -343,116 +391,59 @@ class Level2Fitness:
             fresh_rows.append(row)
         if not fresh_rows:
             return
-        for raw, strategies in zip(
-            fresh_raws, self._decode_batch(np.stack(fresh_rows))
-        ):
-            self._decode_memo.put(raw, strategies)
-
-    def _decode_batch(
-        self, population: np.ndarray
-    ) -> list[dict[str, ParallelismStrategy]]:
-        """Decode a ``(genomes, genome_length)`` matrix in one pass."""
-        layers = len(self.compute_nodes)
-        genes = population.reshape(len(population), layers, GENES_PER_LAYER)
-        # The vectorized stages mirror decode_layer_strategy exactly:
-        # float truncation toward zero, stable descending argsort (ties
-        # by canonical dim index), 0.5 threshold. One ``tolist`` per
-        # array hands the whole batch to the Python assembly loop as
-        # plain ints — per-element numpy scalar access would dominate.
-        es_counts = np.minimum((genes[:, :, 0] * 3).astype(np.int64), 2).tolist()
-        es_ranks = np.argsort(-genes[:, :, 1:7], axis=2, kind="stable").tolist()
-        ss_enabled = (genes[:, :, 7] > 0.5).tolist()
-        ss_ranks = np.argsort(-genes[:, :, 8:14], axis=2, kind="stable").tolist()
-
-        parallelism = len(self.accs)
         names = [node.name for node in self.compute_nodes]
-        memo = self._rank_memo
-        decoded = []
-        for g_counts, g_es, g_ss_on, g_ss in zip(
-            es_counts, es_ranks, ss_enabled, ss_ranks
+        for raw, codes in zip(
+            fresh_raws, self._codes(np.stack(fresh_rows)).tolist()
         ):
             strategies = {}
-            for i, name in enumerate(names):
-                key = (i, g_counts[i], tuple(g_es[i]), g_ss_on[i], tuple(g_ss[i]))
-                strategy = memo.get(key)
-                if strategy is None:
-                    strategy = self._resolve_ranks(key, parallelism)
-                strategies[name] = strategy
-            decoded.append(strategies)
-        return decoded
-
-    def _layer_dim_info(self, index: int) -> tuple:
-        """(spec, ES-eligible dim indices, SS-eligible dim indices)."""
-        if self._layer_dims is None:
-            parallelism = len(self.accs)
-            dims = []
-            for node in self.compute_nodes:
-                spec = node.conv_spec()
-                extents = spec.loop_extents()
-                dims.append(
-                    (
-                        spec,
-                        frozenset(
-                            i
-                            for i, dim in enumerate(LOOP_DIMS)
-                            if extents[dim] >= 2
-                        ),
-                        frozenset(
-                            i
-                            for i, dim in enumerate(LOOP_DIMS)
-                            if extents[dim] >= parallelism
-                        ),
-                    )
-                )
-            self._layer_dims = dims
-        return self._layer_dims[index]
-
-    def _resolve_ranks(
-        self, key: tuple, parallelism: int
-    ) -> ParallelismStrategy:
-        """Feasibility fallback from precomputed priority orders.
-
-        Identical to the tail of :func:`decode_layer_strategy`; memoized
-        on the ``(layer, count, ES ranks, SS gate, SS ranks)`` key
-        because mutation mostly perturbs gene *values* without changing
-        the priority *order*, so evolved populations repeat keys
-        heavily.
-        """
-        layer_index, es_count, es_ranks, ss_enabled, ss_ranks = key
-        if parallelism == 1:
-            return NO_PARALLELISM
-        spec, es_eligible, ss_eligible = self._layer_dim_info(layer_index)
-        es_order = [LOOP_DIMS[i] for i in es_ranks if i in es_eligible]
-        ss_order = [LOOP_DIMS[i] for i in ss_ranks if i in ss_eligible]
-        strategy = NO_PARALLELISM
-        for count in range(es_count, -1, -1):
-            es = tuple(sorted(es_order[:count], key=LOOP_DIMS.index))
-            ss = None
-            if ss_enabled:
-                ss = next((d for d in ss_order if d not in es), None)
-            candidate = ParallelismStrategy(es=es, ss=ss)
-            if (
-                cached_sharding_plan(
-                    spec, candidate, parallelism, self.dtype_bytes
-                )
-                is not None
+            for i, (name, resolved, code) in enumerate(
+                zip(names, self._code_strategies, codes)
             ):
-                strategy = candidate
-                break
-            if ss is not None:
-                candidate = ParallelismStrategy(es=es, ss=None)
-                if (
-                    cached_sharding_plan(
-                        spec, candidate, parallelism, self.dtype_bytes
-                    )
-                    is not None
-                ):
-                    strategy = candidate
-                    break
-        if len(self._rank_memo) >= self.RANK_MEMO_CAPACITY:
-            self._rank_memo.clear()  # flat dict beats LRU bookkeeping here
-        self._rank_memo[key] = strategy
-        return strategy
+                strategy = resolved.get(code)
+                if strategy is None:
+                    strategy = resolved[code] = self._resolve(i, code)
+                strategies[name] = strategy
+            self._decode_memo.put(raw, strategies)
+
+    def _codes(self, population: np.ndarray) -> np.ndarray:
+        """One integer per (genome, compute layer) fixing its strategy.
+
+        The scalar decode depends only on the ES count, the top-2
+        ES-eligible dims, the SS gate and the top-3 SS-eligible dims:
+        ES takes a prefix of the eligible order and SS the first
+        eligible dim not in ES, so only ``count`` ES and ``count + 1``
+        SS dims matter. Slots past those (or past the eligible dims,
+        or every SS slot when the gate is off) hold :data:`_NO_DIM`, so
+        genomes with the same strategy inputs share a code.
+        """
+        layers = len(self.compute_nodes)
+        genes = population.reshape(len(population), layers, GENES_PER_LAYER)
+        es_count = np.minimum((genes[:, :, 0] * 3).astype(np.int64), 2)
+        ss_slots = np.where(genes[:, :, 7] > 0.5, es_count + 1, 0)
+        dims = np.concatenate(
+            (
+                _top_dims(genes[:, :, 1:7], self._es_eligible, es_count, 2),
+                _top_dims(genes[:, :, 8:14], self._ss_eligible, ss_slots, 3),
+            ),
+            axis=2,
+        )
+        return (dims * _SLOT_WEIGHTS).sum(axis=2) * 3 + es_count
+
+    def _resolve(self, index: int, code: int) -> ParallelismStrategy:
+        """The strategy of layer ``index`` under decode ``code``."""
+        code, es_count = divmod(code, 3)
+        dims = []
+        for _ in range(_SLOT_WEIGHTS.size):
+            code, dim = divmod(code, _NO_DIM + 1)
+            dims.append(dim)
+        return _first_feasible(
+            self.compute_nodes[index].conv_spec(),
+            len(self.accs),
+            self.dtype_bytes,
+            es_count,
+            [LOOP_DIMS[d] for d in dims[:2] if d != _NO_DIM],
+            [LOOP_DIMS[d] for d in dims[2:] if d != _NO_DIM],
+        )
 
     def phenotype_key(self, genome: np.ndarray) -> tuple:
         """Tuple of per-layer strategy sub-keys, one per compute layer."""
@@ -460,9 +451,7 @@ class Level2Fitness:
         return tuple(strategies[n.name] for n in self.compute_nodes)
 
     def __call__(self, genome: np.ndarray) -> float:
-        return self.evaluator.evaluate_set(
-            self.nodes, self.accs, self.design, self._decoded(genome)
-        ).latency_seconds
+        return self.costs.latency(self._decoded(genome))
 
 
 def optimize_set(
@@ -494,7 +483,7 @@ def optimize_set(
         fitness=fitness,
         config=config,
         rng=rng,
-        seeds=_seed_genomes(nodes, parallelism, evaluator, accs, design),
+        seeds=_seed_genomes(nodes, parallelism, fitness.costs),
         key_fn=fitness.phenotype_key,
     )
     result = ga.run()

@@ -5,10 +5,13 @@ contract that makes it safe to leave on by default — cached and
 uncached evaluations are bit-identical across models, topologies,
 scenarios (weights resident vs streamed) and the DRAM-spill path — plus
 the cache mechanics themselves (bounded LRU, counters, pickling,
-program-path bypass).
+program-path bypass). The level-2 pricing table
+(:class:`~repro.core.evaluator.SubproblemCosts`) is held to the same
+contract against ``evaluate_set``.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from repro.core.evaluator import (
     EvaluatorOptions,
     LayerCacheStats,
     MappingEvaluator,
+    SubproblemCosts,
 )
 from repro.core.formulation import (
     AcceleratorSet,
@@ -26,6 +30,8 @@ from repro.core.formulation import (
     Mapping,
     SetAssignment,
 )
+from repro.core.ga import Level2Fitness, SearchBudget, optimize_set
+from repro.core.ga.level2 import SHORTLIST
 from repro.core.session import MarsSession
 from repro.core.sharding import ParallelismStrategy
 from repro.dnn import build_model
@@ -40,6 +46,11 @@ GRAPHS = [
     random_model(3),
     random_model(11),
 ]
+
+#: The table arm adds multi-input layers: residual adds with a compute
+#: layer on each input (random_22, where the first can lack a plan) and
+#: squeezenet's channel concats.
+TABLE_GRAPHS = [*GRAPHS, random_model(22), build_model("squeezenet")]
 
 #: Strategy motifs the generator draws from (feasible and infeasible
 #: ones both — infeasible plans exercise the penalty path).
@@ -57,14 +68,18 @@ CANDIDATE_STRATEGIES = [
 ]
 
 
-def _random_strategies(graph, seed: int) -> dict:
+def _random_strategies(graph, seed: int, omit: float = 0.0) -> dict:
+    """A strategy per compute layer; each layer is left out (priced as
+    replicated) with probability ``omit``."""
     rng = make_rng(seed)
-    return {
-        node.name: CANDIDATE_STRATEGIES[
+    strategies = {}
+    for node in graph.compute_nodes():
+        strategy = CANDIDATE_STRATEGIES[
             int(rng.integers(len(CANDIDATE_STRATEGIES)))
         ]
-        for node in graph.compute_nodes()
-    }
+        if rng.random() >= omit:
+            strategies[node.name] = strategy
+    return strategies
 
 
 def _options(weights_resident: bool, layer_cache: bool) -> EvaluatorOptions:
@@ -266,6 +281,131 @@ class TestBitIdentity:
                 result.set_evaluations, baseline.set_evaluations
             ):
                 _assert_set_evaluations_identical(sa, sb)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        graph_index=st.integers(0, len(TABLE_GRAPHS) - 1),
+        strategy_seed=st.integers(0, 10_000),
+        accs=st.sampled_from([(0,), (0, 1), (0, 1, 2, 3), (4, 5)]),
+        weights_resident=st.booleans(),
+        layer_cache=st.booleans(),
+        tiny_dram=st.booleans(),
+        start=st.integers(0, 1_000),
+        length=st.integers(1, 1_000),
+    )
+    def test_subproblem_table_bit_identical(
+        self, graph_index, strategy_seed, accs, weights_resident,
+        layer_cache, tiny_dram, start, length,
+    ):
+        """The level-2 table prices every strategies dict exactly as
+        ``evaluate_set`` does: infeasible plans, left-out layers, the
+        spill and weight-stream charges, and contiguous sub-ranges whose
+        first inputs come from outside the set (the entry)."""
+        graph = TABLE_GRAPHS[graph_index]
+        topology = (
+            f1_16xlarge(dram_bytes=16 * 1024) if tiny_dram else f1_16xlarge()
+        )
+        design = design1_superlip() if tiny_dram else design2_systolic()
+        reference = MappingEvaluator(
+            graph, topology, _options(weights_resident, False)
+        )
+        # One evaluator under every table, so tables also miss into
+        # layer-cache entries that earlier tables left.
+        evaluator = MappingEvaluator(
+            graph, topology, _options(weights_resident, layer_cache)
+        )
+        base = _random_strategies(graph, strategy_seed, omit=0.25)
+
+        def assert_table_matches(nodes, dicts):
+            table = SubproblemCosts(evaluator, nodes, accs, design)
+            for strategies in dicts:
+                expected = reference.evaluate_set(
+                    nodes, accs, design, strategies
+                ).latency_seconds
+                assert table.latency(strategies).hex() == expected.hex()
+            return table
+
+        # Every cut, so each multi-input layer sees its inputs split
+        # between the set and the entry.
+        all_nodes = graph.nodes()
+        for cut in range(len(all_nodes)):
+            assert_table_matches(all_nodes[cut:], [base])
+        # Many dicts through one table, so later ones replay records the
+        # earlier ones left under other upstream states: two random
+        # dicts, then every candidate on every layer of the first.
+        start %= len(all_nodes)
+        nodes = all_nodes[start : start + length]
+        dicts = [base, _random_strategies(graph, strategy_seed + 1), base]
+        for node in nodes:
+            if node.is_compute:
+                dicts.extend(
+                    {**base, node.name: strategy}
+                    for strategy in CANDIDATE_STRATEGIES
+                )
+        table = assert_table_matches(nodes, dicts)
+        for index, node in enumerate(nodes):
+            if not node.is_compute:
+                continue
+            for strategy in SHORTLIST + tuple(CANDIDATE_STRATEGIES):
+                alone = reference.evaluate_set(
+                    [node], accs, design, {node.name: strategy}
+                )
+                got = table.layer_latency(index, strategy)
+                if alone.feasible:
+                    assert got is not None
+                    assert got.hex() == alone.latency_seconds.hex()
+                else:
+                    assert got is None
+
+    @pytest.mark.parametrize(
+        "model, span, accs, design",
+        [
+            ("resnet34", slice(40, 90), (0, 1), design1_superlip()),
+            ("alexnet", slice(None), (0, 1, 2, 3), design1_superlip()),
+        ],
+    )
+    def test_optimize_set_identical_to_evaluate_set_pricing(
+        self, monkeypatch, model, span, accs, design
+    ):
+        """Level 2 priced from the table equals level 2 priced by
+        ``evaluate_set`` walks: strategies, latency, GA history and
+        the layer cache's misses."""
+        graph = build_model(model)
+        nodes = graph.nodes()[span]
+        config = replace(SearchBudget.fast().level2, cache=True)
+
+        def solve():
+            return optimize_set(
+                MappingEvaluator(graph, f1_16xlarge()),
+                nodes,
+                accs,
+                design,
+                config,
+                make_rng(0),
+            )
+
+        tabled = solve()
+
+        def walked_call(self, genome):
+            return self.evaluator.evaluate_set(
+                self.nodes, self.accs, self.design, self._decoded(genome)
+            ).latency_seconds
+
+        def walked_layer(self, index, strategy):
+            node = self.nodes[index]
+            alone = self.evaluator.evaluate_set(
+                [node], self.accs, self.design, {node.name: strategy}
+            )
+            return alone.latency_seconds if alone.feasible else None
+
+        monkeypatch.setattr(Level2Fitness, "__call__", walked_call)
+        monkeypatch.setattr(SubproblemCosts, "layer_latency", walked_layer)
+        walked = solve()
+        assert tabled.strategies == walked.strategies
+        assert tabled.latency_seconds == walked.latency_seconds
+        assert tabled.ga.history == walked.ga.history
+        assert len(set(tabled.ga.history)) > 1  # the GA moved off its seeds
+        assert tabled.ga.layer_cache.misses == walked.ga.layer_cache.misses
 
 
 class TestCacheMechanics:

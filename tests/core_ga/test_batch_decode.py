@@ -1,11 +1,12 @@
 """Vectorized population decode: bit-identity with the scalar path.
 
 ``Level2Fitness.prepare_population`` decodes a whole population's
-strategy genes in one NumPy pass (stable argsorts + rank-memoized
-feasibility fallback). These tests pin its contract: for any model,
-accelerator-set size and population, the batch decode produces exactly
-the strategies of the scalar :func:`decode_layer_strategy` reference —
-and search results never depend on whether the batch pass ran.
+strategy genes in one NumPy pass to one integer code per (genome,
+layer), each resolved once per layer through the feasibility fallback.
+These tests pin its contract: for any model, accelerator-set size and
+population, the batch decode produces exactly the strategies of the
+scalar :func:`decode_layer_strategy` reference — and search results
+never depend on whether the batch pass ran.
 """
 
 import numpy as np

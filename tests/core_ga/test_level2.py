@@ -6,7 +6,9 @@ import pytest
 from repro.accelerators import design1_superlip
 from repro.core.evaluator import MappingEvaluator
 from repro.core.ga import GAConfig, GENES_PER_LAYER, decode_layer_strategy, optimize_set
-from repro.core.sharding import NO_PARALLELISM
+from repro.core.ga.level2 import _seed_genomes
+from repro.core.sharding import NO_PARALLELISM, ParallelismStrategy
+from repro.core.strategy_space import longest_dims_strategy
 from repro.dnn import build_model
 from repro.dnn.layers import LOOP_DIMS, LoopDim
 from repro.system import f1_16xlarge
@@ -90,6 +92,34 @@ class TestDecode:
             4,
         )
         assert strategy.ss != LoopDim.H
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 8 (owner decision): _seed_genomes writes "
+            "min(len(es) / 2 + 0.17, 0.99) into the ES-count gene while the "
+            "decode reads min(int(g * 3), 2), so a one-dim ES seed decodes "
+            "to two dims; the fix moves results"
+        ),
+    )
+    def test_seed_genomes_decode_to_the_strategies_they_encode(self):
+        """resnet34 conv1 on 4 accelerators: each heuristic seed decodes
+        to the strategy it encodes (the longest-one-dim seed is ES={H})."""
+        conv1 = build_model("resnet34").compute_nodes()[0]
+        spec = conv1.conv_spec()
+        encoded = [
+            longest_dims_strategy(spec, 2),
+            ParallelismStrategy(es=(LoopDim.H, LoopDim.W)),
+            longest_dims_strategy(spec, 1),
+            ParallelismStrategy(es=(LoopDim.COUT, LoopDim.CIN)),
+        ]
+        decoded = [
+            decode_layer_strategy(seed, conv1, 4)
+            for seed in _seed_genomes([conv1], 4)
+        ]
+        assert [(s.canonical_es(), s.ss) for s in decoded] == [
+            (s.canonical_es(), s.ss) for s in encoded
+        ]
 
 
 class TestOptimizeSet:
