@@ -98,24 +98,6 @@ def bench_make_sharding_plan(benchmark):
     assert plan is not None
 
 
-def bench_cached_backend_hit_path(benchmark):
-    """A fully-warm CachedBackend batch — the converged-GA fast path."""
-    import numpy as np
-
-    from repro.core.ga import CachedBackend
-    from repro.utils import make_rng
-
-    def fitness(genome):
-        return float(np.sum(genome))
-
-    genomes = [make_rng(i).random(64) for i in range(24)]
-    backend = CachedBackend()
-    backend.evaluate(fitness, genomes)  # warm the cache
-    values = benchmark(backend.evaluate, fitness, genomes)
-    assert len(values) == len(genomes)
-    assert backend.stats.evaluations == len(genomes)  # hits only after warmup
-
-
 def bench_evaluate_set_vgg16(benchmark):
     """One full set evaluation — the level-2 GA's fitness call."""
     graph = build_model("vgg16")
@@ -209,9 +191,9 @@ def bench_evaluate_set_warm_vs_cold(benchmark):
 def bench_layer_cache_level2_resnet34(benchmark):
     """Layer-cache headline: fast-budget ResNet-34 level-2 search.
 
-    Mirrors ``bench_backends``' warm-restart framing: MARS re-searches
-    (seed sweeps, objective changes) over a long-lived evaluator, where
-    every unchanged per-layer sub-key hits. Genomes are priced from the
+    Warm-restart framing: MARS re-searches (seed sweeps, objective
+    changes) over a long-lived evaluator, where every unchanged
+    per-layer sub-key hits. Genomes are priced from the
     sub-problem's ``SubproblemCosts`` table in all three arms; in the
     cache-off arm its memo is off too, so every genome re-prices every
     layer. Asserts the caching contract — identical GA history and

@@ -165,6 +165,22 @@ class LayerCacheStats:
             evictions=self.evictions + other.evictions,
         )
 
+    def merge_worker(self, other: "LayerCacheStats") -> "LayerCacheStats":
+        """Pool-worker counters folded together.
+
+        Counters sum; ``entries`` is the larger of the two gauges. Pool
+        workers keep their caches across batches and searches, so each
+        report restates a live worker's population: summing would count
+        the same entries again, and the largest single-worker cache is
+        the figure that stays true.
+        """
+        return LayerCacheStats(
+            hits=self.hits + other.hits,
+            misses=self.misses + other.misses,
+            entries=max(self.entries, other.entries),
+            evictions=self.evictions + other.evictions,
+        )
+
 
 @dataclass
 class LayerCost:

@@ -1,14 +1,6 @@
 """Two-level genetic algorithm (Fig. 3 of the paper)."""
 
-from repro.core.ga.backends import (
-    BackendStats,
-    CachedBackend,
-    EvaluationBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    genome_key,
-    make_backend,
-)
+from repro.core.ga.backends import ProcessPoolBackend
 from repro.core.ga.engine import GAConfig, GAResult, GeneticAlgorithm
 from repro.core.ga.heuristics import (
     candidate_partitions,
@@ -31,9 +23,6 @@ from repro.core.ga.level2 import (
 )
 
 __all__ = [
-    "BackendStats",
-    "CachedBackend",
-    "EvaluationBackend",
     "GAConfig",
     "GAResult",
     "GENES_PER_LAYER",
@@ -42,7 +31,6 @@ __all__ = [
     "Level2Fitness",
     "ProcessPoolBackend",
     "SearchBudget",
-    "SerialBackend",
     "SetSolution",
     "SubproblemSolver",
     "subproblem_rng",
@@ -50,8 +38,6 @@ __all__ = [
     "decode_layer_strategy",
     "design_gene_seed",
     "edge_removal_partitions",
-    "genome_key",
     "greedy_strategies",
-    "make_backend",
     "optimize_set",
 ]

@@ -6,27 +6,25 @@ tournament selection, uniform crossover, Gaussian mutation, elitism and
 stagnation-based early stopping — all driven by an explicit RNG so runs
 are reproducible.
 
-Fitness is evaluated **per population**, not per individual: each
-generation's genomes go to an :class:`~repro.core.ga.backends.EvaluationBackend`
-(serial or memoized — see :mod:`repro.core.ga.backends`). Backends
-return values in input order and never consume engine RNG, so the
-search trajectory is bit-identical across backends for a fixed seed.
+Fitness is evaluated **per population**: each generation the engine
+shows the whole population to the fitness's optional
+``prepare_population`` hook, then prices it genome by genome in
+population order. With ``config.cache`` set, prices are memoized for
+one :meth:`GeneticAlgorithm.run`, keyed by ``key_fn(genome)`` (a
+decoded phenotype) or by the genome's raw bytes, so elites and
+converged duplicates are priced once. Neither the hook nor the memo
+consumes engine RNG, so a fixed seed walks the same trajectory with
+caching on or off.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.ga.backends import (
-    BackendStats,
-    EvaluationBackend,
-    KeyFn,
-    make_backend,
-)
 from repro.utils.validation import require, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids coupling
@@ -40,14 +38,12 @@ class GAConfig:
     ``cache=True`` memoizes fitness so duplicate genomes (elites,
     converged populations) are priced once. In a MARS search it affects
     level 2 only: :class:`~repro.core.ga.level1.Level1Search` always
-    builds its own phenotype-keyed
-    :class:`~repro.core.ga.backends.CachedBackend`, so level 1 memoizes
-    either way. ``workers`` on the level-1 config sizes the sub-problem
-    pool a :class:`~repro.core.session.MarsSession` owns; populations
-    always evaluate serially, so a GA that would have to build a
-    backend from ``workers > 1`` refuses to run (see
-    :func:`~repro.core.ga.backends.make_backend`). Defaults reproduce
-    the historical serial engine exactly.
+    runs its engine with ``cache=True`` on the decoded phenotype.
+    ``workers`` on the level-1 config sizes the sub-problem pool a
+    :class:`~repro.core.session.MarsSession` owns; populations always
+    evaluate serially, so a :class:`GeneticAlgorithm` given
+    ``workers > 1`` refuses to run. Defaults reproduce the historical
+    serial engine exactly.
     """
 
     population_size: int = 24
@@ -97,10 +93,10 @@ class GAConfig:
 class GAResult:
     """Outcome of a GA run.
 
-    ``evaluations`` counts actual fitness invocations — with a caching
-    backend that is the number of *unique* evaluations; ``cache_hits``
-    and ``cache_misses`` expose the memoizer's counters (zero for
-    uncached backends). ``layer_cache`` carries the evaluator's
+    ``evaluations`` counts actual fitness invocations — with
+    ``GAConfig.cache`` that is the number of *unique* keys priced;
+    ``cache_hits`` and ``cache_misses`` count the memo's lookups (zero
+    without the memo). ``layer_cache`` carries the evaluator's
     per-layer cost-cache counters for the run, attached by the level
     drivers (``None`` when the fitness has no evaluator or the layer
     cache is disabled). ``worker_layer_cache`` carries the *pool
@@ -126,10 +122,10 @@ class GAResult:
 class GeneticAlgorithm:
     """Minimizes ``fitness(genome)`` over [0, 1]^genome_length.
 
-    Evaluation goes through ``backend`` when one is given, else through
-    the backend implied by ``config.cache`` (serial by default), built
-    with ``key_fn`` as the memoization key when caching is on;
-    ``config.workers > 1`` raises :class:`ValueError` there.
+    With ``config.cache`` set, each :meth:`run` memoizes prices by
+    ``key_fn(genome)``, or by the genome's raw bytes when no ``key_fn``
+    is given. ``config.workers > 1`` raises :class:`ValueError`:
+    populations always evaluate in process.
     """
 
     def __init__(
@@ -139,11 +135,15 @@ class GeneticAlgorithm:
         config: GAConfig,
         rng: np.random.Generator,
         seeds: list[np.ndarray] | None = None,
-        backend: EvaluationBackend | None = None,
-        key_fn: KeyFn | None = None,
+        key_fn: Callable[[np.ndarray], Hashable] | None = None,
         on_generation: Callable[[int], None] | None = None,
     ):
         require_positive(genome_length, "genome_length")
+        require(
+            config.workers == 1,
+            f"GA populations evaluate serially; workers={config.workers} "
+            "needs a session-owned sub-problem pool (MarsSession(workers=N))",
+        )
         self.genome_length = genome_length
         self.fitness = fitness
         self.config = config
@@ -154,33 +154,49 @@ class GeneticAlgorithm:
                 len(seed) == genome_length,
                 f"seed genome has length {len(seed)}, expected {genome_length}",
             )
-        self._owns_backend = backend is None
-        self.backend = (
-            backend if backend is not None else make_backend(config, key_fn)
-        )
+        self.key_fn = key_fn if key_fn is not None else np.ndarray.tobytes
         # Pure observation hook, called after each population evaluation
         # with the number of generations evaluated so far. It must never
         # consume engine RNG — liveness beacons ride it (see
         # repro.core.health) and must not perturb search trajectories.
         self.on_generation = on_generation
+        # Per-run state, reset by run(): the memo lives for one run.
+        self._memo: dict[Hashable, float] | None = None
+        self._evaluations = 0
+        self._cache_hits = 0
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
 
-    def _evaluate_population(self, population: Sequence[np.ndarray]) -> np.ndarray:
-        genomes = [np.asarray(g) for g in population]
-        # Population-level preparation (e.g. the level-2 vectorized
-        # genome decode) runs before per-genome evaluation; see
-        # EvaluationBackend.prepare. Purely wall-clock: the memos it
-        # fills would be filled genome by genome otherwise.
-        self.backend.prepare(self.fitness, genomes)
-        values = self.backend.evaluate(self.fitness, genomes)
-        require(
-            len(values) == len(genomes),
-            "population evaluation returned "
-            f"{len(values)} values for {len(genomes)} genomes",
-        )
+    def _evaluate_population(self, population: np.ndarray) -> np.ndarray:
+        genomes = list(population)
+        # Purely wall-clock (e.g. the level-2 vectorized genome decode):
+        # the memos the hook fills would be filled genome by genome
+        # otherwise. It sees memo hits too.
+        prepare = getattr(self.fitness, "prepare_population", None)
+        if prepare is not None:
+            prepare(genomes)
+        memo = self._memo
+        if memo is None:
+            self._evaluations += len(genomes)
+            return np.asarray(
+                [float(self.fitness(g)) for g in genomes], dtype=float
+            )
+        # Keys first, then prices in population order: level-1 fitness
+        # is stateful (it fills the session's solution cache and ticks
+        # ``progress``), so the order of first occurrences is part of
+        # the contract.
+        keys = [self.key_fn(g) for g in genomes]
+        values = []
+        for key, genome in zip(keys, genomes):
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = float(self.fitness(genome))
+                self._evaluations += 1
+            else:
+                self._cache_hits += 1
+            values.append(value)
         return np.asarray(values, dtype=float)
 
     # ------------------------------------------------------------------
@@ -217,14 +233,9 @@ class GeneticAlgorithm:
     # ------------------------------------------------------------------
 
     def run(self) -> GAResult:
-        start = self.backend.stats
-        try:
-            return self._run(start)
-        finally:
-            if self._owns_backend:
-                self.backend.close()
-
-    def _run(self, start: BackendStats) -> GAResult:
+        self._memo = {} if self.config.cache else None
+        self._evaluations = 0
+        self._cache_hits = 0
         population = self._initial_population()
         fitnesses = self._evaluate_population(population)
         if self.on_generation is not None:
@@ -264,13 +275,12 @@ class GeneticAlgorithm:
             if stagnant >= self.config.patience:
                 break
 
-        spent = self.backend.stats.since(start)
         return GAResult(
             best_genome=best_genome,
             best_fitness=best_fitness,
             history=history,
-            evaluations=spent.evaluations,
+            evaluations=self._evaluations,
             generations_run=generations_run,
-            cache_hits=spent.cache_hits,
-            cache_misses=spent.cache_misses,
+            cache_hits=self._cache_hits,
+            cache_misses=self._evaluations if self.config.cache else 0,
         )

@@ -43,12 +43,7 @@ from repro.core.formulation import (
     Mapping,
     SetAssignment,
 )
-from repro.core.ga.backends import (
-    CachedBackend,
-    EvaluationBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.core.ga.backends import ProcessPoolBackend
 from repro.core.ga.engine import GAConfig, GAResult, GeneticAlgorithm
 from repro.core.ga.heuristics import (
     Partition,
@@ -192,11 +187,10 @@ class _Level1Fitness:
 
     A thin adapter over :class:`Level1Search` whose job is to expose
     the ``prepare_population`` batch hook (bound methods cannot carry
-    one): each generation, the engine shows the whole population to the
-    evaluation backend, which forwards it here, and the search fans the
-    batch's distinct uncached sub-problems out before any per-genome
-    fitness call runs. Scoring then walks a fully warm sub-problem
-    cache in-process.
+    one): each generation, the engine shows it the whole population,
+    and the search fans the batch's distinct uncached sub-problems out
+    before any per-genome fitness call runs. Scoring then walks a fully
+    warm sub-problem cache in-process.
     """
 
     __slots__ = ("search",)
@@ -245,8 +239,14 @@ class Level1Search:
     shared ``solution_cache`` without forking state; genome scoring
     then runs over a fully warm cache in-process, keeping the
     phenotype memo and layer-LRU semantics intact. Results are
-    bit-identical to the serial path for a fixed seed — the fan-out,
-    like every backend, only changes wall-clock.
+    bit-identical to the serial path for a fixed seed — the fan-out
+    only changes wall-clock.
+
+    The level-1 engine always memoizes on the decoded phenotype
+    (:meth:`phenotype_key`; the genome→mapping decode is massively
+    many-to-one) and evaluates serially: level-1 fitness is stateful —
+    it fills ``solution_cache`` — so it stays in this process, whatever
+    ``budget.level1`` says about ``cache`` and ``workers``.
 
     ``progress`` is a pure observation callback ``(phase, count)``
     invoked after each level-1 generation and once per *distinct*
@@ -270,7 +270,6 @@ class Level1Search:
     solution_cache: dict[tuple, SetSolution] | LruCache = field(
         default_factory=dict
     )
-    backend: EvaluationBackend | None = None
     level1_backend: ProcessPoolBackend | None = None
     partitions: list[Partition] | None = None
     design_profile: WorkloadProfile | None = None
@@ -296,20 +295,6 @@ class Level1Search:
             "sub-problem pool handed in as level1_backend (MarsSession "
             "owns one)",
         )
-        self._owns_backend = self.backend is None
-        if self.backend is None:
-            # Level 1 has always memoized fitness at the phenotype level
-            # (the genome→mapping decode is massively many-to-one). The
-            # base stays serial even under ``workers > 1``: level-1
-            # fitness is stateful — it fills the sub-problem solution
-            # cache — so shipping *fitness* to pool workers would fork
-            # that state. Parallelism comes from the batched sub-problem
-            # fan-out instead (``level1_backend``): sub-problem
-            # solves are stateless given their content-keyed RNGs, so
-            # they fan out and merge back without forking anything.
-            self.backend = CachedBackend(
-                SerialBackend(), key_fn=self.phenotype_key
-            )
         if self.partitions is None:
             self.partitions = candidate_partitions(self.topology)
         self.max_sets = max(len(p) for p in self.partitions)
@@ -326,9 +311,8 @@ class Level1Search:
         # re-solve of a key already counted.
         self._solved_keys: set[tuple] = set()
         #: Pool workers' private layer-cache counters, shipped back with
-        #: fanned-out sub-problem results and merged here (hits/misses/
-        #: evictions sum; ``entries`` is the largest single-worker cache
-        #: population observed — worker gauges are not additive).
+        #: fanned-out sub-problem results and folded here by
+        #: :meth:`LayerCacheStats.merge_worker`.
         self.worker_layer_cache = LayerCacheStats()
         #: Distinct sub-problems this search solved *on pool workers*
         #: (serial-fallback and in-fitness solves are not counted here).
@@ -514,13 +498,8 @@ class Level1Search:
             self._record_solved(key)
             if stats is not None:
                 self.subproblems_fanned_out += 1
-                merged = self.worker_layer_cache
-                self.worker_layer_cache = LayerCacheStats(
-                    hits=merged.hits + stats.hits,
-                    misses=merged.misses + stats.misses,
-                    entries=max(merged.entries, stats.entries),
-                    evictions=merged.evictions + stats.evictions,
-                )
+                wlc = self.worker_layer_cache
+                self.worker_layer_cache = wlc.merge_worker(stats)
 
     def build_mapping(self, decoded: DecodedIndividual) -> Mapping:
         assignments = []
@@ -543,8 +522,9 @@ class Level1Search:
     def fitness(self, genome: np.ndarray) -> float:
         """Latency (or pipeline interval) of one level-1 genome.
 
-        Memoization lives in the evaluation backend (phenotype-keyed by
-        default), not here — direct callers always get a fresh price.
+        Memoization lives in the GA engine (keyed by
+        :meth:`phenotype_key`), not here — direct callers always get a
+        fresh price.
         """
         decoded = self.decode(genome)
         mapping = self.build_mapping(decoded)
@@ -611,38 +591,33 @@ class Level1Search:
 
     def run(self) -> tuple[Mapping, MappingEvaluation, GAResult]:
         layer_cache_before = self.evaluator.layer_cache_stats
-        try:
-            ga = GeneticAlgorithm(
-                genome_length=self.genome_length,
-                fitness=_Level1Fitness(self),
-                config=self.budget.level1,
-                rng=self.rng,
-                seeds=self.seed_genomes(),
-                backend=self.backend,
-                on_generation=(
-                    None
-                    if self.progress is None
-                    else lambda g: self.progress("level1-generation", g)
-                ),
+        ga = GeneticAlgorithm(
+            genome_length=self.genome_length,
+            fitness=_Level1Fitness(self),
+            config=replace(self.budget.level1, cache=True, workers=1),
+            rng=self.rng,
+            seeds=self.seed_genomes(),
+            key_fn=self.phenotype_key,
+            on_generation=(
+                None
+                if self.progress is None
+                else lambda g: self.progress("level1-generation", g)
+            ),
+        )
+        result = ga.run()
+        decoded = self.decode(result.best_genome)
+        mapping = self.build_mapping(decoded)
+        evaluation = self.evaluator.evaluate_mapping(mapping)
+        if self.evaluator.layer_cache_enabled:
+            # Whole-search in-process delta, covering the level-2
+            # sub-GAs solved here (they price through this evaluator).
+            # Fanned-out sub-problem solves ship their workers' private
+            # cache counters back with the pool results; that aggregate
+            # lands on ``worker_layer_cache`` so the two views partition
+            # the run instead of silently losing the workers' share.
+            result.layer_cache = self.evaluator.layer_cache_stats.since(
+                layer_cache_before
             )
-            result = ga.run()
-            decoded = self.decode(result.best_genome)
-            mapping = self.build_mapping(decoded)
-            evaluation = self.evaluator.evaluate_mapping(mapping)
-            if self.evaluator.layer_cache_enabled:
-                # Whole-search in-process delta, covering the level-2
-                # sub-GAs solved here (they price through this
-                # evaluator). Fanned-out sub-problem solves ship their
-                # workers' private cache counters back with the pool
-                # results; that aggregate lands on
-                # ``worker_layer_cache`` so the two views partition the
-                # run instead of silently losing the workers' share.
-                result.layer_cache = self.evaluator.layer_cache_stats.since(
-                    layer_cache_before
-                )
-                if self.subproblems_fanned_out:
-                    result.worker_layer_cache = self.worker_layer_cache
-            return mapping, evaluation, result
-        finally:
-            if self._owns_backend:
-                self.backend.close()
+            if self.subproblems_fanned_out:
+                result.worker_layer_cache = self.worker_layer_cache
+        return mapping, evaluation, result

@@ -249,19 +249,19 @@ class Level2Fitness:
 
     Each genome is decoded **once**: a small per-instance memo (keyed by
     the genome's raw bytes) is shared by ``phenotype_key`` and
-    ``__call__``, which a :class:`~repro.core.ga.backends.CachedBackend`
-    otherwise calls back to back — historically doubling the
-    ``make_sharding_plan`` work per evaluation.
+    ``__call__``, which the memoizing GA engine otherwise calls back to
+    back — historically doubling the ``make_sharding_plan`` work per
+    evaluation.
 
     ``phenotype_key`` composes from per-layer sub-keys (one decoded
     strategy per compute layer, slot-aligned with ``compute_nodes``).
-    The whole tuple is the :class:`CachedBackend` key — an exact
-    phenotype repeat skips evaluation entirely — while near-duplicates
-    that differ in a layer or two fall through to ``__call__``, where
-    the table replays the record of every layer whose strategy and
-    upstream state did not change and prices only the rest, through
-    the evaluator's layer-cost cache. Warm restarts therefore hit at
-    layer granularity instead of all-or-nothing.
+    The whole tuple is the engine's memo key under ``GAConfig.cache``
+    — an exact phenotype repeat skips evaluation entirely — while
+    near-duplicates that differ in a layer or two fall through to
+    ``__call__``, where the table replays the record of every layer
+    whose strategy and upstream state did not change and prices only
+    the rest, through the evaluator's layer-cost cache. Warm restarts
+    therefore hit at layer granularity instead of all-or-nothing.
     """
 
     #: Bound on the decode memo; comfortably above any population size
@@ -365,10 +365,10 @@ class Level2Fitness:
     ) -> None:
         """Batch-decode a whole population into the decode memo.
 
-        Called by the backends before per-genome evaluation (see
-        :meth:`EvaluationBackend.prepare`). One vectorized NumPy pass
-        over a ``(population, layers, genes)`` tensor reduces every
-        layer of every genome to one integer code (see :meth:`_codes`);
+        Called by the GA engine on each whole population before
+        per-genome evaluation. One vectorized NumPy pass over a
+        ``(population, layers, genes)`` tensor reduces every layer of
+        every genome to one integer code (see :meth:`_codes`);
         each layer resolves a code to its strategy once, in a plain
         per-layer dict, through the scalar decode's feasibility
         fallback. Bit-identical to the scalar
@@ -465,8 +465,8 @@ def optimize_set(
     """Run the second-level GA on one sub-problem.
 
     The engine evaluates serially, memoizing on the decoded phenotype
-    when ``config.cache`` is set (a fresh memoizer per sub-problem,
-    since phenotype keys are only unique within one sub-problem).
+    when ``config.cache`` is set (the memo lives for one engine run, so
+    one sub-problem: phenotype keys are only unique within one).
     """
     compute_nodes = [n for n in nodes if n.is_compute]
     parallelism = len(accs)

@@ -432,16 +432,8 @@ class MarsSession:
         self._partitions = search.partitions
         self._design_profile = search.design_profile
         self._searches += 1
-        # Fold the fan-out workers' shipped-back counters into the
-        # session accumulators. The pool workers persist across
-        # searches (payload-memoized evaluators), so the entries gauge
-        # supersedes rather than sums.
-        wlc = search.worker_layer_cache
-        self._worker_layer_cache = LayerCacheStats(
-            hits=self._worker_layer_cache.hits + wlc.hits,
-            misses=self._worker_layer_cache.misses + wlc.misses,
-            entries=max(self._worker_layer_cache.entries, wlc.entries),
-            evictions=self._worker_layer_cache.evictions + wlc.evictions,
+        self._worker_layer_cache = self._worker_layer_cache.merge_worker(
+            search.worker_layer_cache
         )
         self._subproblems_fanned_out += search.subproblems_fanned_out
         result = MarsResult(

@@ -1,19 +1,19 @@
 """Bounded LRU cache with hit/miss/eviction counters.
 
-The mapping search memoizes at several granularities — whole phenotypes
-in the GA backends, per-layer costs in the evaluator — and all of those
-caches must stay bounded on long-running services (the north-star
-deployment keeps one evaluator alive across millions of requests). This
-LRU is the shared primitive: a thin ``OrderedDict`` wrapper with
-recency-based eviction and cumulative counters, exposing just enough of
-the mapping protocol (``in``, ``[]``, ``update``) to drop into existing
-dict-shaped call sites.
+The mapping search memoizes at several granularities — level-1
+sub-problem solutions in a session, per-layer costs in the evaluator,
+decoded genomes in the level-2 fitness — and all of those caches must
+stay bounded on long-running services (the north-star deployment keeps
+one evaluator alive across millions of requests). This LRU is the
+shared primitive: a thin ``OrderedDict`` wrapper with recency-based
+eviction and cumulative counters, exposing just enough of the mapping
+protocol (``in``, ``[]``) to drop into existing dict-shaped call sites.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 from typing import Any
 
 from repro.utils.validation import require_positive
@@ -69,10 +69,6 @@ class LruCache:
 
     def __setitem__(self, key: Hashable, value: Any) -> None:
         self.put(key, value)
-
-    def update(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
-        for key, value in pairs:
-            self.put(key, value)
 
     def __len__(self) -> int:
         return len(self._data)

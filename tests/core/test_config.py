@@ -20,7 +20,12 @@ from repro.core import Mars, MarsSession, MultiModelSession, SearchConfig
 from repro.core.costmodel import CostModelSpec
 from repro.core.evaluator import EvaluatorOptions, MappingEvaluator
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.ga import Level1Search, ProcessPoolBackend, SearchBudget
+from repro.core.ga import (
+    GAConfig,
+    Level1Search,
+    ProcessPoolBackend,
+    SearchBudget,
+)
 from repro.core.store import StoreSpec
 from repro.utils import make_rng
 from repro.dnn import build_model
@@ -180,6 +185,19 @@ def _with_options(**changes):
     )
 
 
+#: A changed value for each search hyper-parameter of a GA level, valid
+#: at both levels of the default budget.
+GA_HYPERPARAMETERS = dict(
+    population_size=12,
+    generations=9,
+    crossover_rate=0.5,
+    mutation_rate=0.3,
+    mutation_sigma=0.5,
+    tournament_size=2,
+    elite_count=3,
+    patience=7,
+)
+
 #: Knobs that change what a search finds: mutating one must move
 #: ``result_fingerprint()``, or a store would serve stale artifacts.
 RESULTS_AFFECTING = {
@@ -193,11 +211,18 @@ RESULTS_AFFECTING = {
         ),
     ),
     "objective": lambda c: replace(c, objective="throughput"),
+    **{
+        f"budget.{level}.{name}": _with_level(level, **{name: value})
+        for level in ("level1", "level2")
+        for name, value in GA_HYPERPARAMETERS.items()
+    },
 }
 
 #: Knobs that change wall-clock only: mutating one must leave
 #: ``result_fingerprint()`` and a search bit-identical. ``store`` is
-#: filled in per test (it needs a temporary directory).
+#: filled in per test (it needs a temporary directory). Level 1 runs its
+#: engine with ``cache=True, workers=1`` whatever its config says, so
+#: neither of those level-1 fields may reach a store key.
 WALL_CLOCK_ONLY = {
     "capacity": lambda c: replace(c, capacity=1),
     "subproblem_capacity": lambda c: replace(c, subproblem_capacity=2),
@@ -212,6 +237,12 @@ WALL_CLOCK_ONLY = {
     "options.layer_cache_capacity": _with_options(layer_cache_capacity=8),
 }
 
+#: Knobs a session refuses to run with: level-2 populations never fan
+#: out.
+REFUSED = {
+    "budget.level2.workers": _with_level("level2", workers=2),
+}
+
 
 @pytest.fixture(scope="module")
 def reference_search():
@@ -222,11 +253,21 @@ class TestFingerprintSoundness:
     """Every config knob is classified, and the classification holds."""
 
     def test_every_config_field_is_classified(self):
-        knobs = {*RESULTS_AFFECTING, *WALL_CLOCK_ONLY}
-        assert not set(RESULTS_AFFECTING) & set(WALL_CLOCK_ONLY)
+        knobs = {*RESULTS_AFFECTING, *WALL_CLOCK_ONLY, *REFUSED}
+        assert len(knobs) == (
+            len(RESULTS_AFFECTING) + len(WALL_CLOCK_ONLY) + len(REFUSED)
+        )
         assert {f.name for f in fields(SearchConfig)} == {
             name for name in knobs if "." not in name
         }
+        # Every field of both GA levels is classified.
+        for level in ("level1", "level2"):
+            prefix = f"budget.{level}."
+            assert {f.name for f in fields(GAConfig)} == {
+                name.removeprefix(prefix)
+                for name in knobs
+                if name.startswith(prefix)
+            }
         # Sub-knobs name real nested fields (a rename fails here).
         for name in knobs:
             functools.reduce(getattr, name.split("."), SearchConfig())
@@ -257,6 +298,11 @@ class TestFingerprintSoundness:
         assert result.ga.history == reference_search.ga.history
         assert result.describe() == reference_search.describe()
 
+    @pytest.mark.parametrize("knob", sorted(REFUSED))
+    def test_refused_knob_is_refused_by_the_session(self, knob):
+        with pytest.raises(ValueError, match=knob.removeprefix("budget.")):
+            MarsSession(CNN, TOPOLOGY, REFUSED[knob](SearchConfig()))
+
 
 def _level2_workers_budget():
     budget = SearchBudget.fast()
@@ -281,12 +327,9 @@ def _level1_search(budget, pool=None):
 
 class TestPopulationParallelismRejected:
     """Every way of asking for level-2 population parallelism raises
-    instead of being silently ignored (the GA-level spelling is pinned
-    in ``tests/core_ga/test_backends.py``)."""
-
-    def test_level2_workers_rejected_by_session(self):
-        with pytest.raises(ValueError, match="level2.workers"):
-            MarsSession(CNN, TOPOLOGY, budget=_level2_workers_budget())
+    instead of being silently ignored (the session spelling is a
+    ``REFUSED`` knob above; the GA-level spelling is pinned in
+    ``tests/core_ga/test_engine.py``)."""
 
     def test_level2_workers_rejected_by_level1_search(self):
         with ProcessPoolBackend(workers=2) as pool:

@@ -562,6 +562,15 @@ class TestCacheMechanics:
         assert delta.lookups == 7
         assert delta.hit_rate == pytest.approx(4 / 7)
 
+    def test_merge_worker_sums_counters_and_keeps_the_largest_gauge(self):
+        a = LayerCacheStats(hits=10, misses=4, entries=7, evictions=2)
+        b = LayerCacheStats(hits=6, misses=1, entries=5, evictions=3)
+        expected = LayerCacheStats(hits=16, misses=5, entries=7, evictions=5)
+        assert a.merge_worker(b) == expected
+        assert b.merge_worker(a) == expected
+        # ``merge`` sums the gauge instead.
+        assert a.merge(b).entries == 12
+
     def test_design_variants_do_not_collide(self):
         """Same-named design with different parameters gets its own
         entries — the cache keys on the design object, not its name."""

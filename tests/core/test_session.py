@@ -7,9 +7,11 @@ session is bit-identical to a fresh :class:`Mars` per search — with the
 layer cache on or off — and a session run twice replays itself exactly.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -162,6 +164,25 @@ class TestSessionState:
     def test_invalid_subproblem_capacity_rejected(self):
         with pytest.raises(ValueError):
             MarsSession(GRAPH, TOPOLOGY, subproblem_capacity=0)
+
+    def test_closed_session_frees_its_evaluator_without_the_collector(self):
+        """Regression: a finished search sat in a reference cycle (its
+        memoizer pinned a fitness that pointed back at the search), so
+        the session's evaluator outlived ``close()`` until the cyclic
+        garbage collector ran."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = MarsSession(GRAPH, TOPOLOGY)
+            result = session.search(seed=0)
+            evaluator = weakref.ref(session.evaluator)
+            session.close()
+            del session
+            assert evaluator() is None
+            assert result.feasible
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_result_pickle_carries_no_derived_state(self):
         """Every search reply pickles its mapping's topology; the pair

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.accelerators import design1_superlip, design2_systolic
 from repro.core.evaluator import MappingEvaluator
 from repro.core.ga import GAConfig, GENES_PER_LAYER, Level2Fitness, optimize_set
-from repro.core.ga.backends import CachedBackend, SerialBackend
 from repro.core.ga.level2 import decode_layer_strategy
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
@@ -142,24 +141,6 @@ class TestPreparePopulationPlumbing:
         assert batched.ga.history == scalar.ga.history
         assert batched.latency_seconds == scalar.latency_seconds
         assert batched.strategies == scalar.strategies
-
-    def test_serial_and_cached_backends_invoke_prepare(self):
-        class Recorder:
-            def __init__(self):
-                self.prepared = 0
-
-            def prepare_population(self, genomes):
-                self.prepared += len(genomes)
-
-            def __call__(self, genome):
-                return float(np.sum(genome))
-
-        genomes = [make_rng(i).random(4) for i in range(3)]
-        for backend in (SerialBackend(), CachedBackend()):
-            recorder = Recorder()
-            backend.prepare(recorder, genomes)
-            backend.evaluate(recorder, genomes)
-            assert recorder.prepared == len(genomes)
 
     def test_pickled_fitness_rebuilds_memos_and_decodes_identically(self):
         import pickle

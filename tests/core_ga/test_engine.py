@@ -1,4 +1,4 @@
-"""Generic GA engine: operators, convergence, determinism."""
+"""Generic GA engine: operators, convergence, determinism, memo."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ def _sphere(genome: np.ndarray) -> float:
     return float(np.sum((genome - 0.5) ** 2))
 
 
-def _run(seed=0, **overrides):
+def _run(seed=0, fitness=_sphere, key_fn=None, **overrides):
     config = GAConfig(
         population_size=overrides.pop("population_size", 20),
         generations=overrides.pop("generations", 25),
@@ -20,11 +20,28 @@ def _run(seed=0, **overrides):
     )
     ga = GeneticAlgorithm(
         genome_length=6,
-        fitness=_sphere,
+        fitness=fitness,
         config=config,
         rng=make_rng(seed),
+        key_fn=key_fn,
     )
     return ga.run()
+
+
+class _Recorder:
+    """Sphere fitness that records each population it is shown and
+    each genome it prices, by raw bytes."""
+
+    def __init__(self):
+        self.populations = []
+        self.priced = []
+
+    def prepare_population(self, genomes):
+        self.populations.append([g.tobytes() for g in genomes])
+
+    def __call__(self, genome):
+        self.priced.append(genome.tobytes())
+        return _sphere(genome)
 
 
 class TestConfigValidation:
@@ -43,6 +60,28 @@ class TestConfigValidation:
     def test_tournament_bounded_by_population(self):
         with pytest.raises(ValueError):
             GAConfig(population_size=4, tournament_size=10)
+
+    def test_defaults_preserve_old_behavior(self):
+        config = GAConfig()
+        assert config.workers == 1
+        assert config.cache is False
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "two", True])
+    def test_invalid_workers_rejected(self, workers):
+        with pytest.raises(ValueError):
+            GAConfig(workers=workers)
+
+    @pytest.mark.parametrize("cache", ["yes", 1, None])
+    def test_invalid_cache_rejected(self, cache):
+        with pytest.raises(ValueError):
+            GAConfig(cache=cache)
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_population_workers_rejected(self, cache):
+        """Populations never fan out: a GA asked for ``workers > 1``
+        refuses instead of running serial."""
+        with pytest.raises(ValueError, match="workers"):
+            _run(workers=2, cache=cache)
 
 
 class TestConvergence:
@@ -111,8 +150,83 @@ class TestBudget:
         result = _run(population_size=10, generations=3, patience=10)
         # Initial population + one per generation individual.
         assert result.evaluations == 10 * (1 + result.generations_run)
+        assert result.cache_hits == 0
+        assert result.cache_misses == 0
 
     def test_genomes_stay_in_unit_box(self):
         result = _run(mutation_rate=1.0, mutation_sigma=2.0)
         assert np.all(result.best_genome >= 0.0)
         assert np.all(result.best_genome <= 1.0)
+
+
+class TestMemo:
+    """``GAConfig(cache=True)``: one price per unseen key per run."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_run_matches_uncached(self, seed):
+        plain = _run(seed=seed)
+        cached = _run(seed=seed, cache=True)
+        assert cached.history == plain.history
+        assert cached.best_fitness == plain.best_fitness
+        assert np.array_equal(cached.best_genome, plain.best_genome)
+        assert cached.generations_run == plain.generations_run
+
+    def test_prepare_sees_every_population_whole(self):
+        for cache in (False, True):
+            recorder = _Recorder()
+            result = _run(fitness=recorder, cache=cache, elite_count=3)
+            assert len(recorder.populations) == 1 + result.generations_run
+            assert all(len(p) == 20 for p in recorder.populations)
+
+    def test_uncached_prices_every_genome_in_order(self):
+        recorder = _Recorder()
+        result = _run(fitness=recorder, elite_count=3)
+        shown = [key for keys in recorder.populations for key in keys]
+        assert recorder.priced == shown
+        assert result.evaluations == len(shown)
+
+    def test_memo_prices_first_occurrences_in_population_order(self):
+        """Level-1 fitness is stateful, so the order of first
+        occurrences is part of the contract."""
+        recorder = _Recorder()
+        result = _run(fitness=recorder, cache=True, elite_count=3)
+        shown = [key for keys in recorder.populations for key in keys]
+        first_seen = list(dict.fromkeys(shown))
+        assert recorder.priced == first_seen
+        assert result.evaluations == result.cache_misses == len(first_seen)
+        assert result.cache_hits == len(shown) - len(first_seen)
+        # Elites are copied into every generation, so hits are certain.
+        assert result.cache_hits > 0
+
+    def test_key_fn_collapses_equivalent_genomes(self):
+        """A phenotype key prices each phenotype once."""
+        cell = lambda g: tuple(np.round(g, 0))  # noqa: E731
+        keys = []
+
+        def coarse(genome):
+            keys.append(cell(genome))
+            return float(np.sum(np.round(genome, 0)))
+
+        plain = _run(fitness=lambda g: float(np.sum(np.round(g, 0))))
+        cached = _run(fitness=coarse, key_fn=cell, cache=True)
+        assert cached.history == plain.history
+        assert len(keys) == len(set(keys)) == cached.evaluations
+        assert cached.evaluations <= 2**6
+
+    def test_memo_lives_for_one_run(self):
+        optimum = np.full(6, 0.5)
+        recorder = _Recorder()
+        ga = GeneticAlgorithm(
+            genome_length=6,
+            fitness=recorder,
+            config=GAConfig(population_size=4, generations=1, cache=True),
+            rng=make_rng(0),
+            seeds=[optimum],
+        )
+        first = ga.run()
+        second = ga.run()
+        assert recorder.priced.count(optimum.tobytes()) == 2
+        assert second.cache_misses == second.evaluations
+        assert first.cache_hits + first.cache_misses == 4 * (
+            1 + first.generations_run
+        )

@@ -3,21 +3,18 @@
 These tests cover the search-side half of the layer-cost cache work:
 ``Level2Fitness`` decodes each genome once (shared by ``phenotype_key``
 and ``__call__``), ``optimize_set``/``Level1Search``/``Mars`` surface
-the evaluator's cache counters on their results, search outcomes are
-bit-identical with caching on or off, and the bounded ``CachedBackend``
-stays correct under mid-batch eviction.
+the evaluator's cache counters on their results, and search outcomes
+are bit-identical with caching on or off.
 """
 
 import pickle
 from dataclasses import replace
 
-import numpy as np
-
 from repro.accelerators import design2_systolic, table2_designs
 from repro.core.evaluator import EvaluatorOptions, MappingEvaluator
 from repro.core.ga import (
-    CachedBackend,
     GAConfig,
+    GeneticAlgorithm,
     Level2Fitness,
     SearchBudget,
     optimize_set,
@@ -46,16 +43,26 @@ class TestSingleDecode:
         assert fitness.decode_misses == 1
         assert fitness.decode_hits == 1
 
-    def test_cached_backend_path_decodes_once_per_genome(self):
-        """The backend's key_fn + fitness calls share one decode."""
+    def test_memoized_engine_decodes_once_per_genome(self):
+        """The engine's key_fn + fitness calls share one decode."""
         fitness = _fitness()
-        backend = CachedBackend(key_fn=fitness.phenotype_key)
-        genomes = [
-            make_rng(i).random(fitness.genome_length) for i in range(6)
-        ]
-        backend.evaluate(fitness, genomes + genomes)  # duplicates included
-        assert fitness.decode_misses == len(genomes)
-        assert fitness.decode_hits >= len(genomes)
+        shown = set()
+
+        def key_fn(genome):
+            shown.add(genome.tobytes())
+            return fitness.phenotype_key(genome)
+
+        result = GeneticAlgorithm(
+            genome_length=fitness.genome_length,
+            fitness=fitness,
+            config=GAConfig(population_size=8, generations=4, cache=True),
+            rng=make_rng(0),
+            key_fn=key_fn,
+        ).run()
+        assert fitness.decode_misses == len(shown)
+        # Every key and every price is a memo hit.
+        looked_up = result.cache_hits + result.cache_misses
+        assert fitness.decode_hits >= looked_up + result.evaluations
 
     def test_decode_returns_defensive_copy(self):
         fitness = _fitness()
@@ -137,35 +144,3 @@ class TestSearchEquivalenceAndStats:
         assert second.ga.history == first.ga.history
         assert second.ga.layer_cache.misses == 0
         assert second.ga.layer_cache.hits > 0
-
-
-class TestBoundedCachedBackend:
-    def test_eviction_mid_batch_keeps_results_correct(self):
-        calls = []
-
-        def fitness(genome):
-            calls.append(float(genome[0]))
-            return float(np.sum(genome))
-
-        backend = CachedBackend(max_entries=2)
-        genomes = [make_rng(i).random(8) for i in range(6)]
-        expected = [float(np.sum(g)) for g in genomes]
-        assert backend.evaluate(fitness, genomes) == expected
-        # All six were unique; the bounded cache kept only two entries.
-        assert backend.cache_size == 2
-        assert backend.stats.cache_evictions == 4
-        # Evicted genomes re-evaluate; retained ones hit.
-        assert backend.evaluate(fitness, genomes[-2:]) == expected[-2:]
-        assert backend.stats.cache_hits == 2
-
-    def test_unbounded_default_unchanged(self):
-        def fitness(genome):
-            return float(np.sum(genome))
-
-        backend = CachedBackend()
-        genomes = [make_rng(i).random(8) for i in range(6)]
-        backend.evaluate(fitness, genomes)
-        backend.evaluate(fitness, genomes)
-        assert backend.cache_size == 6
-        assert backend.stats.cache_evictions == 0
-        assert backend.stats.cache_hits == 6

@@ -50,9 +50,10 @@ class TestLruCache:
         assert cache.hits == 1
         assert cache.misses == 1
 
-    def test_update_and_clear(self):
+    def test_clear(self):
         cache = LruCache(8)
-        cache.update([("a", 1), ("b", 2)])
+        cache["a"] = 1
+        cache["b"] = 2
         assert len(cache) == 2
         cache.clear()
         assert len(cache) == 0
