@@ -54,6 +54,7 @@ from repro.simulator.program import (
 )
 from repro.system.topology import SystemTopology
 from repro.utils.cache import LruCache
+from repro.utils.counters import Counters, gauge
 from repro.utils.validation import require, require_positive
 
 #: Latency assigned to strategies with no feasible sharding plan. Large
@@ -116,7 +117,7 @@ class EvaluatorOptions:
 
 
 @dataclass(frozen=True)
-class LayerCacheStats:
+class LayerCacheStats(Counters):
     """Counters of the evaluator's per-layer cost cache.
 
     ``hits``/``misses``/``evictions`` are cumulative counters;
@@ -125,7 +126,7 @@ class LayerCacheStats:
 
     hits: int = 0
     misses: int = 0
-    entries: int = 0
+    entries: int = gauge()
     evictions: int = 0
 
     @property
@@ -136,50 +137,6 @@ class LayerCacheStats:
     def hit_rate(self) -> float:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def since(self, earlier: "LayerCacheStats") -> "LayerCacheStats":
-        """Counter deltas relative to an earlier snapshot.
-
-        ``entries`` keeps its current (gauge) value rather than being
-        differenced.
-        """
-        return LayerCacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            entries=self.entries,
-            evictions=self.evictions - earlier.evictions,
-        )
-
-    def merge(self, other: "LayerCacheStats") -> "LayerCacheStats":
-        """Counters of two caches folded together (all fields summed).
-
-        Used when aggregating history across sessions — e.g. a serving
-        registry folding a retired tenant's counters into its running
-        total; ``entries`` sums the two gauges, which for retired
-        sessions reads as "entries held at close time".
-        """
-        return LayerCacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            entries=self.entries + other.entries,
-            evictions=self.evictions + other.evictions,
-        )
-
-    def merge_worker(self, other: "LayerCacheStats") -> "LayerCacheStats":
-        """Pool-worker counters folded together.
-
-        Counters sum; ``entries`` is the larger of the two gauges. Pool
-        workers keep their caches across batches and searches, so each
-        report restates a live worker's population: summing would count
-        the same entries again, and the largest single-worker cache is
-        the figure that stays true.
-        """
-        return LayerCacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            entries=max(self.entries, other.entries),
-            evictions=self.evictions + other.evictions,
-        )
 
 
 @dataclass

@@ -71,7 +71,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 from repro.core.config import (
@@ -85,8 +85,9 @@ from repro.core.serving import (
     ServingStats,
     _ShardHandle,
     _ShardPool,
+    _tenant_key,
 )
-from repro.core.session import MarsResult, SessionStats
+from repro.core.session import MarsResult
 from repro.dnn.graph import ComputationGraph
 from repro.system.topology import SystemTopology
 from repro.utils.rng import stable_seed
@@ -330,24 +331,12 @@ class SloServingStats:
         them; all zeros when none reported. Computed once per
         (immutable) snapshot.
         """
-        parts = [s for s in self.per_shard if s is not None]
-        if self.fallback is not None:
-            parts.append(self.fallback)
-        if not parts:
-            return ServingStats(
-                capacity=0,
-                tenants=0,
-                hits=0,
-                misses=0,
-                evictions=0,
-                searches=0,
-                per_tenant={},
-                retired=SessionStats.zero(),
-            )
-        total = parts[0]
-        for part in parts[1:]:
-            total = total.merge(part)
-        return total
+        parts = (*self.per_shard, self.fallback)
+        return reduce(
+            ServingStats.merge,
+            (part for part in parts if part is not None),
+            ServingStats(),
+        )
 
     @property
     def resolved(self) -> int:
@@ -514,21 +503,6 @@ class SloServing(_ShardPool):
     # Placement
     # ------------------------------------------------------------------
 
-    def _tenant_key(
-        self,
-        graph: ComputationGraph,
-        topology: SystemTopology,
-        objective: str,
-    ) -> tuple:
-        # Mirrors ``MultiModelSession._key``: the cost-model token keeps
-        # tenants priced by different models from ever aliasing.
-        return (
-            graph.fingerprint(),
-            topology.fingerprint(),
-            objective,
-            self.config.cost_model.token(),
-        )
-
     def shard_of(
         self,
         graph: ComputationGraph,
@@ -549,13 +523,9 @@ class SloServing(_ShardPool):
         objective = (
             objective if objective is not None else self.config.objective
         )
+        key = _tenant_key(graph, topology, objective, self.config.cost_model)
         with self._lock:
-            return (
-                stable_seed(
-                    "shard-placement", *self._tenant_key(graph, topology, objective)
-                )
-                % self._active
-            )
+            return stable_seed("shard-placement", *key) % self._active
 
     # ------------------------------------------------------------------
     # Serving API
@@ -606,8 +576,11 @@ class SloServing(_ShardPool):
                         f"in-flight budget spent: {self._queued} queued + "
                         f"{self._running} running >= {policy.max_inflight}"
                     )
-                key = self._tenant_key(
-                    graph, resolved_topology, resolved_objective
+                key = _tenant_key(
+                    graph,
+                    resolved_topology,
+                    resolved_objective,
+                    self.config.cost_model,
                 )
                 tenant = self._queues.get(key)
                 if tenant is None:
@@ -750,10 +723,11 @@ class SloServing(_ShardPool):
 
         Expired requests (deadline < now) are removed wherever they sit
         in their queues and collected for resolution outside the lock.
-        Among the survivors the head of each assigned tenant queue
-        competes under :func:`dispatch_key` (EDF) or plain arrival
-        order (FIFO). Within one tenant queue arrival order and EDF
-        order coincide (a queue is FIFO per tenant), so heads suffice.
+        Each assigned tenant queue then puts up one candidate: under
+        EDF the minimum of the whole queue by :func:`dispatch_key`
+        (deadlines are set per request, so a later arrival in the same
+        tenant can be more urgent than the head), under FIFO its head.
+        The candidates compete by the same order (:meth:`_precedes`).
 
         Tenant entries whose queue is (or becomes) empty are dropped
         from ``self._queues`` — the placement slot is recomputed from

@@ -189,8 +189,8 @@ class _Level1Fitness:
     the ``prepare_population`` batch hook (bound methods cannot carry
     one): each generation, the engine shows it the whole population,
     and the search fans the batch's distinct uncached sub-problems out
-    before any per-genome fitness call runs. Scoring then walks a fully
-    warm sub-problem cache in-process.
+    before any per-genome fitness call runs. Scoring then runs
+    in-process over the solutions the batch brought back.
     """
 
     __slots__ = ("search",)
@@ -235,10 +235,10 @@ class Level1Search:
     all individuals are deduplicated, and that batch is solved in
     parallel — one level-2 GA per pool task. Each sub-problem carries
     its own content-keyed RNG (:func:`subproblem_rng`), so solutions
-    are position- and worker-independent and merge back into the
-    shared ``solution_cache`` without forking state; genome scoring
-    then runs over a fully warm cache in-process, keeping the
-    phenotype memo and layer-LRU semantics intact. Results are
+    are position- and worker-independent; genome scoring then runs
+    in-process and takes each fanned-out solution where the serial
+    path would solve it, so ``solution_cache``, the phenotype memo and
+    the layer LRU see the same operations either way. Results are
     bit-identical to the serial path for a fixed seed — the fan-out
     only changes wall-clock.
 
@@ -311,12 +311,15 @@ class Level1Search:
         # re-solve of a key already counted.
         self._solved_keys: set[tuple] = set()
         #: Pool workers' private layer-cache counters, shipped back with
-        #: fanned-out sub-problem results and folded here by
-        #: :meth:`LayerCacheStats.merge_worker`.
+        #: fanned-out sub-problem results and folded here with
+        #: ``merge(stats, gauge=max)``.
         self.worker_layer_cache = LayerCacheStats()
         #: Distinct sub-problems this search solved *on pool workers*
         #: (serial-fallback and in-fitness solves are not counted here).
         self.subproblems_fanned_out = 0
+        # This generation's fanned-out solutions; they enter
+        # ``solution_cache`` only through :meth:`solve_subproblem`.
+        self._prefetched: dict[tuple, SetSolution] = {}
 
     # ------------------------------------------------------------------
     # Genome layout
@@ -448,17 +451,19 @@ class Level1Search:
         cached = self.solution_cache.get(key)
         if cached is not None:
             return cached
-        nodes = [self.graph.nodes()[i] for i in layer_range.indices()]
-        solution = optimize_set(
-            self.evaluator,
-            nodes,
-            accs,
-            design,
-            self.budget.level2,
-            subproblem_rng(key),
-        )
+        solution = self._prefetched.get(key)
+        if solution is None:
+            nodes = [self.graph.nodes()[i] for i in layer_range.indices()]
+            solution = optimize_set(
+                self.evaluator,
+                nodes,
+                accs,
+                design,
+                self.budget.level2,
+                subproblem_rng(key),
+            )
+            self._record_solved(key)
         self.solution_cache[key] = solution
-        self._record_solved(key)
         return solution
 
     def prefetch_population(
@@ -469,16 +474,17 @@ class Level1Search:
         Decodes the whole batch, dedupes the distinct uncached
         ``(layer_range, acc_set, design)`` sub-problems across all
         individuals, and solves that batch in parallel on the fan-out
-        pool; solutions merge into the shared ``solution_cache``, so
-        the per-genome fitness calls that follow walk a fully warm
-        cache. Purely a wall-clock lever: each sub-problem's solution
-        comes from its content-keyed RNG, so results never depend on
-        this running (the serial path would solve the same sub-problems
-        one by one). No-op without a fan-out pool.
+        pool; a fitness call that then misses ``solution_cache`` takes
+        its solution from the batch instead of solving in-process, and
+        the probe here is a plain membership test, so the cache counts
+        the same lookups as on the serial path. Purely a wall-clock
+        lever: each solution comes from its content-keyed RNG, so
+        results never depend on this running. No-op without a pool.
         """
         pool = self.level1_backend
         if pool is None or not genomes:
             return
+        self._prefetched = {}
         jobs: dict[tuple, tuple[LayerRange, AcceleratorDesign | None]] = {}
         for genome in genomes:
             decoded = self.decode(np.asarray(genome))
@@ -494,12 +500,13 @@ class Level1Search:
         solver = SubproblemSolver(self.evaluator, self.budget.level2)
         items = [(key, design) for key, (_, design) in jobs.items()]
         for key, solution, stats in pool.map_subproblems(solver, items):
-            self.solution_cache[key] = solution
+            self._prefetched[key] = solution
             self._record_solved(key)
             if stats is not None:
                 self.subproblems_fanned_out += 1
-                wlc = self.worker_layer_cache
-                self.worker_layer_cache = wlc.merge_worker(stats)
+                self.worker_layer_cache = self.worker_layer_cache.merge(
+                    stats, gauge=max
+                )
 
     def build_mapping(self, decoded: DecodedIndividual) -> Mapping:
         assignments = []

@@ -55,9 +55,11 @@ import multiprocessing.util  # noqa: F401
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from repro.core.config import SearchConfig
+from repro.core.costmodel import CostModelSpec
 from repro.core.faults import execute_fault
 from repro.core.health import (
     BeaconEmitter,
@@ -69,6 +71,7 @@ from repro.core.health import (
 from repro.core.session import MarsResult, MarsSession, SessionStats
 from repro.dnn.graph import ComputationGraph
 from repro.system.topology import SystemTopology
+from repro.utils.counters import Counters, gauge, merged_by
 from repro.utils.rng import stable_seed
 from repro.utils.validation import require, require_positive
 
@@ -78,25 +81,28 @@ __all__ = [
 ]
 
 
-def _add_tenant_label(
-    per_tenant: dict[str, SessionStats],
-    base: str,
-    stats: SessionStats,
-    renumber: bool = False,
-) -> None:
-    """Insert ``stats`` under ``base``, ``@n``-suffixing on collision.
+def _tenant_key(
+    graph: ComputationGraph,
+    topology: SystemTopology,
+    objective: str,
+    cost_model: CostModelSpec,
+) -> tuple:
+    """A tenant's content address, shared by registry routing and shard
+    placement so the two cannot drift apart. Fingerprints survive
+    pickling, and the cost-model token keeps sessions priced by
+    different models from ever sharing a tenant."""
+    return (
+        graph.fingerprint(),
+        topology.fingerprint(),
+        objective,
+        cost_model.token(),
+    )
 
-    ``renumber=True`` is for cross-registry aggregation, where ``base``
-    may itself be an ``@n``-suffixed label from another shard: the
-    suffix is stripped first so labels renumber from the root instead
-    of stacking into ambiguous ``foo@2@2``. Registry-local callers
-    keep ``renumber=False`` — there ``base`` is a real graph name, and
-    a graph genuinely named ``foo@2`` must not be relabeled ``foo``.
-    """
-    if renumber:
-        root, _, suffix = base.rpartition("@")
-        if root and suffix.isdigit():
-            base = root
+
+def _add_tenant_label(
+    per_tenant: dict[str, SessionStats], base: str, stats: SessionStats
+) -> None:
+    """Insert ``stats`` under ``base``, ``@n``-suffixing on collision."""
     label, counter = base, 2
     while label in per_tenant:
         label = f"{base}@{counter}"
@@ -104,34 +110,55 @@ def _add_tenant_label(
     per_tenant[label] = stats
 
 
-@dataclass(frozen=True)
-class ServingStats:
-    """Registry-level counters of a :class:`MultiModelSession`."""
+def _merge_tenants(
+    mine: dict[str, SessionStats], theirs: dict[str, SessionStats]
+) -> dict[str, SessionStats]:
+    """Two registries' per-tenant counters side by side.
 
-    #: Maximum number of live tenant sessions.
-    capacity: int
+    A label from the other registry may itself be ``@n``-suffixed: the
+    suffix is stripped first, so labels colliding across registries
+    renumber from the root instead of stacking into ambiguous
+    ``foo@2@2``. (Registry-local labels never strip: there a graph
+    genuinely named ``foo@2`` keeps its name.)
+    """
+    per_tenant = dict(mine)
+    for label, stats in theirs.items():
+        root, _, suffix = label.rpartition("@")
+        base = root if root and suffix.isdigit() else label
+        _add_tenant_label(per_tenant, base, stats)
+    return per_tenant
+
+
+@dataclass(frozen=True)
+class ServingStats(Counters):
+    """Registry-level counters of a :class:`MultiModelSession`; shard
+    aggregation folds two registries' with ``merge``."""
+
+    #: Maximum number of live tenant sessions (merged registries sum
+    #: it: it bounds the union of their tenants).
+    capacity: int = gauge()
     #: Tenant sessions currently alive.
-    tenants: int
+    tenants: int = gauge()
     #: Requests routed to an already-warm tenant session.
-    hits: int
+    hits: int = 0
     #: Requests that built a tenant session (first sight or rebuilt
     #: after eviction).
-    misses: int
+    misses: int = 0
     #: Tenant sessions closed under capacity pressure (explicit
     #: ``evict()`` calls are not counted — this gauges whether
     #: ``capacity`` is undersized).
-    evictions: int
+    evictions: int = 0
     #: Searches routed through the registry so far.
-    searches: int
+    searches: int = 0
     #: Per-tenant warm-state counters, keyed by tenant label (graph
     #: name, ``:objective``-suffixed for non-default objectives and
     #: ``@n``-suffixed when distinct graph contents share a name).
-    per_tenant: dict[str, SessionStats]
+    per_tenant: dict[str, SessionStats] = merged_by(_merge_tenants, dict)
     #: Cumulative counters of every tenant session this registry has
     #: retired — capacity evictions, explicit ``evict()`` calls and
     #: ``close()`` all fold the departing session's ``SessionStats``
     #: here, so hit-rate history survives the sessions themselves.
-    retired: SessionStats
+    retired: SessionStats = field(default_factory=SessionStats)
 
     @property
     def lookups(self) -> int:
@@ -146,30 +173,8 @@ class ServingStats:
     def lifetime(self) -> SessionStats:
         """Live and retired tenant counters folded together — the
         registry's whole history, robust to eviction churn."""
-        total = self.retired
-        for stats in self.per_tenant.values():
-            total = total.merge(stats)
-        return total
-
-    def merge(self, other: "ServingStats") -> "ServingStats":
-        """Two registries' counters folded together (shard aggregation).
-
-        ``capacity`` sums (it bounds the union of the two tenant
-        populations); per-tenant labels colliding across registries are
-        ``@n``-deduplicated like same-named tenants within one.
-        """
-        per_tenant = dict(self.per_tenant)
-        for base, stats in other.per_tenant.items():
-            _add_tenant_label(per_tenant, base, stats, renumber=True)
-        return ServingStats(
-            capacity=self.capacity + other.capacity,
-            tenants=self.tenants + other.tenants,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            searches=self.searches + other.searches,
-            per_tenant=per_tenant,
-            retired=self.retired.merge(other.retired),
+        return reduce(
+            SessionStats.merge, self.per_tenant.values(), self.retired
         )
 
 
@@ -244,7 +249,7 @@ class MultiModelSession:
         self._misses = 0
         self._evictions = 0
         self._searches = 0
-        self._retired = SessionStats.zero()
+        self._retired = SessionStats()
         self._closed = False
 
     @classmethod
@@ -258,27 +263,6 @@ class MultiModelSession:
     # ------------------------------------------------------------------
     # Tenant routing
     # ------------------------------------------------------------------
-
-    def _key(
-        self,
-        graph: ComputationGraph,
-        topology: SystemTopology,
-        objective: str,
-    ) -> tuple:
-        # Content-addressed: fingerprints survive pickling, so the same
-        # workload routes to the same tenant no matter which process
-        # (or which equal copy of the graph object) posed the request.
-        # The cost-model token rides along so sessions priced by
-        # different models can never share a tenant — the registry's
-        # config fixes one model today, but the key must stay honest
-        # under per-request config replacement (the objective already
-        # varies per request) and under any cross-registry aggregation.
-        return (
-            graph.fingerprint(),
-            topology.fingerprint(),
-            objective,
-            self.config.cost_model.token(),
-        )
 
     def session_for(
         self,
@@ -294,7 +278,7 @@ class MultiModelSession:
         require(not self._closed, "serving registry is closed")
         topology = topology if topology is not None else self.topology
         objective = objective if objective is not None else self.objective
-        key = self._key(graph, topology, objective)
+        key = _tenant_key(graph, topology, objective, self.config.cost_model)
         tenant = self._tenants.get(key)
         if tenant is not None:
             self._hits += 1
@@ -356,7 +340,8 @@ class MultiModelSession:
         topology = topology if topology is not None else self.topology
         objective = objective if objective is not None else self.objective
         tenant = self._tenants.pop(
-            self._key(graph, topology, objective), None
+            _tenant_key(graph, topology, objective, self.config.cost_model),
+            None,
         )
         if tenant is None:
             return False
@@ -372,9 +357,10 @@ class MultiModelSession:
         registry holds no tenants)."""
         if self._closed:
             return False
-        return (
-            self._key(graph, self.topology, self.objective) in self._tenants
+        key = _tenant_key(
+            graph, self.topology, self.objective, self.config.cost_model
         )
+        return key in self._tenants
 
     def __len__(self) -> int:
         return len(self._tenants)

@@ -61,6 +61,7 @@ from repro.dnn.graph import ComputationGraph
 from repro.simulator.program import ExecutionProgram
 from repro.system.topology import SystemTopology
 from repro.utils.cache import LruCache
+from repro.utils.counters import Counters, gauge
 from repro.utils.rng import make_rng
 from repro.utils.serialization import mapping_from_dict, mapping_to_dict
 from repro.utils.validation import require
@@ -104,23 +105,25 @@ class MarsResult:
 
 
 @dataclass(frozen=True)
-class SessionStats:
+class SessionStats(Counters):
     """Warm-state counters of a :class:`MarsSession`."""
 
     #: Searches run through the session so far.
-    searches: int
+    searches: int = 0
     #: Level-1 sub-problem solutions held in the cross-search cache.
-    subproblem_solutions: int
-    #: Sub-problem cache lookups served warm (session-cumulative).
-    subproblem_hits: int
-    #: Sub-problem cache lookups that had to solve a level-2 GA.
-    subproblem_misses: int
+    subproblem_solutions: int = gauge()
+    #: Sub-problem cache lookups served warm (session-cumulative; the
+    #: same with and without a pool).
+    subproblem_hits: int = 0
+    #: Sub-problem cache lookups that had to solve a level-2 GA (or take
+    #: the solution a pool worker solved for this generation).
+    subproblem_misses: int = 0
     #: Sub-problem solutions dropped by the cache's LRU bound.
-    subproblem_evictions: int
+    subproblem_evictions: int = 0
     #: Greedy shortlist choices memoized on the evaluator.
-    greedy_entries: int
+    greedy_entries: int = gauge()
     #: The shared evaluator's layer-cost cache counters (session-cumulative).
-    layer_cache: LayerCacheStats
+    layer_cache: LayerCacheStats = field(default_factory=LayerCacheStats)
     #: Worker-pool executors spawned over the session's lifetime (0
     #: when ``workers`` <= 1; 1 for an unbroken pooled lifetime).
     pool_spawns: int = 0
@@ -161,60 +164,6 @@ class SessionStats:
     #: Distinct level-1 sub-problems solved on pool workers via the
     #: batched fan-out (session-cumulative; 0 when serial).
     subproblems_fanned_out: int = 0
-
-    @classmethod
-    def zero(cls) -> "SessionStats":
-        """All-zero counters (the identity element of :meth:`merge`)."""
-        return cls(
-            searches=0,
-            subproblem_solutions=0,
-            subproblem_hits=0,
-            subproblem_misses=0,
-            subproblem_evictions=0,
-            greedy_entries=0,
-            layer_cache=LayerCacheStats(),
-        )
-
-    def merge(self, other: "SessionStats") -> "SessionStats":
-        """Two sessions' counters folded together (all fields summed).
-
-        This is how a serving registry keeps honest history: when a
-        tenant session is evicted or closed, its counters merge into a
-        cumulative ``retired`` aggregate instead of vanishing with the
-        session.
-        """
-        return SessionStats(
-            searches=self.searches + other.searches,
-            subproblem_solutions=(
-                self.subproblem_solutions + other.subproblem_solutions
-            ),
-            subproblem_hits=self.subproblem_hits + other.subproblem_hits,
-            subproblem_misses=self.subproblem_misses + other.subproblem_misses,
-            subproblem_evictions=(
-                self.subproblem_evictions + other.subproblem_evictions
-            ),
-            greedy_entries=self.greedy_entries + other.greedy_entries,
-            layer_cache=self.layer_cache.merge(other.layer_cache),
-            pool_spawns=self.pool_spawns + other.pool_spawns,
-            pool_failures=self.pool_failures + other.pool_failures,
-            pool_respawns=self.pool_respawns + other.pool_respawns,
-            store_hits=self.store_hits + other.store_hits,
-            store_misses=self.store_misses + other.store_misses,
-            store_publishes=self.store_publishes + other.store_publishes,
-            store_errors=self.store_errors + other.store_errors,
-            store_quarantined=(
-                self.store_quarantined + other.store_quarantined
-            ),
-            store_skipped_infeasible=(
-                self.store_skipped_infeasible + other.store_skipped_infeasible
-            ),
-            worker_layer_cache=self.worker_layer_cache.merge(
-                other.worker_layer_cache
-            ),
-            subproblems_fanned_out=(
-                self.subproblems_fanned_out + other.subproblems_fanned_out
-            ),
-        )
 
 
 class MarsSession:
@@ -294,20 +243,15 @@ class MarsSession:
         self.solution_cache = LruCache(config.subproblem_capacity)
         self._partitions: list[Partition] | None = None
         self._design_profile: WorkloadProfile | None = None
-        self._searches = 0
-        self._store_skipped_infeasible = 0
+        # What no live cache, pool or store remembers: searches run,
+        # infeasible results skipped, workers' reports and the counters
+        # of replaced pools. ``stats`` adds the live views to it.
+        self._history = SessionStats()
         self._closed = False
         workers = config.budget.level1.workers
         self._pool: ProcessPoolBackend | None = (
             ProcessPoolBackend(workers) if workers > 1 else None
         )
-        self._worker_layer_cache = LayerCacheStats()
-        self._subproblems_fanned_out = 0
-        self._pool_respawns = 0
-        # Counters of pool backends already replaced, so stats stay
-        # cumulative across respawns.
-        self._retired_pool_spawns = 0
-        self._retired_pool_failures = 0
         #: The persistent artifact store (None without a config spec).
         #: Opened per session; sessions in any process configured with
         #: the same spec share the on-disk state — which is how a
@@ -366,13 +310,15 @@ class MarsSession:
         if (
             pool is None
             or not pool.retired
-            or self._pool_respawns >= self.POOL_RESPAWN_LIMIT
+            or self._history.pool_respawns >= self.POOL_RESPAWN_LIMIT
         ):
             return pool
-        self._retired_pool_spawns += pool.pool_spawns
-        self._retired_pool_failures += pool.pool_failures
+        self._count(
+            pool_spawns=pool.pool_spawns,
+            pool_failures=pool.pool_failures,
+            pool_respawns=1,
+        )
         pool.close()
-        self._pool_respawns += 1
         self._pool = ProcessPoolBackend(
             pool.workers, failure_limit=pool.failure_limit
         )
@@ -408,7 +354,7 @@ class MarsSession:
                 decode=self._decode_stored,
             )
             if stored is not None:
-                self._searches += 1
+                self._count(searches=1)
                 return stored
         search = Level1Search(
             graph=self.graph,
@@ -431,11 +377,11 @@ class MarsSession:
         mapping, evaluation, ga_result = search.run()
         self._partitions = search.partitions
         self._design_profile = search.design_profile
-        self._searches += 1
-        self._worker_layer_cache = self._worker_layer_cache.merge_worker(
-            search.worker_layer_cache
+        self._count(
+            searches=1,
+            worker_layer_cache=search.worker_layer_cache,
+            subproblems_fanned_out=search.subproblems_fanned_out,
         )
-        self._subproblems_fanned_out += search.subproblems_fanned_out
         result = MarsResult(
             mapping=mapping, evaluation=evaluation, ga=ga_result
         )
@@ -450,8 +396,14 @@ class MarsSession:
                     seed=seed,
                 )
             else:
-                self._store_skipped_infeasible += 1
+                self._count(store_skipped_infeasible=1)
         return result
+
+    def _count(self, **counts: object) -> None:
+        """Fold one event's counts into the session's history. Pool
+        workers keep their caches across searches, so each report
+        restates a live cache: its gauge folds by ``max``, not sum."""
+        self._history = self._history.merge(SessionStats(**counts), gauge=max)
 
     @staticmethod
     def _publishable(result: MarsResult) -> bool:
@@ -533,40 +485,32 @@ class MarsSession:
 
     @property
     def stats(self) -> SessionStats:
-        """Current warm-state counters of the session."""
-        pool_spawns = self._retired_pool_spawns
-        pool_failures = self._retired_pool_failures
-        if self._pool is not None:
-            pool_spawns += self._pool.pool_spawns
-            pool_failures += self._pool.pool_failures
-        store_hits = store_misses = store_publishes = 0
-        store_errors = store_quarantined = 0
-        if self._store is not None:
-            store = self._store.stats()
-            store_hits = store.hits
-            store_misses = store.misses
-            store_publishes = store.publishes
-            store_errors = store.io_errors + store.lock_timeouts
-            store_quarantined = store.corruptions
-        return SessionStats(
-            searches=self._searches,
-            subproblem_solutions=len(self.solution_cache),
-            subproblem_hits=self.solution_cache.hits,
-            subproblem_misses=self.solution_cache.misses,
-            subproblem_evictions=self.solution_cache.evictions,
-            greedy_entries=self.evaluator.greedy_cache_entries,
-            layer_cache=self.evaluator.layer_cache_stats,
-            pool_spawns=pool_spawns,
-            pool_failures=pool_failures,
-            pool_respawns=self._pool_respawns,
-            store_hits=store_hits,
-            store_misses=store_misses,
-            store_publishes=store_publishes,
-            store_errors=store_errors,
-            store_quarantined=store_quarantined,
-            store_skipped_infeasible=self._store_skipped_infeasible,
-            worker_layer_cache=self._worker_layer_cache,
-            subproblems_fanned_out=self._subproblems_fanned_out,
+        """Current warm-state counters of the session: its history plus
+        the live cache, pool and store views."""
+        cache, pool = self.solution_cache, self._pool
+        stats = self._history.merge(
+            SessionStats(
+                subproblem_solutions=len(cache),
+                subproblem_hits=cache.hits,
+                subproblem_misses=cache.misses,
+                subproblem_evictions=cache.evictions,
+                greedy_entries=self.evaluator.greedy_cache_entries,
+                layer_cache=self.evaluator.layer_cache_stats,
+                pool_spawns=pool.pool_spawns if pool is not None else 0,
+                pool_failures=pool.pool_failures if pool is not None else 0,
+            )
+        )
+        if self._store is None:
+            return stats
+        store = self._store.stats()
+        return stats.merge(
+            SessionStats(
+                store_hits=store.hits,
+                store_misses=store.misses,
+                store_publishes=store.publishes,
+                store_errors=store.io_errors + store.lock_timeouts,
+                store_quarantined=store.corruptions,
+            )
         )
 
     @property

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial, reduce
 
 from repro.core.evaluator import EvaluatorOptions, LayerCacheStats
 from repro.core.frontend import SloServingStats
@@ -66,15 +67,13 @@ def _layer_cache_summary(stats: list[LayerCacheStats]) -> str | None:
     stats = [s for s in stats if s is not None]
     if not stats:
         return None
-    hits = sum(s.hits for s in stats)
-    misses = sum(s.misses for s in stats)
-    entries = max(s.entries for s in stats)
-    evictions = sum(s.evictions for s in stats)
-    lookups = hits + misses
-    rate = hits / lookups * 100.0 if lookups else 0.0
+    # Each ``entries`` is a cache's population when its search ended;
+    # the line reports the largest, so the gauge folds by max.
+    total = reduce(partial(LayerCacheStats.merge, gauge=max), stats)
     return (
-        f"layer-cost cache: {hits} hits / {misses} misses "
-        f"({rate:.1f}% hit rate), {entries} entries, {evictions} evictions"
+        f"layer-cost cache: {total.hits} hits / {total.misses} misses "
+        f"({total.hit_rate * 100.0:.1f}% hit rate), {total.entries} "
+        f"entries, {total.evictions} evictions"
     )
 
 

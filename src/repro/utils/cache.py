@@ -24,9 +24,10 @@ _MISSING = object()
 class LruCache:
     """A bounded mapping that evicts the least-recently-used entry.
 
-    Reads (``get``, ``__getitem__``, ``__contains__``) refresh recency
-    and update the ``hits``/``misses`` counters; writes beyond
-    ``capacity`` evict the stalest entry and bump ``evictions``.
+    Lookups (``get``, ``__getitem__``) refresh recency and update the
+    ``hits``/``misses`` counters; ``in`` is a plain membership test that
+    touches neither. Writes beyond ``capacity`` evict the stalest entry
+    and bump ``evictions``.
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions", "_data")
@@ -59,7 +60,7 @@ class LruCache:
     # -- mapping protocol (the subset dict-shaped call sites use) ------
 
     def __contains__(self, key: Hashable) -> bool:
-        return self.get(key, _MISSING) is not _MISSING
+        return key in self._data
 
     def __getitem__(self, key: Hashable) -> Any:
         value = self.get(key, _MISSING)

@@ -304,8 +304,9 @@ class TestIdentityThreading:
             TOPOLOGY, budget=SearchBudget.fast(), cost_model=DERATED
         )
         try:
-            key_a = base._key(graph, TOPOLOGY, "latency")
-            key_b = derated._key(graph, TOPOLOGY, "latency")
+            base.session_for(graph)
+            derated.session_for(graph)
+            [key_a], [key_b] = list(base._tenants), list(derated._tenants)
             assert key_a != key_b
             assert key_a[:3] == key_b[:3]  # only the model token differs
         finally:
@@ -313,13 +314,11 @@ class TestIdentityThreading:
             derated.close()
 
     def test_slo_tenant_key_includes_cost_model_token(self):
-        from repro.core.frontend import SloServing
-
-        class _Stub:
-            config = SearchConfig(cost_model=DERATED)
+        # Shard placement and registry routing share this one key.
+        from repro.core.serving import _tenant_key
 
         graph = build_model("tiny_cnn")
-        key = SloServing._tenant_key(_Stub(), graph, TOPOLOGY, "latency")
+        key = _tenant_key(graph, TOPOLOGY, "latency", DERATED)
         assert key[-1] == DERATED.token()
 
     def test_evaluator_rejects_nothing_yet_builds_from_spec(self):

@@ -566,8 +566,8 @@ class TestCacheMechanics:
         a = LayerCacheStats(hits=10, misses=4, entries=7, evictions=2)
         b = LayerCacheStats(hits=6, misses=1, entries=5, evictions=3)
         expected = LayerCacheStats(hits=16, misses=5, entries=7, evictions=5)
-        assert a.merge_worker(b) == expected
-        assert b.merge_worker(a) == expected
+        assert a.merge(b, gauge=max) == expected
+        assert b.merge(a, gauge=max) == expected
         # ``merge`` sums the gauge instead.
         assert a.merge(b).entries == 12
 

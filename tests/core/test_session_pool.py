@@ -8,6 +8,8 @@ builds or closes a pool of its own. A retired pool backend is replaced
 by the session at most ``POOL_RESPAWN_LIMIT`` times.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import Mars, MarsSession
@@ -140,7 +142,9 @@ class TestSessionRespawnPolicy:
         pooled = MarsSession(GRAPH, TOPOLOGY, workers=2)
         try:
             self._retire(pooled.pool)
-            pooled._pool_respawns = MarsSession.POOL_RESPAWN_LIMIT
+            pooled._history = replace(
+                pooled._history, pool_respawns=MarsSession.POOL_RESPAWN_LIMIT
+            )
             retired_results = [pooled.search(seed=s) for s in SEEDS[:2]]
         finally:
             pooled.close()

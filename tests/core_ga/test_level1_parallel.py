@@ -166,6 +166,42 @@ class TestWorkerStats:
         )
 
 
+class TestSubproblemCounters:
+    """The session's sub-problem cache counts the same lookups with and
+    without the pool: the prefetch probes it with a plain membership
+    test, and a fanned-out solution enters it only where the serial
+    path would have solved and stored it — so at a small capacity the
+    same entries are evicted too."""
+
+    @staticmethod
+    def _counters(*, workers, seed, **config):
+        graph = build_model("squeezenet")
+        with MarsSession(
+            graph, TOPOLOGY, workers=workers, **config
+        ) as session:
+            result = session.search(seed=seed)
+            stats = session.stats
+        assert (stats.subproblems_fanned_out > 0) == (workers > 1)
+        return (
+            stats.subproblem_hits,
+            stats.subproblem_misses,
+            stats.subproblem_evictions,
+            stats.subproblem_solutions,
+            result.evaluation.latency_seconds.hex(),
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        ({}, {"subproblem_capacity": 16}),
+        ids=("default-capacity", "capacity-16"),
+    )
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pooled_counters_equal_serial(self, config, seed):
+        serial = self._counters(workers=1, seed=seed, **config)
+        pooled = self._counters(workers=2, seed=seed, **config)
+        assert pooled == serial
+
+
 class _ProgressSink:
     def __init__(self):
         self.by_phase: dict[str, list[int]] = {}

@@ -50,6 +50,17 @@ class TestLruCache:
         assert cache.hits == 1
         assert cache.misses == 1
 
+    def test_membership_leaves_counters_and_recency_alone(self):
+        cache = LruCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert "a" in cache
+        assert "nope" not in cache
+        assert (cache.hits, cache.misses) == (0, 0)
+        cache.put("c", 3)  # "a" stays the stalest entry despite the probe
+        assert "a" not in cache
+        assert "b" in cache
+
     def test_clear(self):
         cache = LruCache(8)
         cache["a"] = 1
