@@ -29,13 +29,14 @@ quantifies each model's divergence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.core.costmodel import AnalyticalCostModel, CostModel, CostModelSpec
 from repro.core.formulation import Mapping, SetAssignment
-from repro.core.memory_check import SetMemoryReport, set_memory_report
+from repro.core.memory_check import SetMemoryReport
 from repro.core.sharding import (
     NO_PARALLELISM,
     ParallelismStrategy,
@@ -99,9 +100,9 @@ class EvaluatorOptions:
             replays the exact floats of the original computation — so
             this is purely a wall-clock knob. Program emission
             (``compile_program``) always bypasses the cache. The knob
-            also switches the memos of the level-2 pricing tables
-            (:class:`SubproblemCosts`): off, every genome re-prices
-            every layer.
+            also switches the record memos of the set walk
+            (:class:`SubproblemCosts`): off, every walk re-prices every
+            layer.
         layer_cache_capacity: Maximum number of cached compute-layer
             costs before LRU eviction.
     """
@@ -264,21 +265,16 @@ class MappingEvaluator:
     :class:`~repro.core.costmodel.AnalyticalCostModel` reproduces the
     historical inline pricing bit-identically).
 
-    Layer costs are computed by a pure per-layer function and memoized
-    (see :attr:`EvaluatorOptions.layer_cache`): ``evaluate_set`` is a
-    walk that threads sharding state through cached :class:`LayerCost`
-    entries and only recomputes compute layers whose key — (layer,
+    A set has one walk, :class:`SubproblemCosts`: ``evaluate_set`` walks
+    a fresh table, and level 2 walks one table per sub-problem for all
+    its genomes. Layer costs come from a pure per-layer function,
+    memoized (see :attr:`EvaluatorOptions.layer_cache`) on (layer,
     strategy, upstream sharding, accelerator set, design, cost-model
-    token) — changed; the options are fixed at construction, so they
-    are part of the key by construction. Non-compute layers are priced
-    once per (layer, set) and only propagate the sharding state.
-    Level-2 genomes are priced by a :class:`SubproblemCosts` table per
-    sub-problem, which replays this walk from per-layer records and
-    misses into the same cache; ``evaluate_set`` itself prices only
-    level-2 winners, mapping-level sets and programs. A genome that
-    differs from an already-priced one in a single layer's strategy
-    re-prices that layer (and any downstream layers whose upstream
-    sharding shifted), not the whole set.
+    token) for compute layers and on (layer, set) for the rest; the
+    options are fixed at construction, so they are part of the key by
+    construction. A genome that differs from an already-priced one in a
+    single layer's strategy re-prices that layer (and any downstream
+    layers whose upstream sharding shifted), not the whole set.
     """
 
     def __init__(
@@ -454,121 +450,18 @@ class MappingEvaluator:
         accs: tuple[int, ...],
         design: AcceleratorDesign | None,
         strategies: dict[str, ParallelismStrategy],
-        entry_sharding: dict[LoopDim, int] | None = None,
         program: ExecutionProgram | None = None,
     ) -> SetEvaluation:
-        """Latency of ``nodes`` on ``accs`` under ``strategies``.
+        """Latency of ``nodes`` on ``accs`` under ``strategies``: one
+        walk of a fresh :class:`SubproblemCosts` table.
 
-        ``entry_sharding`` describes how the set's first input arrives
-        (``None``: already aligned, the boundary transfer paid for it).
-        When ``program`` is given, equivalent steps are appended for
-        event-driven replay.
+        A compute layer missing from ``strategies`` is priced
+        replicated. The set's first inputs arrive aligned (the boundary
+        transfer paid for them). When ``program`` is given, equivalent
+        steps are appended for event-driven replay.
         """
-        require(bool(nodes), "cannot evaluate an empty layer set")
-        designs = self.designs_for(accs, design)
-        p = len(accs)
-        # Program emission interleaves side effects with pricing, so it
-        # always recomputes; the pure-cost GA path goes through the
-        # layer cache. The design keys by interned object identity —
-        # not by name — so same-named design variants in a sweep never
-        # share entries; options need no key part because they are
-        # fixed at construction and the cache is evaluator-owned. The
-        # cost model, equally fixed, IS keyed (by spec token): pricing
-        # identity must hold even across a shared or migrated cache.
-        cache = self._layer_cache if program is None else None
-        set_key = (accs, self._design_token(design), self._cost_token)
-        lightweight = (
-            self._lightweight_memo.setdefault(set_key, {})
-            if cache is not None
-            else None
-        )
-        # Per-node output sharding; ``None`` marks "aligned with whatever
-        # the consumer needs" (set entries and freshly loaded inputs,
-        # whose distribution cost is charged elsewhere).
-        sharding_state: dict[str, dict[LoopDim, int] | None] = {}
-        costs: list[LayerCost] = []
-        plans: list[ShardingPlan] = []
-        lightweight_bytes: list[int] = []
-        feasible = True
-        member_names = {node.name for node in nodes}
-
-        for node in nodes:
-            upstream = self._entry_state_for(
-                node, sharding_state, member_names, entry_sharding
-            )
-            if node.is_compute:
-                strategy = strategies.get(node.name, NO_PARALLELISM)
-                cost, plan = self._priced_compute_cost(
-                    node, strategy, upstream, accs, designs, set_key,
-                    p, program, cache,
-                )
-                if plan is None:
-                    feasible = False
-                else:
-                    plans.append(plan)
-                    sharding_state[node.name] = plan.output_sharding
-                costs.append(cost)
-            else:
-                seconds, shard_bytes = self._priced_lightweight_cost(
-                    node, accs, designs, program, lightweight
-                )
-                costs.append(LayerCost(name=node.name, compute_seconds=seconds))
-                lightweight_bytes.append(shard_bytes)
-                sharding_state[node.name] = (
-                    None  # host load is aligned
-                    if node.kind == "inputlayer"
-                    else self._propagate_state(node, upstream)
-                )
-
-        memory = set_memory_report(
-            plans,
-            lightweight_bytes,
-            min(self.topology.accelerator(a).dram_bytes for a in accs),
-        )
-        latency = sum(c.total_seconds for c in costs)
-        if not self.options.weights_resident:
-            load_bytes = sum(p.weight_load_bytes_per_acc for p in plans)
-            if load_bytes > 0:
-                # Every member streams its shard concurrently over its
-                # own host port; the set waits for the slowest.
-                load = max(
-                    self.cost_model.host_read_seconds(a, load_bytes)
-                    for a in accs
-                )
-                latency += load
-                if program is not None:
-                    program.append(
-                        HostStep(
-                            acc=accs[0],
-                            nbytes=load_bytes,
-                            kind="read",
-                            label="weight-stream",
-                        )
-                    )
-        if not memory.fits:
-            feasible = False
-            if self.options.memory_spill:
-                spill = max(
-                    self.cost_model.host_round_trip_seconds(
-                        a, memory.overflow_bytes
-                    )
-                    for a in accs
-                )
-                latency += spill
-                if program is not None:
-                    program.append(
-                        HostStep(
-                            acc=accs[0],
-                            nbytes=memory.overflow_bytes,
-                            kind="round_trip",
-                            label="dram-spill",
-                        )
-                    )
-        return SetEvaluation(
-            latency_seconds=latency,
-            layer_costs=costs,
-            memory=memory,
-            feasible=feasible,
+        return SubproblemCosts(self, nodes, accs, design).evaluate(
+            strategies, program
         )
 
     # ------------------------------------------------------------------
@@ -594,7 +487,6 @@ class MappingEvaluator:
                     assignment.acc_set.accs,
                     assignment.design,
                     assignment.strategies,
-                    entry_sharding=None,
                     program=program,
                 )
             )
@@ -624,81 +516,6 @@ class MappingEvaluator:
     # Internals
     # ------------------------------------------------------------------
 
-    def _entry_state_for(
-        self,
-        node: LayerNode,
-        sharding_state: dict[str, dict[LoopDim, int] | None],
-        member_names: set[str],
-        entry_sharding: dict[LoopDim, int] | None,
-    ) -> dict[LoopDim, int] | None:
-        """Sharding of the node's (first) input as seen inside the set.
-
-        ``None`` means aligned: either the boundary transfer already
-        delivered the data in the consumer's preferred layout, or an
-        upstream input layer loaded it that way.
-        """
-        for source in node.inputs:
-            if source in sharding_state:
-                return sharding_state[source]
-            if source not in member_names:
-                return dict(entry_sharding) if entry_sharding else None
-        return dict(entry_sharding) if entry_sharding else None
-
-    def _priced_compute_cost(
-        self,
-        node: LayerNode,
-        strategy: ParallelismStrategy,
-        upstream: dict[LoopDim, int] | None,
-        accs: tuple[int, ...],
-        designs: list[AcceleratorDesign],
-        set_key: tuple,
-        p: int,
-        program: ExecutionProgram | None,
-        cache: LruCache | None,
-    ) -> tuple[LayerCost, ShardingPlan | None]:
-        """Compute-layer cost, through the layer cache when enabled.
-
-        A hit replays the exact floats (and the shared, immutable
-        :class:`~repro.core.sharding.ShardingPlan`) of the original
-        computation, so cached and uncached evaluations are
-        bit-identical; only a fresh :class:`LayerCost` shell is built
-        per call so callers can never alias cached state.
-        """
-        if cache is None:
-            return self._compute_layer_cost(
-                node, accs, designs, strategy, upstream, p, program
-            )
-        key = (
-            node.name,
-            strategy,
-            sharding_signature(upstream),
-            set_key,
-        )
-        record = cache.get(key)
-        if record is None:
-            cost, plan = self._compute_layer_cost(
-                node, accs, designs, strategy, upstream, p, None
-            )
-            cache.put(
-                key,
-                (
-                    (
-                        cost.compute_seconds,
-                        cost.resharding_seconds,
-                        cost.allreduce_seconds,
-                        cost.rotation_seconds,
-                        cost.halo_seconds,
-                    ),
-                    plan,
-                ),
-            )
-            return cost, plan
-        seconds, plan = record
-        return (
-            LayerCost(node.name, *seconds, plan=plan),
-            plan,
-        )
-
     def _compute_layer_cost(
         self,
         node: LayerNode,
@@ -708,19 +525,17 @@ class MappingEvaluator:
         upstream: dict[LoopDim, int] | None,
         p: int,
         program: ExecutionProgram | None,
-    ) -> tuple[LayerCost, ShardingPlan | None]:
+    ) -> tuple[tuple[float, ...], ShardingPlan | None]:
+        """A compute layer's five :class:`LayerCost` seconds (compute,
+        resharding, all-reduce, rotation, halo) and its plan."""
         spec = node.conv_spec()
         plan = cached_sharding_plan(spec, strategy, p, self.options.dtype_bytes)
         if plan is None:
-            return (
-                LayerCost(name=node.name, compute_seconds=INFEASIBLE_SECONDS),
-                None,
-            )
+            return (INFEASIBLE_SECONDS, 0.0, 0.0, 0.0, 0.0), None
         compute = self.cost_model.conv_compute_seconds(designs, plan)
-        cost = LayerCost(name=node.name, compute_seconds=compute, plan=plan)
-
+        resharding = allreduce = rotation = halo = 0.0
         if self.options.include_resharding and upstream is not None:
-            cost.resharding_seconds = self._resharding_seconds(
+            resharding = self._resharding_seconds(
                 node, plan, upstream, accs, program
             )
         if plan.allreduce_group > 1:
@@ -729,7 +544,7 @@ class MappingEvaluator:
                 (self.cost_model.allreduce_seconds(g, plan.allreduce_bytes), g)
                 for g in groups
             ]
-            cost.allreduce_seconds, slowest_group = max(timed, key=lambda t: t[0])
+            allreduce, slowest_group = max(timed, key=lambda t: t[0])
             if program is not None:
                 # Subgroups reduce concurrently; the program's sequential
                 # step list represents them by the slowest one.
@@ -743,7 +558,7 @@ class MappingEvaluator:
                 )
         if plan.phases > 1:
             step = self.cost_model.ring_step_seconds(accs, plan.rotation_bytes)
-            cost.rotation_seconds = (plan.phases - 1) * step
+            rotation = (plan.phases - 1) * step
             if program is not None:
                 for _ in range(plan.phases - 1):
                     program.append(
@@ -755,9 +570,7 @@ class MappingEvaluator:
                         )
                     )
         if self.options.include_halo and plan.halo_bytes > 0:
-            cost.halo_seconds = self.cost_model.ring_step_seconds(
-                accs, plan.halo_bytes
-            )
+            halo = self.cost_model.ring_step_seconds(accs, plan.halo_bytes)
             if program is not None:
                 program.append(
                     CollectiveStep(
@@ -775,7 +588,7 @@ class MappingEvaluator:
                     label=f"{node.name}:compute",
                 )
             )
-        return cost, plan
+        return (compute, resharding, allreduce, rotation, halo), plan
 
     def _resharding_seconds(
         self,
@@ -814,22 +627,6 @@ class MappingEvaluator:
                 )
             )
         return seconds
-
-    def _priced_lightweight_cost(
-        self,
-        node: LayerNode,
-        accs: tuple[int, ...],
-        designs: list[AcceleratorDesign],
-        program: ExecutionProgram | None,
-        memo: dict | None,
-    ) -> tuple[float, int]:
-        """Non-compute layer price, through the set's memo when given."""
-        priced = memo.get(node.name) if memo is not None else None
-        if priced is None:
-            priced = self._lightweight_layer_cost(node, accs, designs, program)
-            if memo is not None:
-                memo[node.name] = priced
-        return priced
 
     def _lightweight_layer_cost(
         self,
@@ -953,9 +750,7 @@ class MappingEvaluator:
         for node in mapping.nodes_of(assignment):
             if not node.is_compute:
                 continue
-            strategy = assignment.strategies.get(node.name)
-            if strategy is None:
-                break
+            strategy = assignment.strategy_for(node.name)
             plan = cached_sharding_plan(
                 node.conv_spec(), strategy, p, self.options.dtype_bytes
             )
@@ -971,28 +766,28 @@ _NO_PLAN = object()
 
 
 class SubproblemCosts:
-    """One level-2 sub-problem's pricing table.
+    """The pricing walk of one (layer set, accelerator set, design).
 
-    Built once per (layer set, accelerator set, design), it replays the
-    walk of :meth:`MappingEvaluator.evaluate_set` (no entry sharding,
-    no program) for the GA's many genomes from memoized records:
+    This is the evaluator's only set walk. Level 2 builds one table per
+    sub-problem and prices every genome through :meth:`latency` and the
+    greedy shortlist through :meth:`layer_latency`, which replay
+    memoized per-layer records; :meth:`MappingEvaluator.evaluate_set`
+    walks a fresh table once through :meth:`evaluate`. The table holds:
 
     * per layer, the in-set inputs the walk consults for its upstream
       sharding, resolved once;
     * per (layer, strategy, exact upstream state), a record of the
-      layer's ``LayerCost.total_seconds``, its output state and its
-      weight, activation and weight-load bytes. A miss prices through
-      the evaluator's layer cache and non-compute memo, so reuse across
-      sub-problems and warm sessions stays;
+      layer's five :class:`LayerCost` seconds and their total, its plan,
+      its output state and its weight, activation and weight-load bytes.
+      A miss prices through the evaluator's layer cache and non-compute
+      memo, so reuse across sub-problems and warm sessions stays;
     * per byte count, the weight-stream and spill seconds.
 
-    :meth:`latency` equals ``evaluate_set(...).latency_seconds`` bit for
-    bit: layer totals are summed left to right from 0, then the weight
-    stream and then the spill are added, and the memory report reduces
-    to integer sums and a max. The memos turn on and off with
-    :attr:`EvaluatorOptions.layer_cache`; with the cache off every call
-    re-prices every layer. The winner's full :class:`SetEvaluation`
-    still comes from ``evaluate_set``.
+    Float order: layer totals are summed left to right from 0, then the
+    weight stream and then the spill are added; the memory report is
+    integer sums and a max. The memos turn on and off with
+    :attr:`EvaluatorOptions.layer_cache`; with the cache off every walk
+    re-prices every layer, and so does every walk that emits a program.
     """
 
     def __init__(
@@ -1008,6 +803,11 @@ class SubproblemCosts:
         self.accs = accs
         self.design = design
         self._designs = evaluator.designs_for(accs, design)
+        # Designs key by interned object identity, not by name, so
+        # same-named variants in a sweep never share entries. Options
+        # are fixed for the evaluator that owns the caches; the cost
+        # model is keyed by spec token even so, so pricing identity
+        # holds across a shared or migrated cache.
         self._set_key = (
             accs, evaluator._design_token(design), evaluator._cost_token
         )
@@ -1023,12 +823,13 @@ class SubproblemCosts:
         self._memo: dict | None = {} if cached else None
         #: Compute layers' names, ``None`` for non-compute layers.
         self._names = [n.name if n.is_compute else None for n in nodes]
-        # The walk takes a layer's upstream from its first input already
-        # walked that has a state, and from the set entry once an input
-        # lies outside the set: so each layer keeps the earlier in-set
-        # inputs up to its first outside one.
+        # A layer's upstream is the state of its first input already
+        # walked that has one; an input from outside the set arrives
+        # aligned (``None``: the boundary transfer paid for it). So
+        # each layer keeps its earlier in-set inputs up to its first
+        # outside one.
         position = {node.name: i for i, node in enumerate(nodes)}
-        self._sources: list[tuple[int, ...]] = []
+        self._sources: list[list[int]] = []
         for i, node in enumerate(nodes):
             sources = []
             for name in node.inputs:
@@ -1037,33 +838,51 @@ class SubproblemCosts:
                     break
                 if j < i:
                     sources.append(j)
-            self._sources.append(tuple(sources))
+            self._sources.append(sources)
 
     def latency(self, strategies: dict[str, ParallelismStrategy]) -> float:
-        """``evaluate_set(nodes, accs, design, strategies).latency_seconds``."""
-        states: list = []
-        totals: list[float] = []
-        weight_bytes = load_bytes = peak = 0
-        record = self._record
-        for i, (name, sources) in enumerate(zip(self._names, self._sources)):
-            upstream = None
-            for j in sources:
-                if states[j] is not _NO_PLAN:
-                    upstream = states[j]
-                    break
-            strategy = (
-                None if name is None else strategies.get(name, NO_PARALLELISM)
+        """``evaluate(strategies).latency_seconds``, replaying the records
+        of earlier walks."""
+        return self._walk(strategies, self._record)[0]
+
+    def evaluate(
+        self,
+        strategies: dict[str, ParallelismStrategy],
+        program: ExecutionProgram | None = None,
+    ) -> SetEvaluation:
+        """The set under ``strategies``, layer by layer; a compute layer
+        missing from ``strategies`` is priced replicated.
+
+        A one-off walk through the evaluator's caches that keeps no
+        records (``evaluate_set``'s fresh table would never replay
+        them). With a ``program``, every layer is priced afresh and its
+        steps appended, then the weight stream and the spill.
+        """
+        price = (
+            self._price
+            if program is None
+            else functools.partial(self._price, program=program)
+        )
+        latency, fits, records, weight_bytes, peak = self._walk(
+            strategies, price, program
+        )
+        costs = []
+        feasible = fits
+        for node, (_, state, _, _, _, seconds, plan) in zip(
+            self.nodes, records
+        ):
+            # Positional arguments: a starred call costs more here.
+            compute, resharding, allreduce, rotation, halo = seconds
+            costs.append(
+                LayerCost(
+                    node.name, compute, resharding, allreduce, rotation,
+                    halo, plan,
+                )
             )
-            total, state, weights, activation, load = record(
-                i, strategy, upstream
-            )
-            totals.append(total)
-            states.append(state)
-            weight_bytes += weights
-            load_bytes += load
-            if activation > peak:
-                peak = activation
-        return self._set_latency(totals, weight_bytes, peak, load_bytes)[0]
+            if state is _NO_PLAN:
+                feasible = False
+        memory = SetMemoryReport(weight_bytes, peak, self._capacity)
+        return SetEvaluation(latency, costs, memory, feasible)
 
     def layer_latency(
         self, index: int, strategy: ParallelismStrategy
@@ -1074,7 +893,7 @@ class SubproblemCosts:
         latency, or ``None`` where that evaluation is infeasible: no
         plan, or over DRAM.
         """
-        total, state, weights, activation, load = self._record(
+        total, state, weights, activation, load, _, _ = self._record(
             index, strategy, None
         )
         if state is _NO_PLAN:
@@ -1082,26 +901,82 @@ class SubproblemCosts:
         latency, fits = self._set_latency([total], weights, activation, load)
         return latency if fits else None
 
+    def _walk(
+        self,
+        strategies: dict[str, ParallelismStrategy],
+        price,
+        program: ExecutionProgram | None = None,
+    ) -> tuple[float, bool, list[tuple], int, int]:
+        """Latency, DRAM fit, layer records, weight and peak activation
+        bytes; ``price(index, strategy, upstream)`` gives a record."""
+        records: list[tuple] = []
+        totals: list[float] = []
+        weight_bytes = load_bytes = peak = 0
+        for i, (name, sources) in enumerate(zip(self._names, self._sources)):
+            upstream = None
+            for j in sources:
+                state = records[j][1]
+                if state is not _NO_PLAN:
+                    upstream = state
+                    break
+            strategy = (
+                None if name is None else strategies.get(name, NO_PARALLELISM)
+            )
+            record = price(i, strategy, upstream)
+            total, _, weights, activation, load, _, _ = record
+            records.append(record)
+            totals.append(total)
+            weight_bytes += weights
+            load_bytes += load
+            if activation > peak:
+                peak = activation
+        latency, fits = self._set_latency(
+            totals, weight_bytes, peak, load_bytes, program
+        )
+        return latency, fits, records, weight_bytes, peak
+
     def _set_latency(
         self,
         totals: list[float],
         weight_bytes: int,
         peak_activation: int,
         load_bytes: int,
+        program: ExecutionProgram | None = None,
     ) -> tuple[float, bool]:
         """Set latency from its layer totals and byte sums, and whether
-        its footprint fits DRAM."""
+        its footprint fits DRAM; appends the weight-stream and spill
+        steps to ``program`` when given."""
         latency = sum(totals)
         options = self.evaluator.options
         cost_model = self.evaluator.cost_model
         if not options.weights_resident and load_bytes > 0:
+            # Every member streams its shard concurrently over its own
+            # host port; the set waits for the slowest.
             latency += self._slowest(cost_model.host_read_seconds, load_bytes)
+            if program is not None:
+                program.append(
+                    HostStep(
+                        acc=self.accs[0],
+                        nbytes=load_bytes,
+                        kind="read",
+                        label="weight-stream",
+                    )
+                )
         overflow = weight_bytes + peak_activation - self._capacity
         fits = overflow <= 0
         if not fits and options.memory_spill:
             latency += self._slowest(
                 cost_model.host_round_trip_seconds, overflow
             )
+            if program is not None:
+                program.append(
+                    HostStep(
+                        acc=self.accs[0],
+                        nbytes=overflow,
+                        kind="round_trip",
+                        label="dram-spill",
+                    )
+                )
         return latency, fits
 
     def _slowest(self, price, nbytes: int) -> float:
@@ -1118,9 +993,7 @@ class SubproblemCosts:
     def _record(
         self, index: int, strategy: ParallelismStrategy | None, upstream
     ) -> tuple:
-        """(total seconds, output state, weight, activation and load
-        bytes) of one layer; ``strategy`` is ``None`` for non-compute
-        layers and ``upstream`` is a state as ``tuple(dict.items())``."""
+        """:meth:`_price`'s record, memoized when the layer cache is on."""
         memo = self._memo
         if memo is None:
             return self._price(index, strategy, upstream)
@@ -1131,38 +1004,68 @@ class SubproblemCosts:
         return record
 
     def _price(
-        self, index: int, strategy: ParallelismStrategy | None, upstream
+        self,
+        index: int,
+        strategy: ParallelismStrategy | None,
+        upstream,
+        program: ExecutionProgram | None = None,
     ) -> tuple:
+        """(total seconds, output state, weight, activation and load
+        bytes, the five :class:`LayerCost` seconds, plan) of one layer.
+
+        ``strategy`` is ``None`` for non-compute layers and ``upstream``
+        is a state as ``tuple(dict.items())``. Without a ``program`` a
+        layer prices through the evaluator's layer cache (compute) or
+        non-compute memo; with one, through neither, appending its
+        steps. A cache hit replays the exact floats and the shared,
+        immutable plan of the original computation.
+        """
         evaluator = self.evaluator
         node = self.nodes[index]
         # The very dict the walk would hand over, rebuilt in item order.
         sharding = None if upstream is None else dict(upstream)
-        if strategy is not None:
-            cost, plan = evaluator._priced_compute_cost(
-                node, strategy, sharding, self.accs, self._designs,
-                self._set_key, len(self.accs), None, evaluator._layer_cache,
-            )
+        if strategy is None:
+            memo = self._lightweight if program is None else None
+            priced = memo.get(node.name) if memo is not None else None
+            if priced is None:
+                priced = evaluator._lightweight_layer_cost(
+                    node, self.accs, self._designs, program
+                )
+                if memo is not None:
+                    memo[node.name] = priced
+            compute, activation = priced
+            seconds = (compute, 0.0, 0.0, 0.0, 0.0)
+            plan, weights, load = None, 0, 0
+            if node.kind == "inputlayer":
+                state = None
+            else:
+                state = evaluator._propagate_state(node, sharding)
+                state = None if state is None else tuple(state.items())
+        else:
+            cache = evaluator._layer_cache if program is None else None
+            key = priced = None
+            if cache is not None:
+                key = (
+                    node.name, strategy, sharding_signature(sharding),
+                    self._set_key,
+                )
+                priced = cache.get(key)
+            if priced is None:
+                priced = evaluator._compute_layer_cost(
+                    node, self.accs, self._designs, strategy, sharding,
+                    len(self.accs), program,
+                )
+                if cache is not None:
+                    cache.put(key, priced)
+            seconds, plan = priced
             if plan is None:
-                return cost.total_seconds, _NO_PLAN, 0, 0, 0
-            return (
-                cost.total_seconds,
-                tuple(plan.output_sharding.items()),
-                plan.weight_bytes_per_acc,
-                plan.activation_bytes_per_acc,
-                plan.weight_load_bytes_per_acc,
-            )
-        seconds, shard_bytes = evaluator._priced_lightweight_cost(
-            node, self.accs, self._designs, None, self._lightweight
-        )
-        state = (
-            None
-            if node.kind == "inputlayer"
-            else evaluator._propagate_state(node, sharding)
-        )
-        return (
-            LayerCost(node.name, seconds).total_seconds,
-            None if state is None else tuple(state.items()),
-            0,
-            shard_bytes,
-            0,
-        )
+                state, weights, activation, load = _NO_PLAN, 0, 0, 0
+            else:
+                state = tuple(plan.output_sharding.items())
+                weights = plan.weight_bytes_per_acc
+                activation = plan.activation_bytes_per_acc
+                load = plan.weight_load_bytes_per_acc
+        # LayerCost.total_seconds, in its float order.
+        compute, resharding, allreduce, rotation, halo = seconds
+        total = compute + resharding + allreduce + rotation + halo
+        return total, state, weights, activation, load, seconds, plan

@@ -242,10 +242,13 @@ def _seed_genomes(
 class Level2Fitness:
     """Picklable fitness of one level-2 sub-problem.
 
-    Decodes a genome into per-layer strategies and prices them from the
-    sub-problem's :class:`~repro.core.evaluator.SubproblemCosts` table
-    (:attr:`costs`). Being a module-level class (not a closure) it
-    pickles cleanly; the table stays home and is rebuilt on unpickling.
+    Decodes a genome into per-layer strategies and prices them by
+    walking the sub-problem's
+    :class:`~repro.core.evaluator.SubproblemCosts` table (:attr:`costs`),
+    the same walk ``evaluate_set`` takes, kept for the whole GA run so
+    its records serve every genome. Being a module-level class (not a
+    closure) it pickles cleanly; the table stays home and is rebuilt on
+    unpickling.
 
     Each genome is decoded **once**: a small per-instance memo (keyed by
     the genome's raw bytes) is shared by ``phenotype_key`` and

@@ -185,6 +185,12 @@ def _with_options(**changes):
     )
 
 
+def _with_cost_model(**changes):
+    return lambda config: replace(
+        config, cost_model=replace(config.cost_model, **changes)
+    )
+
+
 #: A changed value for each search hyper-parameter of a GA level, valid
 #: at both levels of the default budget.
 GA_HYPERPARAMETERS = dict(
@@ -216,6 +222,16 @@ RESULTS_AFFECTING = {
         for level in ("level1", "level2")
         for name, value in GA_HYPERPARAMETERS.items()
     },
+    "options.dtype_bytes": _with_options(dtype_bytes=4),
+    "options.include_host_input": _with_options(include_host_input=False),
+    "options.include_resharding": _with_options(include_resharding=False),
+    "options.include_halo": _with_options(include_halo=False),
+    "options.memory_spill": _with_options(memory_spill=False),
+    "options.weights_resident": _with_options(weights_resident=False),
+    "cost_model.kind": _with_cost_model(kind="contention-derated"),
+    "cost_model.params": _with_cost_model(
+        params=(("collective_derate", 1.5),)
+    ),
 }
 
 #: Knobs that change wall-clock only: mutating one must leave
@@ -264,6 +280,17 @@ class TestFingerprintSoundness:
         for level in ("level1", "level2"):
             prefix = f"budget.{level}."
             assert {f.name for f in fields(GAConfig)} == {
+                name.removeprefix(prefix)
+                for name in knobs
+                if name.startswith(prefix)
+            }
+        # Every field of the evaluator options and of the cost-model
+        # spec is classified.
+        for prefix, cls in (
+            ("options.", EvaluatorOptions),
+            ("cost_model.", CostModelSpec),
+        ):
+            assert {f.name for f in fields(cls)} == {
                 name.removeprefix(prefix)
                 for name in knobs
                 if name.startswith(prefix)

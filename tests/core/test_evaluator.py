@@ -14,7 +14,7 @@ from repro.core.formulation import (
     Mapping,
     SetAssignment,
 )
-from repro.core.sharding import ParallelismStrategy
+from repro.core.sharding import NO_PARALLELISM, ParallelismStrategy
 from repro.core.strategy_space import longest_dims_strategy
 from repro.dnn import build_model
 from repro.dnn.layers import LoopDim
@@ -247,6 +247,46 @@ class TestMappingEvaluation:
         intra = evaluator.evaluate_mapping(mapping_with((2, 3)))
         cross = evaluator.evaluate_mapping(mapping_with((4, 5)))
         assert cross.transfer_seconds > intra.transfer_seconds
+
+    def test_omitted_strategy_prices_as_replicated(
+        self, graph, topology, evaluator
+    ):
+        """A compute layer left out of ``strategies`` is replicated both
+        in its set's walk and in the boundary transfer into the set."""
+        nodes = graph.nodes()
+        cut = [i for i, node in enumerate(nodes) if node.is_compute][2]
+
+        def mapping_with(strategies):
+            return Mapping(
+                graph=graph,
+                topology=topology,
+                assignments=[
+                    SetAssignment(
+                        LayerRange(0, cut),
+                        AcceleratorSet((0, 1)),
+                        design1_superlip(),
+                    ),
+                    SetAssignment(
+                        LayerRange(cut, len(nodes)),
+                        AcceleratorSet((2, 3, 4, 5)),
+                        design1_superlip(),
+                        strategies,
+                    ),
+                ],
+            )
+
+        omitted = evaluator.evaluate_mapping(mapping_with({}))
+        spelled = evaluator.evaluate_mapping(
+            mapping_with(
+                {
+                    node.name: NO_PARALLELISM
+                    for node in nodes[cut:]
+                    if node.is_compute
+                }
+            )
+        )
+        assert omitted.transfer_breakdown == spelled.transfer_breakdown
+        assert omitted.latency_seconds == spelled.latency_seconds
 
     def test_host_input_charged_once(self, graph, topology):
         with_input = MappingEvaluator(

@@ -5,9 +5,10 @@ contract that makes it safe to leave on by default — cached and
 uncached evaluations are bit-identical across models, topologies,
 scenarios (weights resident vs streamed) and the DRAM-spill path — plus
 the cache mechanics themselves (bounded LRU, counters, pickling,
-program-path bypass). The level-2 pricing table
-(:class:`~repro.core.evaluator.SubproblemCosts`) is held to the same
-contract against ``evaluate_set``.
+program-path bypass). The pricing walk itself
+(:class:`~repro.core.evaluator.SubproblemCosts`, which ``evaluate_set``
+calls) is held to the straight-line walk of
+:mod:`tests.core.reference_walk`.
 """
 
 import pickle
@@ -33,12 +34,17 @@ from repro.core.formulation import (
 from repro.core.ga import Level2Fitness, SearchBudget, optimize_set
 from repro.core.ga.level2 import SHORTLIST
 from repro.core.session import MarsSession
-from repro.core.sharding import ParallelismStrategy
+from repro.core.sharding import (
+    NO_PARALLELISM,
+    ParallelismStrategy,
+    sharding_signature,
+)
 from repro.dnn import build_model
 from repro.dnn.layers import LOOP_DIMS, LoopDim
 from repro.dnn.models.random_model import random_model
 from repro.system import f1_16xlarge
 from repro.utils import MIB, make_rng
+from tests.core.reference_walk import reference_evaluate_set
 
 #: Workloads mixing the zoo with fuzzed shapes (primes, tiny maps).
 GRAPHS = [
@@ -195,39 +201,6 @@ class TestBitIdentity:
         graph_index=st.integers(0, len(GRAPHS) - 1),
         strategy_seed=st.integers(0, 10_000),
         weights_resident=st.booleans(),
-        entry_h=st.sampled_from([None, 2, 4]),
-    )
-    def test_entry_sharding_bit_identical(
-        self, graph_index, strategy_seed, weights_resident, entry_h
-    ):
-        graph = GRAPHS[graph_index]
-        topology = f1_16xlarge()
-        strategies = _random_strategies(graph, strategy_seed)
-        entry = None if entry_h is None else {LoopDim.H: entry_h}
-        cached = MappingEvaluator(
-            graph, topology, _options(weights_resident, True)
-        )
-        uncached = MappingEvaluator(
-            graph, topology, _options(weights_resident, False)
-        )
-        results = [
-            evaluator.evaluate_set(
-                graph.nodes(),
-                (0, 1),
-                design2_systolic(),
-                strategies,
-                entry_sharding=entry,
-            )
-            for evaluator in (uncached, cached, cached)
-        ]
-        _assert_set_evaluations_identical(results[1], results[0])
-        _assert_set_evaluations_identical(results[2], results[0])
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        graph_index=st.integers(0, len(GRAPHS) - 1),
-        strategy_seed=st.integers(0, 10_000),
-        weights_resident=st.booleans(),
     )
     def test_evaluate_mapping_bit_identical(
         self, graph_index, strategy_seed, weights_resident
@@ -298,7 +271,7 @@ class TestBitIdentity:
         layer_cache, tiny_dram, start, length,
     ):
         """The level-2 table prices every strategies dict exactly as
-        ``evaluate_set`` does: infeasible plans, left-out layers, the
+        the reference walk does: infeasible plans, left-out layers, the
         spill and weight-stream charges, and contiguous sub-ranges whose
         first inputs come from outside the set (the entry)."""
         graph = TABLE_GRAPHS[graph_index]
@@ -319,8 +292,8 @@ class TestBitIdentity:
         def assert_table_matches(nodes, dicts):
             table = SubproblemCosts(evaluator, nodes, accs, design)
             for strategies in dicts:
-                expected = reference.evaluate_set(
-                    nodes, accs, design, strategies
+                expected = reference_evaluate_set(
+                    reference, nodes, accs, design, strategies
                 ).latency_seconds
                 assert table.latency(strategies).hex() == expected.hex()
             return table
@@ -347,8 +320,8 @@ class TestBitIdentity:
             if not node.is_compute:
                 continue
             for strategy in SHORTLIST + tuple(CANDIDATE_STRATEGIES):
-                alone = reference.evaluate_set(
-                    [node], accs, design, {node.name: strategy}
+                alone = reference_evaluate_set(
+                    reference, [node], accs, design, {node.name: strategy}
                 )
                 got = table.layer_latency(index, strategy)
                 if alone.feasible:
@@ -367,9 +340,10 @@ class TestBitIdentity:
     def test_optimize_set_identical_to_evaluate_set_pricing(
         self, monkeypatch, model, span, accs, design
     ):
-        """Level 2 priced from the table equals level 2 priced by
-        ``evaluate_set`` walks: strategies, latency, GA history and
-        the layer cache's misses."""
+        """Level 2 priced from the table equals level 2 priced by the
+        reference walk: strategies, latency and GA history; and the
+        table misses into the layer cache once per distinct (layer,
+        strategy, upstream sharding) that the reference walk priced."""
         graph = build_model(model)
         nodes = graph.nodes()[span]
         config = replace(SearchBudget.fast().level2, cache=True)
@@ -387,25 +361,46 @@ class TestBitIdentity:
         tabled = solve()
 
         def walked_call(self, genome):
-            return self.evaluator.evaluate_set(
-                self.nodes, self.accs, self.design, self._decoded(genome)
+            return reference_evaluate_set(
+                self.evaluator,
+                self.nodes,
+                self.accs,
+                self.design,
+                self._decoded(genome),
             ).latency_seconds
 
         def walked_layer(self, index, strategy):
             node = self.nodes[index]
-            alone = self.evaluator.evaluate_set(
-                [node], self.accs, self.design, {node.name: strategy}
+            alone = reference_evaluate_set(
+                self.evaluator,
+                [node],
+                self.accs,
+                self.design,
+                {node.name: strategy},
             )
             return alone.latency_seconds if alone.feasible else None
 
+        # The layer-cache keys the walked arm prices (the accelerator
+        # set, design and cost model are fixed within one solve).
+        priced = set()
+        compute_layer_cost = MappingEvaluator._compute_layer_cost
+
+        def spied(self, node, accs, designs, strategy, upstream, *rest):
+            priced.add((node.name, strategy, sharding_signature(upstream)))
+            return compute_layer_cost(
+                self, node, accs, designs, strategy, upstream, *rest
+            )
+
         monkeypatch.setattr(Level2Fitness, "__call__", walked_call)
         monkeypatch.setattr(SubproblemCosts, "layer_latency", walked_layer)
+        monkeypatch.setattr(MappingEvaluator, "_compute_layer_cost", spied)
         walked = solve()
         assert tabled.strategies == walked.strategies
         assert tabled.latency_seconds == walked.latency_seconds
         assert tabled.ga.history == walked.ga.history
         assert len(set(tabled.ga.history)) > 1  # the GA moved off its seeds
-        assert tabled.ga.layer_cache.misses == walked.ga.layer_cache.misses
+        assert tabled.ga.layer_cache.evictions == 0
+        assert tabled.ga.layer_cache.misses == len(priced)
 
 
 class TestCacheMechanics:
@@ -520,17 +515,26 @@ class TestCacheMechanics:
         graph = GRAPHS[0]
         evaluator = self._evaluator()
         uncached = self._evaluator(layer_cache=False)
-        strategies = _random_strategies(graph, 0)
-        for entry in (None, {LoopDim.H: 2}, {LoopDim.COUT: 2}):
+        producer = graph.compute_nodes()[0].name
+        states = []
+        # The first compute layer's strategy sets the sharding that
+        # reaches the non-compute layer after it.
+        for strategy in (
+            NO_PARALLELISM,
+            ParallelismStrategy(es=(LoopDim.H,)),
+            ParallelismStrategy(es=(LoopDim.COUT,)),
+        ):
+            strategies = {**_random_strategies(graph, 0), producer: strategy}
             got = evaluator.evaluate_set(
-                graph.nodes(), (0, 1), design2_systolic(), strategies,
-                entry_sharding=entry,
+                graph.nodes(), (0, 1), design2_systolic(), strategies
             )
             expected = uncached.evaluate_set(
-                graph.nodes(), (0, 1), design2_systolic(), strategies,
-                entry_sharding=entry,
+                graph.nodes(), (0, 1), design2_systolic(), strategies
             )
             _assert_set_evaluations_identical(got, expected)
+            (cost,) = [c for c in got.layer_costs if c.name == producer]
+            states.append(cost.plan.output_sharding)
+        assert len({tuple(state.items()) for state in states}) == 3
         (memo,) = evaluator._lightweight_memo.values()
         assert sorted(memo) == sorted(
             node.name for node in graph.nodes() if not node.is_compute
