@@ -34,7 +34,13 @@ from repro.accelerators import (
     design3_winograd,
 )
 from repro.core.evaluator import EvaluatorOptions, MappingEvaluator
-from repro.core.ga import Level2Fitness, SearchBudget, optimize_set
+from repro.core.ga import (
+    GENES_PER_LAYER,
+    Level2Fitness,
+    SearchBudget,
+    decode_layer_strategy,
+    optimize_set,
+)
 from repro.core.mapper import Mars
 from repro.core.session import MarsSession
 from repro.core.sharding import ParallelismStrategy, make_sharding_plan
@@ -466,10 +472,12 @@ def bench_batch_decode_population(benchmark):
 
     Builds a GA-shaped ResNet-34 population (one base genome plus
     mutated children, the duplicate-ordering-heavy regime every
-    generation is) and decodes it both ways on fresh fitnesses.
-    Strategies must match exactly — the cold-search contract — and the
-    batch pass must be measurably faster (gate via
-    ``REPRO_BATCH_DECODE_MIN_SPEEDUP``, default 1.2x).
+    generation is) and decodes it both ways on fresh fitnesses: layer
+    by layer through the scalar :func:`decode_layer_strategy`, and in
+    one ``Level2Fitness.prepare_population`` call. Strategies must
+    match exactly — the cold-search contract — and the batch pass must
+    be measurably faster (gate via ``REPRO_BATCH_DECODE_MIN_SPEEDUP``,
+    default 1.2x).
     """
     graph = build_model("resnet34")
     evaluator = MappingEvaluator(graph, f1_16xlarge())
@@ -492,17 +500,26 @@ def bench_batch_decode_population(benchmark):
 
     def scalar_decode():
         fitness = fresh_fitness()
-        return [fitness._decode(genome) for genome in population]
+        return [
+            tuple(
+                decode_layer_strategy(
+                    genome[i * GENES_PER_LAYER : (i + 1) * GENES_PER_LAYER],
+                    node,
+                    len(accs),
+                    fitness.dtype_bytes,
+                )
+                for i, node in enumerate(fitness.compute_nodes)
+            )
+            for genome in population
+        ]
 
     def batch_decode():
-        fitness = fresh_fitness()
-        fitness.prepare_population(population)
-        return [fitness.decode(genome) for genome in population]
+        return fresh_fitness().prepare_population(population)
 
     scalar_decode(), batch_decode()  # warm process-wide memos
     scalar_s, scalar_strategies = _best_of(scalar_decode, rounds=5)
     batch_s, batch_strategies = _best_of(batch_decode, rounds=5)
-    benchmark(lambda: fresh_fitness().prepare_population(population))
+    benchmark(batch_decode)
 
     assert batch_strategies == scalar_strategies  # bit-identical decode
 

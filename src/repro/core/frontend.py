@@ -544,13 +544,20 @@ class SloServing(_ShardPool):
         ``deadline`` is relative seconds on the frontend's clock; a
         request still queued when it elapses resolves with
         :class:`DeadlineExceeded` without ever dispatching (a deadline
-        already in the past resolves that way immediately). A request
+        already in the past resolves that way immediately, and an
+        infinite one never elapses). A NaN deadline raises
+        :class:`ValueError` before admission: it would never elapse
+        and would break the EDF order. A request
         breaching the tenant queue bound or the global in-flight
         budget raises :class:`TenantQueueFull` /
         :class:`ServerSaturated` here, synchronously — shed work never
         produces a future. Raises :class:`RuntimeError` after
         :meth:`close`.
         """
+        require(
+            deadline is None or not math.isnan(deadline),
+            "deadline must not be NaN",
+        )
         resolved_topology = topology if topology is not None else self.topology
         resolved_objective = (
             objective if objective is not None else self.config.objective

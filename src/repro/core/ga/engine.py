@@ -7,21 +7,22 @@ stagnation-based early stopping — all driven by an explicit RNG so runs
 are reproducible.
 
 Fitness is evaluated **per population**: each generation the engine
-shows the whole population to the fitness's optional
-``prepare_population`` hook, then prices it genome by genome in
-population order. With ``config.cache`` set, prices are memoized for
-one :meth:`GeneticAlgorithm.run`, keyed by ``key_fn(genome)`` (a
-decoded phenotype) or by the genome's raw bytes, so elites and
-converged duplicates are priced once. Neither the hook nor the memo
-consumes engine RNG, so a fixed seed walks the same trajectory with
-caching on or off.
+hands the whole population to an optional ``prepare`` hook, which
+decodes it into one hashable phenotype per genome, then prices the
+phenotypes one by one in population order (without the hook, a genome
+is its own phenotype). With ``config.cache`` set, prices are memoized
+for one :meth:`GeneticAlgorithm.run`, keyed by the phenotype (by the
+genome's raw bytes without the hook), so elites, converged duplicates
+and genomes decoding alike are priced once. Neither the hook nor the
+memo consumes engine RNG, so a fixed seed walks the same trajectory
+with caching on or off.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -35,10 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids coupling
 class GAConfig:
     """Hyper-parameters of one GA level.
 
-    ``cache=True`` memoizes fitness so duplicate genomes (elites,
+    ``cache=True`` memoizes fitness so duplicate phenotypes (elites,
     converged populations) are priced once. In a MARS search it affects
     level 2 only: :class:`~repro.core.ga.level1.Level1Search` always
-    runs its engine with ``cache=True`` on the decoded phenotype.
+    runs its engine with ``cache=True`` on decoded individuals.
     ``workers`` on the level-1 config sizes the sub-problem pool a
     :class:`~repro.core.session.MarsSession` owns; populations always
     evaluate serially, so a :class:`GeneticAlgorithm` given
@@ -94,7 +95,7 @@ class GAResult:
     """Outcome of a GA run.
 
     ``evaluations`` counts actual fitness invocations — with
-    ``GAConfig.cache`` that is the number of *unique* keys priced;
+    ``GAConfig.cache`` that is the number of *unique* phenotypes priced;
     ``cache_hits`` and ``cache_misses`` count the memo's lookups (zero
     without the memo). ``layer_cache`` carries the evaluator's
     per-layer cost-cache counters for the run, attached by the level
@@ -120,22 +121,25 @@ class GAResult:
 
 
 class GeneticAlgorithm:
-    """Minimizes ``fitness(genome)`` over [0, 1]^genome_length.
+    """Minimizes ``fitness(phenotype)`` over [0, 1]^genome_length genomes.
 
-    With ``config.cache`` set, each :meth:`run` memoizes prices by
-    ``key_fn(genome)``, or by the genome's raw bytes when no ``key_fn``
-    is given. ``config.workers > 1`` raises :class:`ValueError`:
+    ``prepare(population)`` decodes each generation's population — a
+    2-D array, one genome per row, memo hits included — into one
+    hashable phenotype per genome; without it, a genome is its own
+    phenotype. With ``config.cache`` set, each :meth:`run` memoizes
+    prices by phenotype (by the genome's raw bytes without
+    ``prepare``). ``config.workers > 1`` raises :class:`ValueError`:
     populations always evaluate in process.
     """
 
     def __init__(
         self,
         genome_length: int,
-        fitness: Callable[[np.ndarray], float],
+        fitness: Callable[[Any], float],
         config: GAConfig,
         rng: np.random.Generator,
         seeds: list[np.ndarray] | None = None,
-        key_fn: Callable[[np.ndarray], Hashable] | None = None,
+        prepare: Callable[[np.ndarray], Sequence[Hashable]] | None = None,
         on_generation: Callable[[int], None] | None = None,
     ):
         require_positive(genome_length, "genome_length")
@@ -154,7 +158,7 @@ class GeneticAlgorithm:
                 len(seed) == genome_length,
                 f"seed genome has length {len(seed)}, expected {genome_length}",
             )
-        self.key_fn = key_fn if key_fn is not None else np.ndarray.tobytes
+        self.prepare = prepare
         # Pure observation hook, called after each population evaluation
         # with the number of generations evaluated so far. It must never
         # consume engine RNG — liveness beacons ride it (see
@@ -170,29 +174,26 @@ class GeneticAlgorithm:
     # ------------------------------------------------------------------
 
     def _evaluate_population(self, population: np.ndarray) -> np.ndarray:
-        genomes = list(population)
-        # Purely wall-clock (e.g. the level-2 vectorized genome decode):
-        # the memos the hook fills would be filled genome by genome
-        # otherwise. It sees memo hits too.
-        prepare = getattr(self.fitness, "prepare_population", None)
-        if prepare is not None:
-            prepare(genomes)
+        if self.prepare is None:
+            phenotypes = list(population)
+        else:
+            phenotypes = self.prepare(population)
         memo = self._memo
         if memo is None:
-            self._evaluations += len(genomes)
+            self._evaluations += len(phenotypes)
             return np.asarray(
-                [float(self.fitness(g)) for g in genomes], dtype=float
+                [float(self.fitness(p)) for p in phenotypes], dtype=float
             )
-        # Keys first, then prices in population order: level-1 fitness
-        # is stateful (it fills the session's solution cache and ticks
-        # ``progress``), so the order of first occurrences is part of
-        # the contract.
-        keys = [self.key_fn(g) for g in genomes]
+        # The whole population is decoded first, then priced in
+        # population order: level-1 fitness is stateful (it fills the
+        # session's solution cache and ticks ``progress``), so the
+        # order of first occurrences is part of the contract.
+        keys = phenotypes if self.prepare else [g.tobytes() for g in phenotypes]
         values = []
-        for key, genome in zip(keys, genomes):
+        for key, phenotype in zip(keys, phenotypes):
             value = memo.get(key)
             if value is None:
-                value = memo[key] = float(self.fitness(genome))
+                value = memo[key] = float(self.fitness(phenotype))
                 self._evaluations += 1
             else:
                 self._cache_hits += 1

@@ -107,14 +107,20 @@ class SearchBudget:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodedIndividual:
-    """A decoded level-1 genome, before level-2 optimization."""
+    """A decoded level-1 genome, before level-2 optimization.
 
-    partition: Partition
-    used_sets: list[tuple[int, ...]]
-    designs: list[AcceleratorDesign | None]
-    ranges: list[LayerRange]
+    The level-1 engine's phenotype: individuals compare and hash on
+    :attr:`key` — the used sets, their designs' names and their layer
+    ranges — so genomes that decode to one mapping share one memo
+    entry.
+    """
+
+    used_sets: list[tuple[int, ...]] = field(compare=False)
+    designs: list[AcceleratorDesign | None] = field(compare=False)
+    ranges: list[LayerRange] = field(compare=False)
+    key: tuple
 
 
 def subproblem_rng(key: tuple) -> np.random.Generator:
@@ -182,31 +188,6 @@ class SubproblemSolver:
         return key, solution, self.evaluator.layer_cache_stats.since(before)
 
 
-class _Level1Fitness:
-    """The level-1 fitness object handed to the GA engine.
-
-    A thin adapter over :class:`Level1Search` whose job is to expose
-    the ``prepare_population`` batch hook (bound methods cannot carry
-    one): each generation, the engine shows it the whole population,
-    and the search fans the batch's distinct uncached sub-problems out
-    before any per-genome fitness call runs. Scoring then runs
-    in-process over the solutions the batch brought back.
-    """
-
-    __slots__ = ("search",)
-
-    def __init__(self, search: "Level1Search") -> None:
-        self.search = search
-
-    def __call__(self, genome: np.ndarray) -> float:
-        return self.search.fitness(genome)
-
-    def prepare_population(
-        self, genomes: list[np.ndarray] | tuple[np.ndarray, ...]
-    ) -> None:
-        self.search.prefetch_population(genomes)
-
-
 @dataclass
 class Level1Search:
     """Drives the two-level search for one workload on one system.
@@ -225,28 +206,30 @@ class Level1Search:
     searches; all three hold seed-independent state, so sharing them
     never changes results — only wall-clock.
 
+    Every generation is decoded once, pooled or not:
+    :meth:`prefetch_population` is the engine's ``prepare`` hook and
+    turns each genome into a :class:`DecodedIndividual`, and
+    :meth:`fitness` prices one. The level-1 engine always memoizes on
+    decoded individuals (the genome→mapping decode is massively
+    many-to-one) and evaluates serially: level-1 fitness is stateful —
+    it fills ``solution_cache`` — so it stays in this process, whatever
+    ``budget.level1`` says about ``cache`` and ``workers``.
+
     ``level1_backend`` is the **batched sub-problem fan-out** pool, the
     only parallelism a search has. Its owner (a session) hands it down
     and closes it; a search never builds or closes one, and a budget
     asking for ``level1.workers > 1`` without a pool — or for level-2
-    ``workers`` other than 1 — is refused. With a pool, every
-    generation's population is decoded up front, the distinct
+    ``workers`` other than 1 — is refused. With a pool, the distinct
     *uncached* ``(layer_range, acc_set, design)`` sub-problems across
-    all individuals are deduplicated, and that batch is solved in
-    parallel — one level-2 GA per pool task. Each sub-problem carries
-    its own content-keyed RNG (:func:`subproblem_rng`), so solutions
-    are position- and worker-independent; genome scoring then runs
-    in-process and takes each fanned-out solution where the serial
-    path would solve it, so ``solution_cache``, the phenotype memo and
-    the layer LRU see the same operations either way. Results are
-    bit-identical to the serial path for a fixed seed — the fan-out
-    only changes wall-clock.
-
-    The level-1 engine always memoizes on the decoded phenotype
-    (:meth:`phenotype_key`; the genome→mapping decode is massively
-    many-to-one) and evaluates serially: level-1 fitness is stateful —
-    it fills ``solution_cache`` — so it stays in this process, whatever
-    ``budget.level1`` says about ``cache`` and ``workers``.
+    a generation's decoded individuals are deduplicated and that batch
+    is solved in parallel — one level-2 GA per pool task. Each
+    sub-problem carries its own content-keyed RNG
+    (:func:`subproblem_rng`), so solutions are position- and
+    worker-independent; scoring then runs in-process and takes each
+    fanned-out solution where the serial path would solve it, so
+    ``solution_cache``, the engine memo and the layer LRU see the same
+    operations either way. Results are bit-identical to the serial
+    path for a fixed seed — the fan-out only changes wall-clock.
 
     ``progress`` is a pure observation callback ``(phase, count)``
     invoked after each level-1 generation and once per *distinct*
@@ -377,10 +360,14 @@ class Level1Search:
                 used_designs.append(design)
                 used_ranges.append(rng)
         return DecodedIndividual(
-            partition=partition,
             used_sets=used_sets,
             designs=used_designs,
             ranges=used_ranges,
+            key=(
+                tuple(used_sets),
+                tuple(d.name if d else "<fixed>" for d in used_designs),
+                tuple((r.start, r.stop) for r in used_ranges),
+            ),
         )
 
     def _cut_ranges(
@@ -467,46 +454,47 @@ class Level1Search:
         return solution
 
     def prefetch_population(
-        self, genomes: list[np.ndarray] | tuple[np.ndarray, ...]
-    ) -> None:
-        """Batched sub-problem fan-out for one generation's population.
+        self, genomes: np.ndarray | list[np.ndarray]
+    ) -> list[DecodedIndividual]:
+        """Decode one generation's population, once per genome.
 
-        Decodes the whole batch, dedupes the distinct uncached
-        ``(layer_range, acc_set, design)`` sub-problems across all
-        individuals, and solves that batch in parallel on the fan-out
-        pool; a fitness call that then misses ``solution_cache`` takes
-        its solution from the batch instead of solving in-process, and
-        the probe here is a plain membership test, so the cache counts
-        the same lookups as on the serial path. Purely a wall-clock
-        lever: each solution comes from its content-keyed RNG, so
-        results never depend on this running. No-op without a pool.
+        The level-1 engine's ``prepare`` hook. With the fan-out pool,
+        it also dedupes the distinct uncached
+        ``(layer_range, acc_set, design)`` sub-problems across the
+        decoded individuals and solves that batch in parallel; a
+        fitness call that then misses ``solution_cache`` takes its
+        solution from the batch instead of solving in-process, and the
+        probe here is a plain membership test, so the cache counts the
+        same lookups as on the serial path. The fan-out is purely a
+        wall-clock lever: each solution comes from its content-keyed
+        RNG, so results never depend on it running.
         """
+        population = [self.decode(genome) for genome in genomes]
         pool = self.level1_backend
-        if pool is None or not genomes:
-            return
+        if pool is None:
+            return population
         self._prefetched = {}
-        jobs: dict[tuple, tuple[LayerRange, AcceleratorDesign | None]] = {}
-        for genome in genomes:
-            decoded = self.decode(np.asarray(genome))
+        jobs: dict[tuple, AcceleratorDesign | None] = {}
+        for decoded in population:
             for acc_set, design, layer_range in zip(
                 decoded.used_sets, decoded.designs, decoded.ranges
             ):
                 key = self._subproblem_key(layer_range, acc_set, design)
-                if key in jobs or key in self.solution_cache:
-                    continue
-                jobs[key] = (layer_range, design)
-        if not jobs:
-            return
-        solver = SubproblemSolver(self.evaluator, self.budget.level2)
-        items = [(key, design) for key, (_, design) in jobs.items()]
-        for key, solution, stats in pool.map_subproblems(solver, items):
-            self._prefetched[key] = solution
-            self._record_solved(key)
-            if stats is not None:
-                self.subproblems_fanned_out += 1
-                self.worker_layer_cache = self.worker_layer_cache.merge(
-                    stats, gauge=max
-                )
+                if key not in jobs and key not in self.solution_cache:
+                    jobs[key] = design
+        if jobs:
+            solver = SubproblemSolver(self.evaluator, self.budget.level2)
+            for key, solution, stats in pool.map_subproblems(
+                solver, list(jobs.items())
+            ):
+                self._prefetched[key] = solution
+                self._record_solved(key)
+                if stats is not None:
+                    self.subproblems_fanned_out += 1
+                    self.worker_layer_cache = self.worker_layer_cache.merge(
+                        stats, gauge=max
+                    )
+        return population
 
     def build_mapping(self, decoded: DecodedIndividual) -> Mapping:
         assignments = []
@@ -526,30 +514,17 @@ class Level1Search:
             graph=self.graph, topology=self.topology, assignments=assignments
         )
 
-    def fitness(self, genome: np.ndarray) -> float:
-        """Latency (or pipeline interval) of one level-1 genome.
+    def fitness(self, decoded: DecodedIndividual) -> float:
+        """Latency (or pipeline interval) of one decoded individual.
 
-        Memoization lives in the GA engine (keyed by
-        :meth:`phenotype_key`), not here — direct callers always get a
-        fresh price.
+        Memoization lives in the GA engine (keyed by the individual),
+        not here — direct callers always get a fresh price.
         """
-        decoded = self.decode(genome)
         mapping = self.build_mapping(decoded)
         evaluation = self.evaluator.evaluate_mapping(mapping)
         if self.objective == "throughput":
             return evaluation.pipeline_interval_seconds
         return evaluation.latency_seconds
-
-    def phenotype_key(self, genome: np.ndarray) -> tuple:
-        """Hashable decoded-mapping key for cache-backed evaluation."""
-        return self._decode_key(self.decode(genome))
-
-    def _decode_key(self, decoded: DecodedIndividual) -> tuple:
-        return (
-            tuple(decoded.used_sets),
-            tuple(d.name if d else "<fixed>" for d in decoded.designs),
-            tuple((r.start, r.stop) for r in decoded.ranges),
-        )
 
     # ------------------------------------------------------------------
     # Seeds
@@ -600,11 +575,11 @@ class Level1Search:
         layer_cache_before = self.evaluator.layer_cache_stats
         ga = GeneticAlgorithm(
             genome_length=self.genome_length,
-            fitness=_Level1Fitness(self),
+            fitness=self.fitness,
             config=replace(self.budget.level1, cache=True, workers=1),
             rng=self.rng,
             seeds=self.seed_genomes(),
-            key_fn=self.phenotype_key,
+            prepare=self.prefetch_population,
             on_generation=(
                 None
                 if self.progress is None

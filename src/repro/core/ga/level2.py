@@ -34,7 +34,6 @@ from repro.core.sharding import (
 from repro.core.strategy_space import longest_dims_strategy
 from repro.dnn.graph import LayerNode
 from repro.dnn.layers import LOOP_DIMS, ConvSpec, LoopDim
-from repro.utils.cache import LruCache
 
 GENES_PER_LAYER = 14
 
@@ -240,37 +239,22 @@ def _seed_genomes(
 
 
 class Level2Fitness:
-    """Picklable fitness of one level-2 sub-problem.
+    """Fitness of one level-2 sub-problem.
 
-    Decodes a genome into per-layer strategies and prices them by
-    walking the sub-problem's
-    :class:`~repro.core.evaluator.SubproblemCosts` table (:attr:`costs`),
-    the same walk ``evaluate_set`` takes, kept for the whole GA run so
-    its records serve every genome. Being a module-level class (not a
-    closure) it pickles cleanly; the table stays home and is rebuilt on
-    unpickling.
-
-    Each genome is decoded **once**: a small per-instance memo (keyed by
-    the genome's raw bytes) is shared by ``phenotype_key`` and
-    ``__call__``, which the memoizing GA engine otherwise calls back to
-    back — historically doubling the ``make_sharding_plan`` work per
-    evaluation.
-
-    ``phenotype_key`` composes from per-layer sub-keys (one decoded
-    strategy per compute layer, slot-aligned with ``compute_nodes``).
-    The whole tuple is the engine's memo key under ``GAConfig.cache``
-    — an exact phenotype repeat skips evaluation entirely — while
-    near-duplicates that differ in a layer or two fall through to
-    ``__call__``, where the table replays the record of every layer
-    whose strategy and upstream state did not change and prices only
-    the rest, through the evaluator's layer-cost cache. Warm restarts
-    therefore hit at layer granularity instead of all-or-nothing.
+    The GA engine hands each generation to :meth:`prepare_population`,
+    which decodes every genome into its phenotype: a tuple of per-layer
+    strategies, one per compute layer, slot-aligned with
+    ``compute_nodes``. The engine memoizes on that tuple under
+    ``GAConfig.cache`` — an exact phenotype repeat skips evaluation
+    entirely — and :meth:`__call__` prices a phenotype by walking the
+    sub-problem's :class:`~repro.core.evaluator.SubproblemCosts` table
+    (:attr:`costs`), the same walk ``evaluate_set`` takes, kept for the
+    whole GA run so its records serve every genome. Near-duplicates
+    that differ in a layer or two replay the record of every layer
+    whose strategy and upstream state did not change and price only
+    the rest, through the evaluator's layer-cost cache, so warm
+    restarts hit at layer granularity instead of all-or-nothing.
     """
-
-    #: Bound on the decode memo; comfortably above any population size
-    #: so one batch's ``phenotype_key`` pass stays resident for the
-    #: ``__call__`` pass that follows.
-    DECODE_MEMO_CAPACITY = 1024
 
     def __init__(
         self,
@@ -285,14 +269,9 @@ class Level2Fitness:
         self.accs = accs
         self.design = design
         self.dtype_bytes = evaluator.options.dtype_bytes
-        self._init_derived()
-
-    def _init_derived(self) -> None:
-        self._decode_memo = LruCache(self.DECODE_MEMO_CAPACITY)
+        self._names = [node.name for node in self.compute_nodes]
         #: The sub-problem's pricing table.
-        self.costs = SubproblemCosts(
-            self.evaluator, self.nodes, self.accs, self.design
-        )
+        self.costs = SubproblemCosts(evaluator, nodes, accs, design)
         # Per compute layer: decode code -> strategy (see _codes).
         self._code_strategies: list[dict[int, ParallelismStrategy]] = [
             {} for _ in self.compute_nodes
@@ -305,108 +284,45 @@ class Level2Fitness:
             dtype=np.int64,
         ).reshape(len(self.compute_nodes), len(LOOP_DIMS))
         self._es_eligible = extents >= 2
-        self._ss_eligible = extents >= len(self.accs)
-
-    def __getstate__(self) -> dict:
-        # The memos, the pricing table and the decode masks are derived
-        # state and stay home when the fitness is pickled.
-        state = dict(self.__dict__)
-        for name in (
-            "_decode_memo",
-            "costs",
-            "_code_strategies",
-            "_es_eligible",
-            "_ss_eligible",
-        ):
-            del state[name]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._init_derived()
+        self._ss_eligible = extents >= len(accs)
 
     @property
     def genome_length(self) -> int:
         return len(self.compute_nodes) * GENES_PER_LAYER
 
-    @property
-    def decode_hits(self) -> int:
-        """Decodes skipped thanks to the per-genome memo."""
-        return self._decode_memo.hits
-
-    @property
-    def decode_misses(self) -> int:
-        """Actual genome decodes performed."""
-        return self._decode_memo.misses
-
-    def _decoded(self, genome: np.ndarray) -> dict[str, ParallelismStrategy]:
-        raw = np.ascontiguousarray(genome).tobytes()
-        strategies = self._decode_memo.get(raw)
-        if strategies is None:
-            strategies = self._decode(genome)
-            self._decode_memo.put(raw, strategies)
-        return strategies
-
-    def _decode(self, genome: np.ndarray) -> dict[str, ParallelismStrategy]:
-        parallelism = len(self.accs)
-        strategies = {}
-        for i, node in enumerate(self.compute_nodes):
-            genes = genome[i * GENES_PER_LAYER : (i + 1) * GENES_PER_LAYER]
-            strategies[node.name] = decode_layer_strategy(
-                genes, node, parallelism, self.dtype_bytes
-            )
-        return strategies
-
     def decode(self, genome: np.ndarray) -> dict[str, ParallelismStrategy]:
-        """Per-layer strategies of ``genome`` (memoized; returns a copy)."""
-        return dict(self._decoded(genome))
+        """Per-layer strategies of ``genome``, in a fresh dict."""
+        return dict(zip(self._names, self.prepare_population([genome])[0]))
 
     # -- vectorized population decode ----------------------------------
 
     def prepare_population(
-        self, genomes: list[np.ndarray] | tuple[np.ndarray, ...]
-    ) -> None:
-        """Batch-decode a whole population into the decode memo.
+        self, genomes: np.ndarray | list[np.ndarray]
+    ) -> list[tuple[ParallelismStrategy, ...]]:
+        """Batch-decode a population: one strategy tuple per genome.
 
-        Called by the GA engine on each whole population before
-        per-genome evaluation. One vectorized NumPy pass over a
-        ``(population, layers, genes)`` tensor reduces every layer of
-        every genome to one integer code (see :meth:`_codes`);
+        The GA engine's ``prepare`` hook. One vectorized NumPy pass
+        over a ``(population, layers, genes)`` tensor reduces every
+        layer of every genome to one integer code (see :meth:`_codes`);
         each layer resolves a code to its strategy once, in a plain
         per-layer dict, through the scalar decode's feasibility
         fallback. Bit-identical to the scalar
-        :func:`decode_layer_strategy` path (property-tested); the
-        subsequent ``phenotype_key``/``__call__`` calls are memo hits.
-        Decode only: pricing happens in ``__call__``.
+        :func:`decode_layer_strategy` (property-tested). Decode only:
+        pricing happens in :meth:`__call__`.
         """
-        fresh_raws: list[bytes] = []
-        fresh_rows: list[np.ndarray] = []
-        seen: set[bytes] = set()
-        for genome in genomes:
-            row = np.ascontiguousarray(np.asarray(genome, dtype=float))
-            raw = row.tobytes()
-            if raw in seen:
-                continue
-            seen.add(raw)
-            if self._decode_memo.get(raw) is not None:
-                continue
-            fresh_raws.append(raw)
-            fresh_rows.append(row)
-        if not fresh_rows:
-            return
-        names = [node.name for node in self.compute_nodes]
-        for raw, codes in zip(
-            fresh_raws, self._codes(np.stack(fresh_rows)).tolist()
-        ):
-            strategies = {}
-            for i, (name, resolved, code) in enumerate(
-                zip(names, self._code_strategies, codes)
+        codes = self._codes(np.asarray(genomes, dtype=float))
+        phenotypes = []
+        for row in codes.tolist():
+            strategies = []
+            for i, (resolved, code) in enumerate(
+                zip(self._code_strategies, row)
             ):
                 strategy = resolved.get(code)
                 if strategy is None:
                     strategy = resolved[code] = self._resolve(i, code)
-                strategies[name] = strategy
-            self._decode_memo.put(raw, strategies)
+                strategies.append(strategy)
+            phenotypes.append(tuple(strategies))
+        return phenotypes
 
     def _codes(self, population: np.ndarray) -> np.ndarray:
         """One integer per (genome, compute layer) fixing its strategy.
@@ -448,13 +364,8 @@ class Level2Fitness:
             [LOOP_DIMS[d] for d in dims[2:] if d != _NO_DIM],
         )
 
-    def phenotype_key(self, genome: np.ndarray) -> tuple:
-        """Tuple of per-layer strategy sub-keys, one per compute layer."""
-        strategies = self._decoded(genome)
-        return tuple(strategies[n.name] for n in self.compute_nodes)
-
-    def __call__(self, genome: np.ndarray) -> float:
-        return self.costs.latency(self._decoded(genome))
+    def __call__(self, phenotype: tuple[ParallelismStrategy, ...]) -> float:
+        return self.costs.latency(dict(zip(self._names, phenotype)))
 
 
 def optimize_set(
@@ -467,9 +378,11 @@ def optimize_set(
 ) -> SetSolution:
     """Run the second-level GA on one sub-problem.
 
-    The engine evaluates serially, memoizing on the decoded phenotype
-    when ``config.cache`` is set (the memo lives for one engine run, so
-    one sub-problem: phenotype keys are only unique within one).
+    The engine decodes each generation once through
+    :meth:`Level2Fitness.prepare_population` and evaluates serially,
+    memoizing on the per-layer strategy tuple when ``config.cache`` is
+    set (the memo lives for one engine run, so one sub-problem:
+    phenotypes are only unique within one).
     """
     compute_nodes = [n for n in nodes if n.is_compute]
     parallelism = len(accs)
@@ -487,7 +400,7 @@ def optimize_set(
         config=config,
         rng=rng,
         seeds=_seed_genomes(nodes, parallelism, fitness.costs),
-        key_fn=fitness.phenotype_key,
+        prepare=fitness.prepare_population,
     )
     result = ga.run()
     best_strategies = fitness.decode(result.best_genome)

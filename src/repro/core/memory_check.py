@@ -17,9 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.sharding import ShardingPlan
-from repro.system.memory import MemoryLedger
-
 
 @dataclass(frozen=True)
 class SetMemoryReport:
@@ -40,32 +37,3 @@ class SetMemoryReport:
     @property
     def overflow_bytes(self) -> int:
         return max(0, self.total_bytes - self.capacity_bytes)
-
-
-def set_memory_report(
-    plans: list[ShardingPlan],
-    lightweight_activation_bytes: list[int],
-    capacity_bytes: int,
-) -> SetMemoryReport:
-    """Footprint of one accelerator executing ``plans`` in sequence.
-
-    ``lightweight_activation_bytes`` carries the (sharded) output sizes
-    of the set's non-compute layers, which contribute to the activation
-    peak but hold no weights.
-    """
-    ledger = MemoryLedger(capacity_bytes=capacity_bytes)
-    weight_total = 0
-    for plan in plans:
-        weight_total += plan.weight_bytes_per_acc
-    peak_activation = 0
-    for plan in plans:
-        peak_activation = max(peak_activation, plan.activation_bytes_per_acc)
-    for nbytes in lightweight_activation_bytes:
-        peak_activation = max(peak_activation, nbytes)
-    ledger.charge("weights", weight_total)
-    ledger.charge("activations", peak_activation)
-    return SetMemoryReport(
-        weight_bytes=weight_total,
-        peak_activation_bytes=peak_activation,
-        capacity_bytes=capacity_bytes,
-    )

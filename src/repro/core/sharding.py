@@ -224,12 +224,6 @@ class ShardingPlan:
         }
 
     @property
-    def output_shard_bytes(self) -> int:
-        """Bytes of the output kept by one accelerator after the layer."""
-        out = self.spec.tensors()["output"]
-        return out.sharded_numel(self.output_sharding) * self.dtype_bytes
-
-    @property
     def input_fraction_needed(self) -> float:
         """Fraction of the full input one accelerator must hold.
 

@@ -121,16 +121,6 @@ class GraphBuilder:
     ) -> str:
         return self.add(Pool2d(kernel, stride, padding, "max"), (source,), name)
 
-    def avgpool(
-        self,
-        source: str,
-        kernel: int,
-        stride: int,
-        padding: int = 0,
-        name: str | None = None,
-    ) -> str:
-        return self.add(Pool2d(kernel, stride, padding, "avg"), (source,), name)
-
     def global_avgpool(self, source: str, name: str | None = None) -> str:
         return self.add(GlobalAvgPool(), (source,), name)
 

@@ -47,6 +47,7 @@ the GA.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import partial, reduce
 
@@ -209,8 +210,8 @@ def main(argv: list[str] | None = None) -> int:
             "an experiment is required: table2, table3, table4, "
             "validate (or --validate)"
         )
-    if args.tolerance <= 0:
-        parser.error("--tolerance must be > 0")
+    if not 0 < args.tolerance < math.inf:
+        parser.error("--tolerance must be a finite number > 0")
     if args.out is not None and args.experiment != "validate":
         parser.error("--out applies to validate only")
     if args.workers < 1:
@@ -234,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.deadline is not None:
         if args.shards is None:
             parser.error("--deadline requires --shards")
-        if args.deadline <= 0:
-            parser.error("--deadline must be > 0")
+        if not 0 < args.deadline < math.inf:
+            parser.error("--deadline must be a finite number > 0")
     if args.store is not None and args.experiment != "table3":
         parser.error("--store applies to table3 only")
     if args.experiment == "table2":

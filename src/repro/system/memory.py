@@ -2,9 +2,9 @@
 
 The paper's validity rule (Section III): a parallelism strategy is valid
 only if the sharded tensors of the layers mapped to an accelerator fit
-in its off-chip DRAM. :class:`MemoryLedger` accumulates the resident
-footprint per accelerator so the evaluator can check the rule and the
-reports can show headroom.
+in its off-chip DRAM. :class:`MemoryLedger` accumulates labelled
+resident allocations against one accelerator's capacity and reports
+the peak and any overflow.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class MemoryLedger:
     def overflow_bytes(self) -> int:
         """How far the peak exceeded capacity (0 when it fits)."""
         return max(0, self.peak_bytes - self.capacity_bytes)
-
-    @property
-    def headroom_bytes(self) -> int:
-        return max(0, self.capacity_bytes - self.peak_bytes)
 
     def describe(self) -> str:
         state = "fits" if self.fits else "OVERFLOW"

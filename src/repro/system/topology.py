@@ -249,9 +249,6 @@ class SystemTopology:
         # Pairs outside the table (a == b) have no direct link either.
         return self._tables()[1].get((a, b), 2 * self.host_latency_s)
 
-    def is_direct(self, a: int, b: int) -> bool:
-        return self.direct_bandwidth(a, b) is not None
-
     def min_bandwidth_within(self, acc_ids: tuple[int, ...]) -> float:
         """Bottleneck pairwise bandwidth inside a candidate accelerator set.
 

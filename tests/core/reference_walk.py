@@ -7,16 +7,43 @@ layer, threading each layer's output sharding through a dict keyed by
 name, with no layer cache, no non-compute memo, no per-layer records
 and no byte-count memo. It calls the evaluator's per-layer pricers
 (``_compute_layer_cost``, ``_lightweight_layer_cost``,
-``_propagate_state``) and :func:`~repro.core.memory_check.set_memory_report`
-directly, so a test comparing the table against it checks the walk —
-upstream resolution, record replay, float order, memory sums, the
-weight stream, the spill and program emission — not the prices.
+``_propagate_state``) directly and sums the set's DRAM footprint in
+:func:`set_memory_report`, so a test comparing the table against it
+checks the walk — upstream resolution, record replay, float order,
+memory sums, the weight stream, the spill and program emission — not
+the prices.
 """
 
 from repro.core.evaluator import LayerCost, MappingEvaluator, SetEvaluation
-from repro.core.memory_check import set_memory_report
-from repro.core.sharding import NO_PARALLELISM
+from repro.core.memory_check import SetMemoryReport
+from repro.core.sharding import NO_PARALLELISM, ShardingPlan
 from repro.simulator.program import HostStep
+
+
+def set_memory_report(
+    plans: list[ShardingPlan],
+    lightweight_activation_bytes: list[int],
+    capacity_bytes: int,
+) -> SetMemoryReport:
+    """Footprint of one accelerator executing ``plans`` in sequence.
+
+    ``lightweight_activation_bytes`` carries the (sharded) output sizes
+    of the set's non-compute layers, which contribute to the activation
+    peak but hold no weights.
+    """
+    weight_total = 0
+    for plan in plans:
+        weight_total += plan.weight_bytes_per_acc
+    peak_activation = 0
+    for plan in plans:
+        peak_activation = max(peak_activation, plan.activation_bytes_per_acc)
+    for nbytes in lightweight_activation_bytes:
+        peak_activation = max(peak_activation, nbytes)
+    return SetMemoryReport(
+        weight_bytes=weight_total,
+        peak_activation_bytes=peak_activation,
+        capacity_bytes=capacity_bytes,
+    )
 
 
 def _upstream(node, sharding_state, member_names):

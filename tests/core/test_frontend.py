@@ -12,6 +12,7 @@ lifecycle counters must reconcile exactly
 """
 
 import asyncio
+import math
 import random
 import threading
 
@@ -135,6 +136,22 @@ class TestAdmission:
         # Callers can catch the base class without importing the leaves.
         assert issubclass(TenantQueueFull, RuntimeError)
         assert issubclass(ServerSaturated, RuntimeError)
+
+    def test_nan_deadline_rejected_before_admission(self):
+        # A NaN deadline would never expire (``nan <= now`` is false)
+        # and would break dispatch_key's total order. Infinite
+        # deadlines keep their meaning: -inf is dead on arrival, +inf
+        # never elapses.
+        with SloServing(TOPOLOGY, shards=1) as frontend:
+            with pytest.raises(ValueError, match="NaN"):
+                frontend.submit(CNN, seed=0, deadline=math.nan)
+            assert frontend.stats().submitted == 0
+            with pytest.raises(DeadlineExceeded):
+                frontend.submit(CNN, seed=0, deadline=-math.inf).result(
+                    timeout=240
+                )
+            unbounded = frontend.submit(CNN, seed=0, deadline=math.inf)
+            _same_result(unbounded.result(timeout=240), fresh(CNN, 0))
 
     def test_submit_after_close_raises_runtime_error(self):
         frontend = SloServing(TOPOLOGY, shards=1)

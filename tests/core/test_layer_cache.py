@@ -360,13 +360,14 @@ class TestBitIdentity:
 
         tabled = solve()
 
-        def walked_call(self, genome):
+        def walked_call(self, phenotype):
+            names = [node.name for node in self.compute_nodes]
             return reference_evaluate_set(
                 self.evaluator,
                 self.nodes,
                 self.accs,
                 self.design,
-                self._decoded(genome),
+                dict(zip(names, phenotype)),
             ).latency_seconds
 
         def walked_layer(self, index, strategy):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.memory_check import set_memory_report
 from repro.core.sharding import ParallelismStrategy, make_sharding_plan
 from repro.dnn.layers import ConvSpec, LoopDim
 from repro.utils.units import GIB, MIB
+from tests.core.reference_walk import set_memory_report
 
 
 def _plan(cout=64, cin=64, hw=28, k=3, p=4, es=(LoopDim.H, LoopDim.W), ss=None):

@@ -12,7 +12,7 @@ def _sphere(genome: np.ndarray) -> float:
     return float(np.sum((genome - 0.5) ** 2))
 
 
-def _run(seed=0, fitness=_sphere, key_fn=None, **overrides):
+def _run(seed=0, fitness=_sphere, prepare=None, **overrides):
     config = GAConfig(
         population_size=overrides.pop("population_size", 20),
         generations=overrides.pop("generations", 25),
@@ -23,25 +23,32 @@ def _run(seed=0, fitness=_sphere, key_fn=None, **overrides):
         fitness=fitness,
         config=config,
         rng=make_rng(seed),
-        key_fn=key_fn,
+        prepare=prepare,
     )
     return ga.run()
 
 
 class _Recorder:
-    """Sphere fitness that records each population it is shown and
-    each genome it prices, by raw bytes."""
+    """Sphere fitness on raw-bytes phenotypes: :meth:`prepare` records
+    each population it is shown and :meth:`__call__` each phenotype it
+    prices."""
 
     def __init__(self):
         self.populations = []
         self.priced = []
 
-    def prepare_population(self, genomes):
-        self.populations.append([g.tobytes() for g in genomes])
+    def prepare(self, genomes):
+        phenotypes = [g.tobytes() for g in genomes]
+        self.populations.append(phenotypes)
+        return phenotypes
 
-    def __call__(self, genome):
-        self.priced.append(genome.tobytes())
-        return _sphere(genome)
+    def __call__(self, phenotype):
+        self.priced.append(phenotype)
+        return _sphere(np.frombuffer(phenotype))
+
+
+def _run_recorded(recorder, **overrides):
+    return _run(fitness=recorder, prepare=recorder.prepare, **overrides)
 
 
 class TestConfigValidation:
@@ -174,13 +181,13 @@ class TestMemo:
     def test_prepare_sees_every_population_whole(self):
         for cache in (False, True):
             recorder = _Recorder()
-            result = _run(fitness=recorder, cache=cache, elite_count=3)
+            result = _run_recorded(recorder, cache=cache, elite_count=3)
             assert len(recorder.populations) == 1 + result.generations_run
             assert all(len(p) == 20 for p in recorder.populations)
 
     def test_uncached_prices_every_genome_in_order(self):
         recorder = _Recorder()
-        result = _run(fitness=recorder, elite_count=3)
+        result = _run_recorded(recorder, elite_count=3)
         shown = [key for keys in recorder.populations for key in keys]
         assert recorder.priced == shown
         assert result.evaluations == len(shown)
@@ -189,7 +196,7 @@ class TestMemo:
         """Level-1 fitness is stateful, so the order of first
         occurrences is part of the contract."""
         recorder = _Recorder()
-        result = _run(fitness=recorder, cache=True, elite_count=3)
+        result = _run_recorded(recorder, cache=True, elite_count=3)
         shown = [key for keys in recorder.populations for key in keys]
         first_seen = list(dict.fromkeys(shown))
         assert recorder.priced == first_seen
@@ -198,17 +205,19 @@ class TestMemo:
         # Elites are copied into every generation, so hits are certain.
         assert result.cache_hits > 0
 
-    def test_key_fn_collapses_equivalent_genomes(self):
-        """A phenotype key prices each phenotype once."""
-        cell = lambda g: tuple(np.round(g, 0))  # noqa: E731
+    def test_prepare_collapses_equivalent_genomes(self):
+        """Genomes decoding to one phenotype are priced once."""
         keys = []
 
-        def coarse(genome):
-            keys.append(cell(genome))
-            return float(np.sum(np.round(genome, 0)))
+        def coarse(cell):
+            keys.append(cell)
+            return float(np.sum(cell))
+
+        def cells(genomes):
+            return [tuple(np.round(g, 0)) for g in genomes]
 
         plain = _run(fitness=lambda g: float(np.sum(np.round(g, 0))))
-        cached = _run(fitness=coarse, key_fn=cell, cache=True)
+        cached = _run(fitness=coarse, prepare=cells, cache=True)
         assert cached.history == plain.history
         assert len(keys) == len(set(keys)) == cached.evaluations
         assert cached.evaluations <= 2**6
@@ -222,6 +231,7 @@ class TestMemo:
             config=GAConfig(population_size=4, generations=1, cache=True),
             rng=make_rng(0),
             seeds=[optimum],
+            prepare=recorder.prepare,
         )
         first = ga.run()
         second = ga.run()

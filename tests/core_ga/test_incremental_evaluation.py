@@ -1,25 +1,27 @@
 """GA-path partial reuse: single decode, sub-keys, stats threading.
 
 These tests cover the search-side half of the layer-cost cache work:
-``Level2Fitness`` decodes each genome once (shared by ``phenotype_key``
-and ``__call__``), ``optimize_set``/``Level1Search``/``Mars`` surface
-the evaluator's cache counters on their results, and search outcomes
-are bit-identical with caching on or off.
+``Level1Search`` decodes each genome once (the engine's ``prepare``
+hook returns the phenotypes it memoizes and prices),
+``optimize_set``/``Level1Search``/``Mars`` surface the evaluator's
+cache counters on their results, and search outcomes are bit-identical
+with caching on or off.
 """
 
-import pickle
 from dataclasses import replace
+
+import pytest
 
 from repro.accelerators import design2_systolic, table2_designs
 from repro.core.evaluator import EvaluatorOptions, MappingEvaluator
 from repro.core.ga import (
-    GAConfig,
-    GeneticAlgorithm,
+    Level1Search,
     Level2Fitness,
     SearchBudget,
     optimize_set,
 )
 from repro.core.mapper import Mars
+from repro.core.session import MarsSession
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
 from repro.utils import make_rng
@@ -35,34 +37,29 @@ def _fitness(evaluator=None) -> Level2Fitness:
 
 
 class TestSingleDecode:
-    def test_phenotype_key_then_call_decodes_once(self):
-        fitness = _fitness()
-        genome = make_rng(0).random(fitness.genome_length)
-        fitness.phenotype_key(genome)
-        fitness(genome)
-        assert fitness.decode_misses == 1
-        assert fitness.decode_hits == 1
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_search_decodes_each_level1_genome_once(
+        self, monkeypatch, workers
+    ):
+        """One decode per genome the engine is shown, memo hits
+        included, pooled or not, plus one for the best genome."""
+        decode = Level1Search.decode
+        decodes = 0
 
-    def test_memoized_engine_decodes_once_per_genome(self):
-        """The engine's key_fn + fitness calls share one decode."""
-        fitness = _fitness()
-        shown = set()
+        def counted(self, genome):
+            nonlocal decodes
+            decodes += 1
+            return decode(self, genome)
 
-        def key_fn(genome):
-            shown.add(genome.tobytes())
-            return fitness.phenotype_key(genome)
-
-        result = GeneticAlgorithm(
-            genome_length=fitness.genome_length,
-            fitness=fitness,
-            config=GAConfig(population_size=8, generations=4, cache=True),
-            rng=make_rng(0),
-            key_fn=key_fn,
-        ).run()
-        assert fitness.decode_misses == len(shown)
-        # Every key and every price is a memo hit.
-        looked_up = result.cache_hits + result.cache_misses
-        assert fitness.decode_hits >= looked_up + result.evaluations
+        monkeypatch.setattr(Level1Search, "decode", counted)
+        with MarsSession(GRAPH, TOPOLOGY, workers=workers) as session:
+            result = session.search(seed=0)
+            fanned_out = session.stats.subproblems_fanned_out
+        population = SearchBudget.fast().level1.population_size
+        shown = population * (1 + result.ga.generations_run)
+        assert decodes == shown + 1
+        assert result.ga.cache_hits + result.ga.cache_misses == shown
+        assert (fanned_out > 0) == (workers > 1)
 
     def test_decode_returns_defensive_copy(self):
         fitness = _fitness()
@@ -71,14 +68,6 @@ class TestSingleDecode:
         first.clear()  # caller mutates its copy
         second = fitness.decode(genome)
         assert len(second) == len(fitness.compute_nodes)
-
-    def test_pickling_drops_memo_and_preserves_results(self):
-        fitness = _fitness()
-        genome = make_rng(0).random(fitness.genome_length)
-        expected = fitness(genome)
-        clone = pickle.loads(pickle.dumps(fitness))
-        assert clone.decode_misses == 0 and clone.decode_hits == 0
-        assert clone(genome) == expected
 
 
 class TestSearchEquivalenceAndStats:

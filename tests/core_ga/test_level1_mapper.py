@@ -68,9 +68,9 @@ class TestDecode:
     def test_subproblem_cache_reused(self, graph, topology):
         search = _search(graph, topology)
         genome = search.seed_genomes()[0]
-        search.fitness(genome)
+        search.fitness(search.decode(genome))
         cache_size = len(search.solution_cache)
-        search.fitness(genome)
+        search.fitness(search.decode(genome))
         assert len(search.solution_cache) == cache_size
 
 

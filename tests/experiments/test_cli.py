@@ -122,6 +122,25 @@ class TestCli:
             main(["table3", "--models", "tiny_cnn", "--deadline", "300"])
         assert "--deadline requires --shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--validate", "--models", "tiny_cnn", "--tolerance", "nan"],
+            ["--validate", "--models", "tiny_cnn", "--tolerance", "inf"],
+            ["table3", "--models", "tiny_cnn", "--shards", "1",
+             "--deadline", "nan"],
+            ["table3", "--models", "tiny_cnn", "--shards", "1",
+             "--deadline", "inf"],
+        ],
+    )
+    def test_non_finite_tolerance_and_deadline_rejected(self, capsys, argv):
+        # ``divergence > nan`` is always false, so a NaN tolerance could
+        # never fail the validation gate.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be a finite number > 0" in capsys.readouterr().err
+
     def test_combined_needs_two_models(self):
         with pytest.raises(SystemExit):
             main(["table3", "--models", "tiny_cnn", "--combined"])
