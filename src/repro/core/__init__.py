@@ -57,7 +57,6 @@ from repro.core.sharding import (
     ShardingPlan,
     cached_sharding_plan,
     make_sharding_plan,
-    sharding_signature,
 )
 from repro.core.strategy_space import (
     enumerate_strategies,
@@ -104,5 +103,4 @@ __all__ = [
     "feasible_strategies",
     "longest_dims_strategy",
     "make_sharding_plan",
-    "sharding_signature",
 ]

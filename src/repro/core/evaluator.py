@@ -42,10 +42,9 @@ from repro.core.sharding import (
     ParallelismStrategy,
     ShardingPlan,
     cached_sharding_plan,
-    sharding_signature,
 )
 from repro.dnn.graph import ComputationGraph, LayerNode
-from repro.dnn.layers import LoopDim
+from repro.dnn.layers import LOOP_DIMS, LoopDim
 from repro.simulator.program import (
     CollectiveStep,
     ComputeStep,
@@ -84,27 +83,32 @@ class EvaluatorOptions:
             weight shards from host memory — sharding then also divides
             the load traffic, which is where multi-accelerator sets
             amortize the host bandwidth.
-        layer_cache: Memoize per-layer cost computations: compute
-            (conv/FC) layers in an evaluator-owned bounded LRU, keyed
-            on (layer, strategy, upstream sharding, accelerator set,
-            design, cost model), and non-compute layers, whose price
-            depends on neither strategy nor upstream sharding, in a
-            plain memo keyed on (layer, accelerator set, design, cost
-            model);
-            the options are part of the key by construction, being
-            fixed for the evaluator that owns the cache, while the
-            cost model — also fixed at construction — is part of the
-            key *explicitly* (its spec token), so entries can never
-            alias across models even if a cache were ever shared.
-            Results are bit-identical with the cache on or off — a hit
-            replays the exact floats of the original computation — so
-            this is purely a wall-clock knob. Program emission
-            (``compile_program``) always bypasses the cache. The knob
-            also switches the record memos of the set walk
+        layer_cache: Memoize layer prices. A compute (conv/FC) layer's
+            upstream-free seconds (compute, all-reduce, rotation, halo)
+            sit in an evaluator-owned bounded LRU keyed on (layer,
+            strategy id, set key), the set key being (accelerator set,
+            design token, cost-model token); its compute seconds are
+            also memoized per (layer, strategy id, designs), so every
+            set of one size and design shares them. The bytes its
+            resharding moves are memoized per (layer, strategy id,
+            upstream state id) and their transfer seconds per
+            (accelerator set, bytes); a non-compute layer's price,
+            which depends on neither strategy nor upstream sharding,
+            per (layer, set key). The options are part of every key by
+            construction, being fixed for the evaluator that owns the
+            memos, while the cost model — also fixed at construction —
+            is part of the LRU key *explicitly* (its spec token), so
+            entries can never alias across models even if a cache were
+            ever shared. Results are bit-identical with the cache on or
+            off — a hit replays the exact floats of the original
+            computation — so this is purely a wall-clock knob. Program
+            emission (``compile_program``) always bypasses the memos.
+            The knob also switches the record memos of the set walk
             (:class:`SubproblemCosts`): off, every walk re-prices every
-            layer.
-        layer_cache_capacity: Maximum number of cached compute-layer
-            costs before LRU eviction.
+            layer. Strategy and sharding-state ids are interned either
+            way: they name prices, they are not prices.
+        layer_cache_capacity: Maximum number of upstream-free
+            compute-layer prices in the LRU before eviction.
     """
 
     dtype_bytes: int = 2
@@ -119,8 +123,13 @@ class EvaluatorOptions:
 
 @dataclass(frozen=True)
 class LayerCacheStats(Counters):
-    """Counters of the evaluator's per-layer cost cache.
+    """Counters of the evaluator's per-layer cost cache: the LRU of
+    upstream-free compute-layer prices (see
+    :attr:`EvaluatorOptions.layer_cache`).
 
+    A lookup is a set walk pricing a (compute layer with a plan,
+    strategy, upstream state) it holds no record of; a miss is a
+    (layer, strategy, set) the LRU does not hold.
     ``hits``/``misses``/``evictions`` are cumulative counters;
     ``entries`` is the current cache population (a gauge).
     """
@@ -255,6 +264,149 @@ def _alignment_fraction(
     return fraction
 
 
+def _input_need(
+    plan: ShardingPlan, dtype_bytes: int
+) -> tuple[dict[LoopDim, int], int, float]:
+    """What resharding into ``plan`` depends on besides the upstream
+    state: the degrees of the input slice each accelerator needs, the
+    input bytes and the needed bytes per accelerator."""
+    need: dict[LoopDim, int] = {}
+    inp = plan.spec.tensors()["input"]
+    for dim, degree in plan.degrees.items():
+        if inp.has_dim(dim):
+            need[dim] = degree
+    if plan.strategy.ss is not None and inp.has_dim(plan.strategy.ss):
+        need[plan.strategy.ss] = plan.parallelism
+    input_bytes = inp.numel * dtype_bytes
+    return need, input_bytes, input_bytes * plan.input_fraction_needed
+
+
+def _missing_bytes(
+    need: dict[LoopDim, int],
+    needed_per_acc: float,
+    upstream: dict[LoopDim, int],
+) -> float:
+    """Needed input bytes per accelerator that the producer's sharding
+    ``upstream`` does not already leave in place."""
+    have = _map_output_to_input_sharding(upstream)
+    return needed_per_acc * (1.0 - _alignment_fraction(have, need))
+
+
+#: Interned sharding state of data that arrives aligned (the boundary
+#: transfer, or a host load, delivered it in the consumer's layout).
+_ALIGNED = 0
+
+#: Interned output state of a compute layer with no feasible plan. The
+#: walk records no sharding for such a layer, so its consumers look
+#: past it.
+_NO_PLAN = -1
+
+
+class _States:
+    """Sharding states interned to small ints: :data:`_ALIGNED`,
+    :data:`_NO_PLAN`, or ``k >= 1`` naming the state dict ``dicts[k]``.
+
+    Keyed by the state's item tuple, order included, so ``dicts[k]``
+    is the very dict the walk would hand over.
+    """
+
+    __slots__ = ("ids", "dicts")
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.dicts: list[dict[LoopDim, int] | None] = [None]
+
+    def id_of(self, state: dict[LoopDim, int] | None) -> int:
+        if state is None:
+            return _ALIGNED
+        items = tuple(state.items())
+        state_id = self.ids.get(items)
+        if state_id is None:
+            state_id = self.ids[items] = len(self.dicts)
+            self.dicts.append(dict(items))
+        return state_id
+
+
+class StrategyCatalog:
+    """The strategies one compute layer is priced under on sets of one
+    size ``p``, interned to small ints (evaluator-owned, see
+    ``MappingEvaluator._catalog``).
+
+    Entry ``entries[id]`` of ``strategies[id]`` holds what the walk
+    needs of its plan whatever the set and upstream state: ``(plan,
+    output state id, weight, activation and load bytes)``. The catalog
+    also keeps the level-2 decode's memos: strategy id per decode code
+    and per ``(ES dims, SS dim)`` candidate (canonical dim indices),
+    ``None`` where the candidate has no plan.
+    """
+
+    __slots__ = (
+        "spec", "p", "dtype_bytes", "states", "strategies", "ids",
+        "entries", "codes", "candidates",
+    )
+
+    def __init__(
+        self, node: LayerNode, p: int, dtype_bytes: int, states: _States
+    ):
+        self.spec = node.conv_spec()
+        self.p = p
+        self.dtype_bytes = dtype_bytes
+        self.states = states
+        self.strategies: list[ParallelismStrategy] = []
+        self.ids: dict[ParallelismStrategy, int] = {}
+        self.entries: list[tuple] = []
+        self.codes: dict[int, int] = {}
+        self.candidates: dict[tuple, int | None] = {}
+
+    def id_of(self, strategy: ParallelismStrategy) -> int:
+        """The id of ``strategy``, interning it on first sight."""
+        strategy_id = self.ids.get(strategy)
+        if strategy_id is None:
+            strategy_id = self._add(strategy, self._plan(strategy))
+        return strategy_id
+
+    def candidate_id(self, es: tuple[int, ...], ss: int | None) -> int | None:
+        """The id of the strategy ES = ``es``, SS = ``ss`` (canonical
+        dim indices, ``es`` sorted), or ``None`` when it has no plan."""
+        key = (es, ss)
+        if key in self.candidates:
+            return self.candidates[key]
+        strategy = ParallelismStrategy(
+            es=tuple(LOOP_DIMS[d] for d in es),
+            ss=None if ss is None else LOOP_DIMS[ss],
+        )
+        plan = self._plan(strategy)
+        strategy_id = None
+        if plan is not None:
+            strategy_id = self.ids.get(strategy)
+            if strategy_id is None:
+                strategy_id = self._add(strategy, plan)
+        self.candidates[key] = strategy_id
+        return strategy_id
+
+    def _plan(self, strategy: ParallelismStrategy) -> ShardingPlan | None:
+        return cached_sharding_plan(
+            self.spec, strategy, self.p, self.dtype_bytes
+        )
+
+    def _add(
+        self, strategy: ParallelismStrategy, plan: ShardingPlan | None
+    ) -> int:
+        strategy_id = self.ids[strategy] = len(self.strategies)
+        self.strategies.append(strategy)
+        if plan is None:
+            self.entries.append((None, _NO_PLAN, 0, 0, 0))
+        else:
+            self.entries.append((
+                plan,
+                self.states.id_of(plan.output_sharding),
+                plan.weight_bytes_per_acc,
+                plan.activation_bytes_per_acc,
+                plan.weight_load_bytes_per_acc,
+            ))
+        return strategy_id
+
+
 class MappingEvaluator:
     """Prices mappings on a system with a fixed workload.
 
@@ -267,14 +419,27 @@ class MappingEvaluator:
 
     A set has one walk, :class:`SubproblemCosts`: ``evaluate_set`` walks
     a fresh table, and level 2 walks one table per sub-problem for all
-    its genomes. Layer costs come from a pure per-layer function,
-    memoized (see :attr:`EvaluatorOptions.layer_cache`) on (layer,
-    strategy, upstream sharding, accelerator set, design, cost-model
-    token) for compute layers and on (layer, set) for the rest; the
-    options are fixed at construction, so they are part of the key by
-    construction. A genome that differs from an already-priced one in a
-    single layer's strategy re-prices that layer (and any downstream
-    layers whose upstream sharding shifted), not the whole set.
+    its genomes. The walk runs on integer tables the evaluator owns:
+
+    * sharding states interned as ints (:data:`_ALIGNED`,
+      :data:`_NO_PLAN`, ``k >= 1`` for a state dict);
+    * per (compute layer, set size), a catalog interning the strategies
+      it is priced under, one entry per strategy id holding its plan,
+      output-state id and bytes, plus the level-2 decode's code and
+      candidate memos;
+    * the output-state id of a non-compute layer per (layer, upstream
+      state id).
+
+    Prices are memoized at the key each part depends on (see
+    :attr:`EvaluatorOptions.layer_cache`): the upstream-free seconds
+    of a compute layer per (layer, strategy id, set), its compute
+    seconds per (layer, strategy id, designs), the bytes a resharding
+    moves per (layer, strategy id, upstream state id), their transfer
+    per (set, bytes) and non-compute prices per (layer, set). A genome that differs from an already-priced one in
+    a single layer's strategy re-prices that layer (and any downstream
+    layers whose upstream state shifted), not the whole set. No id
+    leaves the evaluator: results, pickles and store artifacts carry
+    strategies and plans.
     """
 
     def __init__(
@@ -303,19 +468,26 @@ class MappingEvaluator:
             require_positive(
                 self.options.layer_cache_capacity, "layer_cache_capacity"
             )
-        self._layer_cache = (
-            LruCache(self.options.layer_cache_capacity)
-            if self.options.layer_cache
-            else None
-        )
-        # Non-compute layer prices, per set key then per layer name. A
-        # pool or ReLU costs the same whatever sharding reaches it, so
-        # one entry per (layer, set) serves every genome; the entries
-        # are few and tiny, so no LRU bound. On and off with the layer
-        # cache.
-        self._lightweight_memo: dict[tuple, dict] | None = (
-            {} if self.options.layer_cache else None
-        )
+        # The LRU and the price memos beside it, on and off together
+        # (None when off). A pool or ReLU costs the same whatever
+        # sharding reaches it, so one entry per (layer, set) serves
+        # every genome; compute seconds take no accelerator ids, so one
+        # entry per (layer, strategy, designs) serves every set of one
+        # size and design; the bytes a resharding moves are a function
+        # of the strategy and the upstream state, its seconds of the
+        # set and those bytes. These entries are few and tiny, so no
+        # LRU bound.
+        self._layer_cache: LruCache | None = None
+        self._lightweight_memo: dict[tuple, dict] | None = None
+        self._compute_memo: dict[tuple, float] | None = None
+        self._reshard_memo: dict[tuple, tuple] | None = None
+        self._transfer_memo: dict[tuple, dict] | None = None
+        self._new_price_memos()
+        # The integer tables (see the class docstring); not prices, so
+        # kept whatever the cache knob.
+        self._states = _States()
+        self._catalogs: dict[tuple[str, int], StrategyCatalog] = {}
+        self._moves: dict[tuple[str, int], int] = {}
         # Designs interned to small ints so per-layer key hashing never
         # re-hashes a whole AcceleratorDesign. Keyed by object equality:
         # same-named design variants (sweeps) get distinct tokens.
@@ -326,24 +498,36 @@ class MappingEvaluator:
         # the whole SHORTLIST per layer.
         self._greedy_memo: dict[tuple, ParallelismStrategy] = {}
 
+    def _new_price_memos(self) -> None:
+        if self.options.layer_cache:
+            self._layer_cache = LruCache(self.options.layer_cache_capacity)
+            self._lightweight_memo = {}
+            self._compute_memo = {}
+            self._reshard_memo = {}
+            self._transfer_memo = {}
+
     def __getstate__(self) -> dict:
-        # The layer cache never rides along when the evaluator is
+        # No memo or interned table rides along when the evaluator is
         # pickled (process-pool fan-out ships the fitness — and thus the
-        # evaluator — once per batch, and a growing cache would change
+        # evaluator — once per batch, and growing tables would change
         # the payload bytes every batch, defeating the workers' payload
-        # memo). Workers rebuild an empty cache and warm it locally.
+        # memo). Workers rebuild empty ones and warm them locally.
         state = dict(self.__dict__)
         state["_layer_cache"] = None
         state["_lightweight_memo"] = None
+        state["_compute_memo"] = None
+        state["_reshard_memo"] = None
+        state["_transfer_memo"] = None
+        state["_states"] = _States()
+        state["_catalogs"] = {}
+        state["_moves"] = {}
         state["_design_tokens"] = {}  # tokens only index the live cache
         state["_greedy_memo"] = {}  # keyed by the dropped tokens
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if self.options.layer_cache:
-            self._layer_cache = LruCache(self.options.layer_cache_capacity)
-            self._lightweight_memo = {}
+        self._new_price_memos()
 
     def _design_token(self, design: AcceleratorDesign | None) -> int:
         """Stable small-int identity of a design within this evaluator."""
@@ -377,10 +561,36 @@ class MappingEvaluator:
         )
 
     def clear_layer_cache(self) -> None:
-        """Drop all cached layer costs (counters survive)."""
+        """Drop every memoized price (counters survive, and so do the
+        interned ids, which name prices but hold none)."""
         if self._layer_cache is not None:
             self._layer_cache.clear()
             self._lightweight_memo.clear()
+            self._compute_memo.clear()
+            self._reshard_memo.clear()
+            self._transfer_memo.clear()
+
+    def _catalog(self, node: LayerNode, p: int) -> StrategyCatalog:
+        """The strategy catalog of compute layer ``node`` on sets of
+        ``p`` accelerators."""
+        key = (node.name, p)
+        catalog = self._catalogs.get(key)
+        if catalog is None:
+            catalog = self._catalogs[key] = StrategyCatalog(
+                node, p, self.options.dtype_bytes, self._states
+            )
+        return catalog
+
+    def _moved_state(self, node: LayerNode, upstream: int) -> int:
+        """Output-state id of non-compute ``node`` under upstream state
+        id ``upstream`` (see :meth:`_propagate_state`)."""
+        key = (node.name, upstream)
+        state = self._moves.get(key)
+        if state is None:
+            state = self._moves[key] = self._states.id_of(
+                self._propagate_state(node, self._states.dicts[upstream])
+            )
+        return state
 
     # ------------------------------------------------------------------
     # Greedy-shortlist memo (level-2 seeding)
@@ -527,17 +737,42 @@ class MappingEvaluator:
         program: ExecutionProgram | None,
     ) -> tuple[tuple[float, ...], ShardingPlan | None]:
         """A compute layer's five :class:`LayerCost` seconds (compute,
-        resharding, all-reduce, rotation, halo) and its plan."""
+        resharding, all-reduce, rotation, halo) and its plan, with no
+        memo; appends its steps to ``program`` when given."""
         spec = node.conv_spec()
         plan = cached_sharding_plan(spec, strategy, p, self.options.dtype_bytes)
         if plan is None:
             return (INFEASIBLE_SECONDS, 0.0, 0.0, 0.0, 0.0), None
         compute = self.cost_model.conv_compute_seconds(designs, plan)
-        resharding = allreduce = rotation = halo = 0.0
+        resharding = 0.0
         if self.options.include_resharding and upstream is not None:
             resharding = self._resharding_seconds(
                 node, plan, upstream, accs, program
             )
+        allreduce, rotation, halo = self._collective_seconds(
+            node, plan, accs, program
+        )
+        if program is not None:
+            program.append(
+                ComputeStep(
+                    group=accs,
+                    seconds=compute,
+                    label=f"{node.name}:compute",
+                )
+            )
+        return (compute, resharding, allreduce, rotation, halo), plan
+
+    def _collective_seconds(
+        self,
+        node: LayerNode,
+        plan: ShardingPlan,
+        accs: tuple[int, ...],
+        program: ExecutionProgram | None,
+    ) -> tuple[float, float, float]:
+        """All-reduce, SS-rotation and halo seconds of ``plan`` on
+        ``accs``: with compute, the upstream-free part of a layer's
+        price."""
+        allreduce = rotation = halo = 0.0
         if plan.allreduce_group > 1:
             groups = self._reduction_subgroups(accs, plan.allreduce_group)
             timed = [
@@ -580,15 +815,7 @@ class MappingEvaluator:
                         label=f"{node.name}:halo",
                     )
                 )
-        if program is not None:
-            program.append(
-                ComputeStep(
-                    group=accs,
-                    seconds=compute,
-                    label=f"{node.name}:compute",
-                )
-            )
-        return (compute, resharding, allreduce, rotation, halo), plan
+        return allreduce, rotation, halo
 
     def _resharding_seconds(
         self,
@@ -599,18 +826,10 @@ class MappingEvaluator:
         program: ExecutionProgram | None,
     ) -> float:
         """Redistribute the producer's output into the layer's input shape."""
-        have = _map_output_to_input_sharding(upstream)
-        need: dict[LoopDim, int] = {}
-        inp = plan.spec.tensors()["input"]
-        for dim, degree in plan.degrees.items():
-            if inp.has_dim(dim):
-                need[dim] = degree
-        if plan.strategy.ss is not None and inp.has_dim(plan.strategy.ss):
-            need[plan.strategy.ss] = plan.parallelism
-        input_bytes = inp.numel * self.options.dtype_bytes
-        needed_per_acc = input_bytes * plan.input_fraction_needed
-        local = _alignment_fraction(have, need)
-        missing_per_acc = needed_per_acc * (1.0 - local)
+        need, input_bytes, needed_per_acc = _input_need(
+            plan, self.options.dtype_bytes
+        )
+        missing_per_acc = _missing_bytes(need, needed_per_acc, upstream)
         if missing_per_acc <= 0:
             return 0.0
         seconds = self.cost_model.transfer_seconds(
@@ -760,34 +979,41 @@ class MappingEvaluator:
         return 1.0 / p
 
 
-#: Output state of a compute layer with no feasible plan. The walk
-#: records no sharding for such a layer, so its consumers look past it.
-_NO_PLAN = object()
-
-
 class SubproblemCosts:
     """The pricing walk of one (layer set, accelerator set, design).
 
-    This is the evaluator's only set walk. Level 2 builds one table per
-    sub-problem and prices every genome through :meth:`latency` and the
-    greedy shortlist through :meth:`layer_latency`, which replay
-    memoized per-layer records; :meth:`MappingEvaluator.evaluate_set`
-    walks a fresh table once through :meth:`evaluate`. The table holds:
+    This is the evaluator's only set walk, and it runs on the
+    evaluator's integer tables (see :class:`MappingEvaluator`). A
+    *phenotype* names one strategy id per compute layer, slot-aligned
+    with :attr:`compute_nodes`: :meth:`phenotype` builds one from a
+    strategies dict and :meth:`strategies` reads one back. Level 2
+    builds one table per sub-problem and prices every genome's
+    phenotype through :meth:`latency` and the greedy shortlist through
+    :meth:`layer_latency`; :meth:`MappingEvaluator.evaluate_set` walks
+    a fresh table once through :meth:`evaluate`. The table holds:
 
     * per layer, the in-set inputs the walk consults for its upstream
-      sharding, resolved once;
-    * per (layer, strategy, exact upstream state), a record of the
-      layer's five :class:`LayerCost` seconds and their total, its plan,
-      its output state and its weight, activation and weight-load bytes.
-      A miss prices through the evaluator's layer cache and non-compute
-      memo, so reuse across sub-problems and warm sessions stays;
+      state, and a compute layer's catalog;
+    * per layer, built on the first memoized walk, records keyed
+      ``(strategy id, upstream state id)`` (strategy id -1 for a
+      non-compute layer): the layer's total seconds, output-state id,
+      weight, activation and weight-load bytes, its five
+      :class:`LayerCost` seconds and its plan. A miss prices a compute
+      layer from its catalog entry — the upstream-free seconds through
+      the evaluator's LRU, the resharding from its plan and the
+      upstream state — and a non-compute layer through the evaluator's
+      non-compute memo and state moves, so reuse across sub-problems
+      and warm sessions stays;
     * per byte count, the weight-stream and spill seconds.
 
-    Float order: layer totals are summed left to right from 0, then the
-    weight stream and then the spill are added; the memory report is
-    integer sums and a max. The memos turn on and off with
+    Float order: a layer's total is compute + resharding + all-reduce +
+    rotation + halo; layer totals are summed left to right from 0, then
+    the weight stream and then the spill are added; the memory report
+    is integer sums and a max. The memos turn on and off with
     :attr:`EvaluatorOptions.layer_cache`; with the cache off every walk
-    re-prices every layer, and so does every walk that emits a program.
+    re-prices every layer. A walk that emits a program re-prices every
+    layer through the evaluator's unmemoized per-layer pricers and
+    appends their steps in walk order.
     """
 
     def __init__(
@@ -811,25 +1037,37 @@ class SubproblemCosts:
         self._set_key = (
             accs, evaluator._design_token(design), evaluator._cost_token
         )
+        self._designs_key = tuple(
+            map(evaluator._design_token, self._designs)
+        )
         self._capacity = min(
             evaluator.topology.accelerator(a).dram_bytes for a in accs
         )
-        cached = evaluator.layer_cache_enabled
+        self._cached = cached = evaluator.layer_cache_enabled
         self._lightweight = (
             evaluator._lightweight_memo.setdefault(self._set_key, {})
             if cached
             else None
         )
-        self._memo: dict | None = {} if cached else None
-        #: Compute layers' names, ``None`` for non-compute layers.
-        self._names = [n.name if n.is_compute else None for n in nodes]
-        # A layer's upstream is the state of its first input already
-        # walked that has one; an input from outside the set arrives
-        # aligned (``None``: the boundary transfer paid for it). So
-        # each layer keeps its earlier in-set inputs up to its first
-        # outside one.
+        self._transfers = (
+            evaluator._transfer_memo.setdefault(accs, {}) if cached else None
+        )
+        self._host_memo: dict | None = {} if cached else None
+        #: Per-layer record memos; built by the first memoized walk.
+        self._records: list[dict] | None = None
+        #: The compute layers, in phenotype-slot order, and their
+        #: strategy catalogs.
+        self.compute_nodes: list[LayerNode] = []
+        self.catalogs: list[StrategyCatalog] = []
+        # Per layer, (first in-set input, the other in-set inputs,
+        # phenotype slot or -1 for a non-compute layer). A layer's
+        # upstream is the state of its first input already walked that
+        # has one; an input from outside the set arrives aligned (the
+        # boundary transfer paid for it), so each layer keeps its
+        # earlier in-set inputs up to its first outside one, and a
+        # layer with none reads the walk's extra aligned slot.
+        self._layers: list[tuple[int, tuple[int, ...], int]] = []
         position = {node.name: i for i, node in enumerate(nodes)}
-        self._sources: list[list[int]] = []
         for i, node in enumerate(nodes):
             sources = []
             for name in node.inputs:
@@ -838,12 +1076,41 @@ class SubproblemCosts:
                     break
                 if j < i:
                     sources.append(j)
-            self._sources.append(sources)
+            slot = -1
+            if node.is_compute:
+                slot = len(self.catalogs)
+                self.compute_nodes.append(node)
+                self.catalogs.append(evaluator._catalog(node, len(accs)))
+            first = sources[0] if sources else len(nodes)
+            self._layers.append((first, tuple(sources[1:]), slot))
 
-    def latency(self, strategies: dict[str, ParallelismStrategy]) -> float:
-        """``evaluate(strategies).latency_seconds``, replaying the records
-        of earlier walks."""
-        return self._walk(strategies, self._record)[0]
+    def phenotype(
+        self, strategies: dict[str, ParallelismStrategy]
+    ) -> tuple[int, ...]:
+        """The strategy ids of ``strategies``, one per compute layer; a
+        compute layer missing from ``strategies`` is replicated."""
+        return tuple(
+            catalog.id_of(strategies.get(node.name, NO_PARALLELISM))
+            for node, catalog in zip(self.compute_nodes, self.catalogs)
+        )
+
+    def strategies(
+        self, phenotype: tuple[int, ...]
+    ) -> dict[str, ParallelismStrategy]:
+        """The strategies ``phenotype`` names, by layer, in a fresh dict."""
+        return {
+            node.name: catalog.strategies[strategy_id]
+            for node, catalog, strategy_id in zip(
+                self.compute_nodes, self.catalogs, phenotype
+            )
+        }
+
+    def latency(self, phenotype: tuple[int, ...]) -> float:
+        """``evaluate(self.strategies(phenotype)).latency_seconds``,
+        replaying the records of earlier walks."""
+        if self._records is None and self._cached:
+            self._records = [{} for _ in self.nodes]
+        return self._walk(phenotype, self._records)[0]
 
     def evaluate(
         self,
@@ -858,13 +1125,8 @@ class SubproblemCosts:
         them). With a ``program``, every layer is priced afresh and its
         steps appended, then the weight stream and the spill.
         """
-        price = (
-            self._price
-            if program is None
-            else functools.partial(self._price, program=program)
-        )
         latency, fits, records, weight_bytes, peak = self._walk(
-            strategies, price, program
+            self.phenotype(strategies), None, program
         )
         costs = []
         feasible = fits
@@ -879,7 +1141,7 @@ class SubproblemCosts:
                     halo, plan,
                 )
             )
-            if state is _NO_PLAN:
+            if state == _NO_PLAN:
                 feasible = False
         memory = SetMemoryReport(weight_bytes, peak, self._capacity)
         return SetEvaluation(latency, costs, memory, feasible)
@@ -887,45 +1149,65 @@ class SubproblemCosts:
     def layer_latency(
         self, index: int, strategy: ParallelismStrategy
     ) -> float | None:
-        """Latency of layer ``index`` alone on the set under ``strategy``.
+        """Latency of compute layer ``index`` alone on the set under
+        ``strategy``.
 
         ``evaluate_set([node], accs, design, {node.name: strategy})``'s
         latency, or ``None`` where that evaluation is infeasible: no
         plan, or over DRAM.
         """
-        total, state, weights, activation, load, _, _ = self._record(
-            index, strategy, None
+        slot = self._layers[index][2]
+        require(slot >= 0, f"layer {index} is not a compute layer")
+        total, state, weights, activation, load, _, _ = self._price(
+            index, self.catalogs[slot].id_of(strategy), _ALIGNED
         )
-        if state is _NO_PLAN:
+        if state == _NO_PLAN:
             return None
         latency, fits = self._set_latency([total], weights, activation, load)
         return latency if fits else None
 
     def _walk(
         self,
-        strategies: dict[str, ParallelismStrategy],
-        price,
+        phenotype: tuple[int, ...],
+        memos: list[dict] | None,
         program: ExecutionProgram | None = None,
     ) -> tuple[float, bool, list[tuple], int, int]:
         """Latency, DRAM fit, layer records, weight and peak activation
-        bytes; ``price(index, strategy, upstream)`` gives a record."""
-        records: list[tuple] = []
-        totals: list[float] = []
+        bytes of the set under ``phenotype``. ``memos`` are the record
+        memos to replay and fill, or ``None`` to price every layer."""
+        price = (
+            self._price
+            if program is None
+            else functools.partial(self._price, program=program)
+        )
+        n = len(self.nodes)
+        # Slot n is the aligned state of inputs from outside the set.
+        states = [_ALIGNED] * (n + 1)
+        totals = [0.0] * n
+        records: list[tuple] = [()] * n
         weight_bytes = load_bytes = peak = 0
-        for i, (name, sources) in enumerate(zip(self._names, self._sources)):
-            upstream = None
-            for j in sources:
-                state = records[j][1]
-                if state is not _NO_PLAN:
-                    upstream = state
-                    break
-            strategy = (
-                None if name is None else strategies.get(name, NO_PARALLELISM)
-            )
-            record = price(i, strategy, upstream)
-            total, _, weights, activation, load, _, _ = record
-            records.append(record)
-            totals.append(total)
+        for i, (first, rest, slot) in enumerate(self._layers):
+            upstream = states[first]
+            if upstream == _NO_PLAN:  # look past a layer with no plan
+                upstream = _ALIGNED
+                for j in rest:
+                    if states[j] != _NO_PLAN:
+                        upstream = states[j]
+                        break
+            strategy_id = phenotype[slot] if slot >= 0 else -1
+            if memos is None:
+                record = price(i, strategy_id, upstream)
+            else:
+                memo = memos[i]
+                record = memo.get((strategy_id, upstream))
+                if record is None:
+                    record = memo[strategy_id, upstream] = price(
+                        i, strategy_id, upstream
+                    )
+            total, state, weights, activation, load, _, _ = record
+            states[i] = state
+            totals[i] = total
+            records[i] = record
             weight_bytes += weights
             load_bytes += load
             if activation > peak:
@@ -981,7 +1263,7 @@ class SubproblemCosts:
 
     def _slowest(self, price, nbytes: int) -> float:
         """The slowest member's host transfer, memoized per byte count."""
-        memo = self._memo
+        memo = self._host_memo
         key = (price.__name__, nbytes)
         seconds = memo.get(key) if memo is not None else None
         if seconds is None:
@@ -990,82 +1272,152 @@ class SubproblemCosts:
                 memo[key] = seconds
         return seconds
 
-    def _record(
-        self, index: int, strategy: ParallelismStrategy | None, upstream
-    ) -> tuple:
-        """:meth:`_price`'s record, memoized when the layer cache is on."""
-        memo = self._memo
-        if memo is None:
-            return self._price(index, strategy, upstream)
-        key = (index, strategy, upstream)
-        record = memo.get(key)
-        if record is None:
-            record = memo[key] = self._price(index, strategy, upstream)
-        return record
-
     def _price(
         self,
         index: int,
-        strategy: ParallelismStrategy | None,
-        upstream,
+        strategy_id: int,
+        upstream: int,
         program: ExecutionProgram | None = None,
     ) -> tuple:
-        """(total seconds, output state, weight, activation and load
-        bytes, the five :class:`LayerCost` seconds, plan) of one layer.
+        """(total seconds, output-state id, weight, activation and load
+        bytes, the five :class:`LayerCost` seconds, plan) of one layer
+        under ``strategy_id`` (-1 for a non-compute layer) and upstream
+        state id ``upstream``.
 
-        ``strategy`` is ``None`` for non-compute layers and ``upstream``
-        is a state as ``tuple(dict.items())``. Without a ``program`` a
-        layer prices through the evaluator's layer cache (compute) or
-        non-compute memo; with one, through neither, appending its
-        steps. A cache hit replays the exact floats and the shared,
-        immutable plan of the original computation.
+        Without a ``program`` the prices come through the evaluator's
+        memos; with one, from its unmemoized per-layer pricers, which
+        append the layer's steps. A memo hit replays the exact floats
+        of the original computation.
         """
         evaluator = self.evaluator
         node = self.nodes[index]
-        # The very dict the walk would hand over, rebuilt in item order.
-        sharding = None if upstream is None else dict(upstream)
-        if strategy is None:
-            memo = self._lightweight if program is None else None
-            priced = memo.get(node.name) if memo is not None else None
-            if priced is None:
-                priced = evaluator._lightweight_layer_cost(
+        if strategy_id < 0:
+            if program is None:
+                compute, activation = self._lightweight_price(node)
+            else:
+                compute, activation = evaluator._lightweight_layer_cost(
                     node, self.accs, self._designs, program
                 )
-                if memo is not None:
-                    memo[node.name] = priced
-            compute, activation = priced
             seconds = (compute, 0.0, 0.0, 0.0, 0.0)
             plan, weights, load = None, 0, 0
-            if node.kind == "inputlayer":
-                state = None
+            if node.kind == "inputlayer" or upstream == _ALIGNED:
+                state = _ALIGNED  # aligned data stays aligned
             else:
-                state = evaluator._propagate_state(node, sharding)
-                state = None if state is None else tuple(state.items())
+                state = evaluator._moved_state(node, upstream)
         else:
-            cache = evaluator._layer_cache if program is None else None
-            key = priced = None
-            if cache is not None:
-                key = (
-                    node.name, strategy, sharding_signature(sharding),
-                    self._set_key,
+            catalog = self.catalogs[self._layers[index][2]]
+            plan, state, weights, activation, load = catalog.entries[
+                strategy_id
+            ]
+            if program is not None:
+                seconds, _ = evaluator._compute_layer_cost(
+                    node, self.accs, self._designs,
+                    catalog.strategies[strategy_id],
+                    evaluator._states.dicts[upstream], len(self.accs),
+                    program,
                 )
-                priced = cache.get(key)
-            if priced is None:
-                priced = evaluator._compute_layer_cost(
-                    node, self.accs, self._designs, strategy, sharding,
-                    len(self.accs), program,
-                )
-                if cache is not None:
-                    cache.put(key, priced)
-            seconds, plan = priced
-            if plan is None:
-                state, weights, activation, load = _NO_PLAN, 0, 0, 0
+            elif plan is None:
+                seconds = (INFEASIBLE_SECONDS, 0.0, 0.0, 0.0, 0.0)
             else:
-                state = tuple(plan.output_sharding.items())
-                weights = plan.weight_bytes_per_acc
-                activation = plan.activation_bytes_per_acc
-                load = plan.weight_load_bytes_per_acc
+                compute, allreduce, rotation, halo = self._upstream_free(
+                    node, strategy_id, plan
+                )
+                resharding = 0.0
+                if (
+                    upstream != _ALIGNED
+                    and evaluator.options.include_resharding
+                ):
+                    resharding = self._resharding(
+                        node, strategy_id, plan, upstream
+                    )
+                seconds = (compute, resharding, allreduce, rotation, halo)
         # LayerCost.total_seconds, in its float order.
         compute, resharding, allreduce, rotation, halo = seconds
         total = compute + resharding + allreduce + rotation + halo
         return total, state, weights, activation, load, seconds, plan
+
+    def _lightweight_price(self, node: LayerNode) -> tuple[float, int]:
+        """A non-compute layer's seconds and activation bytes, memoized
+        per (layer, set)."""
+        memo = self._lightweight
+        priced = memo.get(node.name) if memo is not None else None
+        if priced is None:
+            priced = self.evaluator._lightweight_layer_cost(
+                node, self.accs, self._designs, None
+            )
+            if memo is not None:
+                memo[node.name] = priced
+        return priced
+
+    def _upstream_free(
+        self, node: LayerNode, strategy_id: int, plan: ShardingPlan
+    ) -> tuple[float, float, float, float]:
+        """Compute, all-reduce, rotation and halo seconds of a compute
+        layer's plan: the evaluator's LRU entry per (layer, strategy id,
+        set), its compute seconds memoized per (layer, strategy id,
+        designs)."""
+        evaluator = self.evaluator
+        cache = evaluator._layer_cache
+        if cache is not None:
+            key = (node.name, strategy_id, self._set_key)
+            parts = cache.get(key)
+            if parts is not None:
+                return parts
+        memo = evaluator._compute_memo
+        compute = None
+        if memo is not None:
+            compute_key = (
+                node.name, len(self.accs), strategy_id, self._designs_key
+            )
+            compute = memo.get(compute_key)
+        if compute is None:
+            compute = evaluator.cost_model.conv_compute_seconds(
+                self._designs, plan
+            )
+            if memo is not None:
+                memo[compute_key] = compute
+        allreduce, rotation, halo = evaluator._collective_seconds(
+            node, plan, self.accs, None
+        )
+        parts = (compute, allreduce, rotation, halo)
+        if cache is not None:
+            cache.put(key, parts)
+        return parts
+
+    def _resharding(
+        self,
+        node: LayerNode,
+        strategy_id: int,
+        plan: ShardingPlan,
+        upstream: int,
+    ) -> float:
+        """Seconds to reshard upstream state id ``upstream`` into
+        ``plan``'s input: the bytes it moves memoized per (layer, set
+        size, strategy id, upstream id), their transfer per (set,
+        bytes)."""
+        evaluator = self.evaluator
+        moves = evaluator._reshard_memo
+        key = (node.name, len(self.accs), strategy_id, upstream)
+        moved = moves.get(key) if moves is not None else None
+        if moved is None:
+            need, input_bytes, needed_per_acc = _input_need(
+                plan, evaluator.options.dtype_bytes
+            )
+            moved = input_bytes, _missing_bytes(
+                need, needed_per_acc, evaluator._states.dicts[upstream]
+            )
+            if moves is not None:
+                moves[key] = moved
+        input_bytes, missing_per_acc = moved
+        if missing_per_acc <= 0:
+            return 0.0
+        memo = self._transfers
+        seconds = memo.get(moved) if memo is not None else None
+        if seconds is None:
+            seconds = evaluator.cost_model.transfer_seconds(
+                self.accs, self.accs, input_bytes,
+                bytes_per_dst=missing_per_acc,
+            )
+            if memo is not None:
+                memo[moved] = seconds
+        return seconds

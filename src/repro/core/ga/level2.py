@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accelerators.base import AcceleratorDesign
-from repro.core.evaluator import MappingEvaluator, SetEvaluation, SubproblemCosts
+from repro.core.evaluator import (
+    MappingEvaluator,
+    SetEvaluation,
+    StrategyCatalog,
+    SubproblemCosts,
+)
 from repro.core.ga.engine import GAConfig, GAResult, GeneticAlgorithm
 from repro.core.sharding import (
     NO_PARALLELISM,
@@ -242,18 +247,21 @@ class Level2Fitness:
     """Fitness of one level-2 sub-problem.
 
     The GA engine hands each generation to :meth:`prepare_population`,
-    which decodes every genome into its phenotype: a tuple of per-layer
-    strategies, one per compute layer, slot-aligned with
-    ``compute_nodes``. The engine memoizes on that tuple under
+    which decodes every genome into its phenotype: a tuple of strategy
+    ids, one per compute layer, slot-aligned with ``compute_nodes`` and
+    interned in the evaluator's per-(layer, set size) strategy catalogs
+    (``costs.strategies(phenotype)`` names them; :meth:`decode` returns
+    them named). The engine memoizes on that tuple under
     ``GAConfig.cache`` — an exact phenotype repeat skips evaluation
     entirely — and :meth:`__call__` prices a phenotype by walking the
     sub-problem's :class:`~repro.core.evaluator.SubproblemCosts` table
-    (:attr:`costs`), the same walk ``evaluate_set`` takes, kept for the
-    whole GA run so its records serve every genome. Near-duplicates
-    that differ in a layer or two replay the record of every layer
-    whose strategy and upstream state did not change and price only
-    the rest, through the evaluator's layer-cost cache, so warm
-    restarts hit at layer granularity instead of all-or-nothing.
+    (:attr:`costs`), the same walk ``evaluate_set`` and the greedy seed
+    take, kept for the whole GA run so its records, keyed by (strategy
+    id, upstream state id), serve every genome. Near-duplicates that
+    differ in a layer or two replay the record of every layer whose
+    strategy and upstream state did not change and price only the
+    rest, through the evaluator's layer-cost memos, so warm restarts
+    hit at layer granularity instead of all-or-nothing.
     """
 
     def __init__(
@@ -265,17 +273,12 @@ class Level2Fitness:
     ) -> None:
         self.evaluator = evaluator
         self.nodes = nodes
-        self.compute_nodes = [n for n in nodes if n.is_compute]
         self.accs = accs
         self.design = design
         self.dtype_bytes = evaluator.options.dtype_bytes
-        self._names = [node.name for node in self.compute_nodes]
         #: The sub-problem's pricing table.
         self.costs = SubproblemCosts(evaluator, nodes, accs, design)
-        # Per compute layer: decode code -> strategy (see _codes).
-        self._code_strategies: list[dict[int, ParallelismStrategy]] = [
-            {} for _ in self.compute_nodes
-        ]
+        self.compute_nodes = self.costs.compute_nodes
         extents = np.array(
             [
                 [node.conv_spec().loop_extents()[d] for d in LOOP_DIMS]
@@ -292,37 +295,43 @@ class Level2Fitness:
 
     def decode(self, genome: np.ndarray) -> dict[str, ParallelismStrategy]:
         """Per-layer strategies of ``genome``, in a fresh dict."""
-        return dict(zip(self._names, self.prepare_population([genome])[0]))
+        return self.costs.strategies(self.prepare_population([genome])[0])
 
     # -- vectorized population decode ----------------------------------
 
     def prepare_population(
         self, genomes: np.ndarray | list[np.ndarray]
-    ) -> list[tuple[ParallelismStrategy, ...]]:
-        """Batch-decode a population: one strategy tuple per genome.
+    ) -> list[tuple[int, ...]]:
+        """Batch-decode a population: one strategy-id tuple per genome.
 
         The GA engine's ``prepare`` hook. One vectorized NumPy pass
         over a ``(population, layers, genes)`` tensor reduces every
         layer of every genome to one integer code (see :meth:`_codes`);
-        each layer resolves a code to its strategy once, in a plain
-        per-layer dict, through the scalar decode's feasibility
-        fallback. Bit-identical to the scalar
+        each layer's column of codes then maps to strategy ids through
+        the evaluator-wide code memo of the layer's catalog, keyed by
+        (layer, set size, code). A miss runs the scalar decode's
+        feasibility fallback over dim indices, its plan checks read
+        from the catalog's memo keyed by (ES dims, SS dim), so no
+        strategy is built or hashed for a code seen before, in this
+        sub-problem or any other of the evaluator's. The strategies the
+        ids name are bit-identical to the scalar
         :func:`decode_layer_strategy` (property-tested). Decode only:
         pricing happens in :meth:`__call__`.
         """
         codes = self._codes(np.asarray(genomes, dtype=float))
-        phenotypes = []
-        for row in codes.tolist():
-            strategies = []
-            for i, (resolved, code) in enumerate(
-                zip(self._code_strategies, row)
-            ):
-                strategy = resolved.get(code)
-                if strategy is None:
-                    strategy = resolved[code] = self._resolve(i, code)
-                strategies.append(strategy)
-            phenotypes.append(tuple(strategies))
-        return phenotypes
+        if not self.compute_nodes:
+            return [()] * len(codes)
+        columns = []
+        for catalog, column in zip(self.costs.catalogs, codes.T.tolist()):
+            memo = catalog.codes
+            ids = list(map(memo.get, column))
+            if None in ids:
+                for code in column:
+                    if code not in memo:
+                        memo[code] = _decoded_id(catalog, code)
+                ids = list(map(memo.__getitem__, column))
+            columns.append(ids)
+        return list(zip(*columns))
 
     def _codes(self, population: np.ndarray) -> np.ndarray:
         """One integer per (genome, compute layer) fixing its strategy.
@@ -348,24 +357,34 @@ class Level2Fitness:
         )
         return (dims * _SLOT_WEIGHTS).sum(axis=2) * 3 + es_count
 
-    def _resolve(self, index: int, code: int) -> ParallelismStrategy:
-        """The strategy of layer ``index`` under decode ``code``."""
-        code, es_count = divmod(code, 3)
-        dims = []
-        for _ in range(_SLOT_WEIGHTS.size):
-            code, dim = divmod(code, _NO_DIM + 1)
-            dims.append(dim)
-        return _first_feasible(
-            self.compute_nodes[index].conv_spec(),
-            len(self.accs),
-            self.dtype_bytes,
-            es_count,
-            [LOOP_DIMS[d] for d in dims[:2] if d != _NO_DIM],
-            [LOOP_DIMS[d] for d in dims[2:] if d != _NO_DIM],
-        )
+    def __call__(self, phenotype: tuple[int, ...]) -> float:
+        return self.costs.latency(phenotype)
 
-    def __call__(self, phenotype: tuple[ParallelismStrategy, ...]) -> float:
-        return self.costs.latency(dict(zip(self._names, phenotype)))
+
+def _decoded_id(catalog: StrategyCatalog, code: int) -> int:
+    """The strategy id decode ``code`` (see :meth:`Level2Fitness._codes`)
+    resolves to in ``catalog``: :func:`_first_feasible` over canonical
+    dim indices, each plan check read from the catalog's candidate
+    memo."""
+    code, es_count = divmod(code, 3)
+    dims = []
+    for _ in range(_SLOT_WEIGHTS.size):
+        code, dim = divmod(code, _NO_DIM + 1)
+        dims.append(dim)
+    if catalog.p == 1:
+        return catalog.id_of(NO_PARALLELISM)
+    es_order = [d for d in dims[:2] if d != _NO_DIM]
+    ss_order = [d for d in dims[2:] if d != _NO_DIM]
+    for count in range(es_count, -1, -1):
+        es = tuple(sorted(es_order[:count]))
+        ss = next((d for d in ss_order if d not in es), None)
+        strategy_id = catalog.candidate_id(es, ss)
+        if strategy_id is None and ss is not None:
+            # Retry without SS before dropping an ES dim.
+            strategy_id = catalog.candidate_id(es, None)
+        if strategy_id is not None:
+            return strategy_id
+    return catalog.id_of(NO_PARALLELISM)
 
 
 def optimize_set(

@@ -86,31 +86,6 @@ class ParallelismStrategy:
 NO_PARALLELISM = ParallelismStrategy()
 
 
-#: Canonical position of each loop dim, for signature ordering.
-_DIM_ORDER: dict[LoopDim, int] = {dim: i for i, dim in enumerate(LOOP_DIMS)}
-
-
-def sharding_signature(
-    sharding: dict[LoopDim, int] | None,
-) -> tuple[tuple[LoopDim, int], ...] | None:
-    """Canonical hashable form of a sharding-state dict.
-
-    Degree-1 entries are dropped (partitioning a dim into one shard is
-    the unpartitioned state) and the rest is sorted in canonical loop
-    order, so semantically equal states always produce equal keys. The
-    evaluator's per-layer cost cache and the GA's phenotype sub-keys
-    both key on this.
-    """
-    if sharding is None:
-        return None
-    if not sharding:
-        return ()
-    items = [(dim, degree) for dim, degree in sharding.items() if degree != 1]
-    if len(items) > 1:
-        items.sort(key=lambda kv: _DIM_ORDER[kv[0]])
-    return tuple(items)
-
-
 def _factor_pairs(p: int) -> list[tuple[int, int]]:
     """All ordered factorizations p = a * b with a, b >= 1."""
     pairs = []

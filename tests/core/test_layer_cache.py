@@ -37,7 +37,6 @@ from repro.core.session import MarsSession
 from repro.core.sharding import (
     NO_PARALLELISM,
     ParallelismStrategy,
-    sharding_signature,
 )
 from repro.dnn import build_model
 from repro.dnn.layers import LOOP_DIMS, LoopDim
@@ -295,7 +294,8 @@ class TestBitIdentity:
                 expected = reference_evaluate_set(
                     reference, nodes, accs, design, strategies
                 ).latency_seconds
-                assert table.latency(strategies).hex() == expected.hex()
+                got = table.latency(table.phenotype(strategies))
+                assert got.hex() == expected.hex()
             return table
 
         # Every cut, so each multi-input layer sees its inputs split
@@ -343,7 +343,7 @@ class TestBitIdentity:
         """Level 2 priced from the table equals level 2 priced by the
         reference walk: strategies, latency and GA history; and the
         table misses into the layer cache once per distinct (layer,
-        strategy, upstream sharding) that the reference walk priced."""
+        strategy) with a plan that the reference walk priced."""
         graph = build_model(model)
         nodes = graph.nodes()[span]
         config = replace(SearchBudget.fast().level2, cache=True)
@@ -361,13 +361,12 @@ class TestBitIdentity:
         tabled = solve()
 
         def walked_call(self, phenotype):
-            names = [node.name for node in self.compute_nodes]
             return reference_evaluate_set(
                 self.evaluator,
                 self.nodes,
                 self.accs,
                 self.design,
-                dict(zip(names, phenotype)),
+                self.costs.strategies(phenotype),
             ).latency_seconds
 
         def walked_layer(self, index, strategy):
@@ -382,15 +381,18 @@ class TestBitIdentity:
             return alone.latency_seconds if alone.feasible else None
 
         # The layer-cache keys the walked arm prices (the accelerator
-        # set, design and cost model are fixed within one solve).
+        # set, design and cost model are fixed within one solve; a
+        # strategy with no plan has no upstream-free price to cache).
         priced = set()
         compute_layer_cost = MappingEvaluator._compute_layer_cost
 
         def spied(self, node, accs, designs, strategy, upstream, *rest):
-            priced.add((node.name, strategy, sharding_signature(upstream)))
-            return compute_layer_cost(
+            seconds, plan = compute_layer_cost(
                 self, node, accs, designs, strategy, upstream, *rest
             )
+            if plan is not None:
+                priced.add((node.name, strategy))
+            return seconds, plan
 
         monkeypatch.setattr(Level2Fitness, "__call__", walked_call)
         monkeypatch.setattr(SubproblemCosts, "layer_latency", walked_layer)
@@ -499,17 +501,31 @@ class TestCacheMechanics:
         )
         assert evaluator.layer_cache_stats.entries > 0
         assert evaluator._lightweight_memo
+        assert evaluator._compute_memo
+        assert evaluator._reshard_memo
+        assert evaluator._transfer_memo
         evaluator.clear_layer_cache()
         assert evaluator.layer_cache_stats.entries == 0
         assert evaluator._lightweight_memo == {}
+        assert evaluator._compute_memo == {}
+        assert evaluator._reshard_memo == {}
+        assert evaluator._transfer_memo == {}
 
     def test_session_clear_empties_lightweight_memo(self):
+        """And every other price memo; interned ids may stay."""
         with MarsSession(GRAPHS[0], f1_16xlarge()) as session:
             session.search(seed=0)
-            assert session.evaluator._lightweight_memo
+            evaluator = session.evaluator
+            assert evaluator._lightweight_memo
+            assert evaluator._compute_memo
+            assert evaluator._reshard_memo
+            assert any(evaluator._transfer_memo.values())
             session.clear()
-            assert session.evaluator._lightweight_memo == {}
-            assert session.evaluator.layer_cache_stats.entries == 0
+            assert evaluator._lightweight_memo == {}
+            assert evaluator._compute_memo == {}
+            assert evaluator._reshard_memo == {}
+            assert evaluator._transfer_memo == {}
+            assert evaluator.layer_cache_stats.entries == 0
 
     def test_lightweight_price_ignores_upstream_sharding(self):
         """One memo entry per (layer, set) serves every upstream state."""

@@ -187,10 +187,13 @@ class TestSessionState:
     def test_result_pickle_carries_no_derived_state(self):
         """Every search reply pickles its mapping's topology; the pair
         tables and set memos the search built on it stay behind, so the
-        squeezenet seed-0 reply is exactly the size it was before the
-        topology had any (22,903 B). The size is taken in a fresh
-        interpreter: process-global plan memos shared with earlier
-        searches change how much of a reply pickle can deduplicate."""
+        squeezenet seed-0 reply is exactly the size the same reply
+        pickles to without them (22,097 B; 22,903 B before the
+        evaluator interned strategies, when each decode built its own
+        equal strategy objects and the pickle could not share them).
+        The size is taken in a fresh interpreter: process-global plan
+        memos shared with earlier searches change how much of a reply
+        pickle can deduplicate."""
         script = (
             "import pickle\n"
             "from repro.core import MarsSession\n"
@@ -209,7 +212,7 @@ class TestSessionState:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0, out.stderr
-        assert int(out.stdout) == 22_903
+        assert int(out.stdout) == 22_097
 
 
 class TestMarsFacadeSession:

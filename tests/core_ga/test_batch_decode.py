@@ -2,10 +2,10 @@
 
 ``Level2Fitness.prepare_population`` decodes a whole population's
 strategy genes in one NumPy pass to one integer code per (genome,
-layer), each resolved once per layer through the feasibility fallback.
-These tests pin its contract: for any model, accelerator-set size and
-population, the batch decode produces exactly the strategies of the
-scalar :func:`decode_layer_strategy` reference.
+layer), each resolved to a strategy id through the evaluator's
+per-layer catalogs. These tests pin its contract: for any model,
+accelerator-set size and population, the ids name exactly the
+strategies of the scalar :func:`decode_layer_strategy` reference.
 """
 
 import numpy as np
@@ -51,12 +51,18 @@ def _scalar_reference(fitness: Level2Fitness, genome: np.ndarray) -> dict:
 def _assert_batch_matches_scalar(
     fitness: Level2Fitness, genomes: list[np.ndarray]
 ) -> None:
-    """The batch's phenotypes, row by row and in population order, and
-    the one-genome ``decode`` both equal the scalar reference."""
+    """The strategies the batch's phenotypes name, row by row and in
+    population order, and the one-genome ``decode`` both equal the
+    scalar reference; phenotypes are equal exactly where the
+    strategies are, so the engine memoizes on them as on strategies."""
     references = [_scalar_reference(fitness, g) for g in genomes]
-    assert fitness.prepare_population(genomes) == [
-        tuple(reference.values()) for reference in references
+    phenotypes = fitness.prepare_population(genomes)
+    named = [
+        tuple(fitness.costs.strategies(phenotype).values())
+        for phenotype in phenotypes
     ]
+    assert named == [tuple(reference.values()) for reference in references]
+    assert len(set(phenotypes)) == len(set(named))
     for genome, reference in zip(genomes, references):
         assert fitness.decode(genome) == reference
 
