@@ -29,7 +29,6 @@ quantifies each model's divergence.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -102,7 +101,9 @@ class EvaluatorOptions:
             ever shared. Results are bit-identical with the cache on or
             off — a hit replays the exact floats of the original
             computation — so this is purely a wall-clock knob. Program
-            emission (``compile_program``) always bypasses the memos.
+            emission (``compile_program``) prices through the same
+            memos and appends each layer's steps from what it priced,
+            so a warm, cold or cache-off evaluator emits one program.
             The knob also switches the record memos of the set walk
             (:class:`SubproblemCosts`): off, every walk re-prices every
             layer. Strategy and sharding-state ids are interned either
@@ -264,12 +265,12 @@ def _alignment_fraction(
     return fraction
 
 
-def _input_need(
-    plan: ShardingPlan, dtype_bytes: int
-) -> tuple[dict[LoopDim, int], int, float]:
-    """What resharding into ``plan`` depends on besides the upstream
-    state: the degrees of the input slice each accelerator needs, the
-    input bytes and the needed bytes per accelerator."""
+def _resharding_bytes(
+    plan: ShardingPlan, dtype_bytes: int, upstream: dict[LoopDim, int]
+) -> tuple[int, float]:
+    """The input bytes of ``plan``'s layer, and the bytes of its input
+    slice each accelerator needs that the producer's sharding
+    ``upstream`` does not already leave in place."""
     need: dict[LoopDim, int] = {}
     inp = plan.spec.tensors()["input"]
     for dim, degree in plan.degrees.items():
@@ -278,18 +279,10 @@ def _input_need(
     if plan.strategy.ss is not None and inp.has_dim(plan.strategy.ss):
         need[plan.strategy.ss] = plan.parallelism
     input_bytes = inp.numel * dtype_bytes
-    return need, input_bytes, input_bytes * plan.input_fraction_needed
-
-
-def _missing_bytes(
-    need: dict[LoopDim, int],
-    needed_per_acc: float,
-    upstream: dict[LoopDim, int],
-) -> float:
-    """Needed input bytes per accelerator that the producer's sharding
-    ``upstream`` does not already leave in place."""
+    needed_per_acc = input_bytes * plan.input_fraction_needed
     have = _map_output_to_input_sharding(upstream)
-    return needed_per_acc * (1.0 - _alignment_fraction(have, need))
+    missing_per_acc = needed_per_acc * (1.0 - _alignment_fraction(have, need))
+    return input_bytes, missing_per_acc
 
 
 #: Interned sharding state of data that arrives aligned (the boundary
@@ -726,53 +719,15 @@ class MappingEvaluator:
     # Internals
     # ------------------------------------------------------------------
 
-    def _compute_layer_cost(
-        self,
-        node: LayerNode,
-        accs: tuple[int, ...],
-        designs: list[AcceleratorDesign],
-        strategy: ParallelismStrategy,
-        upstream: dict[LoopDim, int] | None,
-        p: int,
-        program: ExecutionProgram | None,
-    ) -> tuple[tuple[float, ...], ShardingPlan | None]:
-        """A compute layer's five :class:`LayerCost` seconds (compute,
-        resharding, all-reduce, rotation, halo) and its plan, with no
-        memo; appends its steps to ``program`` when given."""
-        spec = node.conv_spec()
-        plan = cached_sharding_plan(spec, strategy, p, self.options.dtype_bytes)
-        if plan is None:
-            return (INFEASIBLE_SECONDS, 0.0, 0.0, 0.0, 0.0), None
-        compute = self.cost_model.conv_compute_seconds(designs, plan)
-        resharding = 0.0
-        if self.options.include_resharding and upstream is not None:
-            resharding = self._resharding_seconds(
-                node, plan, upstream, accs, program
-            )
-        allreduce, rotation, halo = self._collective_seconds(
-            node, plan, accs, program
-        )
-        if program is not None:
-            program.append(
-                ComputeStep(
-                    group=accs,
-                    seconds=compute,
-                    label=f"{node.name}:compute",
-                )
-            )
-        return (compute, resharding, allreduce, rotation, halo), plan
-
     def _collective_seconds(
-        self,
-        node: LayerNode,
-        plan: ShardingPlan,
-        accs: tuple[int, ...],
-        program: ExecutionProgram | None,
-    ) -> tuple[float, float, float]:
+        self, plan: ShardingPlan, accs: tuple[int, ...]
+    ) -> tuple[float, float, float, tuple[int, ...] | None]:
         """All-reduce, SS-rotation and halo seconds of ``plan`` on
-        ``accs``: with compute, the upstream-free part of a layer's
-        price."""
+        ``accs`` — with compute, the upstream-free part of a layer's
+        price — and the slowest all-reduce subgroup (``None`` without
+        an all-reduce), which stands for them all in a program."""
         allreduce = rotation = halo = 0.0
+        slowest_group = None
         if plan.allreduce_group > 1:
             groups = self._reduction_subgroups(accs, plan.allreduce_group)
             timed = [
@@ -780,79 +735,18 @@ class MappingEvaluator:
                 for g in groups
             ]
             allreduce, slowest_group = max(timed, key=lambda t: t[0])
-            if program is not None:
-                # Subgroups reduce concurrently; the program's sequential
-                # step list represents them by the slowest one.
-                program.append(
-                    CollectiveStep(
-                        kind="allreduce",
-                        group=slowest_group,
-                        nbytes=plan.allreduce_bytes,
-                        label=f"{node.name}:allreduce",
-                    )
-                )
         if plan.phases > 1:
             step = self.cost_model.ring_step_seconds(accs, plan.rotation_bytes)
             rotation = (plan.phases - 1) * step
-            if program is not None:
-                for _ in range(plan.phases - 1):
-                    program.append(
-                        CollectiveStep(
-                            kind="ring_step",
-                            group=accs,
-                            nbytes=plan.rotation_bytes,
-                            label=f"{node.name}:ss-rotation",
-                        )
-                    )
         if self.options.include_halo and plan.halo_bytes > 0:
             halo = self.cost_model.ring_step_seconds(accs, plan.halo_bytes)
-            if program is not None:
-                program.append(
-                    CollectiveStep(
-                        kind="ring_step",
-                        group=accs,
-                        nbytes=plan.halo_bytes,
-                        label=f"{node.name}:halo",
-                    )
-                )
-        return allreduce, rotation, halo
-
-    def _resharding_seconds(
-        self,
-        node: LayerNode,
-        plan: ShardingPlan,
-        upstream: dict[LoopDim, int],
-        accs: tuple[int, ...],
-        program: ExecutionProgram | None,
-    ) -> float:
-        """Redistribute the producer's output into the layer's input shape."""
-        need, input_bytes, needed_per_acc = _input_need(
-            plan, self.options.dtype_bytes
-        )
-        missing_per_acc = _missing_bytes(need, needed_per_acc, upstream)
-        if missing_per_acc <= 0:
-            return 0.0
-        seconds = self.cost_model.transfer_seconds(
-            accs, accs, input_bytes, bytes_per_dst=missing_per_acc
-        )
-        if program is not None:
-            program.append(
-                TransferStep(
-                    src_group=accs,
-                    dst_group=accs,
-                    total_bytes=input_bytes,
-                    bytes_per_dst=missing_per_acc,
-                    label=f"{node.name}:reshard",
-                )
-            )
-        return seconds
+        return allreduce, rotation, halo, slowest_group
 
     def _lightweight_layer_cost(
         self,
         node: LayerNode,
         accs: tuple[int, ...],
         designs: list[AcceleratorDesign],
-        program: ExecutionProgram | None,
     ) -> tuple[float, int]:
         """Compute seconds and sharded activation bytes of a non-compute
         layer: functions of the layer and the set only."""
@@ -862,10 +756,6 @@ class MappingEvaluator:
         seconds = self.cost_model.elementwise_compute_seconds(
             designs, shard_numel
         )
-        if program is not None and seconds > 0:
-            program.append(
-                ComputeStep(group=accs, seconds=seconds, label=node.name)
-            )
         shard_bytes = math.ceil(output_numel / max(1, len(accs)))
         return seconds, shard_bytes * self.options.dtype_bytes
 
@@ -998,12 +888,13 @@ class SubproblemCosts:
       ``(strategy id, upstream state id)`` (strategy id -1 for a
       non-compute layer): the layer's total seconds, output-state id,
       weight, activation and weight-load bytes, its five
-      :class:`LayerCost` seconds and its plan. A miss prices a compute
-      layer from its catalog entry — the upstream-free seconds through
-      the evaluator's LRU, the resharding from its plan and the
-      upstream state — and a non-compute layer through the evaluator's
-      non-compute memo and state moves, so reuse across sub-problems
-      and warm sessions stays;
+      :class:`LayerCost` seconds, its plan and its slowest all-reduce
+      subgroup. A miss prices a compute layer from its catalog entry —
+      the upstream-free seconds through the evaluator's LRU, the
+      resharding from its plan and the upstream state — and a
+      non-compute layer through the evaluator's non-compute memo and
+      state moves, so reuse across sub-problems and warm sessions
+      stays;
     * per byte count, the weight-stream and spill seconds.
 
     Float order: a layer's total is compute + resharding + all-reduce +
@@ -1011,9 +902,10 @@ class SubproblemCosts:
     the weight stream and then the spill are added; the memory report
     is integer sums and a max. The memos turn on and off with
     :attr:`EvaluatorOptions.layer_cache`; with the cache off every walk
-    re-prices every layer. A walk that emits a program re-prices every
-    layer through the evaluator's unmemoized per-layer pricers and
-    appends their steps in walk order.
+    re-prices every layer. A walk that emits a program prices each
+    layer as :meth:`evaluate` does and appends its steps from what it
+    priced (see :meth:`_emit`), so programs take this one pricing path
+    too.
     """
 
     def __init__(
@@ -1122,15 +1014,16 @@ class SubproblemCosts:
 
         A one-off walk through the evaluator's caches that keeps no
         records (``evaluate_set``'s fresh table would never replay
-        them). With a ``program``, every layer is priced afresh and its
-        steps appended, then the weight stream and the spill.
+        them). With a ``program``, each layer's steps are appended from
+        its price as the walk reaches it, then the weight stream and
+        the spill.
         """
         latency, fits, records, weight_bytes, peak = self._walk(
             self.phenotype(strategies), None, program
         )
         costs = []
         feasible = fits
-        for node, (_, state, _, _, _, seconds, plan) in zip(
+        for node, (_, state, _, _, _, seconds, plan, _) in zip(
             self.nodes, records
         ):
             # Positional arguments: a starred call costs more here.
@@ -1158,7 +1051,7 @@ class SubproblemCosts:
         """
         slot = self._layers[index][2]
         require(slot >= 0, f"layer {index} is not a compute layer")
-        total, state, weights, activation, load, _, _ = self._price(
+        total, state, weights, activation, load, _, _, _ = self._price(
             index, self.catalogs[slot].id_of(strategy), _ALIGNED
         )
         if state == _NO_PLAN:
@@ -1174,12 +1067,8 @@ class SubproblemCosts:
     ) -> tuple[float, bool, list[tuple], int, int]:
         """Latency, DRAM fit, layer records, weight and peak activation
         bytes of the set under ``phenotype``. ``memos`` are the record
-        memos to replay and fill, or ``None`` to price every layer."""
-        price = (
-            self._price
-            if program is None
-            else functools.partial(self._price, program=program)
-        )
+        memos to replay and fill, or ``None`` to price every layer; a
+        ``program`` gets each layer's steps as it is priced."""
         n = len(self.nodes)
         # Slot n is the aligned state of inputs from outside the set.
         states = [_ALIGNED] * (n + 1)
@@ -1196,15 +1085,17 @@ class SubproblemCosts:
                         break
             strategy_id = phenotype[slot] if slot >= 0 else -1
             if memos is None:
-                record = price(i, strategy_id, upstream)
+                record = self._price(i, strategy_id, upstream)
+                if program is not None:
+                    self._emit(i, strategy_id, upstream, record, program)
             else:
                 memo = memos[i]
                 record = memo.get((strategy_id, upstream))
                 if record is None:
-                    record = memo[strategy_id, upstream] = price(
+                    record = memo[strategy_id, upstream] = self._price(
                         i, strategy_id, upstream
                     )
-            total, state, weights, activation, load, _, _ = record
+            total, state, weights, activation, load, _, _, _ = record
             states[i] = state
             totals[i] = total
             records[i] = record
@@ -1272,32 +1163,21 @@ class SubproblemCosts:
                 memo[key] = seconds
         return seconds
 
-    def _price(
-        self,
-        index: int,
-        strategy_id: int,
-        upstream: int,
-        program: ExecutionProgram | None = None,
-    ) -> tuple:
+    def _price(self, index: int, strategy_id: int, upstream: int) -> tuple:
         """(total seconds, output-state id, weight, activation and load
-        bytes, the five :class:`LayerCost` seconds, plan) of one layer
-        under ``strategy_id`` (-1 for a non-compute layer) and upstream
-        state id ``upstream``.
+        bytes, the five :class:`LayerCost` seconds, plan, slowest
+        all-reduce subgroup) of one layer under ``strategy_id`` (-1 for
+        a non-compute layer) and upstream state id ``upstream``.
 
-        Without a ``program`` the prices come through the evaluator's
-        memos; with one, from its unmemoized per-layer pricers, which
-        append the layer's steps. A memo hit replays the exact floats
-        of the original computation.
+        The prices come through the evaluator's memos, whatever the walk
+        (GA genome, ``evaluate`` or program emission); a memo hit
+        replays the exact floats of the original computation.
         """
         evaluator = self.evaluator
         node = self.nodes[index]
+        group = None
         if strategy_id < 0:
-            if program is None:
-                compute, activation = self._lightweight_price(node)
-            else:
-                compute, activation = evaluator._lightweight_layer_cost(
-                    node, self.accs, self._designs, program
-                )
+            compute, activation = self._lightweight_price(node)
             seconds = (compute, 0.0, 0.0, 0.0, 0.0)
             plan, weights, load = None, 0, 0
             if node.kind == "inputlayer" or upstream == _ALIGNED:
@@ -1309,18 +1189,11 @@ class SubproblemCosts:
             plan, state, weights, activation, load = catalog.entries[
                 strategy_id
             ]
-            if program is not None:
-                seconds, _ = evaluator._compute_layer_cost(
-                    node, self.accs, self._designs,
-                    catalog.strategies[strategy_id],
-                    evaluator._states.dicts[upstream], len(self.accs),
-                    program,
-                )
-            elif plan is None:
+            if plan is None:
                 seconds = (INFEASIBLE_SECONDS, 0.0, 0.0, 0.0, 0.0)
             else:
-                compute, allreduce, rotation, halo = self._upstream_free(
-                    node, strategy_id, plan
+                compute, allreduce, rotation, halo, group = (
+                    self._upstream_free(node, strategy_id, plan)
                 )
                 resharding = 0.0
                 if (
@@ -1334,7 +1207,79 @@ class SubproblemCosts:
         # LayerCost.total_seconds, in its float order.
         compute, resharding, allreduce, rotation, halo = seconds
         total = compute + resharding + allreduce + rotation + halo
-        return total, state, weights, activation, load, seconds, plan
+        return total, state, weights, activation, load, seconds, plan, group
+
+    def _emit(
+        self,
+        index: int,
+        strategy_id: int,
+        upstream: int,
+        record: tuple,
+        program: ExecutionProgram,
+    ) -> None:
+        """Append the steps of layer ``index`` as :meth:`_price` priced
+        it in ``record``: resharding, all-reduce, SS rotations, halo and
+        compute for a compute layer with a plan, nothing for one
+        without, and a non-compute layer's compute when it takes time.
+        """
+        node = self.nodes[index]
+        accs = self.accs
+        seconds, plan, group = record[5:]
+        compute = seconds[0]
+        if strategy_id < 0:
+            if compute > 0:
+                program.append(
+                    ComputeStep(group=accs, seconds=compute, label=node.name)
+                )
+            return
+        if plan is None:
+            return
+        options = self.evaluator.options
+        if upstream != _ALIGNED and options.include_resharding:
+            input_bytes, missing_per_acc = self._moved_bytes(
+                node, strategy_id, plan, upstream
+            )
+            if missing_per_acc > 0:
+                program.append(
+                    TransferStep(
+                        src_group=accs,
+                        dst_group=accs,
+                        total_bytes=input_bytes,
+                        bytes_per_dst=missing_per_acc,
+                        label=f"{node.name}:reshard",
+                    )
+                )
+        if group is not None:
+            # Subgroups reduce concurrently; the program's sequential
+            # step list represents them by the slowest one.
+            program.append(
+                CollectiveStep(
+                    kind="allreduce",
+                    group=group,
+                    nbytes=plan.allreduce_bytes,
+                    label=f"{node.name}:allreduce",
+                )
+            )
+        for _ in range(plan.phases - 1):
+            program.append(
+                CollectiveStep(
+                    kind="ring_step",
+                    group=accs,
+                    nbytes=plan.rotation_bytes,
+                    label=f"{node.name}:ss-rotation",
+                )
+            )
+        if options.include_halo and plan.halo_bytes > 0:
+            program.append(
+                CollectiveStep(
+                    kind="ring_step",
+                    group=accs,
+                    nbytes=plan.halo_bytes,
+                    label=f"{node.name}:halo",
+                )
+            )
+        label = f"{node.name}:compute"
+        program.append(ComputeStep(group=accs, seconds=compute, label=label))
 
     def _lightweight_price(self, node: LayerNode) -> tuple[float, int]:
         """A non-compute layer's seconds and activation bytes, memoized
@@ -1343,7 +1288,7 @@ class SubproblemCosts:
         priced = memo.get(node.name) if memo is not None else None
         if priced is None:
             priced = self.evaluator._lightweight_layer_cost(
-                node, self.accs, self._designs, None
+                node, self.accs, self._designs
             )
             if memo is not None:
                 memo[node.name] = priced
@@ -1351,11 +1296,11 @@ class SubproblemCosts:
 
     def _upstream_free(
         self, node: LayerNode, strategy_id: int, plan: ShardingPlan
-    ) -> tuple[float, float, float, float]:
+    ) -> tuple[float, float, float, float, tuple[int, ...] | None]:
         """Compute, all-reduce, rotation and halo seconds of a compute
-        layer's plan: the evaluator's LRU entry per (layer, strategy id,
-        set), its compute seconds memoized per (layer, strategy id,
-        designs)."""
+        layer's plan, and its slowest all-reduce subgroup: the
+        evaluator's LRU entry per (layer, strategy id, set), its compute
+        seconds memoized per (layer, strategy id, designs)."""
         evaluator = self.evaluator
         cache = evaluator._layer_cache
         if cache is not None:
@@ -1376,13 +1321,37 @@ class SubproblemCosts:
             )
             if memo is not None:
                 memo[compute_key] = compute
-        allreduce, rotation, halo = evaluator._collective_seconds(
-            node, plan, self.accs, None
+        allreduce, rotation, halo, group = evaluator._collective_seconds(
+            plan, self.accs
         )
-        parts = (compute, allreduce, rotation, halo)
+        parts = (compute, allreduce, rotation, halo, group)
         if cache is not None:
             cache.put(key, parts)
         return parts
+
+    def _moved_bytes(
+        self,
+        node: LayerNode,
+        strategy_id: int,
+        plan: ShardingPlan,
+        upstream: int,
+    ) -> tuple[int, float]:
+        """(input bytes, missing bytes per accelerator) of resharding
+        upstream state id ``upstream`` into ``plan``'s input, memoized
+        per (layer, set size, strategy id, upstream id)."""
+        evaluator = self.evaluator
+        moves = evaluator._reshard_memo
+        key = (node.name, len(self.accs), strategy_id, upstream)
+        moved = moves.get(key) if moves is not None else None
+        if moved is None:
+            moved = _resharding_bytes(
+                plan,
+                evaluator.options.dtype_bytes,
+                evaluator._states.dicts[upstream],
+            )
+            if moves is not None:
+                moves[key] = moved
+        return moved
 
     def _resharding(
         self,
@@ -1392,29 +1361,16 @@ class SubproblemCosts:
         upstream: int,
     ) -> float:
         """Seconds to reshard upstream state id ``upstream`` into
-        ``plan``'s input: the bytes it moves memoized per (layer, set
-        size, strategy id, upstream id), their transfer per (set,
-        bytes)."""
-        evaluator = self.evaluator
-        moves = evaluator._reshard_memo
-        key = (node.name, len(self.accs), strategy_id, upstream)
-        moved = moves.get(key) if moves is not None else None
-        if moved is None:
-            need, input_bytes, needed_per_acc = _input_need(
-                plan, evaluator.options.dtype_bytes
-            )
-            moved = input_bytes, _missing_bytes(
-                need, needed_per_acc, evaluator._states.dicts[upstream]
-            )
-            if moves is not None:
-                moves[key] = moved
+        ``plan``'s input: the bytes it moves (:meth:`_moved_bytes`),
+        their transfer memoized per (set, bytes)."""
+        moved = self._moved_bytes(node, strategy_id, plan, upstream)
         input_bytes, missing_per_acc = moved
         if missing_per_acc <= 0:
             return 0.0
         memo = self._transfers
         seconds = memo.get(moved) if memo is not None else None
         if seconds is None:
-            seconds = evaluator.cost_model.transfer_seconds(
+            seconds = self.evaluator.cost_model.transfer_seconds(
                 self.accs, self.accs, input_bytes,
                 bytes_per_dst=missing_per_acc,
             )

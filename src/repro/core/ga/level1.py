@@ -440,7 +440,7 @@ class Level1Search:
             return cached
         solution = self._prefetched.get(key)
         if solution is None:
-            nodes = [self.graph.nodes()[i] for i in layer_range.indices()]
+            nodes = self.graph.nodes()[layer_range.start : layer_range.stop]
             solution = optimize_set(
                 self.evaluator,
                 nodes,

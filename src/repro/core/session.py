@@ -476,10 +476,11 @@ class MarsSession:
         """Replayable execution program of a search result.
 
         Emitted through the session's shared evaluator rather than a
-        fresh one (program emission itself always re-prices — see
-        :attr:`EvaluatorOptions.layer_cache` — but the process-wide
-        sharding-plan and cycle-model memos stay warm, and no duplicate
-        evaluator state is built).
+        fresh one: the program is priced through the same memos as the
+        search (see :attr:`EvaluatorOptions.layer_cache`) and its steps
+        appended from what they priced, so a warm session emits the
+        same program as a cold one without re-pricing, and no duplicate
+        evaluator state is built.
         """
         return self.evaluator.compile_program(result.mapping)
 

@@ -1,23 +1,47 @@
-"""Reference set walk: the evaluator's pricing walk, straight-line.
+"""Reference set walk: the evaluator's pricing, straight-line and its own.
 
 :func:`reference_evaluate_set` prices a (layer set, accelerator set,
-design) as ``MappingEvaluator.evaluate_set`` must, but without the
+design) as ``MappingEvaluator.evaluate_set`` must, without the
 :class:`~repro.core.evaluator.SubproblemCosts` machinery: layer by
 layer, threading each layer's output sharding through a dict keyed by
 name, with no layer cache, no non-compute memo, no per-layer records
-and no byte-count memo. It calls the evaluator's per-layer pricers
-(``_compute_layer_cost``, ``_lightweight_layer_cost``,
-``_propagate_state``) directly and sums the set's DRAM footprint in
-:func:`set_memory_report`, so a test comparing the table against it
-checks the walk — upstream resolution, record replay, float order,
-memory sums, the weight stream, the spill and program emission — not
-the prices.
+and no byte-count memo.
+
+It owns its per-layer pricing too. :func:`compute_layer_cost` derives
+a compute layer's input need, the fraction of it the upstream sharding
+already leaves in place, the all-reduce subgroups, every collective and
+transfer price and the layer's steps; :func:`lightweight_layer_cost`
+prices a non-compute layer and :func:`propagate_state` moves sharding
+through it; :func:`set_memory_report` sums the set's DRAM footprint.
+From the evaluator it reads only its public ``cost_model``,
+``options``, ``topology`` and ``designs_for``, and beyond that shares
+only the sharding plans, the step classes and the result types. So a
+test comparing the evaluator against it checks the prices as well as
+the walk — upstream resolution, record replay, float order, memory
+sums, the weight stream, the spill and program emission.
 """
 
-from repro.core.evaluator import LayerCost, MappingEvaluator, SetEvaluation
+import math
+
+from repro.core.evaluator import (
+    INFEASIBLE_SECONDS,
+    LayerCost,
+    MappingEvaluator,
+    SetEvaluation,
+)
 from repro.core.memory_check import SetMemoryReport
-from repro.core.sharding import NO_PARALLELISM, ShardingPlan
-from repro.simulator.program import HostStep
+from repro.core.sharding import (
+    NO_PARALLELISM,
+    ShardingPlan,
+    cached_sharding_plan,
+)
+from repro.dnn.layers import LoopDim
+from repro.simulator.program import (
+    CollectiveStep,
+    ComputeStep,
+    HostStep,
+    TransferStep,
+)
 
 
 def set_memory_report(
@@ -46,6 +70,163 @@ def set_memory_report(
     )
 
 
+def compute_layer_cost(
+    evaluator, node, accs, designs, strategy, upstream, program=None
+):
+    """A compute layer's five :class:`LayerCost` seconds (compute,
+    resharding, all-reduce, rotation, halo) and its plan, priced with no
+    memo; its steps are appended to ``program`` when given, in the
+    order the layer runs them.
+
+    ``upstream`` is the producer's output sharding, or ``None`` when
+    the input arrives aligned.
+    """
+    options = evaluator.options
+    cost_model = evaluator.cost_model
+    plan = cached_sharding_plan(
+        node.conv_spec(), strategy, len(accs), options.dtype_bytes
+    )
+    if plan is None:
+        return (INFEASIBLE_SECONDS, 0.0, 0.0, 0.0, 0.0), None
+    compute = cost_model.conv_compute_seconds(designs, plan)
+
+    # Resharding moves the part of each accelerator's input slice that
+    # the producer's sharding does not leave in place. Per dim, block
+    # partitions of degrees g and h overlap on min(g, h) / max(g, h)
+    # of a block; the producer's COUT shards are the consumer's CIN.
+    resharding = 0.0
+    if options.include_resharding and upstream is not None:
+        inp = plan.spec.tensors()["input"]
+        need = {}
+        for dim, degree in plan.degrees.items():
+            if inp.has_dim(dim):
+                need[dim] = degree
+        if plan.strategy.ss is not None and inp.has_dim(plan.strategy.ss):
+            need[plan.strategy.ss] = plan.parallelism
+        have = {}
+        for dim, degree in upstream.items():
+            have[LoopDim.CIN if dim == LoopDim.COUT else dim] = degree
+        in_place = 1.0
+        for dim in set(have) | set(need):
+            g, h = have.get(dim, 1), need.get(dim, 1)
+            if g != h:
+                in_place *= min(g, h) / max(g, h)
+        input_bytes = inp.numel * options.dtype_bytes
+        missing = input_bytes * plan.input_fraction_needed * (1.0 - in_place)
+        if missing > 0:
+            resharding = cost_model.transfer_seconds(
+                accs, accs, input_bytes, bytes_per_dst=missing
+            )
+            if program is not None:
+                program.append(
+                    TransferStep(
+                        src_group=accs,
+                        dst_group=accs,
+                        total_bytes=input_bytes,
+                        bytes_per_dst=missing,
+                        label=f"{node.name}:reshard",
+                    )
+                )
+
+    # Partial sums reduce in contiguous blocks of allreduce_group
+    # accelerators, concurrently: the layer waits for the slowest block
+    # (the first of equals), which stands for them all in a program.
+    allreduce = 0.0
+    if plan.allreduce_group > 1:
+        size = plan.allreduce_group
+        slowest = None
+        for i in range(0, len(accs), size):
+            block = accs[i : i + size]
+            seconds = cost_model.allreduce_seconds(block, plan.allreduce_bytes)
+            if slowest is None or seconds > allreduce:
+                allreduce, slowest = seconds, block
+        if program is not None:
+            program.append(
+                CollectiveStep(
+                    kind="allreduce",
+                    group=slowest,
+                    nbytes=plan.allreduce_bytes,
+                    label=f"{node.name}:allreduce",
+                )
+            )
+
+    # SS runs phases rounds, rotating a slice around the ring between
+    # consecutive ones.
+    rotation = 0.0
+    if plan.phases > 1:
+        step = cost_model.ring_step_seconds(accs, plan.rotation_bytes)
+        rotation = (plan.phases - 1) * step
+        if program is not None:
+            for _ in range(plan.phases - 1):
+                program.append(
+                    CollectiveStep(
+                        kind="ring_step",
+                        group=accs,
+                        nbytes=plan.rotation_bytes,
+                        label=f"{node.name}:ss-rotation",
+                    )
+                )
+
+    halo = 0.0
+    if options.include_halo and plan.halo_bytes > 0:
+        halo = cost_model.ring_step_seconds(accs, plan.halo_bytes)
+        if program is not None:
+            program.append(
+                CollectiveStep(
+                    kind="ring_step",
+                    group=accs,
+                    nbytes=plan.halo_bytes,
+                    label=f"{node.name}:halo",
+                )
+            )
+
+    if program is not None:
+        program.append(
+            ComputeStep(
+                group=accs, seconds=compute, label=f"{node.name}:compute"
+            )
+        )
+    return (compute, resharding, allreduce, rotation, halo), plan
+
+
+def lightweight_layer_cost(evaluator, node, accs, designs, program=None):
+    """Seconds and sharded output bytes of a non-compute layer: its
+    output split evenly over the set (an input layer computes nothing);
+    a compute step is appended to ``program`` when it takes time."""
+    output_numel = node.output_shape.numel
+    numel = 0 if node.kind == "inputlayer" else output_numel
+    seconds = evaluator.cost_model.elementwise_compute_seconds(
+        designs, math.ceil(numel / len(accs))
+    )
+    if program is not None and seconds > 0:
+        program.append(
+            ComputeStep(group=accs, seconds=seconds, label=node.name)
+        )
+    shard_bytes = math.ceil(output_numel / len(accs))
+    return seconds, shard_bytes * evaluator.options.dtype_bytes
+
+
+def propagate_state(node, upstream):
+    """The sharding a non-compute layer hands on, given its input's.
+
+    Aligned data (``None``) stays aligned; a channel concat interleaves
+    its producers' channel shards, so only spatial sharding survives
+    it; spatial degrees clamp to the (possibly pooled) output extent.
+    """
+    if upstream is None:
+        return None
+    state = dict(upstream)
+    if node.kind == "concat":
+        state.pop(LoopDim.COUT, None)
+    for dim, extent in (
+        (LoopDim.H, node.output_shape.height),
+        (LoopDim.W, node.output_shape.width),
+    ):
+        if dim in state and state[dim] > extent:
+            state[dim] = extent
+    return state
+
+
 def _upstream(node, sharding_state, member_names):
     """Sharding of the node's (first) input as seen inside the set.
 
@@ -69,7 +250,7 @@ def reference_evaluate_set(
     program=None,
 ) -> SetEvaluation:
     """``evaluator.evaluate_set(nodes, accs, design, strategies,
-    program)``, walked without any memo."""
+    program)``, walked and priced without any memo."""
     if not nodes:
         raise ValueError("cannot evaluate an empty layer set")
     designs = evaluator.designs_for(accs, design)
@@ -85,13 +266,13 @@ def reference_evaluate_set(
     for node in nodes:
         upstream = _upstream(node, sharding_state, member_names)
         if node.is_compute:
-            seconds, plan = evaluator._compute_layer_cost(
+            seconds, plan = compute_layer_cost(
+                evaluator,
                 node,
                 accs,
                 designs,
                 strategies.get(node.name, NO_PARALLELISM),
                 upstream,
-                len(accs),
                 program,
             )
             if plan is None:
@@ -101,15 +282,15 @@ def reference_evaluate_set(
                 sharding_state[node.name] = plan.output_sharding
             costs.append(LayerCost(node.name, *seconds, plan=plan))
         else:
-            seconds, shard_bytes = evaluator._lightweight_layer_cost(
-                node, accs, designs, program
+            seconds, shard_bytes = lightweight_layer_cost(
+                evaluator, node, accs, designs, program
             )
             costs.append(LayerCost(name=node.name, compute_seconds=seconds))
             lightweight_bytes.append(shard_bytes)
             sharding_state[node.name] = (
                 None  # host load is aligned
                 if node.kind == "inputlayer"
-                else evaluator._propagate_state(node, upstream)
+                else propagate_state(node, upstream)
             )
 
     memory = set_memory_report(

@@ -4,8 +4,8 @@ The layer cache is a pure wall-clock optimization; these tests pin the
 contract that makes it safe to leave on by default — cached and
 uncached evaluations are bit-identical across models, topologies,
 scenarios (weights resident vs streamed) and the DRAM-spill path — plus
-the cache mechanics themselves (bounded LRU, counters, pickling,
-program-path bypass). The pricing walk itself
+the cache mechanics themselves (bounded LRU, counters, pickling, one
+program whether the cache is cold, warm or off). The pricing walk itself
 (:class:`~repro.core.evaluator.SubproblemCosts`, which ``evaluate_set``
 calls) is held to the straight-line walk of
 :mod:`tests.core.reference_walk`.
@@ -43,6 +43,7 @@ from repro.dnn.layers import LOOP_DIMS, LoopDim
 from repro.dnn.models.random_model import random_model
 from repro.system import f1_16xlarge
 from repro.utils import MIB, make_rng
+from tests.core import reference_walk
 from tests.core.reference_walk import reference_evaluate_set
 
 #: Workloads mixing the zoo with fuzzed shapes (primes, tiny maps).
@@ -384,11 +385,11 @@ class TestBitIdentity:
         # set, design and cost model are fixed within one solve; a
         # strategy with no plan has no upstream-free price to cache).
         priced = set()
-        compute_layer_cost = MappingEvaluator._compute_layer_cost
+        compute_layer_cost = reference_walk.compute_layer_cost
 
-        def spied(self, node, accs, designs, strategy, upstream, *rest):
+        def spied(evaluator, node, accs, designs, strategy, *rest):
             seconds, plan = compute_layer_cost(
-                self, node, accs, designs, strategy, upstream, *rest
+                evaluator, node, accs, designs, strategy, *rest
             )
             if plan is not None:
                 priced.add((node.name, strategy))
@@ -396,7 +397,7 @@ class TestBitIdentity:
 
         monkeypatch.setattr(Level2Fitness, "__call__", walked_call)
         monkeypatch.setattr(SubproblemCosts, "layer_latency", walked_layer)
-        monkeypatch.setattr(MappingEvaluator, "_compute_layer_cost", spied)
+        monkeypatch.setattr(reference_walk, "compute_layer_cost", spied)
         walked = solve()
         assert tabled.strategies == walked.strategies
         assert tabled.latency_seconds == walked.latency_seconds
@@ -457,9 +458,11 @@ class TestCacheMechanics:
         with pytest.raises(ValueError):
             self._evaluator(layer_cache_capacity=0)
 
-    def test_program_emission_bypasses_cache(self):
-        """compile_program interleaves side effects; it must recompute."""
-        evaluator = self._evaluator()
+    def test_program_emission_same_cold_warm_and_off(self):
+        """compile_program prices through the same memos as the search:
+        a cold evaluator, one warmed by evaluate_set on the same sets
+        (whose program then replays LRU hits) and one with the cache
+        off emit the same steps."""
         strategies = _random_strategies(GRAPHS[0], 0)
         mapping = Mapping(
             graph=GRAPHS[0],
@@ -473,9 +476,22 @@ class TestCacheMechanics:
                 )
             ],
         )
-        program = evaluator.compile_program(mapping)
-        assert evaluator.layer_cache_stats.lookups == 0
-        assert len(program.steps) > 0
+        cold = self._evaluator().compile_program(mapping)
+        warmed = self._evaluator()
+        for assignment in mapping.assignments:
+            warmed.evaluate_set(
+                mapping.nodes_of(assignment),
+                assignment.acc_set.accs,
+                assignment.design,
+                assignment.strategies,
+            )
+        hits = warmed.layer_cache_stats.hits
+        warm = warmed.compile_program(mapping)
+        assert warmed.layer_cache_stats.hits > hits
+        off = self._evaluator(layer_cache=False).compile_program(mapping)
+        assert len(cold.steps) > 0
+        assert warm.steps == cold.steps
+        assert off.steps == cold.steps
 
     def test_hits_return_fresh_cost_objects(self):
         """Mutating a returned LayerCost must not poison the cache."""

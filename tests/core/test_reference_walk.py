@@ -96,10 +96,8 @@ def test_evaluate_set_matches_the_reference_walk(
             reference, nodes, accs, design, strategies, expected_program
         )
         program = ExecutionProgram(topology)
-        lookups = evaluator.layer_cache_stats.lookups
         got = evaluator.evaluate_set(
             nodes, accs, design, strategies, program=program
         )
         _assert_evaluations_identical(got, expected)
         assert program.steps == expected_program.steps
-        assert evaluator.layer_cache_stats.lookups == lookups

@@ -8,11 +8,9 @@ layer cache on or off — and a session run twice replays itself exactly.
 """
 
 import gc
-import os
-import subprocess
-import sys
+import pickle
+import pickletools
 import weakref
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +18,7 @@ from repro.core import Mars, MarsSession
 from repro.core.evaluator import EvaluatorOptions, MappingEvaluator
 from repro.core.ga import Level1Search, SearchBudget
 from repro.dnn import build_model
-from repro.system import f1_16xlarge, h2h_fixed_system
+from repro.system import SystemTopology, f1_16xlarge, h2h_fixed_system
 from repro.utils import make_rng
 
 GRAPH = build_model("tiny_cnn")
@@ -187,32 +185,33 @@ class TestSessionState:
     def test_result_pickle_carries_no_derived_state(self):
         """Every search reply pickles its mapping's topology; the pair
         tables and set memos the search built on it stay behind, so the
-        squeezenet seed-0 reply is exactly the size the same reply
-        pickles to without them (22,097 B; 22,903 B before the
-        evaluator interned strategies, when each decode built its own
-        equal strategy objects and the pickle could not share them).
-        The size is taken in a fresh interpreter: process-global plan
-        memos shared with earlier searches change how much of a reply
-        pickle can deduplicate."""
-        script = (
-            "import pickle\n"
-            "from repro.core import MarsSession\n"
-            "from repro.dnn import build_model\n"
-            "from repro.system import f1_16xlarge\n"
-            "session = MarsSession(build_model('squeezenet'), f1_16xlarge())\n"
-            "print(len(pickle.dumps(session.search(seed=0), protocol=4)))\n"
+        reply pickles to the same bytes once they are dropped from the
+        live topology. No evaluator-side table rides along either."""
+        with MarsSession(build_model("squeezenet"), f1_16xlarge()) as session:
+            reply = session.search(seed=0)
+            before = pickle.dumps(reply, protocol=4)
+            topology = reply.mapping.topology
+            assert any(
+                topology.__dict__.get(name)
+                for name in SystemTopology._DERIVED
+            )
+            for name in SystemTopology._DERIVED:
+                topology.__dict__.pop(name, None)
+            after = pickle.dumps(reply, protocol=4)
+            topology._init_derived()
+        assert after == before
+        names = set()
+        for _, arg, _ in pickletools.genops(before):
+            if isinstance(arg, str):
+                names.update(arg.split())
+        assert names.isdisjoint(
+            {
+                "MappingEvaluator",
+                "SubproblemCosts",
+                "StrategyCatalog",
+                "LruCache",
+            }
         )
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert out.returncode == 0, out.stderr
-        assert int(out.stdout) == 22_097
 
 
 class TestMarsFacadeSession:
