@@ -57,6 +57,12 @@ STORE_TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_store.json"
 #: *fidelity*, not speed, and CI's validate job gates and uploads it.
 COSTMODEL_TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_costmodel.json"
 
+#: The start-up trajectory: wall time, peak RSS and module count of
+#: fresh interpreters on the search path, the CLI and a serving
+#: frontend (``bench_cold_start.py``). Its own file because it tracks
+#: what a process pays before it does any work, not kernel speed.
+COLD_START_TRAJECTORY_PATH = Path(__file__).parent.parent / "BENCH_cold_start.json"
+
 
 def bench_workers() -> int:
     """Sub-problem pool size for this run (``REPRO_BENCH_WORKERS``)."""

@@ -16,91 +16,68 @@ the entry point; the submodules expose each piece for direct use:
 * :mod:`repro.core.faults` — deterministic fault injection for tests.
 * :mod:`repro.core.store` — the crash-safe persistent artifact store.
 * :mod:`repro.core.baselines` — comparison mappers.
+
+The names in ``__all__`` resolve on first use (PEP 562), so a process
+that only searches never loads the serving stack: ``import
+repro.core.session`` and a whole search leave :mod:`~repro.core.frontend`,
+:mod:`~repro.core.serving`, :mod:`~repro.core.health`, asyncio and
+multiprocessing unloaded.
 """
 
-from repro.core.config import SearchConfig
-from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.evaluator import (
-    EvaluatorOptions,
-    LayerCacheStats,
-    MappingEvaluation,
-    MappingEvaluator,
-)
-from repro.core.formulation import (
-    AcceleratorSet,
-    LayerRange,
-    Mapping,
-    SetAssignment,
-)
-from repro.core.frontend import (
-    AdmissionRejected,
-    DeadlineExceeded,
-    ServerSaturated,
-    SloServing,
-    SloServingStats,
-    TenantQueueFull,
-    TrafficPolicy,
-)
-from repro.core.health import LivenessPolicy, WorkerHung
-from repro.core.mapper import Mars, MarsResult
-from repro.core.serving import MultiModelSession, ServingStats
-from repro.core.session import MarsSession, SessionStats
-from repro.core.store import (
-    MappingStore,
-    StoreCorruption,
-    StoreSpec,
-    StoreStats,
-)
-from repro.core.sharding import (
-    NO_PARALLELISM,
-    ParallelismStrategy,
-    ShardingPlan,
-    cached_sharding_plan,
-    make_sharding_plan,
-)
-from repro.core.strategy_space import (
-    enumerate_strategies,
-    feasible_strategies,
-    longest_dims_strategy,
-)
+from importlib import import_module
 
-__all__ = [
-    "AcceleratorSet",
-    "AdmissionRejected",
-    "DeadlineExceeded",
-    "EvaluatorOptions",
-    "FaultPlan",
-    "FaultSpec",
-    "LayerCacheStats",
-    "LayerRange",
-    "LivenessPolicy",
-    "Mapping",
-    "MappingEvaluation",
-    "MappingEvaluator",
-    "MappingStore",
-    "Mars",
-    "MarsResult",
-    "MarsSession",
-    "MultiModelSession",
-    "NO_PARALLELISM",
-    "SearchConfig",
-    "ServerSaturated",
-    "ServingStats",
-    "SloServing",
-    "SloServingStats",
-    "ParallelismStrategy",
-    "SessionStats",
-    "SetAssignment",
-    "ShardingPlan",
-    "StoreCorruption",
-    "StoreSpec",
-    "StoreStats",
-    "TenantQueueFull",
-    "TrafficPolicy",
-    "WorkerHung",
-    "cached_sharding_plan",
-    "enumerate_strategies",
-    "feasible_strategies",
-    "longest_dims_strategy",
-    "make_sharding_plan",
-]
+#: Each re-exported name and the module that defines it; a name's module
+#: is imported on first access.
+_EXPORTS = {
+    "AcceleratorSet": "repro.core.formulation",
+    "AdmissionRejected": "repro.core.frontend",
+    "DeadlineExceeded": "repro.core.frontend",
+    "EvaluatorOptions": "repro.core.evaluator",
+    "FaultPlan": "repro.core.faults",
+    "FaultSpec": "repro.core.faults",
+    "LayerCacheStats": "repro.core.evaluator",
+    "LayerRange": "repro.core.formulation",
+    "LivenessPolicy": "repro.core.health",
+    "Mapping": "repro.core.formulation",
+    "MappingEvaluation": "repro.core.evaluator",
+    "MappingEvaluator": "repro.core.evaluator",
+    "MappingStore": "repro.core.store",
+    "Mars": "repro.core.mapper",
+    "MarsResult": "repro.core.mapper",
+    "MarsSession": "repro.core.session",
+    "MultiModelSession": "repro.core.serving",
+    "NO_PARALLELISM": "repro.core.sharding",
+    "SearchConfig": "repro.core.config",
+    "ServerSaturated": "repro.core.frontend",
+    "ServingStats": "repro.core.serving",
+    "SloServing": "repro.core.frontend",
+    "SloServingStats": "repro.core.frontend",
+    "ParallelismStrategy": "repro.core.sharding",
+    "SessionStats": "repro.core.session",
+    "SetAssignment": "repro.core.formulation",
+    "ShardingPlan": "repro.core.sharding",
+    "StoreCorruption": "repro.core.store",
+    "StoreSpec": "repro.core.store",
+    "StoreStats": "repro.core.store",
+    "TenantQueueFull": "repro.core.frontend",
+    "TrafficPolicy": "repro.core.frontend",
+    "WorkerHung": "repro.core.health",
+    "cached_sharding_plan": "repro.core.sharding",
+    "enumerate_strategies": "repro.core.strategy_space",
+    "feasible_strategies": "repro.core.strategy_space",
+    "longest_dims_strategy": "repro.core.strategy_space",
+    "make_sharding_plan": "repro.core.sharding",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,8 @@ Three heuristics make the two-level GA tractable:
    lowest-bandwidth edges of G(Acc, BW); the connected components at
    each stage become candidate partitions of the accelerators into
    sets, biased towards sets with no internal bandwidth bottleneck.
+   The components come from a small union-find walk in this module,
+   not from a graph library.
 2. **Profiled design initialization** — design genes start at the
    designs' normalized profiled performance on the workload, so strong
    designs dominate the first generation.
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 from itertools import product
 
-import networkx as nx
-
 from repro.accelerators.profiler import WorkloadProfile
 from repro.system.topology import SystemTopology
 
@@ -27,15 +27,28 @@ from repro.system.topology import SystemTopology
 Partition = tuple[tuple[int, ...], ...]
 
 
-def _components(graph: "nx.Graph") -> Partition:
-    comps = [tuple(sorted(c)) for c in nx.connected_components(graph)]
-    return tuple(sorted(comps, key=lambda c: c[0]))
+def _components(n: int, edges: dict[tuple[int, int], float]) -> Partition:
+    """Connected components of accelerators ``0..n-1`` over the pairs in
+    ``edges`` (union-find), each sorted and ordered by its smallest
+    member."""
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    # One ascending sweep: members join in order, and each component
+    # first appears at its smallest member.
+    components: dict[int, list[int]] = {}
+    for a in range(n):
+        components.setdefault(find(a), []).append(a)
+    return tuple(tuple(members) for members in components.values())
 
 
-def edge_removal_partitions(
-    topology: SystemTopology,
-    include_cross_group_edges: bool = True,
-) -> list[Partition]:
+def edge_removal_partitions(topology: SystemTopology) -> list[Partition]:
     """Candidate AccSet partitions via iterative lowest-edge removal.
 
     The graph starts with every communicating pair (host-staged pairs
@@ -45,32 +58,20 @@ def edge_removal_partitions(
     The first stage therefore yields the whole-system set, then the
     intra-group sets, down to singletons.
     """
-    graph = topology.nx_graph()
-    if include_cross_group_edges:
-        n = topology.num_accelerators
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not graph.has_edge(a, b):
-                    graph.add_edge(
-                        a, b, bandwidth=topology.effective_bandwidth(a, b)
-                    )
+    n = topology.num_accelerators
+    edges = {link.key: link.bandwidth_bps for link in topology.links}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (a, b) not in edges:
+                edges[a, b] = topology.effective_bandwidth(a, b)
 
-    partitions: list[Partition] = []
-
-    def record(partition: Partition) -> None:
+    partitions = [_components(n, edges)]
+    while edges:
+        lowest = min(edges.values())
+        edges = {pair: bw for pair, bw in edges.items() if bw > lowest}
+        partition = _components(n, edges)
         if partition not in partitions:
             partitions.append(partition)
-
-    record(_components(graph))
-    while graph.number_of_edges() > 0:
-        lowest = min(data["bandwidth"] for _, _, data in graph.edges(data=True))
-        doomed = [
-            (a, b)
-            for a, b, data in graph.edges(data=True)
-            if data["bandwidth"] <= lowest
-        ]
-        graph.remove_edges_from(doomed)
-        record(_components(graph))
     return partitions
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-import networkx as nx
-
 from repro.accelerators.base import AcceleratorDesign
 from repro.utils.rng import stable_digest
 from repro.utils.validation import require, require_positive
@@ -331,14 +329,6 @@ class SystemTopology:
     # ------------------------------------------------------------------
     # Graph views
     # ------------------------------------------------------------------
-
-    def nx_graph(self) -> "nx.Graph":
-        """The weighted accelerator graph (host excluded) for heuristics."""
-        graph = nx.Graph()
-        graph.add_nodes_from(acc.acc_id for acc in self.accelerators)
-        for link in self.links:
-            graph.add_edge(link.a, link.b, bandwidth=link.bandwidth_bps)
-        return graph
 
     def ascii_diagram(self) -> str:
         """A small textual rendering of the topology (Fig. 1 style)."""

@@ -124,11 +124,12 @@ class TestGroupsAndViews:
         groups = _two_group_system().groups()
         assert groups == {"g1": [0, 1], "g2": [2, 3]}
 
-    def test_nx_graph_edges(self):
-        graph = _two_group_system().nx_graph()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 2
-        assert graph.edges[0, 1]["bandwidth"] == gbps(8)
+    def test_links_are_the_graph_edges(self):
+        topo = _two_group_system()
+        assert topo.num_accelerators == 4
+        assert len(topo.links) == 2
+        bandwidths = {link.key: link.bandwidth_bps for link in topo.links}
+        assert bandwidths[0, 1] == gbps(8)
 
     def test_ascii_diagram_mentions_groups(self):
         text = _two_group_system().ascii_diagram()
