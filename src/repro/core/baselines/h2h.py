@@ -56,7 +56,7 @@ class H2HResult:
         return self.mapping.describe()
 
 
-def _segment_candidates(graph: ComputationGraph, max_segments: int) -> list[int]:
+def _segment_candidates(graph: ComputationGraph) -> list[int]:
     """Candidate cut positions: node indices of compute layers.
 
     Restricting cuts to compute-layer boundaries keeps prologue layers
@@ -99,7 +99,6 @@ def h2h_mapping(
     graph: ComputationGraph,
     topology: SystemTopology,
     options: EvaluatorOptions | None = None,
-    max_segments: int | None = None,
     evaluator: MappingEvaluator | None = None,
 ) -> H2HResult:
     """Exact DP over contiguous segmentations onto distinct accelerators.
@@ -131,9 +130,8 @@ def h2h_mapping(
     )
     nodes = graph.nodes()
     n_accs = topology.num_accelerators
-    limit = min(max_segments or n_accs, n_accs)
 
-    cuts = _segment_candidates(graph, limit)
+    cuts = _segment_candidates(graph)
     # Segment boundaries: 0, any compute-layer node index, len(nodes).
     boundaries = [0] + [c for c in cuts if c > 0] + [len(nodes)]
     boundaries = sorted(set(boundaries))

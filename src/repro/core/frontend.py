@@ -6,10 +6,13 @@ shipped :class:`~repro.core.config.SearchConfig`. Tenants are placed by
 content-fingerprint hash (sticky, so a tenant's warm caches live on
 exactly one shard) and searches on different shards run truly
 concurrently — which the in-process registry, serializing every search
-on one core, cannot do.
+on one core, cannot do. This module holds the client half of the shard
+protocol; the worker half, ``_shard_worker``, lives in
+:mod:`repro.core.serving` beside the registry it hosts, so a spawned
+worker never imports this module (or asyncio).
 
-On top of that shard pool it runs the traffic discipline of the
-multi-DNN serving setting — heterogeneous workloads with per-model SLOs
+Over its shards it runs the traffic discipline of the multi-DNN
+serving setting — heterogeneous workloads with per-model SLOs
 contending for shared accelerators (the multi-DNN survey's framing),
 where a frontend must *refuse* work it cannot finish in time and
 *order* the work it accepts by urgency:
@@ -36,17 +39,17 @@ where a frontend must *refuse* work it cannot finish in time and
   requests over one frontend).
 * **Shard autoscaling** — the frontend spawns up to ``max_shards``
   workers and drains back to ``shards`` on sustained queue depth /
-  idleness (:class:`TrafficPolicy` thresholds), reusing the shard
-  pool's spawn/drain machinery. Placement re-hashes over the active
+  idleness (:class:`TrafficPolicy` thresholds), reusing the worker
+  spawn/drain machinery. Placement re-hashes over the active
   shard count: results never depend on which shard serves a tenant
   (every worker rebuilds the same content-addressed registry), so
   scaling is results-invisible and only moves warm caches.
 
 Whatever the discipline decides, every *dispatched* search is served
-by the shard pool's worker protocol — including the interned-graph
-handshake (a workload's graph is pickled to a shard at most once per
-worker incarnation) and the bounded crash-respawn / inline-fallback
-policy — and is **bit-identical** to a fresh
+through the shard protocol — including the interned-graph handshake (a
+workload's graph is pickled to a shard at most once per worker
+incarnation), the liveness watchdog and the bounded crash-respawn /
+inline-fallback policy — and is **bit-identical** to a fresh
 :class:`~repro.core.mapper.Mars` run with the same configuration and
 seed (property-tested in ``tests/core/test_frontend.py`` and
 ``tests/core/test_shard_pool.py`` under concurrency, shard kills and
@@ -65,7 +68,14 @@ autoscale events).
 from __future__ import annotations
 
 import asyncio
+import atexit
 import math
+import multiprocessing
+# Imported for its side effect: ``multiprocessing.util`` registers the
+# atexit hook that joins non-daemonic children. It must be registered
+# BEFORE this module's own atexit hook (atexit is LIFO), or abandoned
+# shard workers would be joined before anything asks them to exit.
+import multiprocessing.util  # noqa: F401
 import threading
 import time
 from collections import deque
@@ -79,12 +89,16 @@ from repro.core.config import (
     DEFAULT_QUEUE_DEPTH,
     SearchConfig,
 )
-from repro.core.health import LivenessPolicy
+from repro.core.health import (
+    LivenessPolicy,
+    WorkerHung,
+    stop_process,
+    wait_for_reply,
+)
 from repro.core.serving import (
-    _LIVE_FRONTENDS,
+    MultiModelSession,
     ServingStats,
-    _ShardHandle,
-    _ShardPool,
+    _shard_worker,
     _tenant_key,
 )
 from repro.core.session import MarsResult
@@ -204,7 +218,6 @@ class _Request:
         "objective",
         "deadline",
         "future",
-        "submitted_at",
     )
 
     def __init__(
@@ -216,7 +229,6 @@ class _Request:
         objective: str | None,
         deadline: float | None,
         future: "Future[MarsResult]",
-        submitted_at: float,
     ) -> None:
         self.seq = seq
         self.graph = graph
@@ -226,7 +238,6 @@ class _Request:
         #: Absolute deadline on the frontend's clock (None = none).
         self.deadline = deadline
         self.future = future
-        self.submitted_at = submitted_at
 
 
 class _TenantQueue:
@@ -237,6 +248,130 @@ class _TenantQueue:
     def __init__(self, slot: int) -> None:
         self.slot = slot
         self.requests: deque[_Request] = deque()
+
+
+#: Every status a live worker may legally answer with.
+_VALID_STATUSES = frozenset({"ok", "error", "stats", "unknown_fp", "bye"})
+
+
+def _well_formed(response) -> bool:
+    """Whether a worker reply honors the ``(status, payload)`` protocol.
+
+    Anything else — wrong container, wrong arity, unknown status — is
+    protocol desync: the stream can no longer be trusted to frame
+    messages, so the round-trip treats the worker like a crash (kill,
+    respawn, resend) instead of guessing.
+    """
+    return (
+        isinstance(response, tuple)
+        and len(response) == 2
+        and response[0] in _VALID_STATUSES
+    )
+
+
+class _ShardHandle:
+    """Frontend-side state of one shard: process, pipe, dispatcher."""
+
+    __slots__ = (
+        "index",
+        "process",
+        "conn",
+        "thread",
+        "respawns",
+        "interned",
+        "graph_ships",
+        "fp_sends",
+        "drained",
+        "swallowed",
+        "last_backoff",
+        "hangs",
+        "escalations",
+        "corrupt",
+        "beacons",
+        "unacked",
+        "fresh",
+        "waiting_since",
+    )
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.process = None
+        self.conn = None
+        self.thread: threading.Thread | None = None
+        #: Crash-triggered cold respawns (bounded by the frontend's
+        #: respawn limit; beyond it the shard serves inline).
+        self.respawns = 0
+        #: Graph fingerprints the *current* worker process has interned
+        #: — emptied whenever the worker is reaped, because a cold
+        #: replacement knows none of them.
+        self.interned: set[str] = set()
+        #: Full-graph payloads shipped to this shard (once per workload
+        #: per worker incarnation — the handshake's whole point).
+        self.graph_ships = 0
+        #: Fingerprint-only requests shipped (the pickles saved).
+        self.fp_sends = 0
+        #: True while the shard is deliberately drained by autoscaling
+        #: (distinguishes a scaled-down worker from a crashed one — a
+        #: drained shard respawns on demand instead of degrading to the
+        #: inline fallback).
+        self.drained = False
+        #: Exceptions absorbed on this shard's teardown/respawn paths.
+        #: Each was previously a silent ``pass`` — deliberately not
+        #: propagated (the caller still gets a result through a respawn
+        #: or the inline fallback), but a broken environment must be
+        #: *visible*, so every swallow counts here and surfaces in
+        #: ``stats()``.
+        self.swallowed = 0
+        #: The most recent crash-respawn backoff delay applied before
+        #: replacing this shard's worker (seconds; 0.0 until the first
+        #: crash respawn).
+        self.last_backoff = 0.0
+        #: Workers of this shard classified hung (silent past the stall
+        #: budget) and killed by the watchdog.
+        self.hangs = 0
+        #: Reaps that needed the SIGKILL rung — the worker survived
+        #: both the graceful join and SIGTERM.
+        self.escalations = 0
+        #: Malformed replies received (protocol desync); each one costs
+        #: the worker its life and the request a respawn + resend.
+        self.corrupt = 0
+        #: Heartbeat beacons consumed from this shard's workers.
+        self.beacons = 0
+        #: Graceful shutdowns the worker never acked with ``"bye"``.
+        self.unacked = 0
+        #: True until the current worker incarnation sends anything —
+        #: its first reply gets the (larger) spawn-grace budget.
+        self.fresh = True
+        #: Health-clock timestamp since which the dispatcher has been
+        #: waiting on this worker (None when not waiting) — the
+        #: observability hook tests poll to synchronize with an
+        #: in-flight request.
+        self.waiting_since = None
+
+    @property
+    def alive(self) -> bool:
+        return self.process is not None
+
+
+#: Frontends not yet closed — *strong* references, deliberately: shard
+#: workers are non-daemonic (they must be able to parent the tenant
+#: sessions' sub-problem pools), and a non-daemonic child that never
+#: hears shutdown would make multiprocessing's atexit join hang the
+#: interpreter. A :class:`SloServing` therefore stays pinned here until
+#: its ``close()`` (a weak reference would let an abandoned frontend be
+#: collected silently, leaving its workers running and the exit
+#: hanging). The hook below closes whatever is left at exit; it is
+#: registered after the ``multiprocessing.util`` import above, and
+#: atexit is LIFO, so it runs before multiprocessing joins its children.
+_LIVE_FRONTENDS: "set[SloServing]" = set()
+
+
+def _close_live_frontends() -> None:  # pragma: no cover - interpreter exit
+    for frontend in list(_LIVE_FRONTENDS):
+        frontend.close()
+
+
+atexit.register(_close_live_frontends)
 
 
 @dataclass(frozen=True)
@@ -297,7 +432,7 @@ class SloServingStats:
     #: The inline fallback registry's counters, if it ever engaged.
     fallback: ServingStats | None = None
     #: Exceptions absorbed per shard on teardown/respawn paths
-    #: (formerly invisible ``pass`` sites in the shard pool).
+    #: (formerly invisible ``pass`` sites).
     swallowed_errors: tuple[int, ...] = ()
     #: Most recent crash-respawn backoff delay per shard (seconds; 0.0
     #: for a shard that never crash-respawned).
@@ -351,7 +486,7 @@ class SloServingStats:
         return (self.shed + self.expired) / self.submitted
 
 
-class SloServing(_ShardPool):
+class SloServing:
     """An async, SLO-aware sharded serving frontend.
 
     Spawns shard worker processes, each hosting one
@@ -366,7 +501,8 @@ class SloServing(_ShardPool):
     replaced by a cold respawn and the request is re-sent — at most
     :attr:`SHARD_RESPAWN_LIMIT` times per shard, after which that
     shard's traffic is served *inline* by a frontend-local fallback
-    registry. Either path returns identical results.
+    registry, built lazily from the same config. Either path returns
+    identical results.
 
     Args:
         topology: Default system for every tenant.
@@ -405,6 +541,17 @@ class SloServing(_ShardPool):
 
     DEFAULT_SHARDS = 2
 
+    #: Crash-triggered cold respawns per shard before its traffic
+    #: degrades to the inline fallback registry.
+    SHARD_RESPAWN_LIMIT = 2
+
+    #: First crash-respawn backoff delay (seconds); doubles per respawn
+    #: of the same shard, capped below.
+    RESPAWN_BACKOFF_BASE = 0.05
+
+    #: Upper bound on any single crash-respawn backoff delay (seconds).
+    RESPAWN_BACKOFF_CAP = 2.0
+
     def __init__(
         self,
         topology: SystemTopology,
@@ -423,22 +570,30 @@ class SloServing(_ShardPool):
             max_shards >= shards,
             f"max_shards ({max_shards}) must be >= shards ({shards})",
         )
+        self.topology = topology
+        self.min_shards = shards
+        self.max_shards = max_shards
+        #: The config every shard worker rebuilds its registry from.
+        self.config = config if config is not None else SearchConfig()
+        self.policy = policy if policy is not None else TrafficPolicy()
+        #: The liveness policy of this frontend — stall budget, beacon
+        #: protocol and kill-escalation graces (see
+        #: :class:`repro.core.health.LivenessPolicy`). Disable the
+        #: watchdog with ``LivenessPolicy(stall_budget=None)``.
+        self.liveness = liveness if liveness is not None else LivenessPolicy()
         # The deadline clock doubles as the watchdog's health clock:
         # one injected fake clock drives both deadline expiry and hang
         # detection in tests, and in production both are monotonic
-        # seconds anyway.
-        super().__init__(
-            topology,
-            max_shards,
-            config if config is not None else SearchConfig(),
-            mp_context,
-            liveness=liveness,
-            clock=clock,
-        )
-        self.min_shards = shards
-        self.max_shards = max_shards
-        self.policy = policy if policy is not None else TrafficPolicy()
+        # seconds anyway. The real poll cadence stays poll_interval.
         self._clock = clock
+        # Injectable for tests: the crash-respawn backoff's sleep. Only
+        # the dispatcher thread of the crashed shard sleeps — other
+        # shards keep serving.
+        self._sleep = time.sleep
+        self._ctx = multiprocessing.get_context(mp_context)
+        self._fallback: MultiModelSession | None = None
+        self._fallback_lock = threading.Lock()
+        self._handles = [_ShardHandle(index) for index in range(max_shards)]
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._queues: dict[tuple, _TenantQueue] = {}
@@ -455,7 +610,7 @@ class SloServing(_ShardPool):
         self._scale_ups = 0
         self._scale_downs = 0
         self._active = shards
-        self._closing = False
+        self._closed = False
         self._dispatch_enabled = threading.Event()
         self._dispatch_enabled.set()
         self._stop_event = threading.Event()
@@ -488,7 +643,6 @@ class SloServing(_ShardPool):
             # multiprocessing's child join.
             with self._work:
                 self._closed = True
-                self._closing = True
                 self._work.notify_all()
             self._stop_event.set()
             for handle in self._handles:
@@ -498,6 +652,16 @@ class SloServing(_ShardPool):
                     self._shutdown_worker(handle)
             raise
         _LIVE_FRONTENDS.add(self)
+
+    def _require_open(self) -> None:
+        """Raise a clean :class:`RuntimeError` once the frontend is
+        closed — routing on a closed frontend is a lifecycle bug in the
+        caller, not an invalid argument."""
+        if self._closed:
+            raise RuntimeError(
+                f"{type(self).__name__} is closed; it no longer accepts "
+                "requests"
+            )
 
     # ------------------------------------------------------------------
     # Placement
@@ -609,7 +773,6 @@ class SloServing(_ShardPool):
                         objective=resolved_objective,
                         deadline=absolute,
                         future=future,
-                        submitted_at=now,
                     )
                 )
                 self._seq += 1
@@ -730,11 +893,11 @@ class SloServing(_ShardPool):
 
         Expired requests (deadline < now) are removed wherever they sit
         in their queues and collected for resolution outside the lock.
-        Each assigned tenant queue then puts up one candidate: under
-        EDF the minimum of the whole queue by :func:`dispatch_key`
-        (deadlines are set per request, so a later arrival in the same
-        tenant can be more urgent than the head), under FIFO its head.
-        The candidates compete by the same order (:meth:`_precedes`).
+        Each assigned tenant queue then puts up its minimum by
+        :meth:`_order` (deadlines are set per request, so under EDF a
+        later arrival in the same tenant can be more urgent than the
+        head; under FIFO the minimum is the head), and the candidates
+        compete by the same order.
 
         Tenant entries whose queue is (or becomes) empty are dropped
         from ``self._queues`` — the placement slot is recomputed from
@@ -764,14 +927,8 @@ class SloServing(_ShardPool):
                 continue
             if not self._assigned(tenant, index):
                 continue
-            if self.policy.scheduling == "edf":
-                head = min(
-                    tenant.requests,
-                    key=lambda r: dispatch_key(r.deadline, r.seq),
-                )
-            else:
-                head = tenant.requests[0]
-            if best is None or self._precedes(head, best):
+            head = min(tenant.requests, key=self._order)
+            if best is None or self._order(head) < self._order(best):
                 best, best_key, best_tenant = head, key, tenant
         if best is not None:
             best_tenant.requests.remove(best)
@@ -784,12 +941,11 @@ class SloServing(_ShardPool):
             self._work.notify_all()
         return best
 
-    def _precedes(self, a: _Request, b: _Request) -> bool:
-        if self.policy.scheduling == "edf":
-            return dispatch_key(a.deadline, a.seq) < dispatch_key(
-                b.deadline, b.seq
-            )
-        return a.seq < b.seq
+    def _order(self, request: _Request) -> tuple[float, int]:
+        """The dispatch order, lowest first: :func:`dispatch_key`
+        under EDF; FIFO ignores the deadline, leaving arrival order."""
+        edf = self.policy.scheduling == "edf"
+        return dispatch_key(request.deadline if edf else None, request.seq)
 
     def _dispatch_loop(self, handle: _ShardHandle) -> None:
         index = handle.index
@@ -805,13 +961,13 @@ class SloServing(_ShardPool):
                     if self._controls[index]:
                         control = self._controls[index].popleft()
                         break
-                    if self._dispatch_enabled.is_set() or self._closing:
+                    if self._dispatch_enabled.is_set() or self._closed:
                         request = self._pop_request(
                             index, to_expire, self._clock()
                         )
                         if request is not None or to_expire:
                             break
-                    if self._closing:
+                    if self._closed:
                         finished = True
                         break
                     if (
@@ -907,6 +1063,285 @@ class SloServing(_ShardPool):
         future.set_result(payload if status == "stats" else None)
 
     # ------------------------------------------------------------------
+    # Worker lifecycle
+    # ------------------------------------------------------------------
+
+    def _spawn_worker(self, handle: _ShardHandle) -> None:
+        parent_conn, child_conn = self._ctx.Pipe()
+        # NOT daemonic: a daemonic worker could never start children of
+        # its own, which is exactly what a tenant session configured
+        # with ``workers > 1`` does (its sub-problem process pool).
+        # Orphan safety comes from the module atexit hook instead: any
+        # frontend still open at interpreter exit is closed (workers
+        # ack and exit) before multiprocessing's own child join runs.
+        process = self._ctx.Process(
+            target=_shard_worker,
+            args=(
+                child_conn,
+                self.topology,
+                self.config,
+                handle.index,
+                # The incarnation coordinate fault plans key on: 0 for
+                # the original worker, advancing with every crash
+                # respawn, so an injected fault does not re-fire in the
+                # respawned worker.
+                handle.respawns,
+                self.liveness,
+            ),
+            name=f"repro-shard-{handle.index}",
+        )
+        try:
+            process.start()
+        except BaseException:
+            # Failed starts happen under fd/PID pressure — the exact
+            # moment leaking the pipe's two descriptors hurts most.
+            parent_conn.close()
+            child_conn.close()
+            raise
+        child_conn.close()
+        handle.interned.clear()  # a cold worker has interned nothing
+        handle.drained = False
+        handle.fresh = True  # first reply gets the spawn-grace budget
+        handle.process = process
+        handle.conn = parent_conn
+
+    def _reap_worker(self, handle: _ShardHandle, graceful: bool = True) -> None:
+        """Teardown of a dead or dying worker — guaranteed, not
+        best-effort: the stop ladder ends in SIGKILL + join, so a
+        SIGTERM-ignoring worker cannot leak past this.
+
+        ``graceful=False`` skips the initial join window — for a worker
+        already classified hung, which by definition will not exit on
+        its own.
+        """
+        if handle.conn is not None:
+            try:
+                handle.conn.close()
+            except OSError:
+                handle.swallowed += 1
+            handle.conn = None
+        if handle.process is not None:
+            if stop_process(
+                handle.process, self.liveness.term_grace, graceful=graceful
+            ):
+                # Needed the SIGKILL rung: count it both as an
+                # escalation and as absorbed teardown trouble.
+                handle.escalations += 1
+                handle.swallowed += 1
+            handle.process = None
+        # Whatever the old worker had interned died with it.
+        handle.interned.clear()
+
+    def _shutdown_worker(self, handle: _ShardHandle) -> None:
+        """Graceful worker shutdown: ask, wait for the ack, reap.
+
+        The ack wait runs through the same stall budget as a request
+        (instead of the old fixed, result-ignored 30 s poll), so
+        ``close()`` on a hung fleet is bounded. A worker that never
+        acks ``"bye"`` is counted in ``unacked_shutdowns`` and reaped
+        without the graceful join window — it already proved it is not
+        listening.
+        """
+        if handle.process is None:
+            return
+        acked = False
+        try:
+            handle.conn.send(("shutdown",))
+            response = self._await_reply(handle)
+            acked = _well_formed(response) and response[0] == "bye"
+        except WorkerHung:
+            handle.hangs += 1
+        except (BrokenPipeError, EOFError, OSError):
+            # The worker died before (or while) acking — reaping below
+            # still collects it; count the failed graceful path.
+            handle.swallowed += 1
+        if not acked:
+            handle.unacked += 1
+        self._reap_worker(handle, graceful=acked)
+
+    def _respawn_backoff(self, handle: _ShardHandle) -> float:
+        """The delay before this shard's next crash respawn (seconds).
+
+        Bounded exponential — :attr:`RESPAWN_BACKOFF_BASE` doubling per
+        respawn of the shard, capped at :attr:`RESPAWN_BACKOFF_CAP` —
+        with deterministic jitter in ``[0.5, 1.0)`` of the nominal
+        delay, derived from the (shard, attempt) pair through
+        :func:`~repro.utils.rng.stable_seed` so shards that crash
+        together don't respawn in lockstep, yet tests can predict every
+        delay exactly. A deterministically-crashing worker therefore
+        costs a geometrically-slowing spawn/die cycle instead of a hot
+        loop, and the inline fallback engages after
+        :attr:`SHARD_RESPAWN_LIMIT` respawns as before.
+        """
+        attempt = handle.respawns
+        nominal = min(
+            self.RESPAWN_BACKOFF_CAP,
+            self.RESPAWN_BACKOFF_BASE * (2.0 ** attempt),
+        )
+        jitter = 0.5 + (
+            stable_seed("respawn-jitter", handle.index, attempt) % 4096
+        ) / 8192.0
+        delay = nominal * jitter
+        handle.last_backoff = delay
+        return delay
+
+    # ------------------------------------------------------------------
+    # Request round-trip (crash policy + interned-graph handshake)
+    # ------------------------------------------------------------------
+
+    def _wire_request(self, handle: _ShardHandle, request: tuple) -> tuple:
+        """The message actually sent: fingerprint-only when interned.
+
+        The first ``"search"`` for a workload ships the full graph and
+        records its fingerprint against the worker incarnation; later
+        requests collapse to ``("search_fp", fp, ...)`` — the graph is
+        never pickled twice for one worker. Reaping a worker clears its
+        interned set, so a cold replacement is re-shipped the graph.
+        """
+        if request[0] != "search":
+            return request
+        _, graph, seed, topology, objective = request
+        fp = graph.fingerprint()
+        if fp in handle.interned:
+            handle.fp_sends += 1
+            return ("search_fp", fp, seed, topology, objective)
+        handle.interned.add(fp)
+        handle.graph_ships += 1
+        return request
+
+    def _await_reply(self, handle: _ShardHandle) -> tuple:
+        """One watchdog-guarded reply from the shard worker.
+
+        Poll-with-deadline on the injectable health clock instead of a
+        blocking ``recv()``: heartbeat beacons are consumed here (each
+        extends the deadline and counts on the handle), a fresh
+        incarnation's first message gets the spawn-grace budget, and a
+        worker silent past the budget raises
+        :class:`~repro.core.health.WorkerHung` to the crash policy.
+        ``waiting_since`` brackets the wait so tests (and operators)
+        can observe an in-flight request.
+        """
+        policy = self.liveness
+        budget = (
+            policy.first_reply_budget()
+            if handle.fresh
+            else policy.stall_budget
+        )
+
+        def on_beacon(message: tuple) -> None:
+            handle.beacons += 1
+            handle.fresh = False
+
+        handle.waiting_since = self._clock()
+        try:
+            response = wait_for_reply(
+                handle.conn,
+                policy,
+                self._clock,
+                budget,
+                on_beacon,
+            )
+        finally:
+            handle.waiting_since = None
+        handle.fresh = False
+        return response
+
+    def _crash_respawn(self, handle: _ShardHandle) -> None:
+        """Replace a reaped worker, applying backoff and the respawn
+        limit. Past the limit (or on a failed spawn) the handle stays
+        dead, so the caller's next loop serves inline."""
+        if handle.respawns < self.SHARD_RESPAWN_LIMIT:
+            delay = self._respawn_backoff(handle)
+            if delay > 0:
+                self._sleep(delay)
+            handle.respawns += 1
+            try:
+                self._spawn_worker(handle)
+            except Exception:
+                # Respawn itself failed (resource exhaustion): leave
+                # the handle dead so the next loop serves this request
+                # inline, like any other dead-shard path — the caller
+                # still gets its result.
+                handle.swallowed += 1
+
+    def _roundtrip(self, handle: _ShardHandle, request: tuple) -> tuple:
+        """Send one request to the shard worker; apply the crash policy.
+
+        Three failure classes, one recovery: a **broken pipe** (the
+        worker died mid-request), a **hang** (the watchdog saw neither
+        reply nor beacon within the stall budget — the worker is
+        kill-escalated first), and a **corrupt reply** (protocol
+        desync — the worker can no longer be trusted to frame
+        messages, so it is killed too). Each reaps the worker and — up
+        to :attr:`SHARD_RESPAWN_LIMIT` times — replaces it cold and
+        re-sends the request (results are identical, the rebuilt
+        registry just starts with cold caches). Beyond the limit the
+        shard serves inline through the fallback registry. A worker
+        answering ``unknown_fp`` (it raced a respawn) is re-shipped
+        the full graph.
+        """
+        while True:
+            if not handle.alive:
+                if handle.drained:
+                    # Deliberately scaled down, not crashed: bring the
+                    # worker back on demand. A failed spawn falls
+                    # through to the crash paths below.
+                    try:
+                        self._spawn_worker(handle)
+                    except Exception:
+                        handle.drained = False
+                        return self._serve_inline(request)
+                else:
+                    return self._serve_inline(request)
+            try:
+                handle.conn.send(self._wire_request(handle, request))
+                response = self._await_reply(handle)
+            except WorkerHung:
+                handle.hangs += 1
+                self._reap_worker(handle, graceful=False)
+                self._crash_respawn(handle)
+                continue
+            except (BrokenPipeError, EOFError, OSError):
+                self._reap_worker(handle)
+                self._crash_respawn(handle)
+                continue
+            if not _well_formed(response):
+                handle.corrupt += 1
+                self._reap_worker(handle, graceful=False)
+                self._crash_respawn(handle)
+                continue
+            if response[0] == "unknown_fp":
+                handle.interned.discard(response[1])
+                continue
+            return response
+
+    def _serve_inline(self, request: tuple) -> tuple:
+        """Serve a request in-process after a shard exhausted respawns.
+
+        The fallback registry is built lazily from the same config the
+        workers got, so results stay bit-identical — this is the
+        sharded analogue of a retired worker pool converging to the
+        serial path.
+        """
+        if request[0] == "stats":
+            # Shard-level stats are gone with the worker; the fallback
+            # registry reports separately under ``fallback``.
+            return ("stats", None)
+        _, graph, seed, topology, objective = request
+        try:
+            with self._fallback_lock:
+                if self._fallback is None:
+                    self._fallback = MultiModelSession(
+                        self.topology, self.config
+                    )
+                result = self._fallback.search(
+                    graph, seed=seed, topology=topology, objective=objective
+                )
+            return ("ok", result)
+        except Exception as exc:
+            return ("error", exc)
+
+    # ------------------------------------------------------------------
     # Autoscaling
     # ------------------------------------------------------------------
 
@@ -923,7 +1358,7 @@ class SloServing(_ShardPool):
         over = idle = 0
         while not self._stop_event.wait(policy.tick_seconds):
             with self._work:
-                if self._closing:
+                if self._closed:
                     return
                 depth = self._queued
                 if (
@@ -974,6 +1409,12 @@ class SloServing(_ShardPool):
                     probes.append(probe)
                 self._work.notify_all()
             per_shard = tuple(probe.result() for probe in probes)
+        # Read before taking the dispatch lock: an inline search holds
+        # the fallback lock for its whole run.
+        with self._fallback_lock:
+            fallback = (
+                self._fallback.stats() if self._fallback is not None else None
+            )
         with self._work:
             return SloServingStats(
                 scheduling=self.policy.scheduling,
@@ -994,7 +1435,7 @@ class SloServing(_ShardPool):
                 graph_ships=tuple(h.graph_ships for h in self._handles),
                 fp_sends=tuple(h.fp_sends for h in self._handles),
                 per_shard=per_shard,
-                fallback=self._fallback_stats(),
+                fallback=fallback,
                 swallowed_errors=tuple(
                     h.swallowed for h in self._handles
                 ),
@@ -1044,7 +1485,6 @@ class SloServing(_ShardPool):
             if self._closed:
                 return
             self._closed = True
-            self._closing = True
             self._dispatch_enabled.set()
             self._work.notify_all()
         self._stop_event.set()
@@ -1053,7 +1493,9 @@ class SloServing(_ShardPool):
         for handle in self._handles:
             if handle.thread is not None:
                 handle.thread.join()
-        self._close_fallback()
+        with self._fallback_lock:
+            if self._fallback is not None:
+                self._fallback.close()
         _LIVE_FRONTENDS.discard(self)
 
     def __enter__(self) -> "SloServing":

@@ -7,8 +7,10 @@ GA, stuck fsync) used to stall its dispatcher thread forever: the
 frontend's request round-trip blocked in ``conn.recv()`` with no
 deadline, so one hung shard cost every request queued behind it.
 
-This module is the liveness layer the shard pool under
-:class:`~repro.core.frontend.SloServing` runs on:
+This module is the liveness layer of the shard protocol: the client
+half, :class:`~repro.core.frontend.SloServing`, runs the watchdog and
+the stop ladder, and the worker half, ``_shard_worker`` in
+:mod:`repro.core.serving`, emits the beacons:
 
 * :class:`LivenessPolicy` — the knobs: a per-request **stall budget**
   (how long a worker may go silent before it is classified *hung*),

@@ -339,7 +339,7 @@ def divergence_report(
     require(bool(models), "divergence report needs at least one model")
     spec = cost_model if cost_model is not None else CostModelSpec()
     records = []
-    aggregate: dict[str, PatternDivergence] = {}
+    aggregate = ProgramDivergence()
     skipped = 0
     for name in models:
         for seed in seeds:
@@ -356,22 +356,16 @@ def divergence_report(
                 skipped += 1
                 continue
             for pattern, stats in record["patterns"].items():
-                bucket = aggregate.setdefault(pattern, PatternDivergence())
-                bucket.steps += stats["steps"]
-                bucket.analytical_seconds += stats["analytical_seconds"]
-                bucket.simulated_seconds += stats["simulated_seconds"]
-    analytical = sum(p.analytical_seconds for p in aggregate.values())
-    simulated = sum(p.simulated_seconds for p in aggregate.values())
-    gap = abs(simulated - analytical)
-    scale = max(simulated, analytical)
-    contention_free = max(
-        (
-            aggregate[p].relative_divergence
-            for p in CONTENTION_FREE_PATTERNS
-            if p in aggregate
-        ),
-        default=0.0,
-    )
+                aggregate.patterns.setdefault(
+                    pattern, PatternDivergence()
+                ).merge(
+                    PatternDivergence(
+                        stats["steps"],
+                        stats["analytical_seconds"],
+                        stats["simulated_seconds"],
+                    )
+                )
+    summary = aggregate.to_dict()
     return {
         "cost_model": {
             "kind": spec.kind,
@@ -379,13 +373,11 @@ def divergence_report(
             "token": spec.token(),
         },
         "models": records,
-        "patterns": {
-            name: stats.to_dict() for name, stats in sorted(aggregate.items())
-        },
-        "analytical_seconds": analytical,
-        "simulated_seconds": simulated,
-        "relative_divergence": gap / scale if scale > 0.0 else 0.0,
-        "contention_free_divergence": contention_free,
+        "patterns": summary["patterns"],
+        "analytical_seconds": summary["analytical_seconds"],
+        "simulated_seconds": summary["simulated_seconds"],
+        "relative_divergence": summary["relative_divergence"],
+        "contention_free_divergence": summary["contention_free_divergence"],
         "skipped_infeasible": skipped,
     }
 

@@ -52,7 +52,6 @@ import sys
 from functools import partial, reduce
 
 from repro.core.evaluator import EvaluatorOptions, LayerCacheStats
-from repro.core.frontend import SloServingStats
 from repro.core.ga import SearchBudget
 from repro.dnn.models import TABLE3_MODELS, TABLE4_MODELS
 from repro.experiments import run_table2, run_table3, run_table4
@@ -78,16 +77,16 @@ def _layer_cache_summary(stats: list[LayerCacheStats]) -> str | None:
     )
 
 
-def _store_summary(serving) -> str | None:
+def _store_summary(serving, sharded: bool) -> str | None:
     """One line of persistent-store counters from the serving stats.
 
     The in-process registry carries its lifetime counters directly;
-    the sharded frontend's shard registries (plus the inline
+    a ``sharded`` frontend's shard registries (plus the inline
     fallback's) fold into one through its ``merged`` view.
     """
     if serving is None:
         return None
-    if isinstance(serving, SloServingStats):
+    if sharded:
         serving = serving.merged
     lifetime = serving.lifetime
     return (
@@ -306,11 +305,12 @@ def main(argv: list[str] | None = None) -> int:
         if summary:
             print(summary)
         serving = result.serving
+        sharded = args.shards is not None
         if args.store is not None:
-            store_line = _store_summary(serving)
+            store_line = _store_summary(serving, sharded)
             if store_line:
                 print(store_line)
-        if isinstance(serving, SloServingStats):
+        if sharded:
             merged = serving.merged
             print(
                 f"sharded serving: {serving.active_shards} shards "

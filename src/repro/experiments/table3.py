@@ -18,13 +18,13 @@ requested model merged into one graph via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.accelerators import table2_designs
 from repro.core.baselines import computation_prioritized_mapping
 from repro.core.config import SearchConfig
 from repro.core.evaluator import EvaluatorOptions
 from repro.core.ga import SearchBudget
-from repro.core.frontend import SloServing, SloServingStats, TrafficPolicy
 from repro.core.mapper import MarsResult
 from repro.core.serving import MultiModelSession, ServingStats
 from repro.core.store import StoreSpec
@@ -34,6 +34,9 @@ from repro.dnn.multi import combine_graphs
 from repro.system import f1_16xlarge
 from repro.system.topology import SystemTopology
 from repro.utils.tables import format_table
+
+if TYPE_CHECKING:
+    from repro.core.frontend import SloServingStats
 
 
 @dataclass
@@ -169,6 +172,9 @@ def run_table3(
     if deadline is not None and shards is None:
         raise ValueError("deadline requires shards")
     if shards is not None:
+        # The frontend (asyncio, multiprocessing) loads only to serve.
+        from repro.core.frontend import SloServing, TrafficPolicy
+
         # The whole sweep is submitted up front, so admission is sized
         # to it: any one tenant queue can hold the entire sweep (a model
         # listed twice is one tenant), and there is no in-flight budget.

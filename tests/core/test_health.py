@@ -31,7 +31,6 @@ from repro.core import (
 from repro.core.config import SearchConfig
 from repro.core.faults import CORRUPT_REPLY
 from repro.core.health import BEACON, BeaconEmitter, stop_process, wait_for_reply
-from repro.core.serving import _ShardPool
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
 
@@ -377,7 +376,7 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# _ShardPool teardown paths (stub workers, no processes)
+# SloServing teardown paths (stub workers, no processes)
 # ----------------------------------------------------------------------
 
 
@@ -411,39 +410,47 @@ class _ScriptConn(_DeafConn):
         return self.replies.popleft()
 
 
-def _stub_pool(**policy_kwargs):
+@pytest.fixture
+def stub_frontend(monkeypatch):
+    """A one-shard frontend that spawned no worker, and its handle.
+
+    The tests plant stub processes and pipes on the handle and drive
+    the teardown paths directly; the idle dispatcher thread never
+    touches them, and the frontend is closed afterwards.
+    """
+    monkeypatch.setattr(SloServing, "_spawn_worker", lambda self, handle: None)
     policy = LivenessPolicy(
-        stall_budget=policy_kwargs.pop("stall_budget", 0.05),
+        stall_budget=0.05,
         poll_interval=0.01,
         term_grace=0.01,
         spawn_grace=None,
-        **policy_kwargs,
     )
-    pool = _ShardPool(TOPOLOGY, 1, SearchConfig(), liveness=policy)
-    return pool, pool._handles[0]
+    frontend = SloServing(TOPOLOGY, shards=1, liveness=policy)
+    yield frontend, frontend._handles[0]
+    frontend.close()
 
 
 class TestShutdownWorker:
-    def test_acked_shutdown_reaps_gracefully(self):
-        pool, handle = _stub_pool()
+    def test_acked_shutdown_reaps_gracefully(self, stub_frontend):
+        frontend, handle = stub_frontend
         handle.conn = conn = _ScriptConn([("bye", None)])
         handle.process = process = _StubProcess(obeys="join")
-        pool._shutdown_worker(handle)
+        frontend._shutdown_worker(handle)
         assert conn.sent == [("shutdown",)]
         assert conn.closed and handle.process is None
         assert not process.terminated  # graceful join sufficed
         assert handle.unacked == 0 and handle.hangs == 0
         assert handle.escalations == 0
 
-    def test_unacked_shutdown_is_bounded_counted_and_escalated(self):
+    def test_unacked_shutdown_is_bounded_counted_and_escalated(self, stub_frontend):
         # The old path polled a hard-wired 30s and ignored the answer;
         # now the ack wait runs on the stall budget and a worker that
         # ignores SIGTERM still cannot survive the reap.
-        pool, handle = _stub_pool()
+        frontend, handle = stub_frontend
         handle.conn = conn = _DeafConn()
         handle.process = process = _StubProcess(obeys="kill")
         started = time.monotonic()
-        pool._shutdown_worker(handle)
+        frontend._shutdown_worker(handle)
         assert time.monotonic() - started < 5.0
         assert conn.closed and handle.process is None
         assert handle.unacked == 1 and handle.hangs == 1
@@ -452,8 +459,8 @@ class TestShutdownWorker:
         # The SIGKILL rung counts as absorbed teardown trouble too.
         assert handle.swallowed == 1
 
-    def test_dead_worker_ack_failure_is_swallowed_not_raised(self):
-        pool, handle = _stub_pool()
+    def test_dead_worker_ack_failure_is_swallowed_not_raised(self, stub_frontend):
+        frontend, handle = stub_frontend
 
         class _BrokenConn(_DeafConn):
             def send(self, message):
@@ -461,28 +468,28 @@ class TestShutdownWorker:
 
         handle.conn = _BrokenConn()
         handle.process = _StubProcess(obeys="join")
-        pool._shutdown_worker(handle)
+        frontend._shutdown_worker(handle)
         assert handle.unacked == 1 and handle.swallowed == 1
         assert handle.hangs == 0
 
 
 class TestReapWorker:
-    def test_sigterm_ignoring_worker_cannot_leak(self):
-        pool, handle = _stub_pool()
+    def test_sigterm_ignoring_worker_cannot_leak(self, stub_frontend):
+        frontend, handle = stub_frontend
         handle.conn = _DeafConn()
         handle.process = process = _StubProcess(obeys="kill")
         handle.interned.add("fp")
-        pool._reap_worker(handle, graceful=False)
+        frontend._reap_worker(handle, graceful=False)
         assert process.killed and not process.is_alive()
         assert handle.process is None and handle.conn is None
         assert handle.escalations == 1 and handle.swallowed == 1
         assert not handle.interned  # the interned set died with it
 
-    def test_cooperative_worker_costs_no_escalation(self):
-        pool, handle = _stub_pool()
+    def test_cooperative_worker_costs_no_escalation(self, stub_frontend):
+        frontend, handle = stub_frontend
         handle.conn = _DeafConn()
         handle.process = _StubProcess(obeys="join")
-        pool._reap_worker(handle)
+        frontend._reap_worker(handle)
         assert handle.escalations == 0 and handle.swallowed == 0
 
 

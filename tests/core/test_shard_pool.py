@@ -1,6 +1,10 @@
-"""The shard pool under SloServing: placement, determinism, crash policy.
+"""SloServing's shard protocol: placement, determinism, crash policy.
 
-The pool's contract: tenants are placed stickily by content
+The client half (spawning, the crash policy, the interned-graph
+handshake) is ``SloServing`` in ``repro.core.frontend``; the worker
+half, ``_shard_worker``, is in ``repro.core.serving``.
+
+The contract: tenants are placed stickily by content
 fingerprint; every routed search — across shard counts {1, 2}, after a
 crash-triggered cold respawn, and through the inline fallback once the
 respawn budget is spent — is bit-identical to a fresh ``Mars`` run
