@@ -16,7 +16,10 @@ same knobs work in CI):
   :func:`subproblem_pool`. Level-2 GAs always run serial; results stay
   bit-identical, so the speedup contracts are unaffected. Recorded in
   every JSON payload so multi-core runs are reproducible from the
-  report alone.
+  report alone;
+* ``REPRO_COLD_START_BASELINE`` — another tree's ``src`` directory,
+  which ``bench_cold_start.py`` times interleaved with this tree's
+  (unset: this tree alone).
 """
 
 from __future__ import annotations
@@ -87,6 +90,13 @@ def bench_shards() -> int:
     """Shard worker processes for the sharded-serving bench
     (``REPRO_BENCH_SHARDS``, default 2)."""
     return max(1, int(os.environ.get("REPRO_BENCH_SHARDS", "2")))
+
+
+def cold_start_baseline() -> Path | None:
+    """The baseline ``src`` the cold-start bench interleaves with this
+    tree's (``REPRO_COLD_START_BASELINE``; ``None`` when unset)."""
+    path = os.environ.get("REPRO_COLD_START_BASELINE")
+    return Path(path).resolve() if path else None
 
 
 def budget_name() -> str:

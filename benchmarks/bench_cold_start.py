@@ -21,6 +21,13 @@ Medians and interquartile ranges land in the repo-root
 ``BENCH_cold_start.json``; there is no gate. Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_cold_start.py -q
+
+Medians of separate runs drift more than a start-up change moves them,
+so to compare two trees, point ``REPRO_COLD_START_BASELINE`` at the
+other tree's ``src``: each round then takes every reading on both
+trees back to back, alternating which goes first, and the JSON gains
+the baseline's medians and IQRs (``baseline``) and the median of the
+per-round ratios, this tree over the baseline (``ratio``).
 """
 
 import compileall
@@ -30,10 +37,12 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 from _report import (
     COLD_START_TRAJECTORY_PATH,
+    cold_start_baseline,
     emit,
     emit_trajectory,
     run_metadata,
@@ -80,11 +89,11 @@ print(json.dumps({{"at": ready, "tenant_searches_s": searched - ready}}))
 """
 
 
-def _launch(*args: str) -> tuple[float, float, str]:
+def _launch(src: Path, *args: str) -> tuple[float, float, str]:
     """Launch and exit times (monotonic, comparable across processes)
-    of a fresh interpreter on this tree's ``src``, and its stdout."""
+    of a fresh interpreter on the tree at ``src``, and its stdout."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
+    env["PYTHONPATH"] = str(src)
     launched = time.monotonic()
     result = subprocess.run(
         [sys.executable, *args],
@@ -106,47 +115,84 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "iqr": [q1, q3]}
 
 
+def _search_path(src: Path) -> dict[str, float]:
+    launched, _, stdout = _launch(src, "-c", _SEARCH_PATH)
+    report = _last_json(stdout)
+    return {
+        "search_path.wall_s": report["at"] - launched,
+        "search_path.peak_rss_mb": report["peak_rss_mb"],
+        "search_path.modules": report["modules"],
+    }
+
+
+def _cli_help(src: Path) -> dict[str, float]:
+    launched, exited, _ = _launch(src, "-m", "repro.experiments", "--help")
+    return {"cli_help.wall_s": exited - launched}
+
+
+def _serving(src: Path) -> dict[str, float]:
+    launched, _, stdout = _launch(src, "-c", _SERVING)
+    report = _last_json(stdout)
+    return {
+        "serving.ready_s": report["at"] - launched,
+        "serving.tenant_searches_s": report["tenant_searches_s"],
+    }
+
+
 def bench_cold_start():
     """Fresh-interpreter start-up of the search path, CLI and frontend."""
-    compileall.compile_dir(str(SRC), quiet=1)
-    readings: dict[str, list[float]] = {
-        "search_path.wall_s": [],
-        "search_path.peak_rss_mb": [],
-        "search_path.modules": [],
-        "cli_help.wall_s": [],
-        "serving.ready_s": [],
-        "serving.tenant_searches_s": [],
+    trees = {"tree": SRC}
+    baseline = cold_start_baseline()
+    if baseline is not None:
+        trees["baseline"] = baseline
+    for src in trees.values():
+        compileall.compile_dir(str(src), quiet=1)
+    readings: dict[str, dict[str, list[float]]] = {
+        tree: defaultdict(list) for tree in trees
     }
-    for _ in range(ROUNDS):
-        launched, _, stdout = _launch("-c", _SEARCH_PATH)
-        report = _last_json(stdout)
-        readings["search_path.wall_s"].append(report["at"] - launched)
-        readings["search_path.peak_rss_mb"].append(report["peak_rss_mb"])
-        readings["search_path.modules"].append(report["modules"])
-        launched, exited, _ = _launch("-m", "repro.experiments", "--help")
-        readings["cli_help.wall_s"].append(exited - launched)
-        launched, _, stdout = _launch("-c", _SERVING)
-        report = _last_json(stdout)
-        readings["serving.ready_s"].append(report["at"] - launched)
-        readings["serving.tenant_searches_s"].append(report["tenant_searches_s"])
+    for round_index in range(ROUNDS):
+        order = list(trees) if round_index % 2 == 0 else list(trees)[::-1]
+        for take in (_search_path, _cli_help, _serving):
+            for tree in order:
+                for name, value in take(trees[tree]).items():
+                    readings[tree][name].append(value)
 
-    summaries = {name: _summary(values) for name, values in readings.items()}
+    summaries = {
+        name: _summary(values) for name, values in readings["tree"].items()
+    }
+    payload = {**summaries, "rounds": ROUNDS}
+    lines = [
+        f"{name:27s}: {summary['median']:9.3f} "
+        f"[{summary['iqr'][0]:.3f}, {summary['iqr'][1]:.3f}]"
+        for name, summary in summaries.items()
+    ]
+    if baseline is not None:
+        payload["baseline"] = {
+            name: _summary(values)
+            for name, values in readings["baseline"].items()
+        }
+        payload["ratio"] = {
+            name: statistics.median(
+                ours / theirs
+                for ours, theirs in zip(values, readings["baseline"][name])
+            )
+            for name, values in readings["tree"].items()
+        }
+        lines = [
+            f"{line}   baseline {payload['baseline'][name]['median']:9.3f}"
+            f"   ratio {payload['ratio'][name]:.3f}"
+            for line, name in zip(lines, summaries)
+        ]
     cpus = run_metadata()["cpus"]
     emit(
         "cold_start",
         f"Cold start: {ROUNDS} rounds of fresh interpreters ({cpus} cpus); "
-        "median [IQR]\n"
-        + "\n".join(
-            f"{name:27s}: {summary['median']:9.3f} "
-            f"[{summary['iqr'][0]:.3f}, {summary['iqr'][1]:.3f}]"
-            for name, summary in summaries.items()
-        ),
+        "median [IQR]"
+        + (f"; baseline {baseline}" if baseline is not None else "")
+        + "\n"
+        + "\n".join(lines),
     )
-    emit_trajectory(
-        "cold_start",
-        {**summaries, "rounds": ROUNDS},
-        path=COLD_START_TRAJECTORY_PATH,
-    )
+    emit_trajectory("cold_start", payload, path=COLD_START_TRAJECTORY_PATH)
 
 
 if __name__ == "__main__":

@@ -48,7 +48,9 @@ where a frontend must *refuse* work it cannot finish in time and
 Whatever the discipline decides, every *dispatched* search is served
 through the shard protocol — including the interned-graph handshake (a
 workload's graph is pickled to a shard at most once per worker
-incarnation), the liveness watchdog and the bounded crash-respawn /
+incarnation, and never pickled back: a shard replies with the decision
+in the store's codec, re-homed here onto the caller's graph and the
+request's topology), the liveness watchdog and the bounded crash-respawn /
 inline-fallback policy — and is **bit-identical** to a fresh
 :class:`~repro.core.mapper.Mars` run with the same configuration and
 seed (property-tested in ``tests/core/test_frontend.py`` and
@@ -101,7 +103,7 @@ from repro.core.serving import (
     _shard_worker,
     _tenant_key,
 )
-from repro.core.session import MarsResult
+from repro.core.session import MarsResult, decode_result
 from repro.dnn.graph import ComputationGraph
 from repro.system.topology import SystemTopology
 from repro.utils.rng import stable_seed
@@ -1271,8 +1273,9 @@ class SloServing:
         worker died mid-request), a **hang** (the watchdog saw neither
         reply nor beacon within the stall budget — the worker is
         kill-escalated first), and a **corrupt reply** (protocol
-        desync — the worker can no longer be trusted to frame
-        messages, so it is killed too). Each reaps the worker and — up
+        desync, or a search result that does not decode against the
+        request's own graph and topology — the worker can no longer be
+        trusted, so it is killed too). Each reaps the worker and — up
         to :attr:`SHARD_RESPAWN_LIMIT` times — replaces it cold and
         re-sends the request (results are identical, the rebuilt
         registry just starts with cold caches). Beyond the limit the
@@ -1305,15 +1308,41 @@ class SloServing:
                 self._reap_worker(handle)
                 self._crash_respawn(handle)
                 continue
-            if not _well_formed(response):
+            reply = self._trusted_reply(request, response)
+            if reply is None:
                 handle.corrupt += 1
                 self._reap_worker(handle, graceful=False)
                 self._crash_respawn(handle)
                 continue
-            if response[0] == "unknown_fp":
-                handle.interned.discard(response[1])
+            if reply[0] == "unknown_fp":
+                handle.interned.discard(reply[1])
                 continue
+            return reply
+
+    def _trusted_reply(self, request: tuple, response) -> tuple | None:
+        """The worker's reply as the caller receives it, or ``None``
+        when it is malformed or is an ``ok`` search reply that does not
+        decode (:func:`~repro.core.session.decode_result`) against the
+        caller's graph object and the request's topology — its
+        override, else :attr:`topology`.
+        """
+        if not _well_formed(response):
+            return None
+        if response[0] != "ok" or request[0] != "search":
             return response
+        _, graph, _, topology, _ = request
+        try:
+            result = decode_result(
+                response[1],
+                graph,
+                topology if topology is not None else self.topology,
+                self.config.designs,
+            )
+        except Exception:
+            # Whatever fails to decode marks the reply untrustworthy,
+            # as a payload that fails to decode quarantines a store entry.
+            return None
+        return ("ok", result)
 
     def _serve_inline(self, request: tuple) -> tuple:
         """Serve a request in-process after a shard exhausted respawns.
@@ -1321,7 +1350,9 @@ class SloServing:
         The fallback registry is built lazily from the same config the
         workers got, so results stay bit-identical — this is the
         sharded analogue of a retired worker pool converging to the
-        serial path.
+        serial path. Its results reference the graph the registry's
+        tenant session was built with — the first inline request's
+        object for that workload, not necessarily the caller's.
         """
         if request[0] == "stats":
             # Shard-level stats are gone with the worker; the fallback

@@ -23,7 +23,7 @@ This module closes that gap in two layers:
 * ``_shard_worker`` — the worker half of the shard protocol: one shard
   process hosting a ``MultiModelSession`` rebuilt from the shipped
   :class:`~repro.core.config.SearchConfig`, answering requests over a
-  pipe. The client half — spawning, the crash policy, the
+  pipe with decisions in the store's result codec. The client half — spawning, the crash policy, the
   interned-graph handshake and the liveness watchdog — is
   :class:`~repro.core.frontend.SloServing`. A spawned worker imports
   this module to find its target, so it loads neither the frontend
@@ -55,7 +55,12 @@ from repro.core.config import SearchConfig
 from repro.core.costmodel import CostModelSpec
 from repro.core.faults import execute_fault
 from repro.core.health import BeaconEmitter, LivenessPolicy
-from repro.core.session import MarsResult, MarsSession, SessionStats
+from repro.core.session import (
+    MarsResult,
+    MarsSession,
+    SessionStats,
+    encode_result,
+)
 from repro.dnn.graph import ComputationGraph
 from repro.system.topology import SystemTopology
 from repro.utils.counters import Counters, gauge, merged_by
@@ -413,6 +418,13 @@ def _shard_worker(
     shard is configured bit-identically to the frontend that spawned it
     (and to any replacement spawned after a crash).
 
+    A search answers ``("ok", encode_result(result))``: the decision in
+    the store's codec (:func:`~repro.core.session.encode_result`), not
+    the :class:`~repro.core.session.MarsResult`, so neither the graph
+    nor the topology is pickled back. The frontend re-homes it onto the
+    graph its caller submitted and the topology the request used; a
+    tenant error answers ``("error", exc)``.
+
     Interned-graph handshake: the first request for a workload ships
     the full graph, which the worker interns under its content
     fingerprint; every later request for the same workload ships the
@@ -494,7 +506,7 @@ def _shard_worker(
                     objective=objective,
                     progress=beacon,
                 )
-                conn.send(("ok", result))
+                conn.send(("ok", encode_result(result)))
             except Exception as exc:  # tenant errors travel to the caller
                 conn.send(("error", exc))
     finally:

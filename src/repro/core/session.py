@@ -40,8 +40,10 @@ Everything cached is seed-independent, so a warm session is
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.profiler import WorkloadProfile
 from repro.core.config import SearchConfig
 from repro.core.evaluator import (
@@ -102,6 +104,59 @@ class MarsResult:
         shipped back with fanned-out sub-problem results (``None`` when
         nothing fanned out)."""
         return self.ga.worker_layer_cache
+
+
+# ----------------------------------------------------------------------
+# The result codec (the store's payload and the shard worker's reply)
+# ----------------------------------------------------------------------
+
+
+def encode_result(result: MarsResult) -> dict:
+    """A finished search as a decision: what the store writes and what
+    a shard worker sends back.
+
+    The mapping travels as its :func:`mapping_to_dict` form — the
+    fingerprint-carrying schema the serialization layer already
+    verifies — so neither the graph nor the topology rides along: the
+    receiver re-homes the decision onto objects it already holds
+    (:func:`decode_result`). The evaluation and GA trace are opaque
+    picklable payloads; the store's digest covers all three.
+    """
+    return {
+        "mapping": mapping_to_dict(result.mapping),
+        "evaluation": result.evaluation,
+        "ga": result.ga,
+    }
+
+
+def decode_result(
+    payload: dict,
+    graph: ComputationGraph,
+    topology: SystemTopology,
+    designs: Sequence[AcceleratorDesign],
+) -> MarsResult:
+    """Rebuild an :func:`encode_result` payload against the receiver's
+    own graph, topology and design catalog.
+
+    :func:`mapping_from_dict` re-checks the embedded workload and
+    system names and fingerprints against ``graph``/``topology``, so a
+    decision searched for another workload or system never loads. Any
+    mismatch, missing key or wrong type raises: the store quarantines
+    the entry and misses, the serving frontend treats the reply as
+    corrupt and replaces the worker.
+    """
+    mapping = mapping_from_dict(payload["mapping"], graph, topology, designs)
+    evaluation = payload["evaluation"]
+    ga = payload["ga"]
+    require(
+        isinstance(evaluation, MappingEvaluation),
+        f"encoded evaluation has type {type(evaluation).__name__}",
+    )
+    require(
+        isinstance(ga, GAResult),
+        f"encoded GA trace has type {type(ga).__name__}",
+    )
+    return MarsResult(mapping=mapping, evaluation=evaluation, ga=ga)
 
 
 @dataclass(frozen=True)
@@ -351,7 +406,9 @@ class MarsSession:
                 topology_fp=topology_fp,
                 config_fp=config_fp,
                 seed=seed,
-                decode=self._decode_stored,
+                decode=lambda payload: decode_result(
+                    payload, self.graph, self.topology, self.config.designs
+                ),
             )
             if stored is not None:
                 self._count(searches=1)
@@ -389,7 +446,7 @@ class MarsSession:
             if self._publishable(result):
                 graph_fp, topology_fp, config_fp = self._store_key
                 self._store.put(
-                    self._encode_result(result),
+                    encode_result(result),
                     graph_fp=graph_fp,
                     topology_fp=topology_fp,
                     config_fp=config_fp,
@@ -423,54 +480,6 @@ class MarsSession:
         return evaluation.feasible and (
             evaluation.latency_seconds < INFEASIBLE_SECONDS
         )
-
-    # ------------------------------------------------------------------
-    # Store payload codec
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _encode_result(result: MarsResult) -> dict:
-        """The store payload of a finished search.
-
-        The mapping travels as its :func:`mapping_to_dict` form — the
-        fingerprint-carrying schema the serialization layer already
-        verifies — so :meth:`_decode_stored` re-homes it onto *this*
-        session's graph/topology objects instead of unpickling stale
-        copies. The evaluation and GA trace are opaque picklable
-        payloads; the store's digest covers all three.
-        """
-        return {
-            "mapping": mapping_to_dict(result.mapping),
-            "evaluation": result.evaluation,
-            "ga": result.ga,
-        }
-
-    def _decode_stored(self, payload: dict) -> MarsResult:
-        """Rebuild a stored artifact against the session's own objects.
-
-        :func:`mapping_from_dict` re-checks the embedded workload and
-        system fingerprints against the session's graph/topology — the
-        second, independent integrity gate after the store's digest
-        check. Any mismatch raises, which the store translates into a
-        quarantine plus a miss (the session then searches fresh).
-        """
-        mapping = mapping_from_dict(
-            payload["mapping"],
-            self.graph,
-            self.topology,
-            list(self.config.designs),
-        )
-        evaluation = payload["evaluation"]
-        ga = payload["ga"]
-        require(
-            isinstance(evaluation, MappingEvaluation),
-            f"stored evaluation has type {type(evaluation).__name__}",
-        )
-        require(
-            isinstance(ga, GAResult),
-            f"stored GA trace has type {type(ga).__name__}",
-        )
-        return MarsResult(mapping=mapping, evaluation=evaluation, ga=ga)
 
     def compile_program(self, result: MarsResult) -> ExecutionProgram:
         """Replayable execution program of a search result.

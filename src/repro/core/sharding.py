@@ -95,10 +95,9 @@ def _factor_pairs(p: int) -> list[tuple[int, int]]:
     return pairs
 
 
-@lru_cache(maxsize=16384)
 def assign_degrees(
     strategy: ParallelismStrategy,
-    extents_key: tuple[tuple[LoopDim, int], ...],
+    extents: dict[LoopDim, int],
     parallelism: int,
 ) -> dict[LoopDim, int] | None:
     """Distribute ``parallelism`` accelerators over the ES dims.
@@ -109,10 +108,9 @@ def assign_degrees(
     waste: ``prod(ceil(e/g) * g)`` over the dims, tie-broken towards
     splitting the first canonical dim less.
 
-    ``extents_key`` is the layer's loop extents as a sorted tuple (a
-    hashable stand-in for the dict, enabling memoization).
+    Not memoized: its one caller, :func:`make_sharding_plan`, is
+    memoized per plan by :func:`cached_sharding_plan`.
     """
-    extents = dict(extents_key)
     es = strategy.canonical_es()
     if parallelism == 1 or not es:
         return {}
@@ -284,11 +282,9 @@ def make_sharding_plan(
         if blocked.intersection(strategy.es) or strategy.ss in blocked:
             return None
     extents = spec.loop_extents()
-    extents_key = tuple(sorted(extents.items(), key=lambda kv: kv[0].value))
-    cached_degrees = assign_degrees(strategy, extents_key, parallelism)
-    if cached_degrees is None:
+    degrees = assign_degrees(strategy, extents, parallelism)
+    if degrees is None:
         return None
-    degrees = dict(cached_degrees)  # private copy; the cache entry is shared
     if spec.groups > 1:
         cout_degree = degrees.get(LoopDim.COUT, 1)
         ss_cout = strategy.ss == LoopDim.COUT

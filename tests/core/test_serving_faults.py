@@ -19,6 +19,7 @@ import pytest
 from repro.core import DeadlineExceeded, Mars, SloServing
 from repro.core.config import SearchConfig
 from repro.core.serving import _shard_worker
+from repro.core.session import decode_result
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
 
@@ -217,10 +218,15 @@ class TestWorkerInternBound:
         # with a capacity-1 registry the worker may retain at most one
         # interned graph, and an evicted fingerprint must answer
         # unknown_fp (the same path a respawn uses) rather than being
-        # served from an unbounded side table.
+        # served from an unbounded side table. Replies carry decisions,
+        # decoded here as the frontend decodes them.
         import multiprocessing
 
         config = SearchConfig.from_kwargs(capacity=1)
+
+        def decoded(payload, graph):
+            return decode_result(payload, graph, TOPOLOGY, config.designs)
+
         parent, child = multiprocessing.get_context("spawn").Pipe()
         worker = threading.Thread(
             target=_shard_worker,
@@ -230,9 +236,9 @@ class TestWorkerInternBound:
         worker.start()
         try:
             parent.send(("search", CNN, 0, None, "latency"))
-            status, result = parent.recv()
+            status, payload = parent.recv()
             assert status == "ok"
-            _same_result(result, fresh(CNN, 0))
+            _same_result(decoded(payload, CNN), fresh(CNN, 0))
             # Still interned: the fingerprint round-trips.
             parent.send(("search_fp", CNN.fingerprint(), 0, None, "latency"))
             assert parent.recv()[0] == "ok"
@@ -245,9 +251,9 @@ class TestWorkerInternBound:
             assert payload == CNN.fingerprint()
             # ...and re-shipping the full graph recovers, bit-identically.
             parent.send(("search", CNN, 1, None, "latency"))
-            status, result = parent.recv()
+            status, payload = parent.recv()
             assert status == "ok"
-            _same_result(result, fresh(CNN, 1))
+            _same_result(decoded(payload, CNN), fresh(CNN, 1))
         finally:
             parent.send(("shutdown",))
             assert parent.recv()[0] == "bye"

@@ -183,10 +183,12 @@ class TestSessionState:
                 gc.enable()
 
     def test_result_pickle_carries_no_derived_state(self):
-        """Every search reply pickles its mapping's topology; the pair
-        tables and set memos the search built on it stay behind, so the
-        reply pickles to the same bytes once they are dropped from the
-        live topology. No evaluator-side table rides along either."""
+        """An in-process search result pickles its mapping's topology
+        (a shard's reply does not: it carries the decision in the
+        store's codec, see ``test_reply_codec.py``); the pair tables
+        and set memos the search built on it stay behind, so the result
+        pickles to the same bytes once they are dropped from the live
+        topology. No evaluator-side table rides along either."""
         with MarsSession(build_model("squeezenet"), f1_16xlarge()) as session:
             reply = session.search(seed=0)
             before = pickle.dumps(reply, protocol=4)

@@ -55,22 +55,19 @@ class TestStrategyValidation:
 
 
 class TestAssignDegrees:
-    def _key(self, spec):
-        return tuple(
-            sorted(spec.loop_extents().items(), key=lambda kv: kv[0].value)
-        )
-
     def test_single_dim_gets_full_parallelism(self):
         spec = _spec()
         degrees = assign_degrees(
-            ParallelismStrategy(es=(LoopDim.H,)), self._key(spec), 4
+            ParallelismStrategy(es=(LoopDim.H,)), spec.loop_extents(), 4
         )
         assert degrees == {LoopDim.H: 4}
 
     def test_two_dims_factorize(self):
         spec = _spec()
         degrees = assign_degrees(
-            ParallelismStrategy(es=(LoopDim.H, LoopDim.W)), self._key(spec), 4
+            ParallelismStrategy(es=(LoopDim.H, LoopDim.W)),
+            spec.loop_extents(),
+            4,
         )
         assert degrees == {LoopDim.H: 2, LoopDim.W: 2}
         assert math.prod(degrees.values()) == 4
@@ -78,7 +75,9 @@ class TestAssignDegrees:
     def test_uneven_extents_prefer_larger_dim(self):
         spec = _spec(cout=64, h=4)
         degrees = assign_degrees(
-            ParallelismStrategy(es=(LoopDim.COUT, LoopDim.H)), self._key(spec), 8
+            ParallelismStrategy(es=(LoopDim.COUT, LoopDim.H)),
+            spec.loop_extents(),
+            8,
         )
         # Splitting H=4 eight ways is impossible; Cout should absorb more.
         assert degrees is not None
@@ -88,18 +87,18 @@ class TestAssignDegrees:
     def test_infeasible_when_extent_too_small(self):
         spec = _spec(k=3)
         degrees = assign_degrees(
-            ParallelismStrategy(es=(LoopDim.KH,)), self._key(spec), 4
+            ParallelismStrategy(es=(LoopDim.KH,)), spec.loop_extents(), 4
         )
         assert degrees is None  # cannot split 3 kernel rows four ways
 
     def test_no_es_means_no_degrees(self):
         spec = _spec()
-        assert assign_degrees(NO_PARALLELISM, self._key(spec), 4) == {}
+        assert assign_degrees(NO_PARALLELISM, spec.loop_extents(), 4) == {}
 
     def test_parallelism_one_is_trivial(self):
         spec = _spec()
         degrees = assign_degrees(
-            ParallelismStrategy(es=(LoopDim.H,)), self._key(spec), 1
+            ParallelismStrategy(es=(LoopDim.H,)), spec.loop_extents(), 1
         )
         assert degrees == {}
 
