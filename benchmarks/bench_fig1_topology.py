@@ -6,7 +6,8 @@ through the host and is several times slower. Benchmarks the collective
 primitives on both paths.
 """
 
-from repro.simulator import AnalyticalCommModel, CollectiveEngine, EventQueue, Network
+from repro.core.costmodel import AnalyticalCostModel
+from repro.simulator import CollectiveEngine, EventQueue, Network
 from repro.system import f1_16xlarge
 from repro.utils.tables import format_table
 
@@ -16,13 +17,13 @@ MB = 1_000_000
 
 
 def bench_intra_group_allreduce(benchmark):
-    model = AnalyticalCommModel(f1_16xlarge())
+    model = AnalyticalCostModel(f1_16xlarge())
     seconds = benchmark(model.allreduce_seconds, (0, 1, 2, 3), 4 * MB)
     assert seconds > 0
 
 
 def bench_cross_group_allreduce(benchmark):
-    model = AnalyticalCommModel(f1_16xlarge())
+    model = AnalyticalCostModel(f1_16xlarge())
     seconds = benchmark(model.allreduce_seconds, (0, 1, 4, 5), 4 * MB)
     assert seconds > 0
 
@@ -42,7 +43,7 @@ def bench_event_driven_allreduce(benchmark):
 def bench_fig1_report(benchmark):
     def build():
         topology = f1_16xlarge()
-        model = AnalyticalCommModel(topology)
+        model = AnalyticalCostModel(topology)
         rows = []
         for label, group in (
             ("intra-group (0,1,2,3)", (0, 1, 2, 3)),

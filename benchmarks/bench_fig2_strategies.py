@@ -7,7 +7,7 @@ the sharding-plan construction that sits in the GA's inner loop.
 
 from repro.core.sharding import ParallelismStrategy, make_sharding_plan
 from repro.dnn.layers import ConvSpec, LoopDim
-from repro.simulator import AnalyticalCommModel
+from repro.core.costmodel import AnalyticalCostModel
 from repro.system import f1_16xlarge
 from repro.utils.tables import format_table
 
@@ -40,7 +40,7 @@ def bench_sharding_plan_with_ss(benchmark):
 
 def bench_fig2_report(benchmark):
     def build():
-        model = AnalyticalCommModel(f1_16xlarge())
+        model = AnalyticalCostModel(f1_16xlarge())
         group = (0, 1, 2, 3)
         rows = []
         for name, strategy in (

@@ -13,13 +13,9 @@ Usage::
 
 from __future__ import annotations
 
+from repro.core.costmodel import AnalyticalCostModel
 from repro.core.ga import candidate_partitions
-from repro.simulator import (
-    AnalyticalCommModel,
-    CollectiveEngine,
-    EventQueue,
-    Network,
-)
+from repro.simulator import CollectiveEngine, EventQueue, Network
 from repro.system import f1_16xlarge
 from repro.utils import format_table, seconds_to_human
 
@@ -31,7 +27,7 @@ def main() -> None:
     print(topology.ascii_diagram())
 
     # The asymmetry of Fig. 1, quantified on 4 MB collectives.
-    model = AnalyticalCommModel(topology)
+    model = AnalyticalCostModel(topology)
     rows = []
     for label, group in (
         ("intra-group (0,1,2,3)", (0, 1, 2, 3)),

@@ -15,9 +15,9 @@ Usage::
 
 from __future__ import annotations
 
+from repro.core.costmodel import AnalyticalCostModel
 from repro.core.sharding import ParallelismStrategy, make_sharding_plan
 from repro.dnn.layers import ConvSpec, LoopDim
-from repro.simulator import AnalyticalCommModel
 from repro.system import f1_16xlarge
 from repro.utils import bytes_to_human, seconds_to_human
 
@@ -60,7 +60,7 @@ def show_plan(title: str, strategy: ParallelismStrategy, parallelism: int) -> No
         )
     print(f"  weights/acc     : {bytes_to_human(plan.weight_bytes_per_acc)}")
 
-    comm = AnalyticalCommModel(f1_16xlarge())
+    comm = AnalyticalCostModel(f1_16xlarge())
     group = tuple(range(parallelism))
     allreduce = (
         comm.allreduce_seconds(group[: plan.allreduce_group], plan.allreduce_bytes)

@@ -1,24 +1,19 @@
 """Pluggable per-layer cost models behind a declared interface.
 
-The fitness oracle of both GA levels used to be a single hard-coded
-analytical cost walk inside :class:`~repro.core.evaluator
-.MappingEvaluator`: compute cycles came straight from
-:func:`~repro.accelerators.base.cached_conv_cycles`, communication from
-:class:`~repro.simulator.analytical.AnalyticalCommModel`, and nothing
-else could be plugged in. This module extracts that pricing into a
-declared :class:`CostModel` interface — compute, collectives,
-transfers and host traffic as separate overridable operations — so the
-mapper stays generic while each platform (or fidelity level) declares
-its own model, the shape MATCH uses for its per-target
+Both GA levels, compiled programs and the validation harness price
+through one :class:`CostModel`: compute, collectives, transfers and
+host traffic as separate overridable operations, so the mapper stays
+generic while each platform (or fidelity level) declares its own
+model, the shape MATCH uses for its per-target
 ``CostModelEvaluation`` subclasses.
 
 Two implementations ship:
 
-* :class:`AnalyticalCostModel` — the paper's closed forms, verbatim.
-  Bit-identical to the pre-refactor evaluator (property-tested against
-  committed goldens across the zoo, layer cache on and off): every
-  method evaluates exactly the float expressions the evaluator used to
-  inline.
+* :class:`AnalyticalCostModel` — the paper's closed forms, and the
+  only place they live: compute from the per-design cycle model, and
+  the ring, set-to-set and host formulas over the topology's
+  bottleneck bandwidths. Committed goldens pin its prices across the
+  zoo, layer cache on and off.
 * :class:`ContentionDeratedCostModel` — the same forms with per-class
   multiplicative derates on the communication terms, the standard way
   to fold link contention (which the closed forms ignore — they price
@@ -54,9 +49,9 @@ from dataclasses import dataclass
 
 from repro.accelerators.base import AcceleratorDesign, cached_conv_cycles
 from repro.core.sharding import ShardingPlan
-from repro.simulator.analytical import AnalyticalCommModel
 from repro.system.topology import SystemTopology
 from repro.utils.rng import stable_digest
+from repro.utils.units import transfer_seconds as wire_seconds
 from repro.utils.validation import require
 
 __all__ = [
@@ -264,22 +259,18 @@ class CostModel:
 
 @register_cost_model("analytical")
 class AnalyticalCostModel(CostModel):
-    """The paper's closed-form model — the pre-refactor evaluator,
-    verbatim.
+    """The paper's closed forms, and the only place they live.
 
     Compute comes from the memoized per-design cycle model
     (:func:`~repro.accelerators.base.cached_conv_cycles`; fixed-design
     sets stall until the slowest member finishes, Section VI-C), and
-    every communication term from
-    :class:`~repro.simulator.analytical.AnalyticalCommModel`'s ring
-    formulas. Each method is the exact float expression the evaluator
-    used to inline, so this model is bit-identical to the pre-refactor
-    walk (property-tested against committed goldens across the zoo).
+    communication from ring-algorithm formulas over the topology's
+    bottleneck links, priced on an idle network as ASTRA-Sim's
+    analytical backend does. ``allgather_seconds``,
+    ``reduce_scatter_seconds`` and ``p2p_seconds`` are outside the
+    :class:`CostModel` seam: no mapping emits those steps, and the
+    figure benches and the simulator cross-checks use them.
     """
-
-    def __init__(self, topology: SystemTopology) -> None:
-        super().__init__(topology)
-        self.comm = AnalyticalCommModel(topology)
 
     def conv_compute_seconds(
         self, designs: list[AcceleratorDesign], plan: ShardingPlan
@@ -300,13 +291,56 @@ class AnalyticalCostModel(CostModel):
             for d in designs
         )
 
+    # -- ring collectives within an accelerator set --------------------
+
     def allreduce_seconds(self, group: tuple[int, ...], nbytes: float) -> float:
-        return self.comm.allreduce_seconds(group, nbytes)
+        """Ring all-reduce of an ``nbytes`` tensor across ``group``.
+
+        Reduce-scatter + all-gather: ``2 (P-1)/P * S / B`` plus
+        ``2 (P-1)`` hop latencies. Degenerates to 0 for P <= 1.
+        """
+        p = len(group)
+        if p <= 1 or nbytes == 0:
+            return 0.0
+        bandwidth, latency = self.topology.bottleneck_within(group)
+        wire = 2 * (p - 1) / p * wire_seconds(nbytes, bandwidth)
+        return wire + 2 * (p - 1) * latency
+
+    def allgather_seconds(self, group: tuple[int, ...], nbytes: float) -> float:
+        """Ring all-gather so every member ends with the full ``nbytes``."""
+        p = len(group)
+        if p <= 1 or nbytes == 0:
+            return 0.0
+        bandwidth, latency = self.topology.bottleneck_within(group)
+        wire = (p - 1) / p * wire_seconds(nbytes, bandwidth)
+        return wire + (p - 1) * latency
+
+    def reduce_scatter_seconds(
+        self, group: tuple[int, ...], nbytes: float
+    ) -> float:
+        """Ring reduce-scatter; same wire time as all-gather."""
+        return self.allgather_seconds(group, nbytes)
 
     def ring_step_seconds(
         self, group: tuple[int, ...], shard_bytes: float
     ) -> float:
-        return self.comm.ring_step_seconds(group, shard_bytes)
+        """One SS rotation: every member forwards its shard to its ring
+        neighbour concurrently (Fig. 2(c) phase boundary)."""
+        if len(group) <= 1 or shard_bytes == 0:
+            return 0.0
+        bandwidth, latency = self.topology.bottleneck_within(group)
+        return wire_seconds(shard_bytes, bandwidth) + latency
+
+    # -- point-to-point and set-to-set ---------------------------------
+
+    def p2p_seconds(self, src: int, dst: int, nbytes: float) -> float:
+        """One ``src`` -> ``dst`` message over the effective path."""
+        if nbytes == 0 or src == dst:
+            return 0.0
+        bandwidth = self.topology.effective_bandwidth(src, dst)
+        return wire_seconds(nbytes, bandwidth) + self.topology.path_latency(
+            src, dst
+        )
 
     def transfer_seconds(
         self,
@@ -315,15 +349,46 @@ class AnalyticalCostModel(CostModel):
         total_bytes: float,
         bytes_per_dst: float | None = None,
     ) -> float:
-        return self.comm.set_to_set_seconds(
-            src_accs, dst_accs, total_bytes, bytes_per_dst
-        )
+        """Move a tensor from one accelerator set to the next.
+
+        The producer set holds the tensor sharded over ``src_accs``; the
+        consumer set needs ``bytes_per_dst`` on each member (defaults to
+        an even split of ``total_bytes``). The cost is a LogP-style
+        bound: the slower of source-side egress and destination-side
+        ingress over the bottleneck pairwise bandwidth, plus one path
+        latency.
+        """
+        require(bool(src_accs) and bool(dst_accs), "empty accelerator set")
+        if total_bytes == 0:
+            return 0.0
+        bottleneck = self.topology.bottleneck_between(src_accs, dst_accs)
+        if bottleneck is None:
+            return 0.0  # single accelerator on both sides: data is local
+        if bytes_per_dst is None:
+            bytes_per_dst = total_bytes / len(dst_accs)
+        total_moved = bytes_per_dst * len(dst_accs)
+        bandwidth, latency = bottleneck
+        egress = wire_seconds(total_moved / len(src_accs), bandwidth)
+        ingress = wire_seconds(bytes_per_dst, bandwidth)
+        return max(egress, ingress) + latency
+
+    # -- host traffic --------------------------------------------------
 
     def host_read_seconds(self, acc: int, nbytes: float) -> float:
-        return self.comm.host_read_seconds(acc, nbytes)
+        """One-way host-memory -> accelerator read (e.g. initial input)."""
+        if nbytes == 0:
+            return 0.0
+        bandwidth = self.topology.host_bandwidth(acc)
+        return wire_seconds(nbytes, bandwidth) + self.topology.host_latency_s
 
     def host_round_trip_seconds(self, acc: int, nbytes: float) -> float:
-        return self.comm.host_round_trip_seconds(acc, nbytes)
+        """Spill ``nbytes`` to host memory and read it back (overflow)."""
+        if nbytes == 0:
+            return 0.0
+        bandwidth = self.topology.host_bandwidth(acc)
+        return 2 * (
+            wire_seconds(nbytes, bandwidth) + self.topology.host_latency_s
+        )
 
 
 @register_cost_model("contention-derated")

@@ -160,7 +160,6 @@ class LayerCost:
     allreduce_seconds: float = 0.0
     rotation_seconds: float = 0.0
     halo_seconds: float = 0.0
-    plan: ShardingPlan | None = None
 
     @property
     def total_seconds(self) -> float:
@@ -1023,15 +1022,14 @@ class SubproblemCosts:
         )
         costs = []
         feasible = fits
-        for node, (_, state, _, _, _, seconds, plan, _) in zip(
+        for node, (_, state, _, _, _, seconds, _, _) in zip(
             self.nodes, records
         ):
             # Positional arguments: a starred call costs more here.
             compute, resharding, allreduce, rotation, halo = seconds
             costs.append(
                 LayerCost(
-                    node.name, compute, resharding, allreduce, rotation,
-                    halo, plan,
+                    node.name, compute, resharding, allreduce, rotation, halo
                 )
             )
             if state == _NO_PLAN:

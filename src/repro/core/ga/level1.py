@@ -50,7 +50,8 @@ from repro.core.ga.heuristics import (
     candidate_partitions,
     design_gene_seed,
 )
-from repro.core.ga.level2 import SetSolution, optimize_set
+from repro.core.ga.level2 import optimize_set
+from repro.core.sharding import ParallelismStrategy
 from repro.dnn.graph import ComputationGraph
 from repro.system.topology import SystemTopology
 from repro.utils.cache import LruCache
@@ -150,7 +151,8 @@ class SubproblemSolver:
     no matter which worker (or the parent, on the serial fallback
     path) produces it.
 
-    Results carry the worker-side layer-cache delta of the solve so
+    An item's result is its solution's strategies (all that level 1
+    reads of it) and the worker-side layer-cache delta of the solve, so
     the parent can merge pool counters into its stats; on the
     in-process fallback path the delta is ``None`` — the parent
     evaluator's own counters already saw that work, and shipping a
@@ -169,10 +171,9 @@ class SubproblemSolver:
 
     def __call__(
         self, item: tuple[tuple, AcceleratorDesign | None]
-    ) -> tuple[tuple, SetSolution, LayerCacheStats | None]:
+    ) -> tuple[tuple, dict[str, ParallelismStrategy], LayerCacheStats | None]:
         key, design = item
-        start, stop = key[0], key[1]
-        accs = key[2]
+        start, stop, accs, _ = key
         nodes = self.evaluator.graph.nodes()[start:stop]
         before = self.evaluator.layer_cache_stats
         solution = optimize_set(
@@ -184,8 +185,9 @@ class SubproblemSolver:
             subproblem_rng(key),
         )
         if not self._remote:
-            return key, solution, None
-        return key, solution, self.evaluator.layer_cache_stats.since(before)
+            return key, solution.strategies, None
+        delta = self.evaluator.layer_cache_stats.since(before)
+        return key, solution.strategies, delta
 
 
 @dataclass
@@ -248,11 +250,12 @@ class Level1Search:
     budget: SearchBudget
     rng: np.random.Generator
     objective: str = "latency"
-    # Any mapping with dict-shaped get/setitem works here; sessions pass
-    # a bounded ``repro.utils.cache.LruCache``.
-    solution_cache: dict[tuple, SetSolution] | LruCache = field(
-        default_factory=dict
-    )
+    # Sub-problem key -> the strategies of its level-2 solution. Any
+    # mapping with dict-shaped get/setitem works here; sessions pass a
+    # bounded ``repro.utils.cache.LruCache``.
+    solution_cache: (
+        dict[tuple, dict[str, ParallelismStrategy]] | LruCache
+    ) = field(default_factory=dict)
     level1_backend: ProcessPoolBackend | None = None
     partitions: list[Partition] | None = None
     design_profile: WorkloadProfile | None = None
@@ -302,7 +305,7 @@ class Level1Search:
         self.subproblems_fanned_out = 0
         # This generation's fanned-out solutions; they enter
         # ``solution_cache`` only through :meth:`solve_subproblem`.
-        self._prefetched: dict[tuple, SetSolution] = {}
+        self._prefetched: dict[tuple, dict[str, ParallelismStrategy]] = {}
 
     # ------------------------------------------------------------------
     # Genome layout
@@ -433,25 +436,27 @@ class Level1Search:
         layer_range: LayerRange,
         accs: tuple[int, ...],
         design: AcceleratorDesign | None,
-    ) -> SetSolution:
+    ) -> dict[str, ParallelismStrategy]:
+        """The strategies of the sub-problem's level-2 solution, from
+        ``solution_cache``, this generation's fan-out, or a solve."""
         key = self._subproblem_key(layer_range, accs, design)
         cached = self.solution_cache.get(key)
         if cached is not None:
             return cached
-        solution = self._prefetched.get(key)
-        if solution is None:
+        strategies = self._prefetched.get(key)
+        if strategies is None:
             nodes = self.graph.nodes()[layer_range.start : layer_range.stop]
-            solution = optimize_set(
+            strategies = optimize_set(
                 self.evaluator,
                 nodes,
                 accs,
                 design,
                 self.budget.level2,
                 subproblem_rng(key),
-            )
+            ).strategies
             self._record_solved(key)
-        self.solution_cache[key] = solution
-        return solution
+        self.solution_cache[key] = strategies
+        return strategies
 
     def prefetch_population(
         self, genomes: np.ndarray | list[np.ndarray]
@@ -484,10 +489,10 @@ class Level1Search:
                     jobs[key] = design
         if jobs:
             solver = SubproblemSolver(self.evaluator, self.budget.level2)
-            for key, solution, stats in pool.map_subproblems(
+            for key, strategies, stats in pool.map_subproblems(
                 solver, list(jobs.items())
             ):
-                self._prefetched[key] = solution
+                self._prefetched[key] = strategies
                 self._record_solved(key)
                 if stats is not None:
                     self.subproblems_fanned_out += 1
@@ -501,13 +506,13 @@ class Level1Search:
         for acc_set, design, layer_range in zip(
             decoded.used_sets, decoded.designs, decoded.ranges
         ):
-            solution = self.solve_subproblem(layer_range, acc_set, design)
+            strategies = self.solve_subproblem(layer_range, acc_set, design)
             assignments.append(
                 SetAssignment(
                     layer_range=layer_range,
                     acc_set=AcceleratorSet(acc_set),
                     design=design,
-                    strategies=solution.strategies,
+                    strategies=strategies,
                 )
             )
         return Mapping(

@@ -10,8 +10,9 @@ across searches:
 
 * one :class:`~repro.core.evaluator.MappingEvaluator` (its layer-cost
   cache and greedy-shortlist memo stay warm);
-* one cross-search level-1 ``solution_cache`` (LRU-bounded) — sound
-  because each sub-problem's level-2 GA draws from a content-keyed RNG
+* one cross-search level-1 ``solution_cache`` (LRU-bounded) of each
+  sub-problem's winning strategies — sound because each sub-problem's
+  level-2 GA draws from a content-keyed RNG
   (:func:`repro.utils.rng.stable_seed`), making its solution
   independent of which search, seed or session first posed it;
 * the partition catalog and profiled design table, which depend only
@@ -57,7 +58,6 @@ from repro.core.ga.backends import ProcessPoolBackend
 from repro.core.ga.engine import GAResult
 from repro.core.ga.heuristics import Partition
 from repro.core.ga.level1 import Level1Search
-from repro.core.ga.level2 import SetSolution
 from repro.core.store import MappingStore
 from repro.dnn.graph import ComputationGraph
 from repro.simulator.program import ExecutionProgram

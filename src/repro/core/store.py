@@ -26,9 +26,13 @@ The store is built for hostile conditions, in order of severity:
   retried with bounded exponential backoff, then downgraded to a cache
   miss (reads) or a dropped publish (writes) with a counter bump;
   after :attr:`StoreSpec.failure_limit` consecutive failures the store
-  disables itself so a dead disk costs one counter increment per
-  lookup, not a retry loop. :meth:`MappingStore.get` and
-  :meth:`MappingStore.put` never raise.
+  object disables itself so a dead disk costs one counter increment
+  per lookup, not a retry loop. The scope is one :class:`MappingStore`,
+  not the process: every :class:`~repro.core.session.MarsSession`
+  opens its own, so each tenant session of a serving registry (one
+  rebuilt after an eviction too) starts enabled and pays its own
+  failures. :meth:`MappingStore.get` and :meth:`MappingStore.put`
+  never raise.
 
 The store moves *payload bytes*, not domain objects: callers pass a
 picklable payload to :meth:`~MappingStore.put` and a ``decode``
@@ -98,9 +102,11 @@ class StoreSpec:
             retry (bounded by ``max_attempts``).
         lock_timeout_seconds: How long a publisher waits on another
             writer's entry lock before dropping the publish.
-        failure_limit: Consecutive failed operations after which the
-            store disables itself for the process's remaining lifetime
-            (lookups become instant misses instead of retry loops).
+        failure_limit: Consecutive failed operations after which a
+            :class:`MappingStore` disables itself for the rest of its
+            life (lookups become instant misses instead of retry
+            loops). Each session opens its own store object, so each
+            tenant session counts its own failures.
         publish: ``False`` makes the store read-only — lookups hit,
             fresh results are not written back.
     """

@@ -1,16 +1,18 @@
 """Cross-validation of cost models against the event-driven simulator.
 
 A :class:`~repro.core.costmodel.CostModel` prices every step of a
-mapping with closed forms; the event simulator
+mapping with closed forms (:func:`price_step` is the only analytical
+step pricer); the event simulator
 (:meth:`~repro.simulator.program.ExecutionProgram.replay`) executes the
-same steps on serialized network resources, so wherever a collective's
-flows contend for a link the two disagree. This module measures that
-gap per *step pattern* — the workload classes the evaluator labels its
-program steps with (``compute``, ``allreduce``, ``ss-rotation``,
-``halo``, ``reshard``, ``boundary``, ``host-input``, ``weight-stream``,
-``dram-spill``) — and rolls the comparison up into the divergence
-report behind ``python -m repro.experiments --validate`` and the
-committed ``BENCH_costmodel.json``.
+same steps on serialized network resources and shares no pricing code
+with the model, so wherever a collective's flows contend for a link
+the two disagree. This module measures that gap per *step pattern* —
+the workload classes the evaluator labels its program steps with
+(``compute``, ``allreduce``, ``ss-rotation``, ``halo``, ``reshard``,
+``boundary``, ``host-input``, ``weight-stream``, ``dram-spill``) — and
+rolls the comparison up into the divergence report behind
+``python -m repro.experiments --validate`` and the committed
+``BENCH_costmodel.json``.
 
 The report is both a validation artifact and a calibration input:
 :meth:`~repro.core.costmodel.ContentionDeratedCostModel.from_divergence`
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 
 from repro.core.costmodel import AnalyticalCostModel, CostModel, CostModelSpec
 from repro.core.evaluator import INFEASIBLE_SECONDS
-from repro.simulator.analytical import AnalyticalCommModel
 from repro.simulator.program import (
     CollectiveStep,
     ComputeStep,
@@ -95,7 +96,12 @@ def price_step(model: CostModel, step: Step) -> float:
     Compute steps were priced by the model at compile time (their
     ``seconds`` field *is* the model's output); every other step class
     maps onto the matching :class:`~repro.core.costmodel.CostModel`
-    operation.
+    operation. All-gather and reduce-scatter are not part of that
+    interface (the evaluator never emits them): they take the idle-
+    network closed forms of the model, or of an
+    :class:`~repro.core.costmodel.AnalyticalCostModel` on the same
+    topology when the model has none, so a hand-built program still
+    validates.
     """
     if isinstance(step, ComputeStep):
         return step.seconds
@@ -104,15 +110,11 @@ def price_step(model: CostModel, step: Step) -> float:
             return model.allreduce_seconds(step.group, step.nbytes)
         if step.kind == "ring_step":
             return model.ring_step_seconds(step.group, step.nbytes)
-        # allgather / reduce_scatter never leave the evaluator today;
-        # price them with the idle-network forms so a hand-built
-        # program still validates.
-        comm = getattr(model, "comm", None)
-        if comm is None:  # non-analytical lineage: idle-network fallback
-            comm = AnalyticalCommModel(model.topology)
+        if not isinstance(model, AnalyticalCostModel):
+            model = AnalyticalCostModel(model.topology)
         if step.kind == "allgather":
-            return comm.allgather_seconds(step.group, step.nbytes)
-        return comm.reduce_scatter_seconds(step.group, step.nbytes)
+            return model.allgather_seconds(step.group, step.nbytes)
+        return model.reduce_scatter_seconds(step.group, step.nbytes)
     if isinstance(step, TransferStep):
         return model.transfer_seconds(
             step.src_group, step.dst_group, step.total_bytes, step.bytes_per_dst

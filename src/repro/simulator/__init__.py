@@ -1,12 +1,14 @@
-"""ASTRA-Sim-style latency simulation for multi-accelerator systems.
+"""ASTRA-Sim-style event-driven replay for multi-accelerator systems.
 
-Two backends share one step vocabulary (:mod:`repro.simulator.program`):
-closed-form analytical pricing for the GA inner loop, and an
-event-driven replay with serialized link/host-port resources for
-validation and traces.
+The evaluator compiles a mapping into a program of steps
+(:mod:`repro.simulator.program`); this package replays it on
+serialized link and host-port resources, for validation and traces.
+It prices nothing analytically: the closed forms live in
+:class:`~repro.core.costmodel.AnalyticalCostModel`, and
+:func:`repro.core.validation.price_step` prices a program's steps with
+them, so the replay shares no pricing code with the model it checks.
 """
 
-from repro.simulator.analytical import AnalyticalCommModel
 from repro.simulator.collectives import CollectiveEngine
 from repro.simulator.events import EventQueue
 from repro.simulator.network import Network, TransferRecord
@@ -26,7 +28,6 @@ from repro.simulator.trace import (
 )
 
 __all__ = [
-    "AnalyticalCommModel",
     "CollectiveEngine",
     "CollectiveStep",
     "ComputeStep",

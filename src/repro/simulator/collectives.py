@@ -1,9 +1,11 @@
 """Event-driven collective communication over the network model.
 
-These implement the same primitives as the analytical model but execute
-on the :class:`~repro.simulator.network.Network`'s serialized resources,
-so contention (e.g. two collectives fighting over a host port) is
-captured. Tests cross-validate them against the closed forms.
+These implement the primitives that
+:class:`~repro.core.costmodel.AnalyticalCostModel` prices in closed
+form, but execute on the :class:`~repro.simulator.network.Network`'s
+serialized resources, so contention (e.g. two collectives fighting
+over a host port) is captured. Tests cross-check against them the
+closed forms that every search prices with.
 
 Rings are laid out in ascending accelerator-id order; in step ``k`` of a
 ring algorithm each member sends one chunk to its successor and the step

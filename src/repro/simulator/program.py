@@ -2,13 +2,13 @@
 
 The evaluator compiles a mapped DNN into a linear *program* of compute
 steps, intra-set collectives, set-to-set transfers and host traffic —
-the same structure ASTRA-Sim consumes as a workload trace. A program can
-then be priced two ways:
-
-* :meth:`ExecutionProgram.analytical_seconds` — closed forms, used in
-  the GA inner loop;
-* :meth:`ExecutionProgram.replay` — event-driven on the serialized
-  network resources, used for validation and reported traces.
+the same structure ASTRA-Sim consumes as a workload trace.
+:meth:`ExecutionProgram.replay` executes it event-driven on the
+serialized network resources, for validation and reported traces. The
+search never prices a program: its steps are appended from what the
+evaluator's cost model priced, and
+:func:`repro.core.validation.price_step` re-prices a step with that
+model when a replay is checked against it.
 
 Steps execute sequentially (layer-by-layer inference, as in the paper);
 within a step all listed accelerators work concurrently.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.simulator.analytical import AnalyticalCommModel
 from repro.simulator.collectives import CollectiveEngine
 from repro.simulator.events import EventQueue
 from repro.simulator.network import Network
@@ -109,7 +108,7 @@ class ReplayResult:
 
 @dataclass
 class ExecutionProgram:
-    """An ordered list of steps with two pricing backends."""
+    """An ordered list of steps and their event-driven replay."""
 
     topology: SystemTopology
     steps: list[Step] = field(default_factory=list)
@@ -122,43 +121,6 @@ class ExecutionProgram:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    # ------------------------------------------------------------------
-    # Analytical pricing
-    # ------------------------------------------------------------------
-
-    def analytical_seconds(self, model: AnalyticalCommModel | None = None) -> float:
-        model = model or AnalyticalCommModel(self.topology)
-        total = 0.0
-        for step in self.steps:
-            total += self._price_step(step, model)
-        return total
-
-    def _price_step(self, step: Step, model: AnalyticalCommModel) -> float:
-        if isinstance(step, ComputeStep):
-            return step.seconds
-        if isinstance(step, CollectiveStep):
-            if step.kind == "allreduce":
-                return model.allreduce_seconds(step.group, step.nbytes)
-            if step.kind == "allgather":
-                return model.allgather_seconds(step.group, step.nbytes)
-            if step.kind == "reduce_scatter":
-                return model.reduce_scatter_seconds(step.group, step.nbytes)
-            return model.ring_step_seconds(step.group, step.nbytes)
-        if isinstance(step, TransferStep):
-            return model.set_to_set_seconds(
-                step.src_group,
-                step.dst_group,
-                step.total_bytes,
-                step.bytes_per_dst,
-            )
-        if step.kind == "read":
-            return model.host_read_seconds(step.acc, step.nbytes)
-        return model.host_round_trip_seconds(step.acc, step.nbytes)
-
-    # ------------------------------------------------------------------
-    # Event-driven replay
-    # ------------------------------------------------------------------
 
     def replay(self) -> ReplayResult:
         events = EventQueue()

@@ -280,7 +280,7 @@ def reference_evaluate_set(
             else:
                 plans.append(plan)
                 sharding_state[node.name] = plan.output_sharding
-            costs.append(LayerCost(node.name, *seconds, plan=plan))
+            costs.append(LayerCost(node.name, *seconds))
         else:
             seconds, shard_bytes = lightweight_layer_cost(
                 evaluator, node, accs, designs, program

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.accelerators import design1_superlip, design2_systolic
+from repro.core.costmodel import AnalyticalCostModel
 from repro.core.evaluator import (
     INFEASIBLE_SECONDS,
     EvaluatorOptions,
@@ -14,8 +15,13 @@ from repro.core.formulation import (
     Mapping,
     SetAssignment,
 )
-from repro.core.sharding import NO_PARALLELISM, ParallelismStrategy
+from repro.core.sharding import (
+    NO_PARALLELISM,
+    ParallelismStrategy,
+    cached_sharding_plan,
+)
 from repro.core.strategy_space import longest_dims_strategy
+from repro.core.validation import price_step
 from repro.dnn import build_model
 from repro.dnn.layers import LoopDim
 from repro.system import f1_16xlarge, h2h_fixed_system
@@ -49,6 +55,29 @@ def _strategies_for(graph, strategy):
         else:
             result[node.name] = longest_dims_strategy(node.conv_spec())
     return result
+
+
+def _planned(graph, result, strategies, parallelism):
+    """The costs in ``result`` of the compute layers that have a sharding
+    plan under ``strategies`` (replicated where omitted)."""
+    nodes = {node.name: node for node in graph.compute_nodes()}
+    return [
+        cost
+        for cost in result.layer_costs
+        if cost.name in nodes
+        and cached_sharding_plan(
+            nodes[cost.name].conv_spec(),
+            strategies.get(cost.name, NO_PARALLELISM),
+            parallelism,
+        )
+        is not None
+    ]
+
+
+def _analytical_seconds(program):
+    """The program's steps priced in order by the closed forms."""
+    model = AnalyticalCostModel(program.topology)
+    return sum(price_step(model, step) for step in program.steps)
 
 
 def _single_set_mapping(graph, topology, accs=(0, 1, 2, 3), strategies=None):
@@ -94,7 +123,7 @@ class TestSetEvaluation:
         result = evaluator.evaluate_set(
             nodes, (0, 1), design1_superlip(), strategies
         )
-        conv_costs = [c for c in result.layer_costs if c.plan is not None]
+        conv_costs = _planned(graph, result, strategies, 2)
         assert any(c.allreduce_seconds > 0 for c in conv_costs)
 
     def test_ss_incurs_rotations(self, graph, evaluator):
@@ -110,8 +139,8 @@ class TestSetEvaluation:
         )
         conv_costs = [
             c
-            for c in result.layer_costs
-            if c.plan is not None and c.name.startswith("conv")
+            for c in _planned(graph, result, strategies, 2)
+            if c.name.startswith("conv")
         ]
         assert conv_costs
         assert all(c.rotation_seconds > 0 for c in conv_costs)
@@ -154,8 +183,8 @@ class TestShardingStatePropagation:
         )
         resharding = [
             c.resharding_seconds
-            for c in result.layer_costs
-            if c.plan is not None and c.name.startswith("conv")
+            for c in _planned(graph, result, strategies, 2)
+            if c.name.startswith("conv")
         ]
         # H-sharding flows through the conv chain and its elementwise
         # layers: only halo exchanges remain, no bulk redistribution.
@@ -175,8 +204,7 @@ class TestShardingStatePropagation:
         )
         assert any(
             c.resharding_seconds > 0
-            for c in result.layer_costs
-            if c.plan is not None
+            for c in _planned(graph, result, strategies, 2)
         )
 
     def test_cout_consumer_after_h_producer_needs_gather(self, topology):
@@ -346,7 +374,7 @@ class TestProgramCompilation:
         mapping = _single_set_mapping(graph, topology, strategies=strategies)
         expected = evaluator.evaluate_mapping(mapping)
         program = evaluator.compile_program(mapping)
-        assert program.analytical_seconds() == pytest.approx(
+        assert _analytical_seconds(program) == pytest.approx(
             expected.latency_seconds, rel=1e-6
         )
 
@@ -359,5 +387,5 @@ class TestProgramCompilation:
         program = evaluator.compile_program(mapping)
         replay = program.replay()
         assert replay.total_seconds == pytest.approx(
-            program.analytical_seconds(), rel=0.1
+            _analytical_seconds(program), rel=0.1
         )

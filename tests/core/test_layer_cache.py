@@ -37,6 +37,7 @@ from repro.core.session import MarsSession
 from repro.core.sharding import (
     NO_PARALLELISM,
     ParallelismStrategy,
+    cached_sharding_plan,
 )
 from repro.dnn import build_model
 from repro.dnn.layers import LOOP_DIMS, LoopDim
@@ -548,7 +549,7 @@ class TestCacheMechanics:
         graph = GRAPHS[0]
         evaluator = self._evaluator()
         uncached = self._evaluator(layer_cache=False)
-        producer = graph.compute_nodes()[0].name
+        producer = graph.compute_nodes()[0]
         states = []
         # The first compute layer's strategy sets the sharding that
         # reaches the non-compute layer after it.
@@ -557,7 +558,9 @@ class TestCacheMechanics:
             ParallelismStrategy(es=(LoopDim.H,)),
             ParallelismStrategy(es=(LoopDim.COUT,)),
         ):
-            strategies = {**_random_strategies(graph, 0), producer: strategy}
+            strategies = {
+                **_random_strategies(graph, 0), producer.name: strategy
+            }
             got = evaluator.evaluate_set(
                 graph.nodes(), (0, 1), design2_systolic(), strategies
             )
@@ -565,8 +568,8 @@ class TestCacheMechanics:
                 graph.nodes(), (0, 1), design2_systolic(), strategies
             )
             _assert_set_evaluations_identical(got, expected)
-            (cost,) = [c for c in got.layer_costs if c.name == producer]
-            states.append(cost.plan.output_sharding)
+            plan = cached_sharding_plan(producer.conv_spec(), strategy, 2)
+            states.append(plan.output_sharding)
         assert len({tuple(state.items()) for state in states}) == 3
         (memo,) = evaluator._lightweight_memo.values()
         assert sorted(memo) == sorted(

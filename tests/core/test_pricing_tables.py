@@ -32,7 +32,7 @@ from repro.core.ga import Level2Fitness
 from repro.core.ga.level1 import SubproblemSolver
 from repro.core.ga.level2 import SHORTLIST
 from repro.core.session import MarsSession
-from repro.core.sharding import ParallelismStrategy
+from repro.core.sharding import ParallelismStrategy, cached_sharding_plan
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
 from repro.utils import make_rng
@@ -155,10 +155,12 @@ def test_cache_off_memoizes_no_price(monkeypatch):
     )
     strategies = fitness.costs.strategies(phenotype)
     planned = sum(
-        cost.plan is not None
-        for cost in evaluator.evaluate_set(
-            nodes, accs, design, strategies
-        ).layer_costs
+        cached_sharding_plan(
+            node.conv_spec(), strategies[node.name], len(accs)
+        )
+        is not None
+        for node in nodes
+        if node.is_compute
     )
     assert planned == 12
     for price in (

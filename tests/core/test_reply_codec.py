@@ -9,13 +9,16 @@ submitted and the topology the request used.
 
 The contract: a served result references the caller's graph and the
 request's topology and is bit-identical to a fresh ``Mars`` run across
-shard counts {1, 2}; the reply payload carries no ``ComputationGraph``
-or ``SystemTopology`` and is smaller than the result; and a well-formed
+shard counts {1, 2}; the reply payload carries no ``ComputationGraph``,
+``SystemTopology`` or ``ShardingPlan`` and is smaller than the result,
+and a payload whose layer costs still carry plans decodes; and a
+well-formed
 ``ok`` reply that decodes to another workload or system, or does not
 decode at all, is treated as a corrupt reply — the worker is replaced
 and the request re-sent — so it never reaches a caller.
 """
 
+import copy
 import multiprocessing
 import pickle
 import pickletools
@@ -28,6 +31,7 @@ from repro.core import LivenessPolicy, Mars, SloServing
 from repro.core.config import SearchConfig
 from repro.core.serving import _shard_worker
 from repro.core.session import decode_result, encode_result
+from repro.core.sharding import cached_sharding_plan
 from repro.dnn import build_model
 from repro.system import f1_16xlarge
 from repro.utils.serialization import mapping_to_dict
@@ -132,6 +136,41 @@ class TestReplyPayload:
             parent.close()
             worker.join(timeout=60)
         assert not worker.is_alive()
+
+
+class TestPlanFreeEvaluations:
+    def test_layer_costs_carry_no_plans_and_old_payloads_decode(self):
+        """Replies and store payloads carry no ``ShardingPlan``, and a
+        payload written while each ``LayerCost`` still carried its plan
+        (a store entry of an earlier version) decodes to the same
+        result."""
+        reference = fresh(CNN, 0)
+        payload = encode_result(reference)
+        assert "ShardingPlan" not in _pickled_names(
+            pickle.dumps(("ok", payload))
+        )
+        old = copy.deepcopy(payload)
+        specs = {node.name: node.conv_spec() for node in CNN.compute_nodes()}
+        for evaluation, assignment in zip(
+            old["evaluation"].set_evaluations, reference.mapping.assignments
+        ):
+            for cost in evaluation.layer_costs:
+                cost.plan = (
+                    cached_sharding_plan(
+                        specs[cost.name],
+                        assignment.strategy_for(cost.name),
+                        assignment.acc_set.size,
+                    )
+                    if cost.name in specs
+                    else None
+                )
+        data = pickle.dumps(old)
+        assert "ShardingPlan" in _pickled_names(data)
+        result = decode_result(
+            pickle.loads(data), CNN, TOPOLOGY, SearchConfig().designs
+        )
+        _bit_identical(result, reference)
+        assert result.evaluation == reference.evaluation
 
 
 def _right_payload():

@@ -15,8 +15,10 @@ import weakref
 import pytest
 
 from repro.core import Mars, MarsSession
+from repro.core.costmodel import AnalyticalCostModel
 from repro.core.evaluator import EvaluatorOptions, MappingEvaluator
 from repro.core.ga import Level1Search, SearchBudget
+from repro.core.validation import price_step
 from repro.dnn import build_model
 from repro.system import SystemTopology, f1_16xlarge, h2h_fixed_system
 from repro.utils import make_rng
@@ -78,32 +80,44 @@ class TestSessionDeterminism:
         """A sub-problem solved under any level-1 seed solves identically.
 
         The level-2 RNG is derived from the sub-problem key, so shared
-        keys across independent searches must carry identical solutions
-        — the property that makes the cross-search cache sound.
+        keys across independent searches must carry identical strategies
+        — the property that makes the cross-search cache sound — and
+        each search's warm evaluator re-prices them to the same latency.
         """
         from repro.accelerators import table2_designs
+
+        designs = {design.name: design for design in table2_designs()}
 
         def solve(seed):
             search = Level1Search(
                 graph=GRAPH,
                 topology=TOPOLOGY,
-                designs=table2_designs(),
+                designs=list(designs.values()),
                 evaluator=MappingEvaluator(GRAPH, TOPOLOGY),
                 budget=SearchBudget.fast(),
                 rng=make_rng(seed),
             )
             search.run()
-            return search.solution_cache
+            return search
 
-        cache_a = solve(0)
-        cache_b = solve(9)
-        shared = set(cache_a) & set(cache_b)
+        def latency(search, key):
+            start, stop, accs, design = key
+            return search.evaluator.evaluate_set(
+                GRAPH.nodes()[start:stop],
+                accs,
+                designs[design],
+                search.solution_cache[key],
+            ).latency_seconds
+
+        search_a = solve(0)
+        search_b = solve(9)
+        shared = set(search_a.solution_cache) & set(search_b.solution_cache)
         assert shared  # different seeds still pose common sub-problems
         for key in shared:
             assert (
-                cache_a[key].latency_seconds == cache_b[key].latency_seconds
+                search_a.solution_cache[key] == search_b.solution_cache[key]
             )
-            assert cache_a[key].strategies == cache_b[key].strategies
+            assert latency(search_a, key).hex() == latency(search_b, key).hex()
 
 
 class TestSessionState:
@@ -231,9 +245,10 @@ class TestMarsFacadeSession:
         mars = Mars(GRAPH, TOPOLOGY)
         result = mars.search(seed=0)
         program = mars.compile_program(result)
-        assert program.analytical_seconds() == pytest.approx(
-            result.evaluation.latency_seconds, rel=1e-9
-        )
+        model = AnalyticalCostModel(TOPOLOGY)
+        assert sum(
+            price_step(model, step) for step in program.steps
+        ) == pytest.approx(result.evaluation.latency_seconds, rel=1e-9)
 
 
 class TestReassignmentRefused:

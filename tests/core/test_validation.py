@@ -3,7 +3,7 @@
 ``repro.core.validation`` replays searched mappings through the event
 simulator and compares each program step against its cost-model price.
 These tests pin the harness mechanics: label -> pattern classification,
-per-step pricing consistency with the program's own analytical backend,
+how ``price_step`` prices each step kind under each shipped model,
 exact reconciliation on contention-free steps, infeasible-mapping
 exclusion (the divergence-side twin of the store's sentinel guard), and
 the ``python -m repro.experiments --validate`` entry point.
@@ -13,7 +13,12 @@ import json
 
 import pytest
 
-from repro.core.costmodel import AnalyticalCostModel, CostModelSpec
+from repro.core.costmodel import (
+    AnalyticalCostModel,
+    ContentionDeratedCostModel,
+    CostModel,
+    CostModelSpec,
+)
 from repro.core.ga import GAConfig, SearchBudget
 from repro.core.validation import (
     CONTENTION_FREE_PATTERNS,
@@ -25,7 +30,6 @@ from repro.core.validation import (
     validate_model,
 )
 from repro.experiments.__main__ import main as experiments_main
-from repro.simulator.analytical import AnalyticalCommModel
 from repro.simulator.program import (
     CollectiveStep,
     ComputeStep,
@@ -88,28 +92,101 @@ class TestStepPattern:
         assert step_pattern(step) == expected
 
 
-class TestPriceStep:
-    """The harness prices steps exactly like the program's own
-    analytical backend (same closed forms, same floats)."""
+def _collective(model, step):
+    return getattr(model, f"{step.kind}_seconds")(step.group, step.nbytes)
 
-    STEPS = [
+
+def _transfer(model, step):
+    return model.transfer_seconds(
+        step.src_group, step.dst_group, step.total_bytes, step.bytes_per_dst
+    )
+
+
+#: Step kind -> (step, how the model prices it, the derate that scales
+#: it under ``ContentionDeratedCostModel``, or ``None``).
+PRICED_STEPS = {
+    "compute": (
         ComputeStep((0, 1), 3.25e-6, label="l:compute"),
+        lambda model, step: step.seconds,
+        None,
+    ),
+    "allreduce": (
         CollectiveStep("allreduce", (0, 1, 2, 3), 4096.0, label="l:allreduce"),
+        _collective,
+        "collective_derate",
+    ),
+    "allgather": (
         CollectiveStep("allgather", (0, 1, 2), 4096.0),
+        _collective,
+        None,
+    ),
+    "reduce_scatter": (
         CollectiveStep("reduce_scatter", (0, 1, 2), 4096.0),
+        _collective,
+        None,
+    ),
+    "ring_step": (
         CollectiveStep("ring_step", (0, 1, 2, 3), 512.0, label="l:halo"),
+        _collective,
+        "collective_derate",
+    ),
+    "reshard": (
         TransferStep((0, 1), (2, 3), 8192.0, label="l:reshard"),
-        TransferStep((0, 1), (4, 5), 8192.0, 4096.0, label="b:boundary"),
+        _transfer,
+        "transfer_derate",
+    ),
+    "boundary": (  # each destination needs the whole tensor
+        TransferStep((0, 1), (4, 5), 8192.0, 8192.0, label="b:boundary"),
+        _transfer,
+        "transfer_derate",
+    ),
+    "host_read": (
         HostStep(0, 65536.0, label="l:host-input"),
+        lambda model, step: model.host_read_seconds(step.acc, step.nbytes),
+        "host_derate",
+    ),
+    "host_round_trip": (
         HostStep(1, 65536.0, kind="round_trip", label="dram-spill"),
-    ]
+        lambda model, step: model.host_round_trip_seconds(
+            step.acc, step.nbytes
+        ),
+        "host_derate",
+    ),
+}
 
-    @pytest.mark.parametrize("step", STEPS, ids=lambda s: type(s).__name__ + ":" + (s.label or getattr(s, "kind", "")))
-    def test_matches_program_pricing(self, step):
-        model = AnalyticalCostModel(TOPOLOGY)
-        program = ExecutionProgram(TOPOLOGY)
-        comm = AnalyticalCommModel(TOPOLOGY)
-        assert price_step(model, step) == program._price_step(step, comm)
+ANALYTICAL = AnalyticalCostModel(TOPOLOGY)
+#: Distinct derates, so a step scaled by another class's derate shows.
+DERATED = ContentionDeratedCostModel(
+    TOPOLOGY, collective_derate=1.25, transfer_derate=1.5, host_derate=1.75
+)
+
+
+class TestPriceStep:
+    """``price_step`` is the only analytical step pricer: each step kind
+    maps onto one model method, a derated model scales it by exactly
+    its class's derate, and all-gather and reduce-scatter, which no
+    mapping emits, keep the idle-network price."""
+
+    @pytest.mark.parametrize("kind", sorted(PRICED_STEPS))
+    def test_analytical_price_is_the_matching_method(self, kind):
+        step, priced, _ = PRICED_STEPS[kind]
+        price = price_step(ANALYTICAL, step)
+        assert price > 0.0
+        assert price == priced(ANALYTICAL, step)
+
+    @pytest.mark.parametrize("kind", sorted(PRICED_STEPS))
+    def test_derated_price_scales_by_its_class_derate(self, kind):
+        step, _, derate = PRICED_STEPS[kind]
+        idle = price_step(ANALYTICAL, step)
+        scale = 1.0 if derate is None else getattr(DERATED, derate)
+        assert price_step(DERATED, step) == idle * scale
+
+    @pytest.mark.parametrize("kind", ["allgather", "reduce_scatter"])
+    def test_a_model_without_the_method_takes_the_idle_price(self, kind):
+        step = PRICED_STEPS[kind][0]
+        assert price_step(CostModel(TOPOLOGY), step) == price_step(
+            ANALYTICAL, step
+        )
 
 
 class TestCompareProgram:

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.costmodel import AnalyticalCostModel
 from repro.core.evaluator import MappingEvaluator
 from repro.core.ga import Level1Search, SearchBudget
 from repro.core.mapper import Mars
+from repro.core.validation import price_step
 from repro.dnn import build_model
 from repro.system import f1_16xlarge, h2h_fixed_system
 from repro.utils import make_rng
@@ -120,6 +122,7 @@ class TestMarsSearch:
         mars = Mars(graph, topology)
         result = mars.search(seed=0)
         program = mars.compile_program(result)
-        assert program.analytical_seconds() == pytest.approx(
-            result.evaluation.latency_seconds, rel=1e-9
-        )
+        model = AnalyticalCostModel(topology)
+        assert sum(
+            price_step(model, step) for step in program.steps
+        ) == pytest.approx(result.evaluation.latency_seconds, rel=1e-9)

@@ -1,15 +1,16 @@
-"""Closed-form collective costs: formulas, asymmetry, degenerate cases."""
+"""The analytical cost model's closed forms: formulas, asymmetry,
+degenerate cases."""
 
 import pytest
 
-from repro.simulator import AnalyticalCommModel
+from repro.core.costmodel import AnalyticalCostModel
 from repro.system import f1_16xlarge
 from repro.utils.units import gbps, transfer_seconds
 
 
 @pytest.fixture(scope="module")
 def model():
-    return AnalyticalCommModel(f1_16xlarge())
+    return AnalyticalCostModel(f1_16xlarge())
 
 
 MB = 1_000_000
@@ -83,26 +84,26 @@ class TestP2P:
 
 class TestSetToSet:
     def test_same_singleton_is_free(self, model):
-        assert model.set_to_set_seconds((0,), (0,), MB) == 0.0
+        assert model.transfer_seconds((0,), (0,), MB) == 0.0
 
     def test_cross_group_transfer(self, model):
-        t = model.set_to_set_seconds((0, 1), (4, 5), 4 * MB)
+        t = model.transfer_seconds((0, 1), (4, 5), 4 * MB)
         # 2 MB per destination over the 1 Gbps effective host path.
         assert t == pytest.approx(transfer_seconds(2 * MB, gbps(1)) + 2e-5, rel=0.01)
 
     def test_fan_out_replication_costs_more(self, model):
-        even = model.set_to_set_seconds((0,), (1, 2), 2 * MB)
-        replicated = model.set_to_set_seconds(
+        even = model.transfer_seconds((0,), (1, 2), 2 * MB)
+        replicated = model.transfer_seconds(
             (0,), (1, 2), 2 * MB, bytes_per_dst=2 * MB
         )
         assert replicated > even
 
     def test_zero_bytes_free(self, model):
-        assert model.set_to_set_seconds((0,), (4,), 0) == 0.0
+        assert model.transfer_seconds((0,), (4,), 0) == 0.0
 
     def test_empty_group_rejected(self, model):
         with pytest.raises(ValueError):
-            model.set_to_set_seconds((), (0,), MB)
+            model.transfer_seconds((), (0,), MB)
 
 
 class TestHostTraffic:

@@ -1,13 +1,15 @@
-"""Cross-validation: event-driven collectives vs closed-form model.
+"""Cross-validation: event-driven collectives vs the analytical cost
+model.
 
-The GA trusts the analytical numbers; these tests bound the gap to the
-event-driven implementation on uncontended networks (where the formulas
-should be near-exact).
+Every search prices through :class:`AnalyticalCostModel`'s closed
+forms; these tests bound their gap to the event-driven implementation
+on uncontended networks (where the formulas should be near-exact).
 """
 
 import pytest
 
-from repro.simulator import AnalyticalCommModel, CollectiveEngine, EventQueue, Network
+from repro.core.costmodel import AnalyticalCostModel
+from repro.simulator import CollectiveEngine, EventQueue, Network
 from repro.system import f1_16xlarge
 
 MB = 1_000_000
@@ -17,7 +19,7 @@ MB = 1_000_000
 def setup():
     topology = f1_16xlarge()
     network = Network(topology, EventQueue())
-    return AnalyticalCommModel(topology), CollectiveEngine(network)
+    return AnalyticalCostModel(topology), CollectiveEngine(network)
 
 
 INTRA = (0, 1, 2, 3)
@@ -77,13 +79,13 @@ class TestP2PAgreement:
 class TestSetToSetAgreement:
     def test_parallel_pairs(self, setup):
         analytical, engine = setup
-        predicted = analytical.set_to_set_seconds((0, 1), (2, 3), 4 * MB)
+        predicted = analytical.transfer_seconds((0, 1), (2, 3), 4 * MB)
         simulated = engine.set_to_set((0, 1), (2, 3), 4 * MB)
         assert simulated == pytest.approx(predicted, rel=0.05)
 
     def test_cross_group(self, setup):
         analytical, engine = setup
-        predicted = analytical.set_to_set_seconds((0,), (4,), 2 * MB)
+        predicted = analytical.transfer_seconds((0,), (4,), 2 * MB)
         simulated = engine.set_to_set((0,), (4,), 2 * MB)
         assert simulated == pytest.approx(predicted, rel=0.05)
 

@@ -1,19 +1,16 @@
-"""Property-based invariants of the communication models."""
+"""Property-based invariants of the analytical cost model's
+communication forms and of the event-driven network."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import (
-    AnalyticalCommModel,
-    CollectiveEngine,
-    EventQueue,
-    Network,
-)
+from repro.core.costmodel import AnalyticalCostModel
+from repro.simulator import CollectiveEngine, EventQueue, Network
 from repro.system import f1_16xlarge
 
 TOPOLOGY = f1_16xlarge()
-MODEL = AnalyticalCommModel(TOPOLOGY)
+MODEL = AnalyticalCostModel(TOPOLOGY)
 
 _group = st.sampled_from(
     [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 4, 5), tuple(range(8))]

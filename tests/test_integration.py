@@ -10,8 +10,10 @@ import pytest
 from repro.accelerators import table2_designs
 from repro.core import EvaluatorOptions, MappingEvaluator
 from repro.core.baselines import computation_prioritized_mapping, h2h_mapping
+from repro.core.costmodel import AnalyticalCostModel
 from repro.core.ga import GAConfig, SearchBudget
 from repro.core.mapper import Mars
+from repro.core.validation import price_step
 from repro.dnn import build_model
 from repro.system import f1_16xlarge, h2h_fixed_system
 
@@ -33,7 +35,8 @@ class TestAdaptivePipeline:
         evaluator = MappingEvaluator(graph, f1_16xlarge())
         program = evaluator.compile_program(search_result.mapping)
         replay = program.replay()
-        analytical = program.analytical_seconds()
+        model = AnalyticalCostModel(program.topology)
+        analytical = sum(price_step(model, step) for step in program.steps)
         assert replay.total_seconds == pytest.approx(analytical, rel=0.15)
         assert replay.total_seconds > 0
 
