@@ -119,7 +119,7 @@ def main() -> None:
             ), "the SLO frontend must be bit-identical to the registry"
         stats = frontend.stats()
         print(
-            f"slo serving: {stats.active_shards} shards "
+            f"slo serving: {stats.shards} shards "
             f"(tenant on shard {frontend.shard_of(combined)}), "
             f"{stats.scheduling} scheduling, {stats.completed} completed, "
             f"{stats.shed} shed, {stats.expired} expired, "

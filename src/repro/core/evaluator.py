@@ -175,6 +175,16 @@ class LayerCost:
     def comm_seconds(self) -> float:
         return self.total_seconds - self.compute_seconds
 
+    def __setstate__(self, state: dict) -> None:
+        # Store entries written while each layer cost carried its
+        # sharding plan still hold one; drop it on load. One setattr
+        # per field keeps the compact attribute storage a
+        # ``__dict__.update`` would replace with a full dict (~200 B
+        # more per unpickled layer cost).
+        state.pop("plan", None)
+        for name, value in state.items():
+            setattr(self, name, value)
+
 
 @dataclass
 class SetEvaluation:

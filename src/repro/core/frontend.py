@@ -1,10 +1,11 @@
 """The multi-process serving frontend: shards, admission, deadlines.
 
-:class:`SloServing` spawns N shard worker processes, each hosting one
-:class:`~repro.core.serving.MultiModelSession` rebuilt from the same
-shipped :class:`~repro.core.config.SearchConfig`. Tenants are placed by
-content-fingerprint hash (sticky, so a tenant's warm caches live on
-exactly one shard) and searches on different shards run truly
+:class:`SloServing` spawns a fixed fleet of N shard worker processes,
+each hosting one :class:`~repro.core.serving.MultiModelSession` rebuilt
+from the same shipped :class:`~repro.core.config.SearchConfig`. Tenants
+are placed by content-fingerprint hash modulo N (sticky, so a tenant's
+warm caches live on exactly one shard, whose dispatcher alone holds
+that tenant's queue) and searches on different shards run truly
 concurrently — which the in-process registry, serializing every search
 on one core, cannot do. This module holds the client half of the shard
 protocol; the worker half, ``_shard_worker``, lives in
@@ -25,7 +26,7 @@ where a frontend must *refuse* work it cannot finish in time and
   :class:`ServerSaturated`) instead of growing an unbounded backlog.
 * **Deadline-aware scheduling** — requests carry an optional relative
   ``deadline`` (seconds). Each shard's dispatcher picks
-  **earliest-deadline-first** across the tenant queues assigned to it
+  **earliest-deadline-first** across its own tenant queues
   (:func:`dispatch_key` is the total order: deadline, then arrival
   sequence; no-deadline requests sort last, FIFO among themselves),
   and a request whose deadline passes before dispatch resolves
@@ -37,25 +38,18 @@ where a frontend must *refuse* work it cannot finish in time and
   :meth:`~SloServing.search_async` is the asyncio spelling
   (``await``-able, so an async gateway can multiplex thousands of
   requests over one frontend).
-* **Shard autoscaling** — the frontend spawns up to ``max_shards``
-  workers and drains back to ``shards`` on sustained queue depth /
-  idleness (:class:`TrafficPolicy` thresholds), reusing the worker
-  spawn/drain machinery. Placement re-hashes over the active
-  shard count: results never depend on which shard serves a tenant
-  (every worker rebuilds the same content-addressed registry), so
-  scaling is results-invisible and only moves warm caches.
 
 Whatever the discipline decides, every *dispatched* search is served
 through the shard protocol — including the interned-graph handshake (a
 workload's graph is pickled to a shard at most once per worker
 incarnation, and never pickled back: a shard replies with the decision
 in the store's codec, re-homed here onto the caller's graph and the
-request's topology), the liveness watchdog and the bounded crash-respawn /
-inline-fallback policy — and is **bit-identical** to a fresh
+request's topology, as is a result of the inline fallback), the
+liveness watchdog and the bounded crash-respawn / inline-fallback
+policy — and is **bit-identical** to a fresh
 :class:`~repro.core.mapper.Mars` run with the same configuration and
 seed (property-tested in ``tests/core/test_frontend.py`` and
-``tests/core/test_shard_pool.py`` under concurrency, shard kills and
-autoscale events).
+``tests/core/test_shard_pool.py`` under concurrency and shard kills).
 
 >>> from repro.core.frontend import SloServing
 >>> from repro.dnn import build_model
@@ -103,7 +97,7 @@ from repro.core.serving import (
     _shard_worker,
     _tenant_key,
 )
-from repro.core.session import MarsResult, decode_result
+from repro.core.session import MarsResult, decode_result, encode_result
 from repro.dnn.graph import ComputationGraph
 from repro.system.topology import SystemTopology
 from repro.utils.rng import stable_seed
@@ -164,7 +158,7 @@ def dispatch_key(deadline: float | None, seq: int) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class TrafficPolicy:
-    """Admission, scheduling and autoscaling knobs of a :class:`SloServing`.
+    """Admission and scheduling knobs of a :class:`SloServing`.
 
     Attributes:
         scheduling: ``"edf"`` (earliest-deadline-first across tenant
@@ -177,23 +171,11 @@ class TrafficPolicy:
         max_inflight: Global bound on requests queued + running across
             the frontend; beyond it submits shed with
             :class:`ServerSaturated`. ``None`` disables the budget.
-        scale_up_depth: Queued requests *per active shard* above which
-            the autoscaler wants another shard.
-        scale_up_ticks: Consecutive over-threshold ticks before a
-            scale-up actually happens (guards against bursts).
-        scale_down_ticks: Consecutive fully-idle ticks before an extra
-            shard is drained back down.
-        tick_seconds: The autoscaler's sampling period (also the
-            dispatchers' park timeout).
     """
 
     scheduling: str = "edf"
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     max_inflight: int | None = DEFAULT_MAX_INFLIGHT
-    scale_up_depth: int = 4
-    scale_up_ticks: int = 2
-    scale_down_ticks: int = 40
-    tick_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         require(
@@ -203,10 +185,12 @@ class TrafficPolicy:
         require_positive(self.queue_depth, "queue_depth")
         if self.max_inflight is not None:
             require_positive(self.max_inflight, "max_inflight")
-        require_positive(self.scale_up_depth, "scale_up_depth")
-        require_positive(self.scale_up_ticks, "scale_up_ticks")
-        require_positive(self.scale_down_ticks, "scale_down_ticks")
-        require_positive(self.tick_seconds, "tick_seconds")
+
+
+#: How long an idle dispatcher parks before it looks at its queues
+#: again (seconds). Nothing notifies a dispatcher when a queued
+#: request's deadline passes, so expiry is noticed within this period.
+_PARK_SECONDS = 0.05
 
 
 class _Request:
@@ -242,16 +226,6 @@ class _Request:
         self.future = future
 
 
-class _TenantQueue:
-    """One tenant's pending requests plus its stable placement slot."""
-
-    __slots__ = ("slot", "requests")
-
-    def __init__(self, slot: int) -> None:
-        self.slot = slot
-        self.requests: deque[_Request] = deque()
-
-
 #: Every status a live worker may legally answer with.
 _VALID_STATUSES = frozenset({"ok", "error", "stats", "unknown_fp", "bye"})
 
@@ -283,7 +257,6 @@ class _ShardHandle:
         "interned",
         "graph_ships",
         "fp_sends",
-        "drained",
         "swallowed",
         "last_backoff",
         "hangs",
@@ -312,11 +285,6 @@ class _ShardHandle:
         self.graph_ships = 0
         #: Fingerprint-only requests shipped (the pickles saved).
         self.fp_sends = 0
-        #: True while the shard is deliberately drained by autoscaling
-        #: (distinguishes a scaled-down worker from a crashed one — a
-        #: drained shard respawns on demand instead of degrading to the
-        #: inline fallback).
-        self.drained = False
         #: Exceptions absorbed on this shard's teardown/respawn paths.
         #: Each was previously a silent ``pass`` — deliberately not
         #: propagated (the caller still gets a result through a respawn
@@ -398,10 +366,8 @@ class SloServingStats:
 
     #: The dispatch discipline in force (``"edf"`` or ``"fifo"``).
     scheduling: str
-    #: The floor / ceiling / current number of serving shards.
-    min_shards: int
-    max_shards: int
-    active_shards: int
+    #: The number of serving shards (fixed for the frontend's life).
+    shards: int
     #: Every ``submit()`` call, including shed and dead-on-arrival ones.
     submitted: int
     #: Requests refused at admission (:class:`AdmissionRejected`).
@@ -417,19 +383,16 @@ class SloServingStats:
     #: Requests currently queued, and currently running on a shard.
     queued: int
     running: int
-    #: Autoscaling events over the frontend's lifetime.
-    scale_ups: int
-    scale_downs: int
     #: Crash-triggered worker respawns across shards.
     respawns: int
     #: Full-graph payloads / fingerprint-only requests shipped per
     #: shard (the interned-graph handshake's ledger).
     graph_ships: tuple[int, ...]
     fp_sends: tuple[int, ...]
-    #: Shard registries' own counters (None for a shard that is
-    #: drained, never spawned, or crash-retired). Empty unless the
-    #: snapshot was taken with ``stats(worker_stats=True)``; a crashed
-    #: shard's counters restart from zero with its replacement process.
+    #: Shard registries' own counters (None for a shard whose worker
+    #: is crash-retired). Empty unless the snapshot was taken with
+    #: ``stats(worker_stats=True)``; a crashed shard's counters restart
+    #: from zero with its replacement process.
     per_shard: tuple[ServingStats | None, ...] = ()
     #: The inline fallback registry's counters, if it ever engaged.
     fallback: ServingStats | None = None
@@ -495,36 +458,27 @@ class SloServing:
     :class:`~repro.core.serving.MultiModelSession` rebuilt from
     ``config``, and runs the traffic layer over them: bounded
     per-tenant queues, a global in-flight budget, deadline-aware (EDF)
-    or FIFO dispatch, pre-dispatch deadline expiry, and demand-driven
-    shard autoscaling between ``shards`` and ``max_shards``. See the
-    module docstring for the discipline.
+    or FIFO dispatch, and pre-dispatch deadline expiry. See the module
+    docstring for the discipline.
 
     Crash policy: a worker that dies, hangs or desyncs mid-request is
     replaced by a cold respawn and the request is re-sent — at most
     :attr:`SHARD_RESPAWN_LIMIT` times per shard, after which that
     shard's traffic is served *inline* by a frontend-local fallback
     registry, built lazily from the same config. Either path returns
-    identical results.
+    identical results, re-homed onto the caller's graph and the
+    request's topology.
 
     Args:
         topology: Default system for every tenant.
-        shards: The shard floor — workers spawned immediately.
-        max_shards: The ceiling autoscaling may grow to (default: equal
-            to ``shards``, i.e. autoscaling off). Extra shards spawn on
-            demand and drain back when idle.
+        shards: The number of shard workers, all spawned at
+            construction; the fleet is fixed for the frontend's life.
         config: The :class:`~repro.core.config.SearchConfig` every
             shard worker rebuilds its registry from (default:
             ``SearchConfig()``). ``config.capacity`` bounds live
             tenants *per shard*.
-        policy: The :class:`TrafficPolicy` (admission bounds,
-            scheduling discipline, autoscale thresholds).
-        mp_context: :mod:`multiprocessing` start method. Keep the
-            default ``"spawn"`` (identical on every platform, safe next
-            to the frontend's dispatcher threads) or use
-            ``"forkserver"`` on POSIX for faster worker start. Avoid
-            ``"fork"``: crash respawns fork from a dispatcher *thread*
-            while other threads run, and a child inheriting a lock held
-            at fork time can hang the replacement worker.
+        policy: The :class:`TrafficPolicy` (admission bounds and
+            scheduling discipline).
         clock: Monotonic time source for deadlines — and for the hang
             watchdog's stall deadlines (injectable for deterministic
             tests). Deadlines passed to :meth:`submit` are *relative
@@ -558,23 +512,15 @@ class SloServing:
         self,
         topology: SystemTopology,
         shards: int = DEFAULT_SHARDS,
-        max_shards: int | None = None,
         config: SearchConfig | None = None,
         policy: TrafficPolicy | None = None,
-        mp_context: str = "spawn",
         clock: Callable[[], float] = time.monotonic,
         liveness: LivenessPolicy | None = None,
     ) -> None:
         require_positive(shards, "shards")
-        if max_shards is None:
-            max_shards = shards
-        require(
-            max_shards >= shards,
-            f"max_shards ({max_shards}) must be >= shards ({shards})",
-        )
         self.topology = topology
-        self.min_shards = shards
-        self.max_shards = max_shards
+        #: The number of shard workers, fixed for the frontend's life.
+        self.shards = shards
         #: The config every shard worker rebuilds its registry from.
         self.config = config if config is not None else SearchConfig()
         self.policy = policy if policy is not None else TrafficPolicy()
@@ -592,14 +538,23 @@ class SloServing:
         # the dispatcher thread of the crashed shard sleeps — other
         # shards keep serving.
         self._sleep = time.sleep
-        self._ctx = multiprocessing.get_context(mp_context)
+        # Spawn on every platform: crash respawns start a worker from a
+        # dispatcher *thread* while other threads run, and a forked
+        # child inheriting a lock held at fork time could hang.
+        self._ctx = multiprocessing.get_context("spawn")
         self._fallback: MultiModelSession | None = None
         self._fallback_lock = threading.Lock()
-        self._handles = [_ShardHandle(index) for index in range(max_shards)]
+        self._handles = [_ShardHandle(index) for index in range(shards)]
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
-        self._queues: dict[tuple, _TenantQueue] = {}
-        self._controls: list[deque] = [deque() for _ in range(max_shards)]
+        #: Per shard, its tenants' pending requests by tenant key. An
+        #: entry is dropped once its queue empties, so a long-lived
+        #: frontend serving many distinct tenants neither grows memory
+        #: nor pays a per-dispatch scan over every tenant it ever saw.
+        self._queues: list[dict[tuple, deque[_Request]]] = [
+            {} for _ in range(shards)
+        ]
+        self._controls: list[deque] = [deque() for _ in range(shards)]
         self._seq = 0
         self._queued = 0
         self._running = 0
@@ -609,21 +564,12 @@ class SloServing:
         self._completed = 0
         self._failed = 0
         self._cancelled = 0
-        self._scale_ups = 0
-        self._scale_downs = 0
-        self._active = shards
         self._closed = False
         self._dispatch_enabled = threading.Event()
         self._dispatch_enabled.set()
-        self._stop_event = threading.Event()
-        self._monitor: threading.Thread | None = None
         try:
             for handle in self._handles:
-                if handle.index < shards:
-                    self._spawn_worker(handle)
-                else:
-                    # Above the floor: spawned on demand by autoscaling.
-                    handle.drained = True
+                self._spawn_worker(handle)
             for handle in self._handles:
                 handle.thread = threading.Thread(
                     target=self._dispatch_loop,
@@ -632,13 +578,6 @@ class SloServing:
                     daemon=True,
                 )
                 handle.thread.start()
-            if max_shards > shards:
-                self._monitor = threading.Thread(
-                    target=self._autoscale_loop,
-                    name="slo-autoscale",
-                    daemon=True,
-                )
-                self._monitor.start()
         except BaseException:
             # A partial spawn must not orphan the non-daemonic workers
             # already started — they would block interpreter exit in
@@ -646,7 +585,6 @@ class SloServing:
             with self._work:
                 self._closed = True
                 self._work.notify_all()
-            self._stop_event.set()
             for handle in self._handles:
                 if handle.thread is not None:
                     handle.thread.join()
@@ -675,23 +613,25 @@ class SloServing:
         topology: SystemTopology | None = None,
         objective: str | None = None,
     ) -> int:
-        """The shard currently serving this tenant — sticky by construction.
+        """The shard serving this tenant — sticky by construction.
 
         A ``"shard-placement"`` hash of the tenant key's content
         fingerprints (and the cost-model token) through
-        :func:`~repro.utils.rng.stable_seed`, so placement is identical
-        across frontends, processes and interpreter runs — taken modulo
-        the *active* shard count, so the answer can move when
-        autoscaling changes it. Results never depend on placement; only
-        cache warmth does.
+        :func:`~repro.utils.rng.stable_seed`, taken modulo
+        :attr:`shards`, so placement is identical across frontends of
+        one size, processes and interpreter runs. Results never depend
+        on placement; only cache warmth does.
         """
         topology = topology if topology is not None else self.topology
         objective = (
             objective if objective is not None else self.config.objective
         )
-        key = _tenant_key(graph, topology, objective, self.config.cost_model)
-        with self._lock:
-            return stable_seed("shard-placement", *key) % self._active
+        return self._shard_index(
+            _tenant_key(graph, topology, objective, self.config.cost_model)
+        )
+
+    def _shard_index(self, key: tuple) -> int:
+        return stable_seed("shard-placement", *key) % self.shards
 
     # ------------------------------------------------------------------
     # Serving API
@@ -755,18 +695,19 @@ class SloServing:
                     resolved_objective,
                     self.config.cost_model,
                 )
-                tenant = self._queues.get(key)
-                if tenant is None:
-                    tenant = _TenantQueue(slot=stable_seed("shard-placement", *key))
-                    self._queues[key] = tenant
-                if len(tenant.requests) >= policy.queue_depth:
+                # A full queue is never empty, so shedding leaves no
+                # empty entry behind.
+                tenant = self._queues[self._shard_index(key)].setdefault(
+                    key, deque()
+                )
+                if len(tenant) >= policy.queue_depth:
                     self._shed += 1
                     raise TenantQueueFull(
                         f"tenant {graph.name!r} already has "
-                        f"{len(tenant.requests)} requests queued "
+                        f"{len(tenant)} requests queued "
                         f"(queue_depth={policy.queue_depth})"
                     )
-                tenant.requests.append(
+                tenant.append(
                     _Request(
                         seq=self._seq,
                         graph=graph,
@@ -850,43 +791,9 @@ class SloServing:
         with self._work:
             self._work.notify_all()
 
-    def scale_to(self, shards: int) -> None:
-        """Set the active shard count (autoscaling does this on its own).
-
-        Clamped to ``[1, max_shards]`` by validation — raises outside
-        it. Scaling up puts parked shards back in rotation (their
-        workers spawn on first demand); scaling down re-hashes the
-        drained shards' tenants onto the remaining ones and their
-        workers shut down once idle. Results are identical at any
-        scale; only warm-cache locality moves.
-        """
-        require(
-            1 <= shards <= self.max_shards,
-            f"shards must be in [1, {self.max_shards}], got {shards}",
-        )
-        with self._work:
-            self._require_open()
-            if shards == self._active:
-                return
-            if shards > self._active:
-                self._scale_ups += 1
-            else:
-                self._scale_downs += 1
-            self._active = shards
-            self._work.notify_all()
-
-    @property
-    def active_shards(self) -> int:
-        """Shards currently in rotation (moves with autoscaling)."""
-        with self._lock:
-            return self._active
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-
-    def _assigned(self, tenant: _TenantQueue, index: int) -> bool:
-        return tenant.slot % self._active == index
 
     def _pop_request(
         self, index: int, to_expire: list[_Request], now: float
@@ -894,48 +801,37 @@ class SloServing:
         """Pick shard ``index``'s next request; cull expired ones.
 
         Expired requests (deadline < now) are removed wherever they sit
-        in their queues and collected for resolution outside the lock.
-        Each assigned tenant queue then puts up its minimum by
+        in the shard's tenant queues and collected for resolution
+        outside the lock. Each tenant queue then puts up its minimum by
         :meth:`_order` (deadlines are set per request, so under EDF a
         later arrival in the same tenant can be more urgent than the
         head; under FIFO the minimum is the head), and the candidates
-        compete by the same order.
-
-        Tenant entries whose queue is (or becomes) empty are dropped
-        from ``self._queues`` — the placement slot is recomputed from
-        the key on the tenant's next submit — so a long-lived frontend
-        serving many distinct tenants neither grows memory nor pays a
-        per-dispatch scan proportional to every tenant it ever saw.
+        compete by the same order. A queue that empties is dropped.
         """
+        queues = self._queues[index]
         best: _Request | None = None
         best_key: tuple | None = None
-        best_tenant: _TenantQueue | None = None
-        for key, tenant in list(self._queues.items()):
-            if tenant.requests and self._assigned(tenant, index):
-                alive = deque()
-                for request in tenant.requests:
-                    if (
-                        request.deadline is not None
-                        and request.deadline <= now
-                    ):
-                        to_expire.append(request)
-                        self._expired += 1
-                        self._queued -= 1
-                    else:
-                        alive.append(request)
-                tenant.requests = alive
-            if not tenant.requests:
-                del self._queues[key]
+        for key, requests in list(queues.items()):
+            alive = deque()
+            for request in requests:
+                if request.deadline is not None and request.deadline <= now:
+                    to_expire.append(request)
+                    self._expired += 1
+                    self._queued -= 1
+                else:
+                    alive.append(request)
+            if not alive:
+                del queues[key]
                 continue
-            if not self._assigned(tenant, index):
-                continue
-            head = min(tenant.requests, key=self._order)
+            queues[key] = alive
+            head = min(alive, key=self._order)
             if best is None or self._order(head) < self._order(best):
-                best, best_key, best_tenant = head, key, tenant
+                best, best_key = head, key
         if best is not None:
-            best_tenant.requests.remove(best)
-            if not best_tenant.requests:
-                del self._queues[best_key]
+            requests = queues[best_key]
+            requests.remove(best)
+            if not requests:
+                del queues[best_key]
             self._queued -= 1
             self._running += 1
         if to_expire:
@@ -951,12 +847,10 @@ class SloServing:
 
     def _dispatch_loop(self, handle: _ShardHandle) -> None:
         index = handle.index
-        tick = self.policy.tick_seconds
         while True:
             to_expire: list[_Request] = []
             request: _Request | None = None
             control: Future | None = None
-            drain_worker = False
             finished = False
             with self._work:
                 while True:
@@ -972,14 +866,7 @@ class SloServing:
                     if self._closed:
                         finished = True
                         break
-                    if (
-                        index >= self._active
-                        and handle.alive
-                        and not handle.drained
-                    ):
-                        drain_worker = True
-                        break
-                    self._work.wait(timeout=tick)
+                    self._work.wait(timeout=_PARK_SECONDS)
             for expired in to_expire:
                 # set_running_or_notify_cancel is the race-free gate: a
                 # caller may cancel the future at any instant (asyncio
@@ -1004,13 +891,6 @@ class SloServing:
                         self._work.notify_all()
             if control is not None:
                 self._serve_control(handle, control)
-                continue
-            if drain_worker:
-                # Scaled below this slot: give the worker back. The
-                # handle stays drained, so a later scale-up (or a
-                # misrouted late request) respawns it on demand.
-                self._shutdown_worker(handle)
-                handle.drained = True
                 continue
             if finished:
                 self._shutdown_worker(handle)
@@ -1053,7 +933,8 @@ class SloServing:
             request.future.set_result(payload)
 
     def _serve_control(self, handle: _ShardHandle, future: Future) -> None:
-        """Answer a stats probe for this shard (None when drained)."""
+        """Answer a stats probe for this shard (None once its worker is
+        crash-retired)."""
         if not handle.alive:
             future.set_result(None)
             return
@@ -1102,7 +983,6 @@ class SloServing:
             raise
         child_conn.close()
         handle.interned.clear()  # a cold worker has interned nothing
-        handle.drained = False
         handle.fresh = True  # first reply gets the spawn-grace budget
         handle.process = process
         handle.conn = parent_conn
@@ -1285,17 +1165,7 @@ class SloServing:
         """
         while True:
             if not handle.alive:
-                if handle.drained:
-                    # Deliberately scaled down, not crashed: bring the
-                    # worker back on demand. A failed spawn falls
-                    # through to the crash paths below.
-                    try:
-                        self._spawn_worker(handle)
-                    except Exception:
-                        handle.drained = False
-                        return self._serve_inline(request)
-                else:
-                    return self._serve_inline(request)
+                return self._serve_inline(request)
             try:
                 handle.conn.send(self._wire_request(handle, request))
                 response = self._await_reply(handle)
@@ -1319,12 +1189,27 @@ class SloServing:
                 continue
             return reply
 
+    def _rehome(
+        self,
+        payload: dict,
+        graph: ComputationGraph,
+        topology: SystemTopology | None,
+    ) -> MarsResult:
+        """Decode a result payload onto the caller's graph object and
+        the request's topology — its override, else :attr:`topology`
+        (:func:`~repro.core.session.decode_result`; raises when the
+        payload does not decode against them)."""
+        return decode_result(
+            payload,
+            graph,
+            topology if topology is not None else self.topology,
+            self.config.designs,
+        )
+
     def _trusted_reply(self, request: tuple, response) -> tuple | None:
         """The worker's reply as the caller receives it, or ``None``
         when it is malformed or is an ``ok`` search reply that does not
-        decode (:func:`~repro.core.session.decode_result`) against the
-        caller's graph object and the request's topology — its
-        override, else :attr:`topology`.
+        :meth:`_rehome` onto the request's graph and topology.
         """
         if not _well_formed(response):
             return None
@@ -1332,12 +1217,7 @@ class SloServing:
             return response
         _, graph, _, topology, _ = request
         try:
-            result = decode_result(
-                response[1],
-                graph,
-                topology if topology is not None else self.topology,
-                self.config.designs,
-            )
+            result = self._rehome(response[1], graph, topology)
         except Exception:
             # Whatever fails to decode marks the reply untrustworthy,
             # as a payload that fails to decode quarantines a store entry.
@@ -1350,9 +1230,9 @@ class SloServing:
         The fallback registry is built lazily from the same config the
         workers got, so results stay bit-identical — this is the
         sharded analogue of a retired worker pool converging to the
-        serial path. Its results reference the graph the registry's
-        tenant session was built with — the first inline request's
-        object for that workload, not necessarily the caller's.
+        serial path. Its result is re-homed like a shard reply, so it
+        references the caller's graph object, not the one the
+        registry's tenant session was built with.
         """
         if request[0] == "stats":
             # Shard-level stats are gone with the worker; the fallback
@@ -1368,55 +1248,9 @@ class SloServing:
                 result = self._fallback.search(
                     graph, seed=seed, topology=topology, objective=objective
                 )
-            return ("ok", result)
+            return ("ok", self._rehome(encode_result(result), graph, topology))
         except Exception as exc:
             return ("error", exc)
-
-    # ------------------------------------------------------------------
-    # Autoscaling
-    # ------------------------------------------------------------------
-
-    def _autoscale_loop(self) -> None:
-        """Grow on sustained backlog, shrink on sustained idleness.
-
-        Pure policy — the mechanism is :meth:`scale_to`'s bookkeeping
-        plus the dispatchers' on-demand worker spawn/drain. Thresholds
-        come from :class:`TrafficPolicy`; both directions require the
-        condition to hold for several consecutive ticks so bursts and
-        gaps don't thrash the shard count.
-        """
-        policy = self.policy
-        over = idle = 0
-        while not self._stop_event.wait(policy.tick_seconds):
-            with self._work:
-                if self._closed:
-                    return
-                depth = self._queued
-                if (
-                    depth > policy.scale_up_depth * self._active
-                    and self._active < self.max_shards
-                ):
-                    over += 1
-                    if over >= policy.scale_up_ticks:
-                        self._active += 1
-                        self._scale_ups += 1
-                        over = 0
-                        self._work.notify_all()
-                else:
-                    over = 0
-                if (
-                    depth == 0
-                    and self._running == 0
-                    and self._active > self.min_shards
-                ):
-                    idle += 1
-                    if idle >= policy.scale_down_ticks:
-                        self._active -= 1
-                        self._scale_downs += 1
-                        idle = 0
-                        self._work.notify_all()
-                else:
-                    idle = 0
 
     # ------------------------------------------------------------------
     # Observability and lifecycle
@@ -1434,7 +1268,7 @@ class SloServing:
             with self._work:
                 self._require_open()
                 probes = []
-                for index in range(self.max_shards):
+                for index in range(self.shards):
                     probe: Future = Future()
                     self._controls[index].append(probe)
                     probes.append(probe)
@@ -1449,9 +1283,7 @@ class SloServing:
         with self._work:
             return SloServingStats(
                 scheduling=self.policy.scheduling,
-                min_shards=self.min_shards,
-                max_shards=self.max_shards,
-                active_shards=self._active,
+                shards=self.shards,
                 submitted=self._submitted,
                 shed=self._shed,
                 expired=self._expired,
@@ -1460,8 +1292,6 @@ class SloServing:
                 cancelled=self._cancelled,
                 queued=self._queued,
                 running=self._running,
-                scale_ups=self._scale_ups,
-                scale_downs=self._scale_downs,
                 respawns=sum(h.respawns for h in self._handles),
                 graph_ships=tuple(h.graph_ships for h in self._handles),
                 fp_sends=tuple(h.fp_sends for h in self._handles),
@@ -1518,9 +1348,6 @@ class SloServing:
             self._closed = True
             self._dispatch_enabled.set()
             self._work.notify_all()
-        self._stop_event.set()
-        if self._monitor is not None:
-            self._monitor.join()
         for handle in self._handles:
             if handle.thread is not None:
                 handle.thread.join()

@@ -5,8 +5,8 @@ sub-problem solutions, whole tenant sessions — dies with its process.
 :class:`MappingStore` is the durable tier underneath: an on-disk,
 content-addressed store keyed by the PR-5 fingerprints
 ``(graph_fp, topology_fp, config_fp, seed)``, so a crash-respawned
-shard worker, a scaled-up shard, or a whole fresh frontend on another
-machine starts warm from the artifacts previous processes searched.
+shard worker or a whole fresh frontend on another machine starts warm
+from the artifacts previous processes searched.
 
 The store is built for hostile conditions, in order of severity:
 

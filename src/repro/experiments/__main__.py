@@ -313,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         if sharded:
             merged = serving.merged
             print(
-                f"sharded serving: {serving.active_shards} shards "
+                f"sharded serving: {serving.shards} shards "
                 f"({serving.scheduling} scheduling), "
                 f"{serving.submitted} submitted, "
                 f"{serving.completed} completed, {serving.shed} shed, "

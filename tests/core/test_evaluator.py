@@ -1,5 +1,7 @@
 """The latency oracle: per-set and whole-mapping evaluation."""
 
+import pickle
+
 import pytest
 
 from repro.accelerators import design1_superlip, design2_systolic
@@ -7,6 +9,7 @@ from repro.core.costmodel import AnalyticalCostModel
 from repro.core.evaluator import (
     INFEASIBLE_SECONDS,
     EvaluatorOptions,
+    LayerCost,
     MappingEvaluator,
 )
 from repro.core.formulation import (
@@ -389,3 +392,37 @@ class TestProgramCompilation:
         assert replay.total_seconds == pytest.approx(
             _analytical_seconds(program), rel=0.1
         )
+
+
+class TestLayerCostPickling:
+    def _costs(self, graph, evaluator):
+        strategies = _strategies_for(
+            graph, ParallelismStrategy(es=(LoopDim.H, LoopDim.W))
+        )
+        result = evaluator.evaluate_set(
+            graph.nodes(), (0, 1, 2, 3), design1_superlip(), strategies
+        )
+        assert result.layer_costs
+        return result.layer_costs
+
+    def test_round_trip_keeps_every_field(self, graph, evaluator):
+        for cost in self._costs(graph, evaluator):
+            restored = pickle.loads(pickle.dumps(cost))
+            assert restored == cost
+            assert restored.total_seconds == cost.total_seconds
+
+    def test_pickled_plan_is_dropped_on_load(self, graph, evaluator):
+        # A layer cost pickled while it still carried its sharding plan
+        # (a store entry of an earlier version) loads without it.
+        plan = cached_sharding_plan(
+            graph.compute_nodes()[0].conv_spec(),
+            longest_dims_strategy(graph.compute_nodes()[0].conv_spec()),
+            4,
+        )
+        assert plan is not None
+        for cost in self._costs(graph, evaluator):
+            legacy = LayerCost(**vars(cost))
+            legacy.plan = plan
+            restored = pickle.loads(pickle.dumps(legacy))
+            assert not hasattr(restored, "plan")
+            assert restored == cost

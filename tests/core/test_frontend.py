@@ -1,13 +1,13 @@
-"""SloServing: admission, scheduling determinism, autoscale, identity.
+"""SloServing: admission, scheduling determinism, stats, identity.
 
 The traffic layer's contract: requests beyond the per-tenant or global
 bounds are shed with typed errors at submit time; the EDF dispatch
 order is a pure function of ``(deadline, arrival seq)`` (same trace →
 same order, every run); FIFO mode preserves per-shard arrival order;
-autoscaling moves shard counts but never results; and
-every request the frontend *does* dispatch is bit-identical to a fresh
-``Mars`` run — including under the concurrency stress mix, where the
-lifecycle counters must reconcile exactly
+the stats snapshot reports the fixed shard count; and every request
+the frontend *does* dispatch is bit-identical to a fresh ``Mars`` run —
+including under the concurrency stress mix, where the lifecycle
+counters must reconcile exactly
 (``submitted == completed + shed + expired``).
 """
 
@@ -280,63 +280,6 @@ class TestDeterminism:
             asyncio.run(drive(frontend))
 
 
-def _wait_until(predicate, timeout=30.0, interval=0.01):
-    import time
-
-    limit = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < limit, "condition never became true"
-        time.sleep(interval)
-
-
-class TestAutoscale:
-    def test_scale_to_moves_active_count_and_not_results(self):
-        with SloServing(TOPOLOGY, shards=1, max_shards=3) as frontend:
-            assert frontend.active_shards == 1
-            for shards in (3, 2, 1, 2):
-                frontend.scale_to(shards)
-                assert frontend.active_shards == shards
-                _same_result(frontend.search(CNN, seed=0), fresh(CNN, 0))
-                _same_result(
-                    frontend.search(RESNET, seed=0), fresh(RESNET, 0)
-                )
-            stats = frontend.stats()
-        assert stats.scale_ups == 2
-        assert stats.scale_downs == 2
-
-    def test_scale_to_rejects_out_of_range(self):
-        with SloServing(TOPOLOGY, shards=1, max_shards=2) as frontend:
-            with pytest.raises(ValueError):
-                frontend.scale_to(0)
-            with pytest.raises(ValueError):
-                frontend.scale_to(3)
-
-    def test_autoscaler_grows_on_backlog_and_drains_idle(self):
-        policy = TrafficPolicy(
-            scale_up_depth=1,
-            scale_up_ticks=2,
-            scale_down_ticks=3,
-            tick_seconds=0.01,
-        )
-        with SloServing(
-            TOPOLOGY, shards=1, max_shards=2, policy=policy
-        ) as frontend:
-            frontend.suspend()
-            futures = [frontend.submit(CNN, seed=s) for s in range(4)]
-            _wait_until(lambda: frontend.active_shards == 2)
-            frontend.resume()
-            for seed, future in enumerate(futures):
-                _same_result(future.result(timeout=240), fresh(CNN, seed))
-            assert frontend.drain(timeout=240)
-            _wait_until(lambda: frontend.active_shards == 1)
-            stats = frontend.stats()
-            assert stats.scale_ups >= 1
-            assert stats.scale_downs >= 1
-            # The drained extra shard comes back on demand, identically.
-            frontend.scale_to(2)
-            _same_result(frontend.search(CNN, seed=9), fresh(CNN, 9))
-
-
 class TestStats:
     def test_stats_snapshot_fields(self):
         with SloServing(TOPOLOGY, shards=1) as frontend:
@@ -344,8 +287,7 @@ class TestStats:
             stats = frontend.stats()
             assert isinstance(stats, SloServingStats)
             assert stats.scheduling == "edf"
-            assert stats.min_shards == stats.max_shards == 1
-            assert stats.active_shards == 1
+            assert stats.shards == 1
             assert stats.completed == 1
             assert stats.queued == 0 and stats.running == 0
             assert stats.in_flight == 0

@@ -11,11 +11,11 @@ The contract: a served result references the caller's graph and the
 request's topology and is bit-identical to a fresh ``Mars`` run across
 shard counts {1, 2}; the reply payload carries no ``ComputationGraph``,
 ``SystemTopology`` or ``ShardingPlan`` and is smaller than the result,
-and a payload whose layer costs still carry plans decodes; and a
-well-formed
-``ok`` reply that decodes to another workload or system, or does not
-decode at all, is treated as a corrupt reply — the worker is replaced
-and the request re-sent — so it never reaches a caller.
+and a payload whose layer costs still carry plans decodes without them;
+and a well-formed ``ok`` reply that decodes to another workload or
+system, or does not decode at all, is treated as a corrupt reply — the
+worker is replaced and the request re-sent — so it never reaches a
+caller.
 """
 
 import copy
@@ -143,7 +143,7 @@ class TestPlanFreeEvaluations:
         """Replies and store payloads carry no ``ShardingPlan``, and a
         payload written while each ``LayerCost`` still carried its plan
         (a store entry of an earlier version) decodes to the same
-        result."""
+        result, whose layer costs hold no plan."""
         reference = fresh(CNN, 0)
         payload = encode_result(reference)
         assert "ShardingPlan" not in _pickled_names(
@@ -171,6 +171,13 @@ class TestPlanFreeEvaluations:
         )
         _bit_identical(result, reference)
         assert result.evaluation == reference.evaluation
+        # ...and keeps none of the old plans.
+        costs = [
+            cost
+            for evaluation in result.evaluation.set_evaluations
+            for cost in evaluation.layer_costs
+        ]
+        assert costs and not any(hasattr(cost, "plan") for cost in costs)
 
 
 def _right_payload():
@@ -211,7 +218,6 @@ class TestMismatchedReply:
 
         def spawn(self, handle):
             handle.interned.clear()
-            handle.drained = False
             handle.fresh = True
             handle.process = _StubProcess(obeys="join")
             handle.conn = conns.popleft()

@@ -209,7 +209,7 @@ class TestQueueHygiene:
                 doomed.result(timeout=240)
             assert frontend.drain(timeout=240)
             with frontend._lock:
-                assert not frontend._queues
+                assert not any(frontend._queues)
 
 
 class TestWorkerInternBound:

@@ -8,7 +8,8 @@ The contract: tenants are placed stickily by content
 fingerprint; every routed search — across shard counts {1, 2}, after a
 crash-triggered cold respawn, and through the inline fallback once the
 respawn budget is spent — is bit-identical to a fresh ``Mars`` run
-with the same configuration and seed; the interned-graph handshake
+with the same configuration and seed, and an inline result references
+its caller's graph as a shard reply does; the interned-graph handshake
 ships each workload's graph once per worker incarnation; and
 ``close()`` drains every submitted request before shutting workers
 down.
@@ -76,6 +77,31 @@ class TestPlacement:
         with pytest.raises(ValueError):
             SloServing(TOPOLOGY, shards=0)
 
+    def test_backlog_waits_in_its_home_shards_queue(self):
+        # Each shard's dispatcher reads only its own tenant queues, so a
+        # request must be queued under its placement shard and no other.
+        with SloServing(TOPOLOGY, shards=2) as serving:
+            serving.suspend()
+            submitted = [
+                (graph, seed) for graph in (CNN, RESNET) for seed in (0, 1)
+            ]
+            futures = [serving.submit(g, seed=s) for g, s in submitted]
+            with serving._lock:
+                queued = [
+                    sum(len(requests) for requests in queues.values())
+                    for queues in serving._queues
+                ]
+            expected = [0, 0]
+            for graph, _ in submitted:
+                expected[serving.shard_of(graph)] += 1
+            assert queued == expected
+            serving.resume()
+            for (graph, seed), future in zip(submitted, futures):
+                _same_result(future.result(timeout=240), fresh(graph, seed))
+            assert serving.drain(timeout=240)
+            with serving._lock:
+                assert not any(serving._queues)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("shards", [1, 2])
@@ -121,6 +147,22 @@ class TestCrashPolicy:
             assert stats.fallback.searches == 1
             # The frontend keeps serving the dead shard's tenants.
             _same_result(serving.search(CNN, seed=1), fresh(CNN, 1))
+
+    def test_inline_results_reference_the_callers_graph(self, monkeypatch):
+        # Re-homed like a shard reply: each caller's result references
+        # the graph object it submitted, not the one the fallback
+        # registry's tenant session was built with.
+        monkeypatch.setattr(SloServing, "SHARD_RESPAWN_LIMIT", 0)
+        first, second = build_model("tiny_cnn"), build_model("tiny_cnn")
+        with SloServing(TOPOLOGY, shards=1) as serving:
+            serving._handles[0].process.kill()
+            results = [serving.search(g, seed=0) for g in (first, second)]
+            stats = serving.stats()
+        assert stats.fallback is not None  # served inline
+        for graph, result in zip((first, second), results):
+            assert result.mapping.graph is graph
+            assert result.mapping.topology is TOPOLOGY
+            _same_result(result, fresh(CNN, 0))
 
 
 class TestLifecycleAndStats:
