@@ -43,7 +43,7 @@ from repro.core.sharding import (
     cached_sharding_plan,
 )
 from repro.dnn.graph import ComputationGraph, LayerNode
-from repro.dnn.layers import LOOP_DIMS, LoopDim
+from repro.dnn.layers import LOOP_DIMS, ConvSpec, LoopDim
 from repro.simulator.program import (
     CollectiveStep,
     ComputeStep,
@@ -82,32 +82,36 @@ class EvaluatorOptions:
             weight shards from host memory — sharding then also divides
             the load traffic, which is where multi-accelerator sets
             amortize the host bandwidth.
-        layer_cache: Memoize layer prices. A compute (conv/FC) layer's
-            upstream-free seconds (compute, all-reduce, rotation, halo)
-            sit in an evaluator-owned bounded LRU keyed on (layer,
-            strategy id, set key), the set key being (accelerator set,
-            design token, cost-model token); its compute seconds are
-            also memoized per (layer, strategy id, designs), so every
-            set of one size and design shares them. The bytes its
-            resharding moves are memoized per (layer, strategy id,
-            upstream state id) and their transfer seconds per
-            (accelerator set, bytes); a non-compute layer's price,
-            which depends on neither strategy nor upstream sharding,
-            per (layer, set key). The options are part of every key by
+        layer_cache: Memoize layer prices, keyed on a layer's shape,
+            not its name. A compute (conv/FC) layer's upstream-free
+            seconds (compute, all-reduce, rotation, halo) sit in an
+            evaluator-owned bounded LRU keyed on (catalog id, strategy
+            id, set key), the catalog id naming its (conv spec, set
+            size) and the set key being (accelerator set, design token,
+            cost-model token); its compute seconds are also memoized
+            per (catalog id, strategy id, designs), so every set of one
+            size and design shares them. The bytes its resharding moves
+            are memoized per (catalog id, strategy id, upstream state
+            id) and their transfer seconds per (accelerator set,
+            bytes); a non-compute layer's price, which depends on
+            neither strategy nor upstream sharding, per (kind, output
+            shape, set key). The options are part of every key by
             construction, being fixed for the evaluator that owns the
             memos, while the cost model — also fixed at construction —
             is part of the LRU key *explicitly* (its spec token), so
             entries can never alias across models even if a cache were
-            ever shared. Results are bit-identical with the cache on or
-            off — a hit replays the exact floats of the original
-            computation — so this is purely a wall-clock knob. Program
-            emission (``compile_program``) prices through the same
-            memos and appends each layer's steps from what it priced,
-            so a warm, cold or cache-off evaluator emits one program.
-            The knob also switches the record memos of the set walk
+            ever shared (catalog ids count from 0 in first-sight order,
+            alike in two evaluators of one graph). Results are
+            bit-identical with the cache on or off — a hit replays the
+            exact floats of the original computation — so this is
+            purely a wall-clock knob. Program emission
+            (``compile_program``) prices through the same memos and
+            appends each layer's steps from what it priced, so a warm,
+            cold or cache-off evaluator emits one program. The knob also
+            switches the record memos of the set walk
             (:class:`SubproblemCosts`): off, every walk re-prices every
-            layer. Strategy and sharding-state ids are interned either
-            way: they name prices, they are not prices.
+            layer. Strategy, catalog and sharding-state ids are interned
+            either way: they name prices, they are not prices.
         layer_cache_capacity: Maximum number of upstream-free
             compute-layer prices in the LRU before eviction.
     """
@@ -128,9 +132,10 @@ class LayerCacheStats(Counters):
     upstream-free compute-layer prices (see
     :attr:`EvaluatorOptions.layer_cache`).
 
-    A lookup is a set walk pricing a (compute layer with a plan,
+    A lookup is a set walk pricing a (compute layer shape with a plan,
     strategy, upstream state) it holds no record of; a miss is a
-    (layer, strategy, set) the LRU does not hold.
+    (conv spec, strategy, set) the LRU does not hold, so the layers of
+    one shape miss once between them.
     ``hits``/``misses``/``evictions`` are cumulative counters;
     ``entries`` is the current cache population (a gauge).
     """
@@ -330,9 +335,11 @@ class _States:
 
 
 class StrategyCatalog:
-    """The strategies one compute layer is priced under on sets of one
-    size ``p``, interned to small ints (evaluator-owned, see
-    ``MappingEvaluator._catalog``).
+    """The strategies one layer shape ``spec`` is priced under on sets
+    of one size ``p``, interned to small ints (evaluator-owned, see
+    ``MappingEvaluator._catalog``). Every compute layer of that shape
+    shares the catalog, and ``id``, the catalog's own small int in
+    first-sight order, stands for ``(spec, p)`` in the price memos.
 
     Entry ``entries[id]`` of ``strategies[id]`` holds what the walk
     needs of its plan whatever the set and upstream state: ``(plan,
@@ -343,15 +350,17 @@ class StrategyCatalog:
     """
 
     __slots__ = (
-        "spec", "p", "dtype_bytes", "states", "strategies", "ids",
+        "spec", "p", "id", "dtype_bytes", "states", "strategies", "ids",
         "entries", "codes", "candidates",
     )
 
     def __init__(
-        self, node: LayerNode, p: int, dtype_bytes: int, states: _States
+        self, spec: ConvSpec, p: int, catalog_id: int, dtype_bytes: int,
+        states: _States,
     ):
-        self.spec = node.conv_spec()
+        self.spec = spec
         self.p = p
+        self.id = catalog_id
         self.dtype_bytes = dtype_bytes
         self.states = states
         self.strategies: list[ParallelismStrategy] = []
@@ -425,23 +434,25 @@ class MappingEvaluator:
 
     * sharding states interned as ints (:data:`_ALIGNED`,
       :data:`_NO_PLAN`, ``k >= 1`` for a state dict);
-    * per (compute layer, set size), a catalog interning the strategies
-      it is priced under, one entry per strategy id holding its plan,
-      output-state id and bytes, plus the level-2 decode's code and
-      candidate memos;
-    * the output-state id of a non-compute layer per (layer, upstream
-      state id).
+    * per (conv spec, set size), a catalog with a small-int id
+      interning the strategies it is priced under, one entry per
+      strategy id holding its plan, output-state id and bytes, plus the
+      level-2 decode's code and candidate memos;
+    * the output-state id of a non-compute layer per (kind, output
+      shape, upstream state id).
 
-    Prices are memoized at the key each part depends on (see
-    :attr:`EvaluatorOptions.layer_cache`): the upstream-free seconds
-    of a compute layer per (layer, strategy id, set), its compute
-    seconds per (layer, strategy id, designs), the bytes a resharding
-    moves per (layer, strategy id, upstream state id), their transfer
-    per (set, bytes) and non-compute prices per (layer, set). A genome that differs from an already-priced one in
-    a single layer's strategy re-prices that layer (and any downstream
-    layers whose upstream state shifted), not the whole set. No id
-    leaves the evaluator: results, pickles and store artifacts carry
-    strategies and plans.
+    A price depends on a layer's shape, never its name, so the layers
+    of a repeated block share every price, memoized at the key each
+    part depends on (see :attr:`EvaluatorOptions.layer_cache`): the
+    upstream-free seconds of a compute layer per (catalog id, strategy
+    id, set), its compute seconds per (catalog id, strategy id,
+    designs), the bytes a resharding moves per (catalog id, strategy
+    id, upstream state id), their transfer per (set, bytes) and
+    non-compute prices per (kind, output shape, set). A genome that
+    differs from an already-priced one in a single layer's strategy
+    re-prices that layer (and any downstream layers whose upstream
+    state shifted), not the whole set. No id leaves the evaluator:
+    results, pickles and store artifacts carry strategies and plans.
     """
 
     def __init__(
@@ -472,13 +483,13 @@ class MappingEvaluator:
             )
         # The LRU and the price memos beside it, on and off together
         # (None when off). A pool or ReLU costs the same whatever
-        # sharding reaches it, so one entry per (layer, set) serves
-        # every genome; compute seconds take no accelerator ids, so one
-        # entry per (layer, strategy, designs) serves every set of one
-        # size and design; the bytes a resharding moves are a function
-        # of the strategy and the upstream state, its seconds of the
-        # set and those bytes. These entries are few and tiny, so no
-        # LRU bound.
+        # sharding reaches it, so one entry per (kind, output shape,
+        # set) serves every genome; compute seconds take no accelerator
+        # ids, so one entry per (catalog, strategy, designs) serves
+        # every set of one size and design; the bytes a resharding
+        # moves are a function of the strategy and the upstream state,
+        # its seconds of the set and those bytes. These entries are few
+        # and tiny, so no LRU bound.
         self._layer_cache: LruCache | None = None
         self._lightweight_memo: dict[tuple, dict] | None = None
         self._compute_memo: dict[tuple, float] | None = None
@@ -488,13 +499,13 @@ class MappingEvaluator:
         # The integer tables (see the class docstring); not prices, so
         # kept whatever the cache knob.
         self._states = _States()
-        self._catalogs: dict[tuple[str, int], StrategyCatalog] = {}
-        self._moves: dict[tuple[str, int], int] = {}
+        self._catalogs: dict[tuple[ConvSpec, int], StrategyCatalog] = {}
+        self._moves: dict[tuple, int] = {}
         # Designs interned to small ints so per-layer key hashing never
         # re-hashes a whole AcceleratorDesign. Keyed by object equality:
         # same-named design variants (sweeps) get distinct tokens.
         self._design_tokens: dict[AcceleratorDesign, int] = {}
-        # Greedy-shortlist choices memoized per (layer, acc set, design):
+        # Greedy-shortlist choices memoized per (catalog, acc set, design):
         # the level-2 seeding argmin is deterministic, so warm sessions
         # and overlapping sub-problems reuse it instead of re-pricing
         # the whole SHORTLIST per layer.
@@ -572,21 +583,25 @@ class MappingEvaluator:
             self._reshard_memo.clear()
             self._transfer_memo.clear()
 
-    def _catalog(self, node: LayerNode, p: int) -> StrategyCatalog:
-        """The strategy catalog of compute layer ``node`` on sets of
-        ``p`` accelerators."""
-        key = (node.name, p)
+    def _catalog(self, spec: ConvSpec, p: int) -> StrategyCatalog:
+        """The strategy catalog of layer shape ``spec`` on sets of ``p``
+        accelerators."""
+        key = (spec, p)
         catalog = self._catalogs.get(key)
         if catalog is None:
             catalog = self._catalogs[key] = StrategyCatalog(
-                node, p, self.options.dtype_bytes, self._states
+                spec, p, len(self._catalogs), self.options.dtype_bytes,
+                self._states,
             )
         return catalog
 
-    def _moved_state(self, node: LayerNode, upstream: int) -> int:
-        """Output-state id of non-compute ``node`` under upstream state
-        id ``upstream`` (see :meth:`_propagate_state`)."""
-        key = (node.name, upstream)
+    def _moved_state(
+        self, node: LayerNode, shape: tuple, upstream: int
+    ) -> int:
+        """Output-state id of non-compute ``node``, of ``shape`` (its
+        kind and output shape), under upstream state id ``upstream``
+        (see :meth:`_propagate_state`)."""
+        key = (shape, upstream)
         state = self._moves.get(key)
         if state is None:
             state = self._moves[key] = self._states.id_of(
@@ -609,30 +624,31 @@ class MappingEvaluator:
 
     def cached_greedy_strategy(
         self,
-        layer_name: str,
+        catalog: StrategyCatalog,
         accs: tuple[int, ...],
         design: AcceleratorDesign | None,
     ) -> ParallelismStrategy | None:
         """Memoized greedy shortlist choice, or ``None`` when unseen.
 
         The choice is a pure argmin over the level-2 strategy shortlist
-        (no RNG involved), so it is shared across sub-problems, searches
-        and session lifetimes without affecting results.
+        (no RNG involved), so layers of one shape (``catalog``),
+        sub-problems, searches and session lifetimes share it without
+        affecting results.
         """
         return self._greedy_memo.get(
-            (layer_name, accs, self._design_token(design))
+            (catalog.id, accs, self._design_token(design))
         )
 
     def store_greedy_strategy(
         self,
-        layer_name: str,
+        catalog: StrategyCatalog,
         accs: tuple[int, ...],
         design: AcceleratorDesign | None,
         strategy: ParallelismStrategy,
     ) -> None:
         """Record a greedy shortlist choice for later reuse."""
         self._greedy_memo[
-            (layer_name, accs, self._design_token(design))
+            (catalog.id, accs, self._design_token(design))
         ] = strategy
 
     # ------------------------------------------------------------------
@@ -892,18 +908,20 @@ class SubproblemCosts:
     a fresh table once through :meth:`evaluate`. The table holds:
 
     * per layer, the in-set inputs the walk consults for its upstream
-      state, and a compute layer's catalog;
-    * per layer, built on the first memoized walk, records keyed
+      state, and its shape: a compute layer's catalog (looked up once,
+      here), a non-compute layer's kind and output shape;
+    * per layer shape, built on the first memoized walk, records keyed
       ``(strategy id, upstream state id)`` (strategy id -1 for a
       non-compute layer): the layer's total seconds, output-state id,
       weight, activation and weight-load bytes, its five
       :class:`LayerCost` seconds, its plan and its slowest all-reduce
-      subgroup. A miss prices a compute layer from its catalog entry —
-      the upstream-free seconds through the evaluator's LRU, the
-      resharding from its plan and the upstream state — and a
-      non-compute layer through the evaluator's non-compute memo and
-      state moves, so reuse across sub-problems and warm sessions
-      stays;
+      subgroup. Layers of one shape share one record memo, so a
+      repeated block's record is priced once per table. A miss prices a
+      compute layer from its catalog entry — the upstream-free seconds
+      through the evaluator's LRU, the resharding from its plan and the
+      upstream state — and a non-compute layer through the evaluator's
+      non-compute memo and state moves, so reuse across sub-problems
+      and warm sessions stays;
     * per byte count, the weight-stream and spill seconds.
 
     Float order: a layer's total is compute + resharding + all-reduce +
@@ -954,7 +972,8 @@ class SubproblemCosts:
             evaluator._transfer_memo.setdefault(accs, {}) if cached else None
         )
         self._host_memo: dict | None = {} if cached else None
-        #: Per-layer record memos; built by the first memoized walk.
+        #: Per-layer record memos, one per layer shape; built by the
+        #: first memoized walk.
         self._records: list[dict] | None = None
         #: The compute layers, in phenotype-slot order, and their
         #: strategy catalogs.
@@ -968,6 +987,9 @@ class SubproblemCosts:
         # earlier in-set inputs up to its first outside one, and a
         # layer with none reads the walk's extra aligned slot.
         self._layers: list[tuple[int, tuple[int, ...], int]] = []
+        # Per layer, its shape: a catalog id, or a non-compute layer's
+        # flat (kind, channels, height, width), all its price reads.
+        self._shapes: list[int | tuple] = []
         position = {node.name: i for i, node in enumerate(nodes)}
         for i, node in enumerate(nodes):
             sources = []
@@ -980,8 +1002,15 @@ class SubproblemCosts:
             slot = -1
             if node.is_compute:
                 slot = len(self.catalogs)
+                catalog = evaluator._catalog(node.conv_spec(), len(accs))
                 self.compute_nodes.append(node)
-                self.catalogs.append(evaluator._catalog(node, len(accs)))
+                self.catalogs.append(catalog)
+                self._shapes.append(catalog.id)
+            else:
+                out = node.output_shape
+                self._shapes.append(
+                    (node.kind, out.channels, out.height, out.width)
+                )
             first = sources[0] if sources else len(nodes)
             self._layers.append((first, tuple(sources[1:]), slot))
 
@@ -1010,7 +1039,8 @@ class SubproblemCosts:
         """``evaluate(self.strategies(phenotype)).latency_seconds``,
         replaying the records of earlier walks."""
         if self._records is None and self._cached:
-            self._records = [{} for _ in self.nodes]
+            memos: dict = {}
+            self._records = [memos.setdefault(s, {}) for s in self._shapes]
         return self._walk(phenotype, self._records)[0]
 
     def evaluate(
@@ -1185,13 +1215,14 @@ class SubproblemCosts:
         node = self.nodes[index]
         group = None
         if strategy_id < 0:
-            compute, activation = self._lightweight_price(node)
+            shape = self._shapes[index]
+            compute, activation = self._lightweight_price(node, shape)
             seconds = (compute, 0.0, 0.0, 0.0, 0.0)
             plan, weights, load = None, 0, 0
             if node.kind == "inputlayer" or upstream == _ALIGNED:
                 state = _ALIGNED  # aligned data stays aligned
             else:
-                state = evaluator._moved_state(node, upstream)
+                state = evaluator._moved_state(node, shape, upstream)
         else:
             catalog = self.catalogs[self._layers[index][2]]
             plan, state, weights, activation, load = catalog.entries[
@@ -1201,7 +1232,7 @@ class SubproblemCosts:
                 seconds = (INFEASIBLE_SECONDS, 0.0, 0.0, 0.0, 0.0)
             else:
                 compute, allreduce, rotation, halo, group = (
-                    self._upstream_free(node, strategy_id, plan)
+                    self._upstream_free(catalog.id, strategy_id, plan)
                 )
                 resharding = 0.0
                 if (
@@ -1209,7 +1240,7 @@ class SubproblemCosts:
                     and evaluator.options.include_resharding
                 ):
                     resharding = self._resharding(
-                        node, strategy_id, plan, upstream
+                        catalog.id, strategy_id, plan, upstream
                     )
                 seconds = (compute, resharding, allreduce, rotation, halo)
         # LayerCost.total_seconds, in its float order.
@@ -1244,8 +1275,9 @@ class SubproblemCosts:
             return
         options = self.evaluator.options
         if upstream != _ALIGNED and options.include_resharding:
+            catalog = self.catalogs[self._layers[index][2]]
             input_bytes, missing_per_acc = self._moved_bytes(
-                node, strategy_id, plan, upstream
+                catalog.id, strategy_id, plan, upstream
             )
             if missing_per_acc > 0:
                 program.append(
@@ -1289,39 +1321,40 @@ class SubproblemCosts:
         label = f"{node.name}:compute"
         program.append(ComputeStep(group=accs, seconds=compute, label=label))
 
-    def _lightweight_price(self, node: LayerNode) -> tuple[float, int]:
+    def _lightweight_price(
+        self, node: LayerNode, shape: tuple
+    ) -> tuple[float, int]:
         """A non-compute layer's seconds and activation bytes, memoized
-        per (layer, set)."""
+        per (set, ``shape``: the layer's kind and output shape)."""
         memo = self._lightweight
-        priced = memo.get(node.name) if memo is not None else None
+        priced = memo.get(shape) if memo is not None else None
         if priced is None:
             priced = self.evaluator._lightweight_layer_cost(
                 node, self.accs, self._designs
             )
             if memo is not None:
-                memo[node.name] = priced
+                memo[shape] = priced
         return priced
 
     def _upstream_free(
-        self, node: LayerNode, strategy_id: int, plan: ShardingPlan
+        self, catalog_id: int, strategy_id: int, plan: ShardingPlan
     ) -> tuple[float, float, float, float, tuple[int, ...] | None]:
         """Compute, all-reduce, rotation and halo seconds of a compute
         layer's plan, and its slowest all-reduce subgroup: the
-        evaluator's LRU entry per (layer, strategy id, set), its compute
-        seconds memoized per (layer, strategy id, designs)."""
+        evaluator's LRU entry per (catalog id, strategy id, set), its
+        compute seconds memoized per (catalog id, strategy id,
+        designs)."""
         evaluator = self.evaluator
         cache = evaluator._layer_cache
         if cache is not None:
-            key = (node.name, strategy_id, self._set_key)
+            key = (catalog_id, strategy_id, self._set_key)
             parts = cache.get(key)
             if parts is not None:
                 return parts
         memo = evaluator._compute_memo
         compute = None
         if memo is not None:
-            compute_key = (
-                node.name, len(self.accs), strategy_id, self._designs_key
-            )
+            compute_key = (catalog_id, strategy_id, self._designs_key)
             compute = memo.get(compute_key)
         if compute is None:
             compute = evaluator.cost_model.conv_compute_seconds(
@@ -1339,17 +1372,17 @@ class SubproblemCosts:
 
     def _moved_bytes(
         self,
-        node: LayerNode,
+        catalog_id: int,
         strategy_id: int,
         plan: ShardingPlan,
         upstream: int,
     ) -> tuple[int, float]:
         """(input bytes, missing bytes per accelerator) of resharding
         upstream state id ``upstream`` into ``plan``'s input, memoized
-        per (layer, set size, strategy id, upstream id)."""
+        per (catalog id, strategy id, upstream id)."""
         evaluator = self.evaluator
         moves = evaluator._reshard_memo
-        key = (node.name, len(self.accs), strategy_id, upstream)
+        key = (catalog_id, strategy_id, upstream)
         moved = moves.get(key) if moves is not None else None
         if moved is None:
             moved = _resharding_bytes(
@@ -1363,7 +1396,7 @@ class SubproblemCosts:
 
     def _resharding(
         self,
-        node: LayerNode,
+        catalog_id: int,
         strategy_id: int,
         plan: ShardingPlan,
         upstream: int,
@@ -1371,7 +1404,7 @@ class SubproblemCosts:
         """Seconds to reshard upstream state id ``upstream`` into
         ``plan``'s input: the bytes it moves (:meth:`_moved_bytes`),
         their transfer memoized per (set, bytes)."""
-        moved = self._moved_bytes(node, strategy_id, plan, upstream)
+        moved = self._moved_bytes(catalog_id, strategy_id, plan, upstream)
         input_bytes, missing_per_acc = moved
         if missing_per_acc <= 0:
             return 0.0

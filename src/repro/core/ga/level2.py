@@ -183,20 +183,23 @@ def greedy_strategies(costs: SubproblemCosts) -> dict[str, ParallelismStrategy]:
     compute, collectives, rotations and — in the streaming scenario —
     weight loads, so it lands close to the per-layer optimum.
 
-    Choices are memoized on the evaluator per (layer, acc set, design):
-    the argmin is deterministic, so overlapping sub-problems within one
-    search — and every search of a warm session — skip re-pricing the
-    shortlist for layers already seen.
+    Choices are memoized on the evaluator per (layer shape's catalog,
+    acc set, design): the argmin is deterministic, so repeats of one
+    shape, overlapping sub-problems within one search and every search
+    of a warm session skip re-pricing the shortlist for shapes already
+    seen.
     """
     evaluator, accs, design = costs.evaluator, costs.accs, costs.design
     chosen: dict[str, ParallelismStrategy] = {}
+    catalogs = iter(costs.catalogs)
     for index, node in enumerate(costs.nodes):
         if not node.is_compute:
             continue
-        strategy = evaluator.cached_greedy_strategy(node.name, accs, design)
+        catalog = next(catalogs)
+        strategy = evaluator.cached_greedy_strategy(catalog, accs, design)
         if strategy is None:
             strategy = _shortlist_argmin(costs, index)
-            evaluator.store_greedy_strategy(node.name, accs, design, strategy)
+            evaluator.store_greedy_strategy(catalog, accs, design, strategy)
         chosen[node.name] = strategy
     return chosen
 
@@ -249,19 +252,20 @@ class Level2Fitness:
     The GA engine hands each generation to :meth:`prepare_population`,
     which decodes every genome into its phenotype: a tuple of strategy
     ids, one per compute layer, slot-aligned with ``compute_nodes`` and
-    interned in the evaluator's per-(layer, set size) strategy catalogs
-    (``costs.strategies(phenotype)`` names them; :meth:`decode` returns
-    them named). The engine memoizes on that tuple under
+    interned in the evaluator's per-(layer shape, set size) strategy
+    catalogs (``costs.strategies(phenotype)`` names them; :meth:`decode`
+    returns them named). The engine memoizes on that tuple under
     ``GAConfig.cache`` — an exact phenotype repeat skips evaluation
     entirely — and :meth:`__call__` prices a phenotype by walking the
     sub-problem's :class:`~repro.core.evaluator.SubproblemCosts` table
     (:attr:`costs`), the same walk ``evaluate_set`` and the greedy seed
     take, kept for the whole GA run so its records, keyed by (strategy
-    id, upstream state id), serve every genome. Near-duplicates that
-    differ in a layer or two replay the record of every layer whose
-    strategy and upstream state did not change and price only the
-    rest, through the evaluator's layer-cost memos, so warm restarts
-    hit at layer granularity instead of all-or-nothing.
+    id, upstream state id) and shared by the layers of one shape, serve
+    every genome. Near-duplicates that differ in a layer or two replay
+    the record of every layer whose strategy and upstream state did not
+    change and price only the rest, through the evaluator's layer-cost
+    memos, so warm restarts hit at layer granularity instead of
+    all-or-nothing.
     """
 
     def __init__(
@@ -309,7 +313,7 @@ class Level2Fitness:
         layer of every genome to one integer code (see :meth:`_codes`);
         each layer's column of codes then maps to strategy ids through
         the evaluator-wide code memo of the layer's catalog, keyed by
-        (layer, set size, code). A miss runs the scalar decode's
+        (layer shape, set size, code). A miss runs the scalar decode's
         feasibility fallback over dim indices, its plan checks read
         from the catalog's memo keyed by (ES dims, SS dim), so no
         strategy is built or hashed for a code seen before, in this

@@ -12,7 +12,7 @@ calls) is held to the straight-line walk of
 """
 
 import pickle
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
@@ -344,8 +344,9 @@ class TestBitIdentity:
     ):
         """Level 2 priced from the table equals level 2 priced by the
         reference walk: strategies, latency and GA history; and the
-        table misses into the layer cache once per distinct (layer,
-        strategy) with a plan that the reference walk priced."""
+        table misses into the layer cache once per distinct (layer
+        shape, strategy) with a plan that the reference walk priced, so
+        the repeated blocks of resnet34 share their misses."""
         graph = build_model(model)
         nodes = graph.nodes()[span]
         config = replace(SearchBudget.fast().level2, cache=True)
@@ -384,7 +385,8 @@ class TestBitIdentity:
 
         # The layer-cache keys the walked arm prices (the accelerator
         # set, design and cost model are fixed within one solve; a
-        # strategy with no plan has no upstream-free price to cache).
+        # strategy with no plan has no upstream-free price to cache;
+        # layers of one conv spec share a price).
         priced = set()
         compute_layer_cost = reference_walk.compute_layer_cost
 
@@ -393,7 +395,7 @@ class TestBitIdentity:
                 evaluator, node, accs, designs, strategy, *rest
             )
             if plan is not None:
-                priced.add((node.name, strategy))
+                priced.add((node.conv_spec(), strategy))
             return seconds, plan
 
         monkeypatch.setattr(Level2Fitness, "__call__", walked_call)
@@ -545,7 +547,8 @@ class TestCacheMechanics:
             assert evaluator.layer_cache_stats.entries == 0
 
     def test_lightweight_price_ignores_upstream_sharding(self):
-        """One memo entry per (layer, set) serves every upstream state."""
+        """One memo entry per (kind, output shape, set) serves every
+        upstream state and every layer of that kind and shape."""
         graph = GRAPHS[0]
         evaluator = self._evaluator()
         uncached = self._evaluator(layer_cache=False)
@@ -572,9 +575,13 @@ class TestCacheMechanics:
             states.append(plan.output_sharding)
         assert len({tuple(state.items()) for state in states}) == 3
         (memo,) = evaluator._lightweight_memo.values()
-        assert sorted(memo) == sorted(
-            node.name for node in graph.nodes() if not node.is_compute
-        )
+        shapes = {
+            (node.kind, *astuple(node.output_shape))
+            for node in graph.nodes()
+            if not node.is_compute
+        }
+        assert set(memo) == shapes
+        assert len(shapes) < len(graph.nodes()) - len(graph.compute_nodes())
 
     def test_pickling_drops_cache_but_not_behaviour(self):
         evaluator = self._evaluator()

@@ -4,21 +4,23 @@ GA phenotypes (strategy ids decoded by ``prepare_population`` and
 priced by ``Level2Fitness``), the greedy seed's ``layer_latency`` and
 ``evaluate_set`` all walk :class:`~repro.core.evaluator.SubproblemCosts`
 tables that share one evaluator's strategy catalogs, state ids and
-price memos: upstream-free seconds per (layer, strategy id, set),
-compute seconds per (layer, strategy id, designs), records per
-(strategy id, upstream state id). The oracle holds every price taken
+price memos, all keyed on a layer's shape: upstream-free seconds per
+(catalog id, strategy id, set), compute seconds per (catalog id,
+strategy id, designs), records per (strategy id, upstream state id),
+shared by the layers of one shape. The oracle holds every price taken
 through them to the memo-free walk of :mod:`tests.core.reference_walk`
 on a cache-off evaluator, over sub-problems chosen so that a key
 missing one of its parts aliases two different prices: two sets of one
-size on different designs, a smaller set on one of those designs, and
-layers whose first input has no plan. The guards pin what the tables
-must not do: price anything with the cache off, or leak into a pickle.
+size on different designs, a smaller set on one of those designs,
+layers whose first input has no plan, and a graph whose layers repeat
+one shape under different names. The guards pin what the tables must
+not do: price anything with the cache off, or leak into a pickle.
 """
 
 import pickle
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accelerators import design1_superlip, design2_systolic
@@ -27,13 +29,20 @@ from repro.core.evaluator import (
     EvaluatorOptions,
     LayerCacheStats,
     MappingEvaluator,
+    SubproblemCosts,
 )
 from repro.core.ga import Level2Fitness
 from repro.core.ga.level1 import SubproblemSolver
-from repro.core.ga.level2 import SHORTLIST
+from repro.core.ga.level2 import SHORTLIST, greedy_strategies
 from repro.core.session import MarsSession
-from repro.core.sharding import ParallelismStrategy, cached_sharding_plan
+from repro.core.sharding import (
+    NO_PARALLELISM,
+    ParallelismStrategy,
+    cached_sharding_plan,
+)
 from repro.dnn import build_model
+from repro.dnn.builder import GraphBuilder
+from repro.dnn.layers import LoopDim
 from repro.system import f1_16xlarge
 from repro.utils import make_rng
 from tests.core.reference_walk import reference_evaluate_set
@@ -194,3 +203,138 @@ def test_tables_stay_in_the_evaluator():
         assert assignment.strategies
         for strategy in assignment.strategies.values():
             assert isinstance(strategy, ParallelismStrategy)
+
+
+def _repeated_shapes_graph():
+    """Two differently named convs of one spec (``left``, ``right``),
+    two more (``wide``, ``out``), and a concat beside a ReLU of its
+    output shape: the concat drops the channel sharding that the ReLU
+    passes on to ``out``."""
+    b = GraphBuilder("repeated_shapes")
+    x = b.relu(b.conv(b.input(3, 16, 16), 16, 3, padding=1, name="stem"))
+    left = b.conv(x, 16, 3, padding=1, name="left")
+    right = b.conv(b.relu(left), 16, 3, padding=1, name="right")
+    wide = b.conv(b.concat([left, right]), 32, 3, padding=1, name="wide")
+    b.conv(b.relu(wide), 32, 3, padding=1, name="out")
+    return b.build()
+
+
+SHAPES_GRAPH = _repeated_shapes_graph()
+
+#: Sets of 2 and of 4 on one design, a set of 4 whose links cross the
+#: two groups (host-staged) on that design, and the first set of 4 on
+#: the other design.
+SHAPES_SUBPROBLEMS = (
+    ((0, 1), DESIGNS[0]),
+    ((0, 1, 2, 3), DESIGNS[0]),
+    ((2, 3, 4, 5), DESIGNS[0]),
+    ((0, 1, 2, 3), DESIGNS[1]),
+)
+
+SHAPES_CANDIDATES = (
+    NO_PARALLELISM,
+    ParallelismStrategy(es=(LoopDim.COUT,)),
+    ParallelismStrategy(es=(LoopDim.H,)),
+    ParallelismStrategy(es=(LoopDim.H, LoopDim.W)),
+    ParallelismStrategy(es=(LoopDim.COUT, LoopDim.CIN)),
+    ParallelismStrategy(es=(LoopDim.H,), ss=LoopDim.COUT),
+    ParallelismStrategy(ss=LoopDim.CIN),
+)
+
+_SHAPES_DICT = st.fixed_dictionaries(
+    {
+        node.name: st.sampled_from(SHAPES_CANDIDATES)
+        for node in SHAPES_GRAPH.compute_nodes()
+    }
+)
+
+#: Every layer sharded on its output channels: ``left`` and ``wide``
+#: then leave one state, which the concat and the ReLU move apart.
+_ALL_COUT = {
+    node.name: SHAPES_CANDIDATES[1] for node in SHAPES_GRAPH.compute_nodes()
+}
+
+
+def _reference_greedy(reference, nodes, accs, design):
+    """The greedy seed's choice per compute layer, from the reference
+    walk: the cheapest feasible shortlist strategy priced alone, ties to
+    the earlier one, replicated when none is feasible."""
+    chosen = {}
+    for node in nodes:
+        if not node.is_compute:
+            continue
+        best, chosen[node.name] = None, NO_PARALLELISM
+        for rank, strategy in enumerate(SHORTLIST):
+            alone = reference_evaluate_set(
+                reference, [node], accs, design, {node.name: strategy}
+            )
+            key = (alone.latency_seconds, rank)
+            if alone.feasible and (best is None or key < best):
+                best, chosen[node.name] = key, strategy
+    return chosen
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dicts=st.lists(_SHAPES_DICT, min_size=1, max_size=3),
+    order=st.permutations(range(len(SHAPES_SUBPROBLEMS))),
+    weights_resident=st.booleans(),
+)
+@example(
+    dicts=[_ALL_COUT], order=list(range(len(SHAPES_SUBPROBLEMS))),
+    weights_resident=True,
+)
+@example(
+    dicts=[_ALL_COUT], order=list(range(len(SHAPES_SUBPROBLEMS))),
+    weights_resident=False,
+)
+def test_layers_of_one_shape_share_every_price_soundly(
+    dicts, order, weights_resident
+):
+    """Layers of one conv spec share a catalog, their LRU entries and
+    their records, and non-compute layers of one kind and output shape
+    share their prices, yet every latency (GA walk, greedy seed,
+    ``evaluate_set``) equals the reference walk's: on sets of 2 and of
+    4 in one evaluator, on two sets of 4 with different links, and on
+    one set under two designs. The LRU misses once per distinct (conv
+    spec, strategy, set), fewer than the (layer, strategy, set)
+    triples, and the catalogs number their (spec, set size) pairs
+    from 0."""
+    graph = SHAPES_GRAPH
+    options = EvaluatorOptions(weights_resident=weights_resident)
+    evaluator = MappingEvaluator(graph, f1_16xlarge(), options)
+    reference = MappingEvaluator(
+        graph, f1_16xlarge(), replace(options, layer_cache=False)
+    )
+    nodes = graph.nodes()
+    shapes, names, catalogs = set(), set(), {}
+    for accs, design in (SHAPES_SUBPROBLEMS[k] for k in order):
+        table = SubproblemCosts(evaluator, nodes, accs, design)
+        for strategies in dicts + dicts:
+            expected = reference_evaluate_set(
+                reference, nodes, accs, design, strategies
+            )
+            got = table.latency(table.phenotype(strategies))
+            assert got.hex() == expected.latency_seconds.hex()
+            _assert_evaluations_identical(
+                evaluator.evaluate_set(nodes, accs, design, strategies),
+                expected,
+            )
+        assert greedy_strategies(table) == _reference_greedy(
+            reference, nodes, accs, design
+        )
+        for node, catalog in zip(table.compute_nodes, table.catalogs):
+            spec = node.conv_spec()
+            assert (catalog.spec, catalog.p) == (spec, len(accs))
+            assert catalogs.setdefault((spec, len(accs)), catalog) is catalog
+            for strategy in [*(d[node.name] for d in dicts), *SHORTLIST]:
+                if cached_sharding_plan(spec, strategy, len(accs)):
+                    shapes.add((spec, strategy, accs, design.name))
+                    names.add((node.name, strategy, accs, design.name))
+    # One catalog per (spec, set size), numbered in first-sight order.
+    layers = len(order) * len(graph.compute_nodes())
+    assert len(evaluator._catalogs) == len(catalogs) < layers
+    assert [c.id for c in catalogs.values()] == list(range(len(catalogs)))
+    stats = evaluator.layer_cache_stats
+    assert stats.evictions == 0
+    assert stats.misses == len(shapes) < len(names)
