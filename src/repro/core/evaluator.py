@@ -30,7 +30,9 @@ quantifies each model's divergence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.core.costmodel import AnalyticalCostModel, CostModel, CostModelSpec
@@ -90,18 +92,21 @@ class EvaluatorOptions:
             size) and the set key being (accelerator set, design token,
             cost-model token); its compute seconds are also memoized
             per (catalog id, strategy id, designs), so every set of one
-            size and design shares them. The bytes its resharding moves
-            are memoized per (catalog id, strategy id, upstream state
-            id) and their transfer seconds per (accelerator set,
-            bytes); a non-compute layer's price, which depends on
-            neither strategy nor upstream sharding, per (kind, output
-            shape, set key). The options are part of every key by
-            construction, being fixed for the evaluator that owns the
-            memos, while the cost model — also fixed at construction —
-            is part of the LRU key *explicitly* (its spec token), so
-            entries can never alias across models even if a cache were
-            ever shared (catalog ids count from 0 in first-sight order,
-            alike in two evaluators of one graph). Results are
+            size and design shares them. The share of a layer's needed
+            input that its producer's sharding leaves in place (the
+            alignment fraction) is memoized per (input-need state id,
+            upstream state id), shared by every strategy and layer
+            shape of one input need, and a resharding's transfer
+            seconds per (accelerator set, bytes); a non-compute layer's
+            price, which depends on neither strategy nor upstream
+            sharding, per (kind, output shape, set key). The options
+            are part of every key by construction, being fixed for the
+            evaluator that owns the memos, while the cost model — also
+            fixed at construction — is part of the LRU key
+            *explicitly* (its spec token), so entries can never alias
+            across models even if a cache were ever shared (catalog ids
+            count from 0 in first-sight order, alike in two evaluators
+            of one graph). Results are
             bit-identical with the cache on or off — a hit replays the
             exact floats of the original computation — so this is
             purely a wall-clock knob. Program emission
@@ -110,8 +115,11 @@ class EvaluatorOptions:
             cold or cache-off evaluator emits one program. The knob also
             switches the record memos of the set walk
             (:class:`SubproblemCosts`): off, every walk re-prices every
-            layer. Strategy, catalog and sharding-state ids are interned
-            either way: they name prices, they are not prices.
+            layer, a level-2 winner included (on, it replays the
+            records its GA's genomes left). Strategy, catalog and
+            sharding-state ids are interned either way, and a catalog
+            keeps its plans' bytes (input needs included) either way:
+            they name or size prices, they are not prices.
         layer_cache_capacity: Maximum number of upstream-free
             compute-layer prices in the LRU before eviction.
     """
@@ -235,15 +243,33 @@ class MappingEvaluation:
         accelerator set or one boundary transfer. This extension metric
         lets users trade the latency objective for throughput.
         """
-        stages = [e.latency_seconds for e in self.set_evaluations]
-        stages.extend(self.transfer_breakdown)
-        stages.append(self.host_input_seconds)
-        return max(stages)
+        return _pipeline_interval(
+            [e.latency_seconds for e in self.set_evaluations],
+            self.transfer_breakdown,
+            self.host_input_seconds,
+        )
 
     @property
     def pipeline_throughput_per_second(self) -> float:
         interval = self.pipeline_interval_seconds
         return 1.0 / interval if interval > 0 else float("inf")
+
+
+def _mapping_latency(
+    set_latencies: list[float], transfers: list[float], host_seconds: float
+) -> float:
+    """A mapping's latency from its parts, in one float order: the set
+    latencies summed, then the boundary transfers' sum, then the host
+    input."""
+    return sum(set_latencies) + sum(transfers) + host_seconds
+
+
+def _pipeline_interval(
+    set_latencies: list[float], transfers: list[float], host_seconds: float
+) -> float:
+    """A mapping's pipeline interval from its parts: its slowest stage,
+    sets first, then the boundary transfers, then the host input."""
+    return max([*set_latencies, *transfers, host_seconds])
 
 
 def _map_output_to_input_sharding(
@@ -279,12 +305,14 @@ def _alignment_fraction(
     return fraction
 
 
-def _resharding_bytes(
-    plan: ShardingPlan, dtype_bytes: int, upstream: dict[LoopDim, int]
-) -> tuple[int, float]:
-    """The input bytes of ``plan``'s layer, and the bytes of its input
-    slice each accelerator needs that the producer's sharding
-    ``upstream`` does not already leave in place."""
+def _input_need(
+    plan: ShardingPlan, dtype_bytes: int
+) -> tuple[int, float, dict[LoopDim, int]]:
+    """The input bytes of ``plan``'s layer, the bytes of that input each
+    accelerator needs, and its input need: the partition degree per
+    input dim. A resharding moves the needed bytes the producer's
+    sharding does not already leave in place (see
+    :func:`_alignment_fraction`)."""
     need: dict[LoopDim, int] = {}
     inp = plan.spec.tensors()["input"]
     for dim, degree in plan.degrees.items():
@@ -293,10 +321,7 @@ def _resharding_bytes(
     if plan.strategy.ss is not None and inp.has_dim(plan.strategy.ss):
         need[plan.strategy.ss] = plan.parallelism
     input_bytes = inp.numel * dtype_bytes
-    needed_per_acc = input_bytes * plan.input_fraction_needed
-    have = _map_output_to_input_sharding(upstream)
-    missing_per_acc = needed_per_acc * (1.0 - _alignment_fraction(have, need))
-    return input_bytes, missing_per_acc
+    return input_bytes, input_bytes * plan.input_fraction_needed, need
 
 
 #: Interned sharding state of data that arrives aligned (the boundary
@@ -311,7 +336,8 @@ _NO_PLAN = -1
 
 class _States:
     """Sharding states interned to small ints: :data:`_ALIGNED`,
-    :data:`_NO_PLAN`, or ``k >= 1`` naming the state dict ``dicts[k]``.
+    :data:`_NO_PLAN`, or ``k >= 1`` naming the state dict ``dicts[k]``
+    (a layer's output sharding, or the input need of a strategy).
 
     Keyed by the state's item tuple, order included, so ``dicts[k]``
     is the very dict the walk would hand over.
@@ -334,6 +360,21 @@ class _States:
         return state_id
 
 
+@lru_cache(maxsize=None)
+def _candidate(es: tuple[int, ...], ss: int | None) -> ParallelismStrategy:
+    """The decode's candidate strategy ES = ``es``, SS = ``ss``
+    (canonical dim indices), one object per process for at most the
+    118 strategies of Section IV's space. A catalog's own candidate
+    memo starts empty with every evaluator (one search on resnet18
+    misses it 1,017 times across 48 catalogs), so without this table
+    each search would build, hash and compare a fresh object per
+    catalog and candidate."""
+    return ParallelismStrategy(
+        es=tuple(LOOP_DIMS[d] for d in es),
+        ss=None if ss is None else LOOP_DIMS[ss],
+    )
+
+
 class StrategyCatalog:
     """The strategies one layer shape ``spec`` is priced under on sets
     of one size ``p``, interned to small ints (evaluator-owned, see
@@ -343,15 +384,18 @@ class StrategyCatalog:
 
     Entry ``entries[id]`` of ``strategies[id]`` holds what the walk
     needs of its plan whatever the set and upstream state: ``(plan,
-    output state id, weight, activation and load bytes)``. The catalog
-    also keeps the level-2 decode's memos: strategy id per decode code
-    and per ``(ES dims, SS dim)`` candidate (canonical dim indices),
-    ``None`` where the candidate has no plan.
+    output state id, weight, activation and load bytes)``; ``needs[id]``
+    holds, once a walk priced a resharding into it, its input bytes,
+    the bytes of that input each accelerator needs and its input-need
+    state id (see :meth:`need`). The catalog also keeps the level-2
+    decode's memos: strategy id per decode code and per ``(ES dims, SS
+    dim)`` candidate (canonical dim indices), ``None`` where the
+    candidate has no plan.
     """
 
     __slots__ = (
         "spec", "p", "id", "dtype_bytes", "states", "strategies", "ids",
-        "entries", "codes", "candidates",
+        "entries", "needs", "codes", "candidates",
     )
 
     def __init__(
@@ -366,6 +410,7 @@ class StrategyCatalog:
         self.strategies: list[ParallelismStrategy] = []
         self.ids: dict[ParallelismStrategy, int] = {}
         self.entries: list[tuple] = []
+        self.needs: list[tuple | None] = []
         self.codes: dict[int, int] = {}
         self.candidates: dict[tuple, int | None] = {}
 
@@ -382,10 +427,7 @@ class StrategyCatalog:
         key = (es, ss)
         if key in self.candidates:
             return self.candidates[key]
-        strategy = ParallelismStrategy(
-            es=tuple(LOOP_DIMS[d] for d in es),
-            ss=None if ss is None else LOOP_DIMS[ss],
-        )
+        strategy = _candidate(es, ss)
         plan = self._plan(strategy)
         strategy_id = None
         if plan is not None:
@@ -394,6 +436,20 @@ class StrategyCatalog:
                 strategy_id = self._add(strategy, plan)
         self.candidates[key] = strategy_id
         return strategy_id
+
+    def need(self, strategy_id: int) -> tuple[int, float, int]:
+        """(input bytes, bytes of that input each accelerator needs,
+        input-need state id) of strategy ``strategy_id``, which has a
+        plan; built on first use."""
+        need = self.needs[strategy_id]
+        if need is None:
+            input_bytes, needed_per_acc, dims = _input_need(
+                self.entries[strategy_id][0], self.dtype_bytes
+            )
+            need = self.needs[strategy_id] = (
+                input_bytes, needed_per_acc, self.states.id_of(dims)
+            )
+        return need
 
     def _plan(self, strategy: ParallelismStrategy) -> ShardingPlan | None:
         return cached_sharding_plan(
@@ -405,6 +461,7 @@ class StrategyCatalog:
     ) -> int:
         strategy_id = self.ids[strategy] = len(self.strategies)
         self.strategies.append(strategy)
+        self.needs.append(None)
         if plan is None:
             self.entries.append((None, _NO_PLAN, 0, 0, 0))
         else:
@@ -430,29 +487,39 @@ class MappingEvaluator:
 
     A set has one walk, :class:`SubproblemCosts`: ``evaluate_set`` walks
     a fresh table, and level 2 walks one table per sub-problem for all
-    its genomes. The walk runs on integer tables the evaluator owns:
+    its genomes, its winner included. The walk runs on integer tables
+    the evaluator owns:
 
-    * sharding states interned as ints (:data:`_ALIGNED`,
-      :data:`_NO_PLAN`, ``k >= 1`` for a state dict);
+    * sharding states (output shardings and input needs) interned as
+      ints (:data:`_ALIGNED`, :data:`_NO_PLAN`, ``k >= 1`` for a state
+      dict);
     * per (conv spec, set size), a catalog with a small-int id
       interning the strategies it is priced under, one entry per
-      strategy id holding its plan, output-state id and bytes, plus the
-      level-2 decode's code and candidate memos;
+      strategy id holding its plan, output-state id and bytes (and,
+      once a walk needs it, its input need), plus the level-2 decode's
+      code and candidate memos;
     * the output-state id of a non-compute layer per (kind, output
-      shape, upstream state id).
+      shape, upstream state id);
+    * per (layer names, set size), a table's layout: its layers' in-set
+      inputs and shapes, catalogs resolved (see :meth:`_layout`).
 
     A price depends on a layer's shape, never its name, so the layers
     of a repeated block share every price, memoized at the key each
     part depends on (see :attr:`EvaluatorOptions.layer_cache`): the
     upstream-free seconds of a compute layer per (catalog id, strategy
     id, set), its compute seconds per (catalog id, strategy id,
-    designs), the bytes a resharding moves per (catalog id, strategy
-    id, upstream state id), their transfer per (set, bytes) and
+    designs), a resharding's alignment fraction per (input-need state
+    id, upstream state id), its transfer per (set, bytes) and
     non-compute prices per (kind, output shape, set). A genome that
     differs from an already-priced one in a single layer's strategy
     re-prices that layer (and any downstream layers whose upstream
-    state shifted), not the whole set. No id leaves the evaluator:
-    results, pickles and store artifacts carry strategies and plans.
+    state shifted), not the whole set. A whole mapping's price is its
+    sets' latencies, its boundary transfers and its host input, summed
+    in one float order (:meth:`mapping_objective`), so level 1 scores a
+    mapping from the latencies its level-2 solves recorded and only
+    :meth:`evaluate_mapping` walks the sets again. No id leaves the
+    evaluator: results, pickles and store artifacts carry strategies
+    and plans.
     """
 
     def __init__(
@@ -486,14 +553,15 @@ class MappingEvaluator:
         # sharding reaches it, so one entry per (kind, output shape,
         # set) serves every genome; compute seconds take no accelerator
         # ids, so one entry per (catalog, strategy, designs) serves
-        # every set of one size and design; the bytes a resharding
-        # moves are a function of the strategy and the upstream state,
-        # its seconds of the set and those bytes. These entries are few
-        # and tiny, so no LRU bound.
+        # every set of one size and design; the share of its input a
+        # resharding leaves in place is a function of the layer's input
+        # need and the upstream state, its seconds of the set and the
+        # bytes it moves. These entries are few and tiny, so no LRU
+        # bound.
         self._layer_cache: LruCache | None = None
         self._lightweight_memo: dict[tuple, dict] | None = None
         self._compute_memo: dict[tuple, float] | None = None
-        self._reshard_memo: dict[tuple, tuple] | None = None
+        self._alignment_memo: dict[tuple[int, int], float] | None = None
         self._transfer_memo: dict[tuple, dict] | None = None
         self._new_price_memos()
         # The integer tables (see the class docstring); not prices, so
@@ -501,6 +569,8 @@ class MappingEvaluator:
         self._states = _States()
         self._catalogs: dict[tuple[ConvSpec, int], StrategyCatalog] = {}
         self._moves: dict[tuple, int] = {}
+        # Set layouts per (layer names, set size); see _layout.
+        self._layouts: dict[tuple, tuple] = {}
         # Designs interned to small ints so per-layer key hashing never
         # re-hashes a whole AcceleratorDesign. Keyed by object equality:
         # same-named design variants (sweeps) get distinct tokens.
@@ -516,7 +586,7 @@ class MappingEvaluator:
             self._layer_cache = LruCache(self.options.layer_cache_capacity)
             self._lightweight_memo = {}
             self._compute_memo = {}
-            self._reshard_memo = {}
+            self._alignment_memo = {}
             self._transfer_memo = {}
 
     def __getstate__(self) -> dict:
@@ -529,11 +599,12 @@ class MappingEvaluator:
         state["_layer_cache"] = None
         state["_lightweight_memo"] = None
         state["_compute_memo"] = None
-        state["_reshard_memo"] = None
+        state["_alignment_memo"] = None
         state["_transfer_memo"] = None
         state["_states"] = _States()
         state["_catalogs"] = {}
         state["_moves"] = {}
+        state["_layouts"] = {}
         state["_design_tokens"] = {}  # tokens only index the live cache
         state["_greedy_memo"] = {}  # keyed by the dropped tokens
         return state
@@ -580,7 +651,7 @@ class MappingEvaluator:
             self._layer_cache.clear()
             self._lightweight_memo.clear()
             self._compute_memo.clear()
-            self._reshard_memo.clear()
+            self._alignment_memo.clear()
             self._transfer_memo.clear()
 
     def _catalog(self, spec: ConvSpec, p: int) -> StrategyCatalog:
@@ -594,6 +665,58 @@ class MappingEvaluator:
                 self._states,
             )
         return catalog
+
+    def _layout(self, nodes: list[LayerNode], p: int) -> tuple:
+        """The layout of a :class:`SubproblemCosts` table over
+        ``nodes`` on sets of ``p`` accelerators: ``(nodes, compute
+        layers, their catalogs, per-layer inputs, per-layer shapes)``.
+        Kept per (layer names, ``p``) and reused while those names
+        stand for the very same node objects, so a table over a set
+        seen before resolves no catalog (hashes no ``ConvSpec``).
+
+        A layer's inputs are ``(first in-set input, the other in-set
+        inputs, phenotype slot or -1 for a non-compute layer)``. Its
+        upstream is the state of its first input already walked that
+        has one; an input from outside the set arrives aligned (the
+        boundary transfer paid for it), so each layer keeps its earlier
+        in-set inputs up to its first outside one, and a layer with
+        none reads the walk's extra aligned slot. Its shape is a
+        catalog id, or a non-compute layer's flat (kind, channels,
+        height, width), all its price reads.
+        """
+        key = (tuple([node.name for node in nodes]), p)
+        layout = self._layouts.get(key)
+        if layout is not None and all(map(operator.is_, layout[0], nodes)):
+            return layout
+        compute_nodes: list[LayerNode] = []
+        catalogs: list[StrategyCatalog] = []
+        layers: list[tuple[int, tuple[int, ...], int]] = []
+        shapes: list[int | tuple] = []
+        position = {node.name: i for i, node in enumerate(nodes)}
+        for i, node in enumerate(nodes):
+            sources = []
+            for name in node.inputs:
+                j = position.get(name)
+                if j is None:
+                    break
+                if j < i:
+                    sources.append(j)
+            slot = -1
+            if node.is_compute:
+                slot = len(catalogs)
+                catalog = self._catalog(node.conv_spec(), p)
+                compute_nodes.append(node)
+                catalogs.append(catalog)
+                shapes.append(catalog.id)
+            else:
+                out = node.output_shape
+                shapes.append((node.kind, out.channels, out.height, out.width))
+            first = sources[0] if sources else len(nodes)
+            layers.append((first, tuple(sources[1:]), slot))
+        layout = self._layouts[key] = (
+            tuple(nodes), compute_nodes, catalogs, layers, shapes
+        )
+        return layout
 
     def _moved_state(
         self, node: LayerNode, shape: tuple, upstream: int
@@ -693,7 +816,7 @@ class MappingEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # Whole-mapping evaluation (the level-1 GA fitness)
+    # Whole-mapping evaluation, and the level-1 GA fitness's sum
     # ------------------------------------------------------------------
 
     def evaluate_mapping(
@@ -701,6 +824,11 @@ class MappingEvaluator:
         mapping: Mapping,
         program: ExecutionProgram | None = None,
     ) -> MappingEvaluation:
+        """Every set of ``mapping`` walked, its host input and boundary
+        transfers priced, and the parts summed as
+        :meth:`mapping_objective` sums them. With a ``program``, each
+        set's host input steps precede its walk's steps, and the
+        boundary transfers come last."""
         set_evals = []
         host_seconds = 0.0
         for assignment in mapping.assignments:
@@ -719,20 +847,39 @@ class MappingEvaluator:
                 )
             )
         transfer_breakdown = self._boundary_transfer_breakdown(mapping, program)
-        transfer_seconds = sum(transfer_breakdown)
-        latency = (
-            sum(e.latency_seconds for e in set_evals)
-            + transfer_seconds
-            + host_seconds
-        )
         return MappingEvaluation(
-            latency_seconds=latency,
+            latency_seconds=_mapping_latency(
+                [e.latency_seconds for e in set_evals],
+                transfer_breakdown,
+                host_seconds,
+            ),
             set_evaluations=set_evals,
-            transfer_seconds=transfer_seconds,
+            transfer_seconds=sum(transfer_breakdown),
             host_input_seconds=host_seconds,
             feasible=all(e.feasible for e in set_evals),
             transfer_breakdown=transfer_breakdown,
         )
+
+    def mapping_objective(
+        self, mapping: Mapping, set_latencies: list[float], objective: str
+    ) -> float:
+        """``evaluate_mapping(mapping)``'s ``latency_seconds`` or, for
+        the ``"throughput"`` objective, its
+        ``pipeline_interval_seconds``, hex for hex, given its sets'
+        latencies in assignment order: prices the host input and the
+        boundary transfers, and walks no set (the level-1 fitness)."""
+        host_seconds = 0.0
+        if self.options.include_host_input:
+            for assignment in mapping.assignments:
+                host_seconds += self._charge_host_inputs(
+                    mapping.nodes_of(assignment), assignment, None
+                )
+        transfer_breakdown = self._boundary_transfer_breakdown(mapping, None)
+        if objective == "throughput":
+            return _pipeline_interval(
+                set_latencies, transfer_breakdown, host_seconds
+            )
+        return _mapping_latency(set_latencies, transfer_breakdown, host_seconds)
 
     def compile_program(self, mapping: Mapping) -> ExecutionProgram:
         """Emit the replayable step program for a mapping."""
@@ -902,14 +1049,17 @@ class SubproblemCosts:
     *phenotype* names one strategy id per compute layer, slot-aligned
     with :attr:`compute_nodes`: :meth:`phenotype` builds one from a
     strategies dict and :meth:`strategies` reads one back. Level 2
-    builds one table per sub-problem and prices every genome's
-    phenotype through :meth:`latency` and the greedy shortlist through
-    :meth:`layer_latency`; :meth:`MappingEvaluator.evaluate_set` walks
-    a fresh table once through :meth:`evaluate`. The table holds:
+    builds one table per sub-problem, prices every genome's phenotype
+    through :meth:`latency` and the greedy shortlist through
+    :meth:`layer_latency`, and its winner layer by layer through
+    :meth:`evaluate`, which replays the records the genomes left;
+    :meth:`MappingEvaluator.evaluate_set` walks a fresh table once
+    through :meth:`evaluate`. The table holds:
 
     * per layer, the in-set inputs the walk consults for its upstream
-      state, and its shape: a compute layer's catalog (looked up once,
-      here), a non-compute layer's kind and output shape;
+      state, and its shape: a compute layer's catalog, a non-compute
+      layer's kind and output shape (the evaluator's layout of the
+      set, built once per node list and set size);
     * per layer shape, built on the first memoized walk, records keyed
       ``(strategy id, upstream state id)`` (strategy id -1 for a
       non-compute layer): the layer's total seconds, output-state id,
@@ -918,10 +1068,10 @@ class SubproblemCosts:
       subgroup. Layers of one shape share one record memo, so a
       repeated block's record is priced once per table. A miss prices a
       compute layer from its catalog entry — the upstream-free seconds
-      through the evaluator's LRU, the resharding from its plan and the
-      upstream state — and a non-compute layer through the evaluator's
-      non-compute memo and state moves, so reuse across sub-problems
-      and warm sessions stays;
+      through the evaluator's LRU, the resharding from its input need
+      and the upstream state — and a non-compute layer through the
+      evaluator's non-compute memo and state moves, so reuse across
+      sub-problems and warm sessions stays;
     * per byte count, the weight-stream and spill seconds.
 
     Float order: a layer's total is compute + resharding + all-reduce +
@@ -976,43 +1126,14 @@ class SubproblemCosts:
         #: first memoized walk.
         self._records: list[dict] | None = None
         #: The compute layers, in phenotype-slot order, and their
-        #: strategy catalogs.
-        self.compute_nodes: list[LayerNode] = []
-        self.catalogs: list[StrategyCatalog] = []
-        # Per layer, (first in-set input, the other in-set inputs,
-        # phenotype slot or -1 for a non-compute layer). A layer's
-        # upstream is the state of its first input already walked that
-        # has one; an input from outside the set arrives aligned (the
-        # boundary transfer paid for it), so each layer keeps its
-        # earlier in-set inputs up to its first outside one, and a
-        # layer with none reads the walk's extra aligned slot.
-        self._layers: list[tuple[int, tuple[int, ...], int]] = []
-        # Per layer, its shape: a catalog id, or a non-compute layer's
-        # flat (kind, channels, height, width), all its price reads.
-        self._shapes: list[int | tuple] = []
-        position = {node.name: i for i, node in enumerate(nodes)}
-        for i, node in enumerate(nodes):
-            sources = []
-            for name in node.inputs:
-                j = position.get(name)
-                if j is None:
-                    break
-                if j < i:
-                    sources.append(j)
-            slot = -1
-            if node.is_compute:
-                slot = len(self.catalogs)
-                catalog = evaluator._catalog(node.conv_spec(), len(accs))
-                self.compute_nodes.append(node)
-                self.catalogs.append(catalog)
-                self._shapes.append(catalog.id)
-            else:
-                out = node.output_shape
-                self._shapes.append(
-                    (node.kind, out.channels, out.height, out.width)
-                )
-            first = sources[0] if sources else len(nodes)
-            self._layers.append((first, tuple(sources[1:]), slot))
+        #: strategy catalogs; with each layer's in-set inputs and shape,
+        #: the set's layout (see ``MappingEvaluator._layout``), shared
+        #: read-only with every table over these nodes on sets of this
+        #: size.
+        (
+            _, self.compute_nodes, self.catalogs, self._layers,
+            self._shapes,
+        ) = evaluator._layout(nodes, len(accs))
 
     def phenotype(
         self, strategies: dict[str, ParallelismStrategy]
@@ -1051,14 +1172,19 @@ class SubproblemCosts:
         """The set under ``strategies``, layer by layer; a compute layer
         missing from ``strategies`` is priced replicated.
 
-        A one-off walk through the evaluator's caches that keeps no
-        records (``evaluate_set``'s fresh table would never replay
-        them). With a ``program``, each layer's steps are appended from
-        its price as the walk reaches it, then the weight stream and
-        the spill.
+        Replays (and fills) the records of earlier :meth:`latency`
+        walks, so level 2 prices its winner on its own table without
+        re-pricing a layer; on a table that holds none, such as
+        ``evaluate_set``'s fresh one, it walks through the evaluator's
+        caches and keeps no records (they would never be replayed).
+        With a ``program``, it walks without records, appending each
+        layer's steps from its price as the walk reaches it, then the
+        weight stream and the spill.
         """
         latency, fits, records, weight_bytes, peak = self._walk(
-            self.phenotype(strategies), None, program
+            self.phenotype(strategies),
+            self._records if program is None else None,
+            program,
         )
         costs = []
         feasible = fits
@@ -1240,7 +1366,7 @@ class SubproblemCosts:
                     and evaluator.options.include_resharding
                 ):
                     resharding = self._resharding(
-                        catalog.id, strategy_id, plan, upstream
+                        catalog, strategy_id, upstream
                     )
                 seconds = (compute, resharding, allreduce, rotation, halo)
         # LayerCost.total_seconds, in its float order.
@@ -1277,7 +1403,7 @@ class SubproblemCosts:
         if upstream != _ALIGNED and options.include_resharding:
             catalog = self.catalogs[self._layers[index][2]]
             input_bytes, missing_per_acc = self._moved_bytes(
-                catalog.id, strategy_id, plan, upstream
+                catalog, strategy_id, upstream
             )
             if missing_per_acc > 0:
                 program.append(
@@ -1371,40 +1497,36 @@ class SubproblemCosts:
         return parts
 
     def _moved_bytes(
-        self,
-        catalog_id: int,
-        strategy_id: int,
-        plan: ShardingPlan,
-        upstream: int,
+        self, catalog: StrategyCatalog, strategy_id: int, upstream: int
     ) -> tuple[int, float]:
         """(input bytes, missing bytes per accelerator) of resharding
-        upstream state id ``upstream`` into ``plan``'s input, memoized
-        per (catalog id, strategy id, upstream id)."""
-        evaluator = self.evaluator
-        moves = evaluator._reshard_memo
-        key = (catalog_id, strategy_id, upstream)
-        moved = moves.get(key) if moves is not None else None
-        if moved is None:
-            moved = _resharding_bytes(
-                plan,
-                evaluator.options.dtype_bytes,
-                evaluator._states.dicts[upstream],
+        upstream state id ``upstream`` into strategy ``strategy_id``'s
+        input: the bytes each accelerator needs (see
+        :meth:`StrategyCatalog.need`), times the share of them the
+        upstream sharding does not leave in place, that alignment
+        fraction memoized per (need id, upstream id)."""
+        states = self.evaluator._states.dicts
+        memo = self.evaluator._alignment_memo
+        input_bytes, needed_per_acc, need_id = catalog.need(strategy_id)
+        key = (need_id, upstream)
+        fraction = memo.get(key) if memo is not None else None
+        if fraction is None:
+            fraction = _alignment_fraction(
+                _map_output_to_input_sharding(states[upstream]),
+                states[need_id],
             )
-            if moves is not None:
-                moves[key] = moved
-        return moved
+            if memo is not None:
+                memo[key] = fraction
+        return input_bytes, needed_per_acc * (1.0 - fraction)
 
     def _resharding(
-        self,
-        catalog_id: int,
-        strategy_id: int,
-        plan: ShardingPlan,
-        upstream: int,
+        self, catalog: StrategyCatalog, strategy_id: int, upstream: int
     ) -> float:
         """Seconds to reshard upstream state id ``upstream`` into
-        ``plan``'s input: the bytes it moves (:meth:`_moved_bytes`),
-        their transfer memoized per (set, bytes)."""
-        moved = self._moved_bytes(catalog_id, strategy_id, plan, upstream)
+        strategy ``strategy_id``'s input: the bytes it moves
+        (:meth:`_moved_bytes`), their transfer memoized per (set,
+        bytes)."""
+        moved = self._moved_bytes(catalog, strategy_id, upstream)
         input_bytes, missing_per_acc = moved
         if missing_per_acc <= 0:
             return 0.0

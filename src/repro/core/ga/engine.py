@@ -210,11 +210,13 @@ class GeneticAlgorithm:
             pop[i] = np.clip(np.asarray(seed, dtype=float), 0.0, 1.0)
         return pop
 
-    def _tournament(self, fitnesses: np.ndarray) -> int:
+    def _tournament(self, fitnesses: list[float]) -> int:
+        """The fittest of ``tournament_size`` contenders drawn with
+        replacement (the first drawn wins a tie)."""
         contenders = self.rng.integers(
             0, len(fitnesses), size=self.config.tournament_size
         )
-        return int(contenders[np.argmin(fitnesses[contenders])])
+        return min(contenders.tolist(), key=fitnesses.__getitem__)
 
     def _crossover(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.rng.random() >= self.config.crossover_rate:
@@ -227,7 +229,8 @@ class GeneticAlgorithm:
         mask = self.rng.random(self.genome_length) < self.config.mutation_rate
         noise = self.rng.normal(0.0, self.config.mutation_sigma, self.genome_length)
         mutated = genome + mask * noise
-        return np.clip(mutated, 0.0, 1.0)
+        # np.clip's result, without its per-call dispatch overhead.
+        return np.minimum(np.maximum(mutated, 0.0), 1.0)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -255,9 +258,10 @@ class GeneticAlgorithm:
                 population[i].copy()
                 for i in elite_order[: self.config.elite_count]
             ]
+            scores = fitnesses.tolist()
             while len(next_population) < self.config.population_size:
-                parent_a = population[self._tournament(fitnesses)]
-                parent_b = population[self._tournament(fitnesses)]
+                parent_a = population[self._tournament(scores)]
+                parent_b = population[self._tournament(scores)]
                 child = self._mutate(self._crossover(parent_a, parent_b))
                 next_population.append(child)
             population = np.array(next_population)

@@ -11,7 +11,12 @@ The level-1 genome decodes into
 Each decoded individual spawns second-level sub-problems — memoized in
 a ``solution_cache``, since different level-1 individuals frequently
 share (layer-range, accelerator-set, design) triples — and its fitness
-is the full-mapping latency including inter-set transfers.
+is the full-mapping latency including inter-set transfers. The cache
+keeps each sub-problem's winning strategies beside the set latency its
+level-2 GA priced them at, so a fitness sums those latencies with the
+boundary transfers and host input
+(:meth:`~repro.core.evaluator.MappingEvaluator.mapping_objective`) and
+walks no set; only the search's winning mapping is walked in full.
 
 Each sub-problem's level-2 GA draws from a private RNG derived from the
 sub-problem *key* (:func:`repro.utils.rng.stable_seed`), not from a
@@ -124,6 +129,11 @@ class DecodedIndividual:
     key: tuple
 
 
+#: What level 1 keeps of a sub-problem's level-2 solution: its
+#: strategies by layer name, and the set latency they price at.
+Solved = tuple[dict[str, ParallelismStrategy], float]
+
+
 def subproblem_rng(key: tuple) -> np.random.Generator:
     """Private RNG of one level-2 sub-problem, derived from its key.
 
@@ -151,12 +161,12 @@ class SubproblemSolver:
     no matter which worker (or the parent, on the serial fallback
     path) produces it.
 
-    An item's result is its solution's strategies (all that level 1
-    reads of it) and the worker-side layer-cache delta of the solve, so
-    the parent can merge pool counters into its stats; on the
-    in-process fallback path the delta is ``None`` — the parent
-    evaluator's own counters already saw that work, and shipping a
-    delta too would double-count it.
+    An item's result is its solution's strategies and set latency (all
+    that level 1 reads of it, as ``solution_cache`` holds them) and the
+    worker-side layer-cache delta of the solve, so the parent can merge
+    pool counters into its stats; on the in-process fallback path the
+    delta is ``None`` — the parent evaluator's own counters already saw
+    that work, and shipping a delta too would double-count it.
     """
 
     def __init__(self, evaluator: MappingEvaluator, config: GAConfig) -> None:
@@ -171,7 +181,7 @@ class SubproblemSolver:
 
     def __call__(
         self, item: tuple[tuple, AcceleratorDesign | None]
-    ) -> tuple[tuple, dict[str, ParallelismStrategy], LayerCacheStats | None]:
+    ) -> tuple[tuple, Solved, LayerCacheStats | None]:
         key, design = item
         start, stop, accs, _ = key
         nodes = self.evaluator.graph.nodes()[start:stop]
@@ -184,10 +194,11 @@ class SubproblemSolver:
             self.config,
             subproblem_rng(key),
         )
+        solved = (solution.strategies, solution.latency_seconds)
         if not self._remote:
-            return key, solution.strategies, None
+            return key, solved, None
         delta = self.evaluator.layer_cache_stats.since(before)
-        return key, solution.strategies, delta
+        return key, solved, delta
 
 
 @dataclass
@@ -206,12 +217,17 @@ class Level1Search:
     supplied by a long-lived owner (see
     :class:`~repro.core.session.MarsSession`) to warm-start repeated
     searches; all three hold seed-independent state, so sharing them
-    never changes results — only wall-clock.
+    never changes results — only wall-clock. ``solution_cache`` maps a
+    sub-problem key to its solution's strategies and set latency
+    (:data:`Solved`).
 
     Every generation is decoded once, pooled or not:
     :meth:`prefetch_population` is the engine's ``prepare`` hook and
     turns each genome into a :class:`DecodedIndividual`, and
-    :meth:`fitness` prices one. The level-1 engine always memoizes on
+    :meth:`fitness` prices one from its sub-problems' cached set
+    latencies, walking no set: it equals
+    ``evaluate_mapping(build_mapping(d))``'s latency (or pipeline
+    interval), hex for hex. The level-1 engine always memoizes on
     decoded individuals (the genome→mapping decode is massively
     many-to-one) and evaluates serially: level-1 fitness is stateful —
     it fills ``solution_cache`` — so it stays in this process, whatever
@@ -250,12 +266,12 @@ class Level1Search:
     budget: SearchBudget
     rng: np.random.Generator
     objective: str = "latency"
-    # Sub-problem key -> the strategies of its level-2 solution. Any
-    # mapping with dict-shaped get/setitem works here; sessions pass a
-    # bounded ``repro.utils.cache.LruCache``.
-    solution_cache: (
-        dict[tuple, dict[str, ParallelismStrategy]] | LruCache
-    ) = field(default_factory=dict)
+    # Sub-problem key -> the strategies of its level-2 solution and
+    # their set latency. Any mapping with dict-shaped get/setitem works
+    # here; sessions pass a bounded ``repro.utils.cache.LruCache``.
+    solution_cache: dict[tuple, Solved] | LruCache = field(
+        default_factory=dict
+    )
     level1_backend: ProcessPoolBackend | None = None
     partitions: list[Partition] | None = None
     design_profile: WorkloadProfile | None = None
@@ -305,7 +321,7 @@ class Level1Search:
         self.subproblems_fanned_out = 0
         # This generation's fanned-out solutions; they enter
         # ``solution_cache`` only through :meth:`solve_subproblem`.
-        self._prefetched: dict[tuple, dict[str, ParallelismStrategy]] = {}
+        self._prefetched: dict[tuple, Solved] = {}
 
     # ------------------------------------------------------------------
     # Genome layout
@@ -436,27 +452,29 @@ class Level1Search:
         layer_range: LayerRange,
         accs: tuple[int, ...],
         design: AcceleratorDesign | None,
-    ) -> dict[str, ParallelismStrategy]:
-        """The strategies of the sub-problem's level-2 solution, from
-        ``solution_cache``, this generation's fan-out, or a solve."""
+    ) -> Solved:
+        """The strategies of the sub-problem's level-2 solution and
+        their set latency, from ``solution_cache``, this generation's
+        fan-out, or a solve."""
         key = self._subproblem_key(layer_range, accs, design)
         cached = self.solution_cache.get(key)
         if cached is not None:
             return cached
-        strategies = self._prefetched.get(key)
-        if strategies is None:
+        solved = self._prefetched.get(key)
+        if solved is None:
             nodes = self.graph.nodes()[layer_range.start : layer_range.stop]
-            strategies = optimize_set(
+            solution = optimize_set(
                 self.evaluator,
                 nodes,
                 accs,
                 design,
                 self.budget.level2,
                 subproblem_rng(key),
-            ).strategies
+            )
+            solved = (solution.strategies, solution.latency_seconds)
             self._record_solved(key)
-        self.solution_cache[key] = strategies
-        return strategies
+        self.solution_cache[key] = solved
+        return solved
 
     def prefetch_population(
         self, genomes: np.ndarray | list[np.ndarray]
@@ -489,10 +507,10 @@ class Level1Search:
                     jobs[key] = design
         if jobs:
             solver = SubproblemSolver(self.evaluator, self.budget.level2)
-            for key, strategies, stats in pool.map_subproblems(
+            for key, solved, stats in pool.map_subproblems(
                 solver, list(jobs.items())
             ):
-                self._prefetched[key] = strategies
+                self._prefetched[key] = solved
                 self._record_solved(key)
                 if stats is not None:
                     self.subproblems_fanned_out += 1
@@ -502,11 +520,20 @@ class Level1Search:
         return population
 
     def build_mapping(self, decoded: DecodedIndividual) -> Mapping:
-        assignments = []
+        return self._solved_mapping(decoded)[0]
+
+    def _solved_mapping(
+        self, decoded: DecodedIndividual
+    ) -> tuple[Mapping, list[float]]:
+        """The mapping of ``decoded`` and its sets' latencies, in
+        assignment order, solving each sub-problem as needed."""
+        assignments, latencies = [], []
         for acc_set, design, layer_range in zip(
             decoded.used_sets, decoded.designs, decoded.ranges
         ):
-            strategies = self.solve_subproblem(layer_range, acc_set, design)
+            strategies, latency = self.solve_subproblem(
+                layer_range, acc_set, design
+            )
             assignments.append(
                 SetAssignment(
                     layer_range=layer_range,
@@ -515,21 +542,24 @@ class Level1Search:
                     strategies=strategies,
                 )
             )
-        return Mapping(
+            latencies.append(latency)
+        mapping = Mapping(
             graph=self.graph, topology=self.topology, assignments=assignments
         )
+        return mapping, latencies
 
     def fitness(self, decoded: DecodedIndividual) -> float:
-        """Latency (or pipeline interval) of one decoded individual.
+        """Latency (or pipeline interval) of one decoded individual:
+        its sub-problems' set latencies, boundary transfers and host
+        input, priced without walking a set.
 
         Memoization lives in the GA engine (keyed by the individual),
         not here — direct callers always get a fresh price.
         """
-        mapping = self.build_mapping(decoded)
-        evaluation = self.evaluator.evaluate_mapping(mapping)
-        if self.objective == "throughput":
-            return evaluation.pipeline_interval_seconds
-        return evaluation.latency_seconds
+        mapping, latencies = self._solved_mapping(decoded)
+        return self.evaluator.mapping_objective(
+            mapping, latencies, self.objective
+        )
 
     # ------------------------------------------------------------------
     # Seeds

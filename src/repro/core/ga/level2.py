@@ -204,6 +204,18 @@ def greedy_strategies(costs: SubproblemCosts) -> dict[str, ParallelismStrategy]:
     return chosen
 
 
+def _seed_block(strategy: ParallelismStrategy) -> np.ndarray:
+    """The 14 genes a heuristic seed writes for one layer's ``strategy``."""
+    block = np.zeros(GENES_PER_LAYER)
+    block[0] = min(len(strategy.es) / 2.0 + 0.17, 0.99)
+    for rank, dim in enumerate(strategy.canonical_es()):
+        block[1 + LOOP_DIMS.index(dim)] = 1.0 - 0.1 * rank
+    if strategy.ss is not None:
+        block[7] = 1.0
+        block[8 + LOOP_DIMS.index(strategy.ss)] = 1.0
+    return block
+
+
 def _seed_genomes(
     nodes: list[LayerNode],
     parallelism: int,
@@ -213,22 +225,22 @@ def _seed_genomes(
 
     Seeds encode: the per-layer greedy shortlist choice, the baseline
     longest-two-dims rule, pure spatial H/W partitioning, and channel
-    partitioning — the mapping motifs of Table III.
+    partitioning — the mapping motifs of Table III. Each strategy's
+    gene block is built once per call and shared by every layer and
+    seed that takes it.
     """
     compute = [n for n in nodes if n.is_compute]
+    blocks: dict[ParallelismStrategy, np.ndarray] = {}
 
     def genome_for(choose) -> np.ndarray:
-        genome = np.zeros(len(compute) * GENES_PER_LAYER)
-        for i, node in enumerate(compute):
+        row = []
+        for node in compute:
             strategy = choose(node)
-            base = i * GENES_PER_LAYER
-            genome[base] = min(len(strategy.es) / 2.0 + 0.17, 0.99)
-            for rank, dim in enumerate(strategy.canonical_es()):
-                genome[base + 1 + LOOP_DIMS.index(dim)] = 1.0 - 0.1 * rank
-            genome[base + 7] = 0.0 if strategy.ss is None else 1.0
-            if strategy.ss is not None:
-                genome[base + 8 + LOOP_DIMS.index(strategy.ss)] = 1.0
-        return genome
+            block = blocks.get(strategy)
+            if block is None:
+                block = blocks[strategy] = _seed_block(strategy)
+            row.append(block)
+        return np.concatenate(row)
 
     seeds = [
         genome_for(lambda n: longest_dims_strategy(n.conv_spec(), 2)),
@@ -405,7 +417,13 @@ def optimize_set(
     :meth:`Level2Fitness.prepare_population` and evaluates serially,
     memoizing on the per-layer strategy tuple when ``config.cache`` is
     set (the memo lives for one engine run, so one sub-problem:
-    phenotypes are only unique within one).
+    phenotypes are only unique within one). The winner's
+    ``evaluation`` is priced on the GA's own table, replaying the
+    records its genomes left (``evaluate_set``'s layer costs, float for
+    float, without re-pricing a layer); a sub-problem with no compute
+    layer, or on one accelerator, runs no GA and is priced by
+    ``evaluate_set``. Level 1 keeps the solution's strategies and
+    ``latency_seconds`` and scores mappings from them.
     """
     compute_nodes = [n for n in nodes if n.is_compute]
     parallelism = len(accs)
@@ -427,7 +445,7 @@ def optimize_set(
     )
     result = ga.run()
     best_strategies = fitness.decode(result.best_genome)
-    evaluation = evaluator.evaluate_set(nodes, accs, design, best_strategies)
+    evaluation = fitness.costs.evaluate(best_strategies)
     if evaluator.layer_cache_enabled:
         result.layer_cache = evaluator.layer_cache_stats.since(
             layer_cache_before

@@ -11,8 +11,8 @@ across searches:
 * one :class:`~repro.core.evaluator.MappingEvaluator` (its layer-cost
   cache and greedy-shortlist memo stay warm);
 * one cross-search level-1 ``solution_cache`` (LRU-bounded) of each
-  sub-problem's winning strategies — sound because each sub-problem's
-  level-2 GA draws from a content-keyed RNG
+  sub-problem's winning strategies and their set latency — sound
+  because each sub-problem's level-2 GA draws from a content-keyed RNG
   (:func:`repro.utils.rng.stable_seed`), making its solution
   independent of which search, seed or session first posed it;
 * the partition catalog and profiled design table, which depend only

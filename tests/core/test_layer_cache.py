@@ -513,21 +513,35 @@ class TestCacheMechanics:
         assert second.layer_costs[0] is not first.layer_costs[0]
 
     def test_clear_layer_cache(self):
-        evaluator = self._evaluator()
+        """Every price memo, resharding's alignment memo included, is on
+        with the cache and off without it, emptied by
+        ``clear_layer_cache`` and left behind by a pickle."""
         strategies = _random_strategies(GRAPHS[0], 0)
+        off = self._evaluator(layer_cache=False)
+        off.evaluate_set(
+            GRAPHS[0].nodes(), (0, 1), design2_systolic(), strategies
+        )
+        assert off._alignment_memo is None
+        evaluator = self._evaluator()
         evaluator.evaluate_set(
             GRAPHS[0].nodes(), (0, 1), design2_systolic(), strategies
         )
         assert evaluator.layer_cache_stats.entries > 0
         assert evaluator._lightweight_memo
         assert evaluator._compute_memo
-        assert evaluator._reshard_memo
+        assert evaluator._alignment_memo
         assert evaluator._transfer_memo
+        # Keyed per (input-need state id, upstream state id).
+        for need, upstream in evaluator._alignment_memo:
+            assert evaluator._states.dicts[need] is not None
+            assert evaluator._states.dicts[upstream] is not None
+        assert evaluator.__getstate__()["_alignment_memo"] is None
+        assert pickle.loads(pickle.dumps(evaluator))._alignment_memo == {}
         evaluator.clear_layer_cache()
         assert evaluator.layer_cache_stats.entries == 0
         assert evaluator._lightweight_memo == {}
         assert evaluator._compute_memo == {}
-        assert evaluator._reshard_memo == {}
+        assert evaluator._alignment_memo == {}
         assert evaluator._transfer_memo == {}
 
     def test_session_clear_empties_lightweight_memo(self):
@@ -537,12 +551,12 @@ class TestCacheMechanics:
             evaluator = session.evaluator
             assert evaluator._lightweight_memo
             assert evaluator._compute_memo
-            assert evaluator._reshard_memo
+            assert evaluator._alignment_memo
             assert any(evaluator._transfer_memo.values())
             session.clear()
             assert evaluator._lightweight_memo == {}
             assert evaluator._compute_memo == {}
-            assert evaluator._reshard_memo == {}
+            assert evaluator._alignment_memo == {}
             assert evaluator._transfer_memo == {}
             assert evaluator.layer_cache_stats.entries == 0
 

@@ -42,7 +42,7 @@ from repro.core.sharding import (
 )
 from repro.dnn import build_model
 from repro.dnn.builder import GraphBuilder
-from repro.dnn.layers import LoopDim
+from repro.dnn.layers import ConvSpec, LoopDim
 from repro.system import f1_16xlarge
 from repro.utils import make_rng
 from tests.core.reference_walk import reference_evaluate_set
@@ -203,6 +203,58 @@ def test_tables_stay_in_the_evaluator():
         assert assignment.strategies
         for strategy in assignment.strategies.values():
             assert isinstance(strategy, ParallelismStrategy)
+
+
+def _two_layer_graph(channels: int):
+    """``stem`` then ``head``, ``channels`` wide: graphs of different
+    widths share every layer name and no conv spec."""
+    b = GraphBuilder(f"two_layers_{channels}")
+    stem = b.conv(b.input(3, 16, 16), channels, 3, padding=1, name="stem")
+    x = b.relu(stem)
+    b.conv(x, channels, 3, padding=1, name="head")
+    return b.build()
+
+
+def test_a_seen_set_resolves_no_catalog(monkeypatch):
+    """A table over node objects and a set size seen before takes the
+    evaluator's layout of them: building it hashes no ``ConvSpec``, on
+    the same set or another of that size, and it prices as the first
+    walk did. Node objects that only share the names get a layout of
+    their own, and a pickle carries no layout."""
+    graph, nodes = _squeezenet_head()
+    accs, design = (0, 1, 2, 3), design2_systolic()
+    evaluator = MappingEvaluator(graph, f1_16xlarge())
+    strategies = _random_strategies(graph, 0)
+    first = evaluator.evaluate_set(nodes, accs, design, strategies)
+    hashes = 0
+    spec_hash = ConvSpec.__hash__
+
+    def counted(self):
+        nonlocal hashes
+        hashes += 1
+        return spec_hash(self)
+
+    monkeypatch.setattr(ConvSpec, "__hash__", counted)
+    again = evaluator.evaluate_set(list(nodes), accs, design, strategies)
+    SubproblemCosts(evaluator, list(nodes), (4, 5, 6, 7), design)
+    assert hashes == 0
+    _assert_evaluations_identical(again, first)
+    assert evaluator.__getstate__()["_layouts"] == {}
+    assert pickle.loads(pickle.dumps(evaluator))._layouts == {}
+
+    narrow, wide = _two_layer_graph(8), _two_layer_graph(16)
+    shared = MappingEvaluator(narrow, f1_16xlarge())
+    both = {
+        name: ParallelismStrategy(es=(LoopDim.COUT,))
+        for name in ("stem", "head")
+    }
+    for graph in (narrow, wide, narrow):
+        _assert_evaluations_identical(
+            shared.evaluate_set(graph.nodes(), accs, design, both),
+            MappingEvaluator(graph, f1_16xlarge()).evaluate_set(
+                graph.nodes(), accs, design, both
+            ),
+        )
 
 
 def _repeated_shapes_graph():

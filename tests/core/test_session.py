@@ -81,8 +81,9 @@ class TestSessionDeterminism:
 
         The level-2 RNG is derived from the sub-problem key, so shared
         keys across independent searches must carry identical strategies
-        — the property that makes the cross-search cache sound — and
-        each search's warm evaluator re-prices them to the same latency.
+        and set latencies — the property that makes the cross-search
+        cache sound — and each cached latency equals the re-price of its
+        strategies on the search's warm evaluator, hex for hex.
         """
         from repro.accelerators import table2_designs
 
@@ -100,24 +101,26 @@ class TestSessionDeterminism:
             search.run()
             return search
 
-        def latency(search, key):
+        def repriced(search, key):
             start, stop, accs, design = key
-            return search.evaluator.evaluate_set(
+            strategies, cached = search.solution_cache[key]
+            latency = search.evaluator.evaluate_set(
                 GRAPH.nodes()[start:stop],
                 accs,
                 designs[design],
-                search.solution_cache[key],
+                strategies,
             ).latency_seconds
+            assert latency.hex() == cached.hex()
+            return strategies, latency.hex()
 
         search_a = solve(0)
         search_b = solve(9)
         shared = set(search_a.solution_cache) & set(search_b.solution_cache)
         assert shared  # different seeds still pose common sub-problems
-        for key in shared:
-            assert (
-                search_a.solution_cache[key] == search_b.solution_cache[key]
-            )
-            assert latency(search_a, key).hex() == latency(search_b, key).hex()
+        for key in search_a.solution_cache:
+            solved = repriced(search_a, key)
+            if key in shared:
+                assert solved == repriced(search_b, key)
 
 
 class TestSessionState:

@@ -51,6 +51,23 @@ def _run_recorded(recorder, **overrides):
     return _run(fitness=recorder, prepare=recorder.prepare, **overrides)
 
 
+class _EarlierOperators(GeneticAlgorithm):
+    """The engine with the NumPy forms its operators had before: the
+    tournament's fancy indexing plus ``argmin``, and ``np.clip``."""
+
+    def _tournament(self, fitnesses):
+        fitnesses = np.asarray(fitnesses)
+        contenders = self.rng.integers(
+            0, len(fitnesses), size=self.config.tournament_size
+        )
+        return int(contenders[np.argmin(fitnesses[contenders])])
+
+    def _mutate(self, genome):
+        mask = self.rng.random(self.genome_length) < self.config.mutation_rate
+        noise = self.rng.normal(0.0, self.config.mutation_sigma, self.genome_length)
+        return np.clip(genome + mask * noise, 0.0, 1.0)
+
+
 class TestConfigValidation:
     def test_zero_population_rejected(self):
         with pytest.raises(ValueError):
@@ -240,3 +257,44 @@ class TestMemo:
         assert first.cache_hits + first.cache_misses == 4 * (
             1 + first.generations_run
         )
+
+
+class TestOperatorReplay:
+    """The tournament and mutation operators replay their earlier NumPy
+    forms bit for bit: the same RNG calls in the same order, the first
+    drawn contender winning a tie, the same clipped genes."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_populations_and_histories_repeat(self, seed):
+        rng = make_rng(10_000 + seed)
+        config = GAConfig(
+            population_size=int(rng.integers(4, 24)),
+            generations=12,
+            tournament_size=int(rng.integers(1, 4)),
+            elite_count=int(rng.integers(0, 3)),
+            mutation_rate=float(rng.uniform(0.1, 0.9)),
+            mutation_sigma=float(rng.uniform(0.1, 1.5)),
+            patience=12,
+        )
+        # Prices rounded to one decimal: most tournaments meet ties.
+        runs = []
+        for engine in (GeneticAlgorithm, _EarlierOperators):
+            populations = []
+
+            def prepare(genomes):
+                populations.append(genomes.tobytes())
+                return [g.tobytes() for g in genomes]
+
+            result = engine(
+                genome_length=7,
+                fitness=lambda p: round(float(np.frombuffer(p).sum()), 1),
+                config=config,
+                rng=make_rng(seed),
+                seeds=[np.full(7, 0.5)],
+                prepare=prepare,
+            ).run()
+            runs.append(
+                (populations, result.history, result.best_genome.tobytes())
+            )
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) > 1

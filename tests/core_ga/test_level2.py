@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.accelerators import design1_superlip
-from repro.core.evaluator import MappingEvaluator
+from repro.core.evaluator import MappingEvaluator, SubproblemCosts
 from repro.core.ga import GAConfig, GENES_PER_LAYER, decode_layer_strategy, optimize_set
-from repro.core.ga.level2 import _seed_genomes
+from repro.core.ga.level2 import _seed_genomes, greedy_strategies
 from repro.core.sharding import NO_PARALLELISM, ParallelismStrategy
 from repro.core.strategy_space import longest_dims_strategy
 from repro.dnn import build_model
@@ -119,6 +119,64 @@ class TestDecode:
         ]
         assert [(s.canonical_es(), s.ss) for s in decoded] == [
             (s.canonical_es(), s.ss) for s in encoded
+        ]
+
+
+def _earlier_seed_genome(compute, choose) -> np.ndarray:
+    """A heuristic seed written gene by gene, as ``_seed_genomes`` once
+    wrote it, before it shared one gene block per strategy."""
+    genome = np.zeros(len(compute) * GENES_PER_LAYER)
+    for i, node in enumerate(compute):
+        strategy = choose(node)
+        base = i * GENES_PER_LAYER
+        genome[base] = min(len(strategy.es) / 2.0 + 0.17, 0.99)
+        for rank, dim in enumerate(strategy.canonical_es()):
+            genome[base + 1 + LOOP_DIMS.index(dim)] = 1.0 - 0.1 * rank
+        genome[base + 7] = 0.0 if strategy.ss is None else 1.0
+        if strategy.ss is not None:
+            genome[base + 8 + LOOP_DIMS.index(strategy.ss)] = 1.0
+    return genome
+
+
+class TestSeedGenomes:
+    @pytest.mark.parametrize(
+        "model, span, accs",
+        [
+            ("resnet34", slice(40, 90), (0, 1)),
+            ("squeezenet", slice(None), (0, 1, 2, 3)),
+            ("mobilenet_v1", slice(0, 30), (4, 5, 6, 7)),
+        ],
+    )
+    def test_blocks_repeat_the_gene_by_gene_seeds(self, model, span, accs):
+        nodes = build_model(model).nodes()[span]
+        costs = SubproblemCosts(
+            MappingEvaluator(build_model(model), f1_16xlarge()),
+            nodes,
+            accs,
+            design1_superlip(),
+        )
+        compute = costs.compute_nodes
+        greedy = greedy_strategies(costs)
+        expected = [
+            _earlier_seed_genome(compute, lambda n: greedy[n.name]),
+            _earlier_seed_genome(
+                compute, lambda n: longest_dims_strategy(n.conv_spec(), 2)
+            ),
+            _earlier_seed_genome(
+                compute, lambda n: ParallelismStrategy(es=(LoopDim.H, LoopDim.W))
+            ),
+            _earlier_seed_genome(
+                compute, lambda n: longest_dims_strategy(n.conv_spec(), 1)
+            ),
+            _earlier_seed_genome(
+                compute,
+                lambda n: ParallelismStrategy(es=(LoopDim.COUT, LoopDim.CIN)),
+            ),
+        ]
+        seeds = _seed_genomes(nodes, len(accs), costs)
+        assert [g.tobytes() for g in seeds] == [g.tobytes() for g in expected]
+        assert [g.tobytes() for g in _seed_genomes(nodes, len(accs))] == [
+            g.tobytes() for g in expected[1:]
         ]
 
 
